@@ -7,7 +7,7 @@ cache must amortize it.  Measured here:
 * cold request (compose + analyse + parse) vs warm request (cache hit +
   parse) on the ``core`` dialect — the warm path must be >= 10x faster,
 * ``parse_many`` throughput at worker-pool widths 1 / 4 / 8,
-* on-disk artifact cache: generated-source load vs regeneration.
+* on-disk artifact cache: closures (+ IR) artifact load from disk.
 """
 
 import time
@@ -99,18 +99,19 @@ def test_bench_batch_throughput(benchmark, workers):
 
 
 def test_bench_disk_cache_load(benchmark, tmp_path):
-    """Loading generated source from the artifact cache vs regenerating."""
+    """Loading the closures artifact (and its IR) from the artifact cache."""
     features = dialect_features("core")
     line = build_sql_product_line()
 
     seed_registry = ParserRegistry(line, capacity=8, cache_dir=tmp_path)
-    entry = seed_registry.get(features)
-    seed_registry.generated_source(entry)  # populate the artifact
+    seed_registry.get(features).closure_program()  # populate the artifacts
 
     def load_from_disk():
         registry = ParserRegistry(line, capacity=8, cache_dir=tmp_path)
         fresh = registry.get(features)
-        return registry.generated_source(fresh)
+        return fresh.closure_program(), registry
 
-    source = benchmark(load_from_disk)
-    assert "def parse(" in source
+    closure, registry = benchmark(load_from_disk)
+    assert closure.rule_fns
+    assert registry.metrics.counter("artifact.closures.hit") == 1
+    assert registry.metrics.counter("artifact.closures.build") == 0

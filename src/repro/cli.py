@@ -15,15 +15,16 @@ composing these features."  This CLI is that interface, terminal-flavoured::
     python -m repro.cli sample tinysql -n 5      # random sentences
     python -m repro.cli ir --dialect tinysql     # compiled parse-program IR
     python -m repro.cli stats --warm core        # parse-service cache metrics
-    python -m repro.cli conformance --json       # corpus, both backends
+    python -m repro.cli conformance --json       # corpus, every backend
     python -m repro.cli coverage --fail-under 90 # grammar-coverage gate
     python -m repro.cli lint --baseline lint-baseline.txt  # static analysis
     python -m repro.cli translate --from full --to core "SELECT a FROM t"
 
 Products are resolved through the process-wide fingerprint-keyed
 registry (:mod:`repro.service`): repeated commands against the same
-selection reuse the composed parser, and ``--cache DIR`` persists
-generated parser source across processes.
+selection reuse the composed parser, and ``--cache DIR`` persists the
+compiled parser artifacts (IR, closure source, lexicon) across
+processes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .diagnostics import render_diagnostic, render_diagnostics
 from .engine import Database
 from .errors import InvalidConfigurationError, ReproError
 from .features import render_feature
-from .parsing import SentenceGenerator, backend_names
+from .parsing import SentenceGenerator, backend_names, generate_parser_source
 from .service import ParseService
 from .sql import (
     build_dialect,
@@ -146,9 +147,13 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         print(f"sequence: {' -> '.join(product.sequence)}")
         print(f"trace: {product.trace.summary()}")
         if args.emit:
-            # disk-cache aware: with --cache, an unchanged fingerprint
-            # reuses the generated source from a previous process
-            source = service.registry.generated_source(entry)
+            # the offline export: print the standalone module from the
+            # entry's (possibly disk-cached) parse program
+            source = generate_parser_source(
+                entry.product.grammar,
+                fingerprint=entry.fingerprint.digest,
+                program=entry.program(),
+            )
             with open(args.emit, "w") as handle:
                 handle.write(source)
             print(f"wrote generated parser: {args.emit} "
@@ -175,12 +180,12 @@ def _cmd_ir(args: argparse.Namespace) -> int:
     with _service(args) as service:
         features, name = _selection(args)
         entry = service.registry.get(features)
-        program = service.registry.parse_program(entry)
+        program = entry.program()
         if args.artifacts:
             print(f"fingerprint: {entry.fingerprint.digest}")
             if service.registry.cache_dir is None:
                 print("artifact cache: disabled (pass --cache DIR)")
-            for item in service.registry.artifact_inventory(entry):
+            for item in entry.artifacts():
                 if item["path"] is None:
                     print(f"  {item['kind']:8} (no cache directory)")
                     continue
@@ -508,8 +513,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     compose.add_argument("--max-errors", type=int, default=25, metavar="N",
                          help="stop reporting after N syntax errors")
     compose.add_argument("--cache", metavar="DIR",
-                         help="persist generated parser source to DIR, keyed "
-                              "by fingerprint, and print cache stats")
+                         help="persist compiled parser artifacts to DIR, "
+                              "keyed by fingerprint, and print cache stats")
     compose.set_defaults(fn=_cmd_compose)
 
     ir = sub.add_parser(
@@ -524,7 +529,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          "program as <digest>.ir.json)")
     ir.add_argument("--artifacts", action="store_true",
                     help="list every artifact kind for the selection's "
-                         "fingerprint (source/IR/closures) with size and "
+                         "fingerprint (ir/closures/lex) with size and "
                          "staleness instead of the IR listing")
     ir.set_defaults(fn=_cmd_ir)
 
@@ -540,8 +545,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     shell.add_argument("--max-errors", type=int, default=25, metavar="N",
                        help="stop reporting after N syntax errors")
     shell.add_argument("--cache", metavar="DIR",
-                       help="on-disk artifact cache for generated parser "
-                            "source (see `.stats` inside the shell)")
+                       help="on-disk artifact cache for compiled parser "
+                            "artifacts (see `.stats` inside the shell)")
     shell.set_defaults(fn=_cmd_shell)
 
     lint = sub.add_parser(
@@ -632,7 +637,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     translate.add_argument("--json", action="store_true",
                            help="print the versioned transpile report")
     translate.add_argument("--cache", metavar="DIR",
-                           help="persist generated parser source under DIR")
+                           help="persist compiled parser artifacts under DIR")
     translate.set_defaults(fn=_cmd_translate)
 
     stats = sub.add_parser(

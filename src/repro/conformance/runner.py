@@ -136,10 +136,12 @@ class ConformanceRunner:
             per-dialect collectors on :attr:`collectors`.
         cache_dir: On-disk artifact cache directory.  When set, dialects
             resolve through a fingerprint-keyed registry so the parse
-            program, closure source, and generated module are *loaded*
-            from ``<digest>.*`` artifacts when fresh instead of being
-            recompiled — this is what lets CI's per-backend conformance
-            matrix share one composition per dialect across steps.
+            program and closure source are *loaded* from ``<digest>.*``
+            artifacts when fresh instead of being recompiled — this is
+            what lets CI's per-backend conformance matrix share one
+            composition per dialect across steps.  The generated module
+            is always printed fresh from the program (an offline export,
+            not a served artifact).
     """
 
     def __init__(
@@ -211,13 +213,13 @@ class ConformanceRunner:
         entry = None
         if self._registry is not None:
             # artifact-cached path: an unchanged fingerprint loads the
-            # parse program (and below, closures / generated source)
-            # from disk instead of recompiling it
+            # parse program (and below, the closures) from disk instead
+            # of recompiling it
             from ..sql import dialect_features
 
             entry = self._registry.get(dialect_features(dialect))
             product = entry.product
-            program = self._registry.parse_program(entry)
+            program = entry.program()
         else:
             product = build_dialect(dialect)
             program = product.program()
@@ -231,25 +233,14 @@ class ConformanceRunner:
         compiled = None
         if COMPILED in self.backends:
             if entry is not None:
-                compiled = entry.thread_compiled_parser(
-                    self._registry.cache_dir
-                )
+                compiled = entry.thread_compiled_parser()
             else:
                 compiled = get_backend(COMPILED).build(
                     product, program=program
                 )
         generated = None
         if GENERATED in self.backends:
-            if entry is not None:
-                from ..parsing.backends import GeneratedParser
-
-                generated = GeneratedParser(
-                    self._registry.generated_module(entry)
-                )
-            else:
-                generated = get_backend(GENERATED).build(
-                    product, program=program
-                )
+            generated = get_backend(GENERATED).build(product, program=program)
         for case in self.corpus.for_dialect(dialect):
             if case.is_translation:
                 # translation cases assert on the transpiler pipeline

@@ -3,10 +3,13 @@
 Every execution strategy for a compiled
 :class:`~repro.parsing.program.ParseProgram` — the IR interpreter, the
 generated standalone source module, and the closure-compiled threaded
-code — registers here as a :class:`ParseBackend`.  The service picks a
-backend by name, the conformance and differential suites iterate
-:func:`backend_names` instead of hardcoding two backends, and any new
-strategy joins the same safety net by calling :func:`register_backend`.
+code — registers here as a :class:`ParseBackend`.  The conformance and
+differential suites iterate :func:`backend_names` instead of hardcoding
+backends, and any new strategy joins the same safety net by calling
+:func:`register_backend`.  The parse service serves the compiled
+backend (degrading to the interpreter); the generated module is an
+offline export — ``repro compose --emit`` writes it — checked here for
+parity but never served.
 
 The contract has two halves:
 
@@ -44,7 +47,7 @@ class ParseBackend:
     product as an argument), so registration is process-global.
     """
 
-    #: registry key and the value of ``ParseService(backend=...)``
+    #: registry key (``repro conformance --backend``)
     name: str = ""
     #: the built parser carries ``parse_with_diagnostics`` (recovery,
     #: hints, partial trees)

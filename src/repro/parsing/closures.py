@@ -21,8 +21,9 @@ Layers:
 * a module-level runtime (:class:`RunState`, ``_fail`` / ``_check`` /
   ``_depth_fail``) shared by every compiled artifact;
 * :func:`generate_closure_source` — a self-contained artifact module
-  (cacheable on disk next to ``<digest>.py`` / ``<digest>.ir.json``,
-  embedding the same fingerprint constant as generated source);
+  (cached on disk as ``<digest>.closures.py`` next to
+  ``<digest>.ir.json``, embedding the same fingerprint constant as
+  generated source);
 * :class:`ClosureProgram` — the exec'd artifact: per-rule functions
   plus a lazily compiled *instrumented* twin whose emitted counter
   bumps mirror the interpreter's ``_exec_cov`` point for point;

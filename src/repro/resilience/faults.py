@@ -27,14 +27,11 @@ from dataclasses import dataclass
 #: these — a typo in a chaos plan should fail loudly, not silently test
 #: nothing.
 SITES = (
-    "artifact.read.source",   # generated-source artifact read (registry)
     "artifact.read.ir",       # parse-program IR artifact read (registry)
-    "artifact.write.source",  # generated-source artifact publish (registry)
     "artifact.write.ir",      # parse-program IR artifact publish (registry)
     "artifact.read.closures",   # closure artifact read (registry)
     "artifact.write.closures",  # closure artifact publish (registry)
-    "artifact.read.lex",      # lexicon artifact read (worker bootstrap)
-    "artifact.write.lex",     # lexicon artifact publish (registry)
+    "artifact.write.lex",     # lexicon artifact publish (worker publication)
     "compose",                # grammar composition (registry build lock)
     "program.compile",        # ParseProgram compilation (registry entry)
     "closure.compile",        # closure-backend compilation (registry entry)

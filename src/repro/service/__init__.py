@@ -17,8 +17,9 @@ Layers:
 * :mod:`repro.service.fingerprint` — canonical cache keys: equivalent
   sparse selections hash to the same :class:`Fingerprint`.
 * :mod:`repro.service.registry` — thread-safe LRU of composed products
-  with single-flight composition and an on-disk artifact cache for
-  generated parser source.
+  with single-flight composition.
+* :mod:`repro.service.artifacts` — the one on-disk artifact store (IR,
+  closure source, lexicon) shared by registry entries and workers.
 * :mod:`repro.service.service` — :class:`ParseService`:
   ``parse``/``parse_many``/``batch`` over a worker pool (thread- or
   process-backed via ``executor=``), per-request timeout and fuel

@@ -21,7 +21,7 @@ A :class:`Fingerprint` hashes, with SHA-256:
 
 Because unit *content* participates, editing a feature's sub-grammar or
 token file invalidates every cached artifact that composed it — including
-generated parser source persisted on disk across processes.
+the compiled artifacts persisted on disk across processes.
 """
 
 from __future__ import annotations

@@ -18,6 +18,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 
+from .artifacts import EVENTS, KINDS
+
 #: Histogram bucket upper bounds in milliseconds (log-ish scale); the
 #: final implicit bucket is +inf.
 DEFAULT_BUCKETS_MS = (
@@ -124,29 +126,19 @@ class ServiceMetrics:
         "hits",            # registry served an already-composed product
         "misses",          # registry had to compose
         "evictions",       # LRU pushed an entry out
-        "disk_hits",       # generated source served from the artifact cache
-        "disk_misses",     # artifact cache had no (valid) file
-        "disk_invalidations",  # artifact existed but its fingerprint mismatched
         "composes",        # grammar compositions performed
-        "compiles",        # parser source generations performed
-        "ir_compiles",     # parse-program IR compilations performed
-        "ir_disk_hits",    # parse program served from the artifact cache
-        "ir_disk_misses",  # IR artifact cache had no (valid) file
-        "ir_disk_invalidations",  # IR artifact fingerprint mismatched
-        "closure_compiles",  # closure-backend artifact compilations
-        "closure_disk_hits",   # closure artifact served from the disk cache
-        "closure_disk_misses",  # closure artifact cache had no (valid) file
-        "closure_disk_invalidations",  # closure artifact fp mismatched
+        # artifact.<kind>.<event> for every artifact kind (see .artifacts)
+        *(
+            f"artifact.{kind.name}.{event}"
+            for kind in KINDS for event in EVENTS
+        ),
         "parses",          # parse requests served
         "parse_errors",    # parses whose outcome carried error diagnostics
         "timeouts",        # batch requests that exceeded their deadline
         "lint_checks",     # products analyzed by the registry lint gate
         "lint_rejections",  # products the lint gate refused to serve
         # -- resilience ----------------------------------------------------
-        "ir_corrupt",      # IR artifacts found corrupt (not merely stale)
-        "source_corrupt",  # generated-source artifacts found corrupt
-        "closure_corrupt",  # closure artifacts found corrupt
-        "quarantined",     # corrupt artifacts renamed aside (.bad)
+        "quarantined",     # stale/corrupt artifacts renamed aside (.bad)
         "retries",         # transient artifact-I/O attempts retried
         "breaker_trips",   # circuit breakers that tripped open
         "breaker_fast_fails",  # requests failed fast by an open breaker
@@ -177,7 +169,6 @@ class ServiceMetrics:
         self.backend: str | None = None
         self._histograms = {
             "compose": LatencyHistogram(),
-            "compile": LatencyHistogram(),
             "ir_compile": LatencyHistogram(),
             "closure_compile": LatencyHistogram(),
             "parse": LatencyHistogram(),
@@ -185,7 +176,6 @@ class ServiceMetrics:
             # dashboards already read; these make a compiled→interpreter
             # degradation visible as traffic shifting between series
             "parse_compiled": LatencyHistogram(),
-            "parse_generated": LatencyHistogram(),
             "parse_interpreter": LatencyHistogram(),
             "lint": LatencyHistogram(),
             # timed-out parses, recorded separately so the main parse
@@ -264,25 +254,19 @@ class ServiceMetrics:
             f"  cache: {counters['hits']} hits / {counters['misses']} misses "
             f"(hit rate {snap['hit_rate']:.0%}), {counters['evictions']} evicted"
         )
+        for kind in KINDS:
+            n = {
+                event: counters[f"artifact.{kind.name}.{event}"]
+                for event in EVENTS
+            }
+            lines.append(
+                f"  {kind.name + ':':9} {n['build']} builds, {n['hit']} disk "
+                f"hits / {n['miss']} misses, {n['stale']} stale, "
+                f"{n['corrupt']} corrupt"
+            )
         lines.append(
-            f"  disk:  {counters['disk_hits']} hits / {counters['disk_misses']} "
-            f"misses, {counters['disk_invalidations']} invalidated"
-        )
-        lines.append(
-            f"  ir:    {counters['ir_compiles']} compiles, "
-            f"{counters['ir_disk_hits']} disk hits / "
-            f"{counters['ir_disk_misses']} misses, "
-            f"{counters['ir_disk_invalidations']} invalidated"
-        )
-        lines.append(
-            f"  closure: {counters['closure_compiles']} compiles, "
-            f"{counters['closure_disk_hits']} disk hits / "
-            f"{counters['closure_disk_misses']} misses, "
-            f"{counters['closure_disk_invalidations']} invalidated"
-        )
-        lines.append(
-            f"  work:  {counters['composes']} composes, {counters['compiles']} "
-            f"compiles, {counters['parses']} parses "
+            f"  work:  {counters['composes']} composes, "
+            f"{counters['parses']} parses "
             f"({counters['parse_errors']} with errors, "
             f"{counters['timeouts']} timeouts)"
         )
@@ -322,7 +306,7 @@ class ServiceMetrics:
                     f"  queue[{kind}]: mean={gauge['mean']} "
                     f"max={gauge['max']} last={gauge['last']}"
                 )
-        for name in ("compose", "compile", "parse", "timeouts"):
+        for name in ("compose", "parse", "timeouts"):
             h = snap["latency"][name]
             if not h["count"]:
                 lines.append(f"  {name:7}: (no samples)")
@@ -333,7 +317,7 @@ class ServiceMetrics:
                 f"max={h['max_ms']:.2f}ms"
             )
         for name in (
-            "parse_compiled", "parse_generated", "parse_interpreter",
+            "parse_compiled", "parse_interpreter",
             "executor_thread", "executor_process",
         ):
             h = snap["latency"][name]

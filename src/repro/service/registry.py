@@ -4,29 +4,28 @@
 maps :class:`~repro.service.fingerprint.Fingerprint` keys to
 :class:`RegistryEntry` objects holding the composed
 :class:`~repro.core.product_line.ComposedProduct` plus everything needed
-to parse with it — the (shared, immutable) grammar analysis and LL table,
-the scanner, per-thread interpreting parsers, and the generated
-standalone parser module.
+to parse with it — the (shared, immutable) grammar analysis, LL table,
+scanner, parse program and closure-compiled code, and per-thread
+parsers over them.
 
 Three cache layers, cheapest first:
 
 1. **In-memory LRU** of composed products keyed by fingerprint, with
    per-fingerprint build locks so N concurrent requests for the same
    selection trigger exactly one composition.
-2. **Per-entry lazy compilation**: grammar analysis, the LL table, and
-   generated source are built on first use and shared by every parser of
-   the entry.  Interpreting parsers carry per-parse mutable state, so the
-   entry hands out one parser per thread.
-3. **On-disk artifact cache** (optional): four artifact kinds are
-   persisted under ``cache_dir`` — generated parser source as
-   ``<digest>.py``, the compiled parse-program IR as
-   ``<digest>.ir.json``, the closure-backend source as
-   ``<digest>.closures.py``, and the lexicon (token definitions +
-   start rule, for process-pool worker bootstrap) as
-   ``<digest>.lex.json``.  All embed their fingerprint; a mismatch
-   (stale or corrupted artifact) is detected and the file rebuilt, and a
-   changed selection or sub-grammar changes the digest — automatic
-   invalidation.
+2. **Per-entry lazy compilation**: grammar analysis, the LL table, the
+   parse program and the closure-compiled code are built on first use
+   and shared by every parser of the entry.  Parsers carry per-parse
+   mutable state, so the entry hands out one parser per thread.
+3. **On-disk artifact cache** (optional): one
+   :class:`~repro.service.artifacts.ArtifactStore`, shared by every
+   entry of the registry, persists the parse program
+   (``<digest>.ir.json``), the closure-backend source
+   (``<digest>.closures.py``) and the lexicon (``<digest>.lex.json``,
+   for process-pool worker bootstrap) under ``cache_dir``.  All embed
+   their fingerprint; a stale or corrupt artifact is quarantined and
+   rebuilt, and a changed selection or sub-grammar changes the digest —
+   automatic invalidation.
 """
 
 from __future__ import annotations
@@ -44,7 +43,8 @@ from ..resilience.breaker import (
     CircuitBreaker,
 )
 from ..resilience.faults import FaultPlan
-from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_call
+from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from .artifacts import CLOSURES, IR, KINDS, LEX, ArtifactStore, Lexicon
 from .fingerprint import Fingerprint, configuration_fingerprint
 from .metrics import ServiceMetrics
 
@@ -53,9 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Default number of composed products kept in memory.
 DEFAULT_CAPACITY = 32
-
-#: Suffix appended to a quarantined (corrupt) on-disk artifact.
-QUARANTINE_SUFFIX = ".bad"
 
 
 class RegistryEntry:
@@ -67,22 +64,27 @@ class RegistryEntry:
     ``self``, so :meth:`thread_parser` maintains one parser per thread
     over the shared pieces (construction is then just a few attribute
     assignments).
+
+    Artifacts go through ``store`` — the registry's shared
+    :class:`~repro.service.artifacts.ArtifactStore`, so an entry follows
+    the registry's cache directory.  A standalone entry gets a private
+    store with no directory (nothing touches the disk).
     """
 
     def __init__(
         self,
         product: ComposedProduct,
         metrics: ServiceMetrics,
-        cache_dir: Path | None = None,
+        store: ArtifactStore | None = None,
         faults: FaultPlan | None = None,
-        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
     ) -> None:
         self.product = product
         self.fingerprint: Fingerprint = product.fingerprint
         self._metrics = metrics
         self._faults = faults
-        self._retry_policy = retry_policy
-        self._cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self._store = (
+            store if store is not None else ArtifactStore(None, metrics)
+        )
         self._lock = threading.RLock()
         self._tls = threading.local()
         self._analysis = None
@@ -92,8 +94,6 @@ class RegistryEntry:
         self._hints_built = False
         self._program = None
         self._coverage_map = None
-        self._source: str | None = None
-        self._module = None
         self._closure = None
 
     # -- shared immutable artifacts ---------------------------------------
@@ -138,134 +138,53 @@ class RegistryEntry:
                         return None
         return self._hint_provider
 
-    # -- parse program -------------------------------------------------------
+    # -- parse program and closure-compiled code ----------------------------
 
-    def program(self, cache_dir: Path | None = None):
+    def program(self):
         """This product's compiled parse program, shared across threads.
 
-        The program is loaded from the on-disk IR cache
-        (``<digest>.ir.json``, fingerprint-validated) when one is
-        configured, and compiled from the composed grammar otherwise.
-        ``cache_dir`` overrides the entry's default directory.
+        Loaded from the ``<digest>.ir.json`` artifact when the store has
+        a fresh one, compiled from the composed grammar (and published)
+        otherwise.
         """
-        if self._program is not None:
-            return self._program
-        with self._lock:
-            if self._program is not None:
-                return self._program
-            directory = (
-                Path(cache_dir) if cache_dir is not None else self._cache_dir
-            )
-            program = None
-            if directory is not None:
-                program = self._load_program_artifact(directory)
-            if program is None:
-                self._metrics.incr("ir_compiles")
-                self._fault("program.compile")
-                with self._metrics.time("ir_compile"):
-                    program = self.product.program(analysis=self._analysis)
-                if directory is not None:
-                    self._store_program_artifact(directory, program)
-            self._program = program
-            return program
+        if self._program is None:
+            with self._lock:
+                if self._program is None:
+                    self._program = self._store.obtain(
+                        IR, self.fingerprint.digest, self._compile_program
+                    )
+        return self._program
 
-    def _program_artifact_path(self, cache_dir: Path) -> Path:
-        return cache_dir / f"{self.fingerprint.digest}.ir.json"
+    def _compile_program(self):
+        self._fault("program.compile")
+        with self._metrics.time("ir_compile"):
+            return self.product.program(analysis=self._analysis)
 
-    def _load_program_artifact(self, cache_dir: Path):
-        from ..parsing.program import ParseProgram, program_fingerprint
+    def closure_program(self):
+        """The exec-compiled closure artifact, shared across threads.
 
-        path = self._program_artifact_path(cache_dir)
-        try:
-            text = self._read_artifact_text(path, "artifact.read.ir")
-        except FileNotFoundError:
-            # a definitive answer, not a failure: plain cold-cache miss
-            self._metrics.incr("ir_disk_misses")
-            return None
-        except Exception:
-            # unreadable artifact (I/O error that survived retries, or an
-            # injected fault): quarantine and recompile from the grammar
-            self._metrics.incr("ir_disk_misses")
-            self._quarantine(path, "ir_corrupt")
-            return None
-        embedded = program_fingerprint(text)
-        if embedded != self.fingerprint.digest:
-            # the embedded provenance does not match the key the file is
-            # filed under: stale (valid but different digest) or corrupt
-            # (undecodable, truncated, empty — no digest at all)
-            self._metrics.incr("ir_disk_invalidations")
-            self._metrics.incr("ir_disk_misses")
-            self._quarantine(path, "ir_corrupt" if embedded is None else None)
-            return None
-        try:
-            program = ParseProgram.from_json(text)
-        except ValueError:
-            self._metrics.incr("ir_disk_invalidations")
-            self._metrics.incr("ir_disk_misses")
-            self._quarantine(path, "ir_corrupt")
-            return None
-        self._metrics.incr("ir_disk_hits")
-        return program
-
-    def _store_program_artifact(self, cache_dir: Path, program) -> None:
-        self._write_artifact_text(
-            self._program_artifact_path(cache_dir),
-            program.to_json(),
-            "artifact.write.ir",
-        )
-
-    # -- resilient artifact I/O --------------------------------------------
-
-    def _read_artifact_text(self, path: Path, site: str) -> str:
-        """Read one artifact with bounded retry on transient I/O errors.
-
-        ``FileNotFoundError`` propagates immediately (a miss is a
-        definitive answer); other ``OSError`` flavors are retried with
-        backoff before giving up.
+        Loaded from ``<digest>.closures.py`` when fresh; a file that
+        passes the fingerprint check but does not exec into a rule table
+        matching the program counts as corrupt and is rebuilt.
         """
+        if self._closure is None:
+            with self._lock:
+                if self._closure is None:
+                    program = self.program()
+                    self._closure = self._store.obtain(
+                        CLOSURES,
+                        self.fingerprint.digest,
+                        lambda: self._compile_closures(program),
+                        context=program,
+                    )
+        return self._closure
 
-        def attempt() -> str:
-            self._fault(site)
-            return path.read_text()
+    def _compile_closures(self, program):
+        from ..parsing.closures import compile_closure_program
 
-        return retry_call(
-            attempt,
-            self._retry_policy,
-            on_retry=lambda _attempt, _error: self._metrics.incr("retries"),
-        )
-
-    def _write_artifact_text(self, path: Path, text: str, site: str) -> None:
-        def attempt() -> None:
-            self._fault(site)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-            tmp.write_text(text)
-            os.replace(tmp, path)  # atomic publish: readers never see partials
-
-        try:
-            retry_call(
-                attempt,
-                self._retry_policy,
-                on_retry=lambda _a, _e: self._metrics.incr("retries"),
-            )
-        except Exception:
-            pass  # the artifact cache is an optimization, never a failure
-
-    def _quarantine(self, path: Path, counter: str | None) -> None:
-        """Move a bad artifact aside so the rebuild starts from a clean slot.
-
-        The ``.bad`` file is kept for post-mortems instead of deleted;
-        ``counter`` (``ir_corrupt``/``source_corrupt``) distinguishes true
-        corruption from mere staleness.  Best-effort: a failed rename
-        never blocks the rebuild (the fresh artifact overwrites in place).
-        """
-        if counter is not None:
-            self._metrics.incr(counter)
-        try:
-            os.replace(path, path.with_name(path.name + QUARANTINE_SUFFIX))
-            self._metrics.incr("quarantined")
-        except OSError:
-            pass
+        self._fault("closure.compile")
+        with self._metrics.time("closure_compile"):
+            return compile_closure_program(program, self.fingerprint.digest)
 
     # -- coverage ----------------------------------------------------------
 
@@ -346,14 +265,14 @@ class RegistryEntry:
             self._tls.coverage_parser = parser
         return parser
 
-    def compiled_parser(self, hints: bool = True, cache_dir: Path | None = None):
+    def compiled_parser(self, hints: bool = True):
         """A fresh closure-backend parser over this entry's shared artifact."""
         from ..parsing.closures import ClosureParser
 
         analysis, table, scanner = self._compiled()
         return ClosureParser(
             self.product.grammar,
-            self.closure_program(cache_dir),
+            self.closure_program(),
             scanner=scanner,
             hint_provider=self.hint_provider() if hints else None,
             analysis=analysis,
@@ -361,14 +280,18 @@ class RegistryEntry:
         )
 
     def thread_compiled_parser(self, cache_dir: Path | None = None):
-        """The calling thread's closure-backend parser (created on demand)."""
+        """The calling thread's closure-backend parser (created on demand).
+
+        ``cache_dir`` is accepted for older callers and ignored: the
+        entry reads and writes artifacts through its store.
+        """
         parser = getattr(self._tls, "compiled_parser", None)
         if parser is None:
-            parser = self.compiled_parser(cache_dir=cache_dir)
+            parser = self.compiled_parser()
             self._tls.compiled_parser = parser
         return parser
 
-    def thread_compiled_coverage_parser(self, cache_dir: Path | None = None):
+    def thread_compiled_coverage_parser(self):
         """Per-thread *instrumented* closure-backend parser.
 
         Separate from :meth:`thread_compiled_parser` for the same
@@ -377,301 +300,51 @@ class RegistryEntry:
         """
         parser = getattr(self._tls, "compiled_coverage_parser", None)
         if parser is None:
-            parser = self.compiled_parser(cache_dir=cache_dir)
+            parser = self.compiled_parser()
             self._tls.compiled_coverage_parser = parser
         return parser
 
-    # -- generated-code artifacts ------------------------------------------
+    # -- worker publication and inventory -----------------------------------
 
-    def generated_source(self, cache_dir: Path | None = None) -> str:
-        """Standalone parser source, via the on-disk artifact cache if enabled."""
-        if self._source is not None:
-            return self._source
-        with self._lock:
-            if self._source is not None:
-                return self._source
-            source = None
-            if cache_dir is not None:
-                source = self._load_artifact(cache_dir)
-            if source is None:
-                from ..parsing.codegen import generate_parser_source
-
-                # both backends print from one compiled program (the
-                # entry lock is reentrant, so sharing it here is safe)
-                program = self.program(cache_dir)
-                self._metrics.incr("compiles")
-                with self._metrics.time("compile"):
-                    source = generate_parser_source(
-                        self.product.grammar,
-                        analysis=self._analysis,
-                        fingerprint=self.fingerprint.digest,
-                        program=program,
-                    )
-                if cache_dir is not None:
-                    self._store_artifact(cache_dir, source)
-            self._source = source
-            return source
-
-    def generated_module(self, cache_dir: Path | None = None):
-        """The generated parser, loaded as a module (thread-safe to share)."""
-        if self._module is None:
-            source = self.generated_source(cache_dir)
-            with self._lock:
-                if self._module is None:
-                    from ..parsing.codegen import load_generated_parser
-
-                    self._module = load_generated_parser(
-                        source, f"repro_generated_{self.fingerprint.short}"
-                    )
-        return self._module
-
-    def _artifact_path(self, cache_dir: Path) -> Path:
-        return cache_dir / f"{self.fingerprint.digest}.py"
-
-    def _load_artifact(self, cache_dir: Path) -> str | None:
-        from ..parsing.codegen import source_fingerprint
-
-        path = self._artifact_path(cache_dir)
-        try:
-            source = self._read_artifact_text(path, "artifact.read.source")
-        except FileNotFoundError:
-            self._metrics.incr("disk_misses")
-            return None
-        except Exception:
-            self._metrics.incr("disk_misses")
-            self._quarantine(path, "source_corrupt")
-            return None
-        embedded = source_fingerprint(source)
-        if embedded != self.fingerprint.digest:
-            # the embedded provenance does not match the key the file is
-            # filed under: stale (different digest) or corrupt (none)
-            self._metrics.incr("disk_invalidations")
-            self._metrics.incr("disk_misses")
-            self._quarantine(
-                path, "source_corrupt" if embedded is None else None
-            )
-            return None
-        self._metrics.incr("disk_hits")
-        return source
-
-    def _store_artifact(self, cache_dir: Path, source: str) -> None:
-        self._write_artifact_text(
-            self._artifact_path(cache_dir), source, "artifact.write.source"
-        )
-
-    # -- closure-backend artifacts -----------------------------------------
-
-    def closure_program(self, cache_dir: Path | None = None):
-        """The exec-compiled closure artifact, shared across threads.
-
-        Loaded from ``<digest>.closures.py`` (fingerprint-validated)
-        when a disk cache is configured; a cached file that passes the
-        fingerprint scan but does not exec into a rule table matching
-        the program is quarantined and rebuilt, exactly like the other
-        two artifact kinds.
-        """
-        if self._closure is not None:
-            return self._closure
-        with self._lock:
-            if self._closure is not None:
-                return self._closure
-            from ..parsing.closures import (
-                ClosureProgram,
-                generate_closure_source,
-            )
-
-            directory = (
-                Path(cache_dir) if cache_dir is not None else self._cache_dir
-            )
-            program = self.program(cache_dir)
-            closure = None
-            if directory is not None:
-                source = self._load_closure_artifact(directory)
-                if source is not None:
-                    try:
-                        closure = ClosureProgram(program, source)
-                    except Exception:
-                        # fingerprint matched but the text does not exec
-                        # to this program's rule table: corrupt
-                        self._quarantine(
-                            self._closure_artifact_path(directory),
-                            "closure_corrupt",
-                        )
-                        closure = None
-            if closure is None:
-                self._metrics.incr("closure_compiles")
-                self._fault("closure.compile")
-                with self._metrics.time("closure_compile"):
-                    source = generate_closure_source(
-                        program, self.fingerprint.digest
-                    )
-                    closure = ClosureProgram(program, source)
-                if directory is not None:
-                    self._store_closure_artifact(directory, source)
-            self._closure = closure
-            return closure
-
-    def _closure_artifact_path(self, cache_dir: Path) -> Path:
-        return cache_dir / f"{self.fingerprint.digest}.closures.py"
-
-    def _load_closure_artifact(self, cache_dir: Path) -> str | None:
-        from ..parsing.closures import closure_fingerprint
-
-        path = self._closure_artifact_path(cache_dir)
-        try:
-            source = self._read_artifact_text(path, "artifact.read.closures")
-        except FileNotFoundError:
-            self._metrics.incr("closure_disk_misses")
-            return None
-        except Exception:
-            self._metrics.incr("closure_disk_misses")
-            self._quarantine(path, "closure_corrupt")
-            return None
-        embedded = closure_fingerprint(source)
-        if embedded != self.fingerprint.digest:
-            self._metrics.incr("closure_disk_invalidations")
-            self._metrics.incr("closure_disk_misses")
-            self._quarantine(
-                path, "closure_corrupt" if embedded is None else None
-            )
-            return None
-        self._metrics.incr("closure_disk_hits")
-        return source
-
-    def _store_closure_artifact(self, cache_dir: Path, source: str) -> None:
-        self._write_artifact_text(
-            self._closure_artifact_path(cache_dir),
-            source,
-            "artifact.write.closures",
-        )
-
-    # -- lexicon artifact + worker publication ------------------------------
-
-    def _lexicon_artifact_path(self, cache_dir: Path) -> Path:
-        return cache_dir / f"{self.fingerprint.digest}.lex.json"
-
-    def lexicon_source(self) -> str:
-        """The ``<digest>.lex.json`` artifact text for this product."""
-        from .workers import render_lexicon
-
+    def _lexicon(self) -> Lexicon:
         grammar = self.product.grammar
-        return render_lexicon(
-            grammar.tokens,
-            self.fingerprint.digest,
-            grammar.name,
-            grammar.start,
+        self._store.count(LEX, "build")
+        return Lexicon(
+            self.fingerprint.digest, grammar.name, grammar.start, grammar.tokens
         )
-
-    def _artifact_fresh(self, path: Path, extract) -> bool:
-        """Does ``path`` hold an artifact embedding this entry's digest?"""
-        try:
-            text = path.read_text()
-        except OSError:
-            return False
-        return extract(text) == self.fingerprint.digest
 
     def publish_worker_artifacts(
-        self,
-        cache_dir: str | os.PathLike,
-        backend: str = "compiled",
-        force: bool = False,
+        self, cache_dir: str | os.PathLike, force: bool = False
     ) -> None:
         """Ensure every artifact a process-pool worker bootstraps from is fresh.
 
         Called by the parent before shipping
         :class:`~repro.service.workers.WorkerTask`\\ s: the IR program,
-        the lexicon, and the backend artifact (closures or generated
-        source) are written — idempotently, skipping files whose embedded
-        fingerprint already matches — so workers never recompose.
-        ``force=True`` rewrites unconditionally; it is the parent's
-        answer to a worker-reported corrupt/quarantined artifact (the
-        "rebuild request" of the bootstrap protocol).
+        the lexicon and the closure source are written to ``cache_dir``
+        — idempotently, skipping files whose embedded fingerprint already
+        matches — so workers never recompose.  ``force=True`` rewrites
+        unconditionally; it is the parent's answer to a worker-reported
+        corrupt/quarantined artifact (the "rebuild request" of the
+        bootstrap protocol).
         """
-        from ..parsing.closures import closure_fingerprint
-        from ..parsing.codegen import source_fingerprint
-        from ..parsing.program import program_fingerprint
-        from .workers import lexicon_fingerprint
+        store = self._store.at(cache_dir)
+        digest = self.fingerprint.digest
+        values = {
+            IR: self.program, LEX: self._lexicon, CLOSURES: self.closure_program,
+        }
+        for kind in KINDS:
+            if force or not store.fresh(kind, digest):
+                store.save(kind, digest, values[kind]())
 
-        directory = Path(cache_dir)
-        program = self.program(directory)
-        if force or not self._artifact_fresh(
-            self._program_artifact_path(directory), program_fingerprint
-        ):
-            self._store_program_artifact(directory, program)
-        if force or not self._artifact_fresh(
-            self._lexicon_artifact_path(directory), lexicon_fingerprint
-        ):
-            self._write_artifact_text(
-                self._lexicon_artifact_path(directory),
-                self.lexicon_source(),
-                "artifact.write.lex",
-            )
-        if backend == "compiled":
-            closure = self.closure_program(directory)
-            if force or not self._artifact_fresh(
-                self._closure_artifact_path(directory), closure_fingerprint
-            ):
-                self._store_closure_artifact(directory, closure.source)
-        elif backend == "generated":
-            source = self.generated_source(directory)
-            if force or not self._artifact_fresh(
-                self._artifact_path(directory), source_fingerprint
-            ):
-                self._store_artifact(directory, source)
+    def artifacts(self) -> list[dict]:
+        """Inventory of every artifact kind for this fingerprint.
 
-    # -- artifact inventory -------------------------------------------------
-
-    def artifacts(self, cache_dir: Path | None = None) -> list[dict]:
-        """Inventory of every on-disk artifact kind for this fingerprint.
-
-        One dict per kind (``ir`` / ``source`` / ``closures`` / ``lex``)
-        with the
-        path, whether it exists, its size, whether its embedded
+        One dict per kind (see :data:`~repro.service.artifacts.KINDS`)
+        with the path, whether it exists, its size, whether its embedded
         fingerprint is stale, and whether a quarantined ``.bad`` sibling
-        is lying next to it.  With no cache directory the listing still
-        names the kinds (``path`` is None) so callers can render a
-        uniform table.
+        is lying next to it.
         """
-        from ..parsing.closures import closure_fingerprint
-        from ..parsing.codegen import source_fingerprint
-        from ..parsing.program import program_fingerprint
-        from .workers import lexicon_fingerprint
-
-        directory = (
-            Path(cache_dir) if cache_dir is not None else self._cache_dir
-        )
-        kinds = (
-            ("ir", ".ir.json", program_fingerprint),
-            ("source", ".py", source_fingerprint),
-            ("closures", ".closures.py", closure_fingerprint),
-            ("lex", ".lex.json", lexicon_fingerprint),
-        )
-        listing = []
-        for kind, suffix, extract in kinds:
-            info: dict = {
-                "kind": kind,
-                "path": None,
-                "exists": False,
-                "size": 0,
-                "stale": False,
-                "quarantined": False,
-            }
-            if directory is not None:
-                path = directory / f"{self.fingerprint.digest}{suffix}"
-                info["path"] = str(path)
-                info["quarantined"] = path.with_name(
-                    path.name + QUARANTINE_SUFFIX
-                ).exists()
-                try:
-                    text = path.read_text()
-                except OSError:
-                    pass
-                else:
-                    info["exists"] = True
-                    info["size"] = len(text.encode())
-                    info["stale"] = extract(text) != self.fingerprint.digest
-            listing.append(info)
-        return listing
+        return self._store.inventory(self.fingerprint.digest)
 
     def __repr__(self) -> str:
         return f"<RegistryEntry {self.product.name!r} fp={self.fingerprint.short}>"
@@ -684,8 +357,8 @@ class ParserRegistry:
         line: The product line the registry serves.
         capacity: Maximum products kept in memory (least recently used
             evicted first).
-        cache_dir: Optional directory for the on-disk generated-source
-            artifact cache; ``None`` disables it.
+        cache_dir: Optional directory for the on-disk artifact cache
+            (every entry shares one store over it); ``None`` disables it.
         metrics: Shared metrics sink; a fresh one is created if omitted.
         lint_gate: Refuse to serve products the :mod:`repro.lint` program
             passes find error-grade defects in (nullable loops, shadowed
@@ -722,12 +395,13 @@ class ParserRegistry:
             raise ValueError("registry capacity must be >= 1")
         self.line = line
         self.capacity = capacity
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.lint_gate = lint_gate
         self.breaker_policy = breaker_policy
-        self.retry_policy = retry_policy
         self.faults = fault_plan
+        self.store = ArtifactStore(
+            cache_dir, self.metrics, fault_plan, retry_policy
+        )
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, RegistryEntry]" = OrderedDict()
         self._building: dict[str, threading.Lock] = {}
@@ -817,11 +491,7 @@ class ParserRegistry:
             if breaker is not None:
                 breaker.record_success()
             entry = RegistryEntry(
-                product,
-                self.metrics,
-                cache_dir=self.cache_dir,
-                faults=self.faults,
-                retry_policy=self.retry_policy,
+                product, self.metrics, store=self.store, faults=self.faults
             )
             with self._lock:
                 self._entries[fp.digest] = entry
@@ -888,27 +558,6 @@ class ParserRegistry:
         with self._lock:
             return self._entries.get(fp.digest)
 
-    # -- generated-source convenience --------------------------------------
-
-    def generated_source(self, entry: RegistryEntry) -> str:
-        """Entry's standalone parser source through this registry's disk cache."""
-        return entry.generated_source(self.cache_dir)
-
-    def generated_module(self, entry: RegistryEntry):
-        return entry.generated_module(self.cache_dir)
-
-    def parse_program(self, entry: RegistryEntry):
-        """Entry's compiled parse program through this registry's disk cache."""
-        return entry.program(self.cache_dir)
-
-    def closure_program(self, entry: RegistryEntry):
-        """Entry's closure-backend artifact through this registry's disk cache."""
-        return entry.closure_program(self.cache_dir)
-
-    def artifact_inventory(self, entry: RegistryEntry) -> list[dict]:
-        """Per-kind artifact listing for ``entry`` (see ``RegistryEntry.artifacts``)."""
-        return entry.artifacts(self.cache_dir)
-
     # -- maintenance --------------------------------------------------------
 
     def __len__(self) -> int:
@@ -937,9 +586,18 @@ class ParserRegistry:
             self.metrics.incr("evictions", len(self._entries))
             self._entries.clear()
 
+    @property
+    def cache_dir(self) -> Path | None:
+        """The artifact store's directory (``None``: disk cache off)."""
+        return self.store.directory
+
     def set_cache_dir(self, cache_dir: str | os.PathLike | None) -> None:
-        """Enable/disable the on-disk artifact cache (e.g. CLI ``--cache``)."""
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        """Enable/disable the on-disk artifact cache (e.g. CLI ``--cache``).
+
+        Every entry shares the registry's store, so entries composed
+        earlier follow the new directory too.
+        """
+        self.store.directory = Path(cache_dir) if cache_dir is not None else None
 
     def __repr__(self) -> str:
         return (

@@ -45,6 +45,7 @@ from ..diagnostics.model import (
 )
 from ..resilience.deadline import Deadline
 from ..resilience.faults import FaultPlan
+from .artifacts import KINDS
 from .fingerprint import Fingerprint
 from .metrics import ServiceMetrics
 from .registry import DEFAULT_CAPACITY, ParserRegistry, RegistryEntry
@@ -229,14 +230,18 @@ def _internal_error_result(
 class ParseService:
     """Serve parse requests from a compose-once registry and a worker pool.
 
+    Every request runs on the closure-compiled backend; an unexpected
+    failure degrades down the ladder — to the shared interpreter, then
+    to the clean-room interpreter — recording ``degraded_backend``.
+
     Args:
         line: Product line to serve.  ``None`` (default) serves the
             shared SQL:2003 registry, so the service, ``configure_sql``,
             preset dialects, and the CLI all reuse one cache.
         registry: Explicit registry to serve (overrides ``line``).
         capacity: LRU capacity when a fresh registry is built.
-        cache_dir: On-disk artifact cache for generated parser source;
-            applied to the shared registry too when serving it.
+        cache_dir: On-disk artifact cache directory (IR, closure source,
+            lexicon); applied to the shared registry too when serving it.
         max_workers: Worker-pool width for the batch APIs.
         max_queue: Admission-control bound: maximum requests in flight
             (queued + executing) before new ones are shed with an E0204
@@ -253,19 +258,14 @@ class ParseService:
             degrade process back to thread permanently
             (``executor_degraded``); single :meth:`parse` calls and
             coverage-collecting batches always run in-parent/thread.
-        backend: Which registered parse backend serves traffic.
-            ``"compiled"`` (default) parses with the closure-compiled
-            threaded code; ``"interpreter"`` with the shared-IR
-            interpreting parser; ``"generated"`` with the generated
-            standalone module.  Whatever the primary, an unexpected
-            failure degrades down the ladder — compiled/generated fall
-            to the shared interpreter, and that falls to the clean-room
-            interpreter — recording ``degraded_backend`` each time.
         fault_plan: Optional deterministic
             :class:`~repro.resilience.faults.FaultPlan` for chaos
             testing; threaded into a registry constructed here, and
             consulted at the service's own sites either way.
     """
+
+    #: The serving backend (reported by ``stats``/``health``).
+    backend = "compiled"
 
     def __init__(
         self,
@@ -275,15 +275,9 @@ class ParseService:
         cache_dir: str | os.PathLike | None = None,
         max_workers: int = DEFAULT_WORKERS,
         max_queue: int | None = None,
-        backend: str = "compiled",
         executor: str = "thread",
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        if backend not in ("compiled", "interpreter", "generated"):
-            raise ValueError(
-                f"unknown backend {backend!r} "
-                "(expected 'compiled', 'interpreter' or 'generated')"
-            )
         if executor not in ("thread", "process"):
             raise ValueError(
                 f"unknown executor {executor!r} "
@@ -304,8 +298,7 @@ class ParseService:
             self.registry.set_cache_dir(cache_dir)
         self.metrics: ServiceMetrics = self.registry.metrics
         self.max_workers = max(1, max_workers)
-        self.backend = backend
-        self.metrics.backend = backend
+        self.metrics.backend = self.backend
         # never mutate a caller-provided registry's plan; the service's
         # own sites use whichever plan is in effect
         self._faults = fault_plan if fault_plan is not None else self.registry.faults
@@ -644,8 +637,9 @@ class ParseService:
         degradation = {
             name: counters[name]
             for name in (
-                "quarantined", "ir_corrupt", "source_corrupt",
-                "closure_corrupt", "degraded_backend", "degraded_hints",
+                "quarantined",
+                *(f"artifact.{kind.name}.corrupt" for kind in KINDS),
+                "degraded_backend", "degraded_hints",
                 "internal_errors", "shed", "breaker_fast_fails", "retries",
                 "worker_bootstrap_failures", "worker_crashes",
                 "executor_degraded",
@@ -845,20 +839,17 @@ class ParseService:
     ) -> ParseServiceResult:
         """One parse through the degradation ladder.
 
-        The configured primary backend (compiled by default) runs first;
-        if it *raises* — as opposed to returning a result with
-        diagnostics — the shared interpreter answers, and if that also
-        raises, the clean-room fallback interpreter does.  Every rung
-        taken marks the result ``degraded=("backend",)`` and bumps
-        ``degraded_backend``, and each backend times into its own
-        ``parse_<backend>`` latency series, so a fleet silently shifting
-        from compiled to interpreter is visible in ``repro stats``.
+        The compiled backend runs first; if it *raises* — as opposed to
+        returning a result with diagnostics — the shared interpreter
+        answers, and if that also raises, the clean-room fallback
+        interpreter does.  Every rung taken marks the result
+        ``degraded=("backend",)`` and bumps ``degraded_backend``, and
+        each backend times into its own ``parse_<backend>`` latency
+        series, so a fleet silently shifting from compiled to
+        interpreter is visible in ``repro stats``.
         """
         self.metrics.incr("parses")
         degraded: list[str] = []
-        outcome = None
-        seconds = 0.0
-
         if coverage is not None:
             # count into a per-call private collector on the dedicated
             # instrumented parser and merge at the end: the caller's
@@ -867,19 +858,14 @@ class ParseService:
             # Coverage runs on the serving backend (the CI gate must
             # cover what production executes), degrading to the
             # instrumented interpreter if the compiled artifact fails.
-            parser = None
-            series = "parse_interpreter"
-            if self.backend == "compiled":
-                try:
-                    parser = entry.thread_compiled_coverage_parser(
-                        self.registry.cache_dir
-                    )
-                    series = "parse_compiled"
-                except Exception:
-                    degraded.append("backend")
-                    self.metrics.incr("degraded_backend")
-            if parser is None:
+            try:
+                parser = entry.thread_compiled_coverage_parser()
+                series = "parse_compiled"
+            except Exception:
+                degraded.append("backend")
+                self.metrics.incr("degraded_backend")
                 parser = entry.thread_coverage_parser()
+                series = "parse_interpreter"
             private = entry.coverage_collector()
             parser.enable_coverage(private)
             try:
@@ -891,50 +877,28 @@ class ParseService:
                 parser.disable_coverage()
                 coverage.merge(private)
         else:
-            if self.backend == "compiled":
+            try:
+                if self._faults is not None:
+                    self._faults.check("backend.parse")
+                outcome, seconds = self._interpret(
+                    entry.thread_compiled_parser(), text, start, max_errors,
+                    max_steps, deadline, series="parse_compiled",
+                )
+            except Exception:
+                degraded.append("backend")
+                self.metrics.incr("degraded_backend")
                 try:
-                    if self._faults is not None:
-                        self._faults.check("backend.parse")
-                    parser = entry.thread_compiled_parser(
-                        self.registry.cache_dir
-                    )
                     outcome, seconds = self._interpret(
-                        parser, text, start, max_errors, max_steps, deadline,
-                        series="parse_compiled",
+                        entry.thread_parser(), text, start, max_errors,
+                        max_steps, deadline,
                     )
                 except Exception:
-                    degraded.append("backend")
-                    self.metrics.incr("degraded_backend")
-                    outcome = None
-            elif self.backend == "generated":
-                try:
-                    outcome, seconds = self._parse_generated(
-                        entry, text, start, max_errors
-                    )
-                except Exception:
-                    degraded.append("backend")
-                    self.metrics.incr("degraded_backend")
-                    outcome = None
-            if outcome is None:
-                try:
-                    if self.backend == "interpreter" and self._faults is not None:
-                        # primary-only site: the compiled/generated paths
-                        # already checked it
-                        self._faults.check("backend.parse")
-                    parser = entry.thread_parser()
+                    # shared-interpreter rung failed unexpectedly: last
+                    # rung before the never-crash guard — the clean-room
+                    # parser shares nothing with the cache
                     outcome, seconds = self._interpret(
-                        parser, text, start, max_errors, max_steps, deadline
-                    )
-                except Exception:
-                    # shared-interpreter rung failed unexpectedly:
-                    # last rung before the never-crash guard — the
-                    # clean-room parser shares nothing with the cache
-                    if "backend" not in degraded:
-                        degraded.append("backend")
-                        self.metrics.incr("degraded_backend")
-                    parser = entry.thread_fallback_parser()
-                    outcome, seconds = self._interpret(
-                        parser, text, start, max_errors, max_steps, deadline
+                        entry.thread_fallback_parser(), text, start,
+                        max_errors, max_steps, deadline,
                     )
 
         if outcome.diagnostics.has_errors:
@@ -971,30 +935,6 @@ class ParseService:
         # rung of the ladder actually served
         self.metrics.observe(series, timer.seconds)
         return outcome, timer.seconds
-
-    def _parse_generated(self, entry, text, start, max_errors):
-        """Parse with the generated standalone module.
-
-        Returns ``(outcome, seconds)``; raises when the module cannot be
-        produced or fails unexpectedly (the caller degrades to the
-        interpreter).  A clean syntax rejection is a *result*, not a
-        failure.
-        """
-        from ..errors import ReproError
-        from ..parsing.parser import ParseOutcome
-
-        if self._faults is not None:
-            self._faults.check("backend.parse")
-        module = self.registry.generated_module(entry)
-        bag = DiagnosticBag(max_errors=max_errors)
-        tree = None
-        with self.metrics.time("parse") as timer:
-            try:
-                tree = module.parse(text, start=start)
-            except ReproError as error:
-                bag.add(error.to_diagnostic())
-        self.metrics.observe("parse_generated", timer.seconds)
-        return ParseOutcome(tree, bag, text), timer.seconds
 
     def _collect(
         self,
@@ -1087,7 +1027,7 @@ class ParseService:
         if cache_dir is None:
             return None
         try:
-            entry.publish_worker_artifacts(cache_dir, backend=self.backend)
+            entry.publish_worker_artifacts(cache_dir)
         except Exception:
             # cannot stage artifacts -> workers cannot bootstrap
             return None
@@ -1232,9 +1172,7 @@ class ParseService:
         when the retry also failed (the caller parses in-parent).
         """
         try:
-            entry.publish_worker_artifacts(
-                self.registry.cache_dir, backend=self.backend, force=True
-            )
+            entry.publish_worker_artifacts(self.registry.cache_dir, force=True)
             self.metrics.incr("worker_republishes")
         except Exception:
             return None
@@ -1289,17 +1227,8 @@ class ParseService:
         self.metrics.incr("parses")
         if reply.bootstrapped:
             self.metrics.incr("worker_bootstraps")
-        degraded: list[str] = []
-        if reply.degraded_backend:
-            degraded.append("backend")
-            self.metrics.incr("degraded_backend")
-        series = {
-            "compiled": "parse_compiled",
-            "generated": "parse_generated",
-            "interpreter": "parse_interpreter",
-        }[self.backend]
         self.metrics.observe("parse", reply.seconds)
-        self.metrics.observe(series, reply.seconds)
+        self.metrics.observe("parse_compiled", reply.seconds)
         bag = (
             reply.diagnostics if reply.diagnostics is not None
             else DiagnosticBag()
@@ -1318,5 +1247,4 @@ class ParseService:
             warm=True,
             seconds=reply.seconds,
             timed_out=timed_out,
-            degraded=tuple(degraded),
         )

@@ -8,17 +8,17 @@ pipe thin and the workers stateless:
 * the **parent** composes (at most once, via the registry), publishes
   every artifact a worker needs under the cache directory —
   ``<digest>.ir.json`` (the parse program), ``<digest>.lex.json`` (the
-  lexicon, added here so workers can build a scanner), and
-  ``<digest>.closures.py`` / ``<digest>.py`` for the compiled/generated
-  backends — and ships only a :class:`WorkerTask` (fingerprint digest +
-  backend name + text) across the pipe.  **No grammar composition ever
-  happens in a worker.**
+  lexicon, so workers can build a scanner), and ``<digest>.closures.py``
+  (the compiled backend) — and ships only a :class:`WorkerTask`
+  (fingerprint digest + texts) across the pipe.  **No grammar
+  composition ever happens in a worker.**
 * each **worker** keeps a small per-process cache of bootstrapped
-  parsers keyed by ``(digest, backend)``; a miss reads and
-  fingerprint-validates the artifacts.  A corrupt artifact is
-  quarantined (renamed ``.bad``) and reported back as a *bootstrap
-  failure* reply — never an exception — so the pool cannot deadlock and
-  the parent can republish from its in-memory entry and retry.
+  parsers keyed by digest; a miss reads the artifacts through the same
+  :class:`~repro.service.artifacts.ArtifactStore` the registry uses.  A
+  missing, stale or corrupt artifact comes back as a *bootstrap
+  failure* reply listing what was quarantined (renamed ``.bad``) —
+  never an exception — so the pool cannot deadlock and the parent can
+  republish from its in-memory entry and retry.
 * replies (:class:`WorkerReply`) carry the parse tree + diagnostics,
   which pickle cleanly; monotonic deadlines do **not** cross processes,
   so tasks carry *remaining seconds* and the worker rebuilds an absolute
@@ -31,86 +31,17 @@ Trees, error codes, and positions are identical to the in-parent paths.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-#: Version tag embedded in the lexicon artifact.
-LEXICON_VERSION = 1
+from .artifacts import CLOSURES, IR, LEX, ArtifactMiss, ArtifactStore
+from .metrics import ServiceMetrics
 
 #: Parsers cached per worker process (small: workers are many).
 WORKER_CACHE_CAPACITY = 8
-
-
-# -- the lexicon artifact ----------------------------------------------------
-
-
-def render_lexicon(tokens: Any, fingerprint: str, grammar_name: str,
-                   start: str | None) -> str:
-    """Serialize a token set as the ``<digest>.lex.json`` artifact.
-
-    The IR artifact carries token *names* only; this carries the token
-    *definitions* (patterns, kinds, priorities) a worker needs to build
-    a scanner, plus the start rule, with the same embedded-fingerprint
-    provenance convention as every other artifact kind.
-    """
-    payload = {
-        "kind": "repro-lexicon",
-        "version": LEXICON_VERSION,
-        "fingerprint": fingerprint,
-        "grammar": grammar_name,
-        "start": start,
-        "tokens": [
-            {
-                "name": d.name,
-                "pattern": d.pattern,
-                "kind": d.kind,
-                "priority": d.priority,
-                "skip": d.skip,
-            }
-            for d in tokens
-        ],
-    }
-    return json.dumps(payload, indent=None, sort_keys=True)
-
-
-def lexicon_fingerprint(text: str) -> str | None:
-    """The fingerprint embedded in a lexicon artifact (None when unreadable)."""
-    try:
-        payload = json.loads(text)
-    except ValueError:
-        return None
-    if not isinstance(payload, dict) or payload.get("kind") != "repro-lexicon":
-        return None
-    digest = payload.get("fingerprint")
-    return digest if isinstance(digest, str) else None
-
-
-def _load_lexicon(text: str):
-    """Rebuild ``(TokenSet, grammar_name, start)`` from artifact text."""
-    from ..lexer.spec import TokenDef, TokenSet
-
-    payload = json.loads(text)
-    if payload.get("version") != LEXICON_VERSION:
-        raise ValueError(
-            f"unsupported lexicon artifact version {payload.get('version')!r}"
-        )
-    tokens = TokenSet(name=payload.get("grammar") or "")
-    for entry in payload["tokens"]:
-        tokens.add(
-            TokenDef(
-                name=entry["name"],
-                pattern=entry["pattern"],
-                kind=entry["kind"],
-                priority=entry["priority"],
-                skip=entry["skip"],
-            )
-        )
-    return tokens, payload.get("grammar") or "", payload.get("start")
 
 
 # -- task / reply envelopes --------------------------------------------------
@@ -127,6 +58,7 @@ class WorkerTask:
 
     digest: str
     cache_dir: str
+    #: Always ``"compiled"``; any other value gets a bootstrap failure.
     backend: str
     text: str
     start: str | None = None
@@ -154,8 +86,6 @@ class WorkerReply:
             worker renamed aside.  The parent republishes and retries.
         internal_error: True when the parse itself raised unexpectedly
             (the parent degrades to an in-process parse).
-        degraded_backend: True when the worker fell from the compiled
-            artifact to the IR interpreter.
     """
 
     tree: Any = None
@@ -164,17 +94,8 @@ class WorkerReply:
     bootstrapped: bool = False
     bootstrap_failed: bool = False
     internal_error: bool = False
-    degraded_backend: bool = False
     error: str | None = None
     quarantined: tuple[str, ...] = field(default_factory=tuple)
-
-
-class _BootstrapError(Exception):
-    """Worker-side artifact-bootstrap failure (reported, never propagated)."""
-
-    def __init__(self, reason: str, quarantined: tuple[str, ...] = ()) -> None:
-        super().__init__(reason)
-        self.quarantined = quarantined
 
 
 # -- minimal grammar surface for artifact-built parsers ----------------------
@@ -206,204 +127,64 @@ class _ArtifactGrammar:
 
 # -- worker-side bootstrap ---------------------------------------------------
 
-#: Per-process parser cache: ``(digest, backend) -> parser-ish``.
-_PARSERS: "OrderedDict[tuple[str, str], Any]" = OrderedDict()
-
-
-def _quarantine(path: Path) -> str | None:
-    """Rename a corrupt artifact aside; returns the path on success."""
-    try:
-        os.replace(path, path.with_name(path.name + ".bad"))
-    except OSError:
-        return None
-    return str(path)
-
-
-def _read_artifact(path: Path, extract, digest: str, kind: str) -> str:
-    """Read + fingerprint-validate one artifact, quarantining corruption."""
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise _BootstrapError(f"{kind} artifact missing: {path}") from None
-    except OSError as error:
-        raise _BootstrapError(f"{kind} artifact unreadable: {error}") from None
-    embedded = extract(text)
-    if embedded != digest:
-        quarantined = _quarantine(path)
-        raise _BootstrapError(
-            f"{kind} artifact stale or corrupt "
-            f"(embedded fingerprint {embedded!r})",
-            quarantined=(quarantined,) if quarantined else (),
-        )
-    return text
+#: Per-process parser cache: ``digest -> ClosureParser``.
+_PARSERS: "OrderedDict[str, Any]" = OrderedDict()
 
 
 def _bootstrap_parser(task: WorkerTask):
-    """Build a parser for ``task`` purely from on-disk artifacts.
+    """Build a compiled parser for ``task`` purely from on-disk artifacts.
 
-    Returns ``(parser_or_module, is_generated)``.  Raises
-    :class:`_BootstrapError` (with quarantine bookkeeping) on any
-    missing/stale/corrupt artifact — the *only* exception the caller
-    sees.
+    Raises :class:`~repro.service.artifacts.ArtifactMiss` (with the
+    store's quarantine bookkeeping) on any missing/stale/corrupt
+    artifact — the *only* exception the caller sees.
     """
     from ..lexer.scanner import Scanner
-    from ..parsing.closures import (
-        ClosureParser,
-        ClosureProgram,
-        closure_fingerprint,
+    from ..parsing.closures import ClosureParser
+
+    store = ArtifactStore(Path(task.cache_dir), ServiceMetrics())
+    lexicon = store.read(LEX, task.digest)
+    program = store.read(IR, task.digest)
+    closure = store.read(CLOSURES, task.digest, program)
+    grammar = _ArtifactGrammar(
+        lexicon.grammar, lexicon.start or program.start_name(), lexicon.tokens
     )
-    from ..parsing.codegen import load_generated_parser, source_fingerprint
-    from ..parsing.parser import Parser
-    from ..parsing.program import ParseProgram, program_fingerprint
-
-    cache_dir = Path(task.cache_dir)
-    digest = task.digest
-
-    if task.backend == "generated":
-        # the generated module is fully self-contained (scanner included)
-        source = _read_artifact(
-            cache_dir / f"{digest}.py", source_fingerprint, digest, "source"
-        )
-        try:
-            module = load_generated_parser(source, f"repro_worker_{digest[:12]}")
-        except Exception as error:
-            quarantined = _quarantine(cache_dir / f"{digest}.py")
-            raise _BootstrapError(
-                f"generated artifact does not load: {error}",
-                quarantined=(quarantined,) if quarantined else (),
-            ) from None
-        return module, True
-
-    lex_text = _read_artifact(
-        cache_dir / f"{digest}.lex.json", lexicon_fingerprint, digest, "lexicon"
-    )
-    try:
-        tokens, grammar_name, start = _load_lexicon(lex_text)
-    except Exception as error:
-        quarantined = _quarantine(cache_dir / f"{digest}.lex.json")
-        raise _BootstrapError(
-            f"lexicon artifact does not decode: {error}",
-            quarantined=(quarantined,) if quarantined else (),
-        ) from None
-
-    ir_text = _read_artifact(
-        cache_dir / f"{digest}.ir.json", program_fingerprint, digest, "ir"
-    )
-    try:
-        program = ParseProgram.from_json(ir_text)
-    except ValueError as error:
-        quarantined = _quarantine(cache_dir / f"{digest}.ir.json")
-        raise _BootstrapError(
-            f"ir artifact does not decode: {error}",
-            quarantined=(quarantined,) if quarantined else (),
-        ) from None
-
-    grammar = _ArtifactGrammar(grammar_name, start or program.start_name(), tokens)
-    scanner = Scanner(tokens)
-
-    if task.backend == "compiled":
-        closure_text = _read_artifact(
-            cache_dir / f"{digest}.closures.py",
-            closure_fingerprint,
-            digest,
-            "closures",
-        )
-        try:
-            closure = ClosureProgram(program, closure_text)
-        except Exception as error:
-            quarantined = _quarantine(cache_dir / f"{digest}.closures.py")
-            raise _BootstrapError(
-                f"closure artifact does not exec: {error}",
-                quarantined=(quarantined,) if quarantined else (),
-            ) from None
-        return ClosureParser(grammar, closure, scanner=scanner), False
-
-    return Parser(grammar, scanner=scanner, program=program), False
+    return ClosureParser(grammar, closure, scanner=Scanner(lexicon.tokens))
 
 
 def _parser_for(task: WorkerTask):
     """The worker's cached parser for a task, bootstrapping on miss."""
-    key = (task.digest, task.backend)
-    cached = _PARSERS.get(key)
+    if task.backend != "compiled":
+        raise ArtifactMiss(
+            f"workers serve the compiled backend, not {task.backend!r}"
+        )
+    cached = _PARSERS.get(task.digest)
     if cached is not None:
-        _PARSERS.move_to_end(key)
+        _PARSERS.move_to_end(task.digest)
         return cached, False
     built = _bootstrap_parser(task)
-    _PARSERS[key] = built
+    _PARSERS[task.digest] = built
     while len(_PARSERS) > WORKER_CACHE_CAPACITY:
         _PARSERS.popitem(last=False)
     return built, True
 
 
-def execute_task(task: WorkerTask) -> WorkerReply:
-    """The process-pool entry point: one task in, one reply out.
-
-    Never raises: bootstrap failures, parse bugs, and injected faults
-    all come back as structured replies, so a bad artifact (or a bad
-    input) can never wedge or poison the pool.
-    """
-    from ..resilience.deadline import Deadline
-
-    try:
-        (parser, is_generated), bootstrapped = _parser_for(task)
-    except _BootstrapError as error:
-        return WorkerReply(
-            bootstrap_failed=True,
-            error=str(error),
-            quarantined=error.quarantined,
-        )
-    except Exception as error:  # never let anything else out either
-        return WorkerReply(bootstrap_failed=True, error=repr(error))
-
-    deadline = (
-        Deadline.after(task.deadline_remaining)
-        if task.deadline_remaining is not None
-        else None
-    )
-    t0 = time.perf_counter()
-    try:
-        if is_generated:
-            outcome = _parse_generated_module(parser, task)
-        else:
-            outcome = parser.parse_with_diagnostics(
-                task.text,
-                start=task.start,
-                max_errors=task.max_errors,
-                max_steps=task.max_steps,
-                deadline=deadline,
-            )
-    except Exception as error:
-        return WorkerReply(
-            internal_error=True,
-            error=repr(error),
-            seconds=time.perf_counter() - t0,
-            bootstrapped=bootstrapped,
-        )
-    return WorkerReply(
-        tree=outcome.tree,
-        diagnostics=outcome.diagnostics,
-        seconds=time.perf_counter() - t0,
-        bootstrapped=bootstrapped,
-    )
-
-
 def execute_batch(task: WorkerTask) -> list[WorkerReply]:
-    """Parse every text in ``task.texts`` with one bootstrapped parser.
+    """The process-pool entry point: every text in ``task.texts`` (or
+    ``task.text`` alone) parsed by one bootstrapped parser.
 
-    The chunked counterpart of :func:`execute_task`: one pipe round-trip
-    carries N texts out and N replies back, so per-task IPC overhead is
-    amortized across the chunk — the difference between a process pool
-    that scales and one that drowns in pickling for sub-millisecond
-    parses.  A bootstrap failure returns a single flagged reply (the
-    parent republishes and retries the whole chunk); per-text parse
-    failures stay per-text.
+    One pipe round-trip carries N texts out and N replies back, so
+    per-task IPC overhead is amortized across the chunk — the difference
+    between a process pool that scales and one that drowns in pickling
+    for sub-millisecond parses.  Never raises: a bootstrap failure
+    returns a single flagged reply (the parent republishes and retries
+    the whole chunk); per-text parse failures stay per-text.
     """
     from ..resilience.deadline import Deadline
 
     texts = task.texts if task.texts else (task.text,)
     try:
-        (parser, is_generated), bootstrapped = _parser_for(task)
-    except _BootstrapError as error:
+        parser, bootstrapped = _parser_for(task)
+    except ArtifactMiss as error:
         return [
             WorkerReply(
                 bootstrap_failed=True,
@@ -425,18 +206,13 @@ def execute_batch(task: WorkerTask) -> list[WorkerReply]:
         )
         t0 = time.perf_counter()
         try:
-            if is_generated:
-                outcome = _parse_generated_module(
-                    parser, replace(task, text=text)
-                )
-            else:
-                outcome = parser.parse_with_diagnostics(
-                    text,
-                    start=task.start,
-                    max_errors=task.max_errors,
-                    max_steps=task.max_steps,
-                    deadline=deadline,
-                )
+            outcome = parser.parse_with_diagnostics(
+                text,
+                start=task.start,
+                max_errors=task.max_errors,
+                max_steps=task.max_steps,
+                deadline=deadline,
+            )
         except Exception as error:
             replies.append(
                 WorkerReply(
@@ -458,52 +234,6 @@ def execute_batch(task: WorkerTask) -> list[WorkerReply]:
         )
         bootstrapped = False  # only the first reply reports the bootstrap
     return replies
-
-
-def _parse_generated_module(module: Any, task: WorkerTask):
-    """Adapt the generated standalone module to a ParseOutcome.
-
-    The standalone module raises its *own* exception classes (it is
-    deliberately dependency-free), so rejection is detected via
-    ``module.ParseError`` rather than :class:`~repro.errors.ReproError`.
-    """
-    from ..diagnostics.model import Diagnostic, DiagnosticBag
-    from ..errors import ReproError
-    from ..parsing.parser import ParseOutcome
-
-    bag = DiagnosticBag(max_errors=task.max_errors)
-    tree = None
-    try:
-        tree = module.parse(task.text, start=task.start)
-    except ReproError as error:
-        bag.add(error.to_diagnostic())
-    except module.ParseError as error:
-        bag.add(Diagnostic(str(error)))
-    return ParseOutcome(_portable_tree(tree), bag, task.text)
-
-
-def _portable_tree(node: Any):
-    """Rebuild a generated-module tree with the shared (picklable) classes.
-
-    The standalone module defines its own ``Node``/``Token`` so it stays
-    dependency-free; those classes cannot cross the process pipe, so the
-    worker converts the tree once before replying.
-    """
-    from ..lexer.token import Token
-    from ..parsing.tree import Node
-
-    if node is None:
-        return None
-    rebuilt = Node(node.name)
-    for child in node.children:
-        if hasattr(child, "children"):
-            rebuilt.children.append(_portable_tree(child))
-        else:
-            rebuilt.children.append(
-                Token(child.type, child.text, child.line, child.column,
-                      child.offset)
-            )
-    return rebuilt
 
 
 def reset_worker_cache() -> None:

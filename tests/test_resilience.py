@@ -525,18 +525,6 @@ class TestDegradationLadder:
         assert result.ok
         assert result.degraded == ("backend",)
 
-    def test_generated_backend_falls_back_to_interpreter(self):
-        plan = FaultPlan(
-            [FaultRule("backend.parse", probability=1.0, times=1)]
-        )
-        with make_service(backend="generated", fault_plan=plan) as service:
-            degraded = service.parse("SELECT a FROM t", FULL)
-            assert degraded.ok
-            assert degraded.degraded == ("backend",)
-            healthy = service.parse("SELECT b FROM t", FULL)
-            assert healthy.ok
-            assert healthy.degraded == ()
-
     def test_worker_fault_yields_internal_error_result(self):
         plan = FaultPlan([FaultRule("worker.execute", probability=1.0)])
         with make_service(fault_plan=plan) as service:
@@ -606,7 +594,7 @@ class TestRegistryRetry:
         # first registry populates the artifact cache
         warm_registry = ParserRegistry(line, cache_dir=tmp_path)
         entry = warm_registry.get(FULL)
-        warm_registry.parse_program(entry)
+        entry.program()
         assert list(tmp_path.glob("*.ir.json"))
 
         plan = FaultPlan(
@@ -620,10 +608,10 @@ class TestRegistryRetry:
             retry_policy=RetryPolicy(attempts=3, base_delay=0.001),
         )
         entry = registry.get(FULL)
-        registry.parse_program(entry)  # two injected failures, third read wins
+        entry.program()  # two injected failures, third read wins
         assert registry.metrics.counter("retries") == 2
-        assert registry.metrics.counter("ir_disk_hits") == 1
-        assert registry.metrics.counter("ir_corrupt") == 0
+        assert registry.metrics.counter("artifact.ir.hit") == 1
+        assert registry.metrics.counter("artifact.ir.corrupt") == 0
 
 
 class TestHealth:

@@ -1,16 +1,14 @@
 """Closure-backend artifacts in the registry, and the compiled serving path.
 
-The third artifact kind (``<digest>.closures.py``) must follow the same
-lifecycle contract as the IR and generated-source kinds: fingerprint
-validation on load, quarantine on corruption, rebuild on staleness, and
-safe coexistence with LRU eviction.  On top sits the serving change:
-``ParseService`` now defaults to the compiled backend and degrades to
-the interpreter when the closure artifact cannot be produced.
+The closure artifact kind (``<digest>.closures.py``) must follow the
+same lifecycle contract as the other kinds: fingerprint validation on
+load, quarantine on corruption, rebuild on staleness, and safe
+coexistence with LRU eviction.  On top sits the serving path:
+``ParseService`` serves the compiled backend and degrades to the
+interpreter when the closure artifact cannot be produced.
 """
 
 import threading
-
-import pytest
 
 from repro.core import GrammarProductLine
 from repro.resilience.faults import FaultPlan, FaultRule
@@ -33,27 +31,27 @@ class TestClosureDiskCache:
     def test_round_trip_across_registries(self, tmp_path):
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(FEATURES)
-        closure = first.closure_program(entry)
-        assert first.metrics.counter("closure_compiles") == 1
-        assert first.metrics.counter("closure_disk_misses") == 1
+        closure = entry.closure_program()
+        assert first.metrics.counter("artifact.closures.build") == 1
+        assert first.metrics.counter("artifact.closures.miss") == 1
         artifact = tmp_path / f"{entry.fingerprint.digest}.closures.py"
         assert artifact.exists()
 
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(FEATURES)
-        closure2 = second.closure_program(entry2)
-        assert second.metrics.counter("closure_disk_hits") == 1
-        assert second.metrics.counter("closure_compiles") == 0
+        closure2 = entry2.closure_program()
+        assert second.metrics.counter("artifact.closures.hit") == 1
+        assert second.metrics.counter("artifact.closures.build") == 0
         assert len(closure2.rule_fns) == len(closure.rule_fns)
         # the revived artifact actually drives a parser
-        parser = entry2.compiled_parser(cache_dir=tmp_path)
+        parser = entry2.compiled_parser()
         assert parser.accepts(ACCEPTED)
         assert not parser.accepts("SELECT a, b FROM t")
 
     def test_stale_artifact_is_quarantined_and_rebuilt(self, tmp_path):
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(FEATURES)
-        first.closure_program(entry)
+        entry.closure_program()
         artifact = tmp_path / f"{entry.fingerprint.digest}.closures.py"
 
         # stale-file simulation: valid text, wrong embedded provenance
@@ -65,12 +63,12 @@ class TestClosureDiskCache:
 
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(FEATURES)
-        assert second.closure_program(entry2) is not None
-        assert second.metrics.counter("closure_disk_invalidations") == 1
-        assert second.metrics.counter("closure_disk_hits") == 0
-        assert second.metrics.counter("closure_compiles") == 1
+        assert entry2.closure_program() is not None
+        assert second.metrics.counter("artifact.closures.stale") == 1
+        assert second.metrics.counter("artifact.closures.hit") == 0
+        assert second.metrics.counter("artifact.closures.build") == 1
         # staleness is quarantined but NOT counted as corruption
-        assert second.metrics.counter("closure_corrupt") == 0
+        assert second.metrics.counter("artifact.closures.corrupt") == 0
         assert second.metrics.counter("quarantined") == 1
         assert artifact.with_name(artifact.name + ".bad").exists()
         # the clean slot holds a fresh artifact with correct provenance
@@ -82,10 +80,10 @@ class TestClosureDiskCache:
         artifact = tmp_path / f"{entry.fingerprint.digest}.closures.py"
         artifact.write_text("def broken(:\n")
 
-        assert registry.closure_program(entry) is not None
-        assert registry.metrics.counter("closure_corrupt") == 1
+        assert entry.closure_program() is not None
+        assert registry.metrics.counter("artifact.closures.corrupt") == 1
         assert registry.metrics.counter("quarantined") == 1
-        assert registry.metrics.counter("closure_compiles") == 1
+        assert registry.metrics.counter("artifact.closures.build") == 1
 
     def test_fingerprint_valid_but_unexecutable_artifact_is_corrupt(
         self, tmp_path
@@ -95,7 +93,7 @@ class TestClosureDiskCache:
         quarantined, not served."""
         registry = make_registry(cache_dir=tmp_path)
         entry = registry.get(FEATURES)
-        registry.closure_program(entry)
+        entry.closure_program()
         artifact = tmp_path / f"{entry.fingerprint.digest}.closures.py"
 
         # torn write: keep the provenance header, lose the rule table
@@ -105,29 +103,26 @@ class TestClosureDiskCache:
 
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(FEATURES)
-        closure = second.closure_program(entry2)
+        closure = entry2.closure_program()
         assert closure is not None
-        assert second.metrics.counter("closure_corrupt") == 1
+        assert second.metrics.counter("artifact.closures.corrupt") == 1
         assert second.metrics.counter("quarantined") == 1
         assert artifact.with_name(artifact.name + ".bad").exists()
-        assert entry2.compiled_parser(cache_dir=tmp_path).accepts(ACCEPTED)
+        assert entry2.compiled_parser().accepts(ACCEPTED)
 
-    def test_artifact_inventory_lists_all_four_kinds(self, tmp_path):
+    def test_artifact_inventory_lists_every_kind(self, tmp_path):
         registry = make_registry(cache_dir=tmp_path)
         entry = registry.get(FEATURES)
-        registry.parse_program(entry)
-        registry.closure_program(entry)
+        entry.closure_program()
 
-        inventory = {
-            item["kind"]: item for item in registry.artifact_inventory(entry)
-        }
-        assert set(inventory) == {"ir", "lex", "source", "closures"}
+        inventory = {item["kind"]: item for item in entry.artifacts()}
+        assert set(inventory) == {"ir", "closures", "lex"}
         assert inventory["ir"]["exists"] and not inventory["ir"]["stale"]
         assert inventory["closures"]["exists"]
         assert inventory["closures"]["size"] > 0
         assert not inventory["closures"]["stale"]
-        # the source kind was never built in this process
-        assert not inventory["source"]["exists"]
+        # only worker publication writes the lexicon
+        assert not inventory["lex"]["exists"]
 
         # staleness and quarantine are both surfaced
         path = tmp_path / f"{entry.fingerprint.digest}.closures.py"
@@ -135,18 +130,16 @@ class TestClosureDiskCache:
             path.read_text().replace(entry.fingerprint.digest, "0" * 64, 1)
         )
         path.with_name(path.name + ".bad").write_text("post-mortem")
-        inventory = {
-            item["kind"]: item for item in registry.artifact_inventory(entry)
-        }
+        inventory = {item["kind"]: item for item in entry.artifacts()}
         assert inventory["closures"]["stale"]
         assert inventory["closures"]["quarantined"]
 
     def test_inventory_without_cache_dir_names_the_kinds(self):
         registry = make_registry()
         entry = registry.get(FEATURES)
-        inventory = registry.artifact_inventory(entry)
+        inventory = entry.artifacts()
         assert [item["kind"] for item in inventory] == [
-            "ir", "source", "closures", "lex",
+            "ir", "closures", "lex",
         ]
         assert all(item["path"] is None for item in inventory)
 
@@ -165,7 +158,7 @@ class TestConcurrentEviction:
         def parse_forever():
             try:
                 while not stop.is_set():
-                    parser = entry.thread_compiled_parser(tmp_path)
+                    parser = entry.thread_compiled_parser()
                     assert parser.accepts(ACCEPTED)
             except Exception as error:  # pragma: no cover - the assertion
                 errors.append(error)
@@ -177,7 +170,7 @@ class TestConcurrentEviction:
                     registry.get(["Query", "GroupBy"])
                     registry.get(["Query"])
                     revived = registry.get(FEATURES)
-                    parser = revived.thread_compiled_parser(tmp_path)
+                    parser = revived.thread_compiled_parser()
                     assert parser.accepts(ACCEPTED)
             except Exception as error:  # pragma: no cover - the assertion
                 errors.append(error)
@@ -194,7 +187,7 @@ class TestConcurrentEviction:
         assert errors == []
         assert registry.metrics.counter("evictions") > 0
         # rebuilt entries found the published artifact on disk
-        assert registry.metrics.counter("closure_disk_hits") > 0
+        assert registry.metrics.counter("artifact.closures.hit") > 0
 
 
 class TestCompiledServing:
@@ -208,13 +201,9 @@ class TestCompiledServing:
         assert snap["backend"] == "compiled"
         assert snap["latency"]["parse_compiled"]["count"] == 1
         assert snap["latency"]["parse_interpreter"]["count"] == 0
-        assert snap["counters"]["closure_compiles"] == 1
+        assert snap["counters"]["artifact.closures.build"] == 1
         assert service.health()["backend"] == "compiled"
         assert "backend: compiled" in service.render_health()
-
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError, match="compiled"):
-            ParseService(registry=make_registry(), backend="jit")
 
     def test_closure_compile_failure_degrades_to_interpreter(self):
         plan = FaultPlan(
@@ -246,17 +235,6 @@ class TestCompiledServing:
         snap = service.metrics.snapshot()
         assert snap["latency"]["parse_compiled"]["count"] == 1
 
-    def test_interpreter_backend_still_selectable(self):
-        registry = make_registry()
-        service = ParseService(registry=registry, backend="interpreter")
-        result = service.parse(ACCEPTED, FEATURES)
-        assert result.ok and result.degraded == ()
-        snap = service.metrics.snapshot()
-        assert snap["backend"] == "interpreter"
-        assert snap["latency"]["parse_interpreter"]["count"] == 1
-        assert snap["latency"]["parse_compiled"]["count"] == 0
-        assert snap["counters"]["closure_compiles"] == 0
-
     def test_stats_render_shows_backend_and_series(self):
         registry = make_registry()
         service = ParseService(registry=registry)
@@ -264,4 +242,4 @@ class TestCompiledServing:
         rendered = service.metrics.render()
         assert "backend: compiled" in rendered
         assert "parse_compiled" in rendered
-        assert "closure:" in rendered
+        assert "closures: 1 builds" in rendered

@@ -4,7 +4,7 @@ Covers the parent/worker artifact-bootstrap protocol of
 :mod:`repro.service.workers` at three levels:
 
 * pure-unit: the lexicon artifact round-trip and direct
-  :func:`execute_task` / :func:`execute_batch` calls (no process pool);
+  :func:`execute_batch` calls (no process pool);
 * worker-side failure handling: corrupt/missing artifacts must
   quarantine and report — never raise, never deadlock — and the parent
   must force-republish and retry;
@@ -21,15 +21,15 @@ from repro.core import GrammarProductLine
 from repro.diagnostics.model import SERVICE_OVERLOADED
 from repro.resilience import FaultPlan, FaultRule
 from repro.service import ParseService, ParserRegistry
-from repro.service.registry import RegistryEntry
-from repro.service.workers import (
-    WorkerTask,
-    execute_batch,
-    execute_task,
+from repro.service.artifacts import (
+    KINDS,
+    Lexicon,
     lexicon_fingerprint,
+    load_lexicon,
     render_lexicon,
-    reset_worker_cache,
 )
+from repro.service.registry import RegistryEntry
+from repro.service.workers import WorkerTask, execute_batch, reset_worker_cache
 
 from tests.test_core_product_line import mini_model, mini_units
 
@@ -50,40 +50,45 @@ def make_line():
     return GrammarProductLine(mini_model(), mini_units(), name="mini-sql")
 
 
-def published_entry(tmp_path, backend="compiled"):
+def published_entry(tmp_path):
     """A composed registry entry with worker artifacts staged on disk."""
     registry = ParserRegistry(make_line(), cache_dir=tmp_path)
     entry = registry.get(FULL)
-    entry.publish_worker_artifacts(tmp_path, backend=backend)
+    entry.publish_worker_artifacts(tmp_path)
     return registry, entry
 
 
-def task_for(entry, tmp_path, text, backend="compiled", **kwargs):
+def task_for(entry, tmp_path, *texts, backend="compiled"):
     return WorkerTask(
         digest=entry.fingerprint.digest,
         cache_dir=str(tmp_path),
         backend=backend,
-        text=text,
-        **kwargs,
+        text="",
+        texts=texts,
     )
+
+
+def execute_one(task):
+    """One text through the worker entry point; its single reply."""
+    (reply,) = execute_batch(task)
+    return reply
 
 
 class TestLexiconArtifact:
     def test_round_trip_preserves_every_token(self, tmp_path):
-        from repro.service.workers import _load_lexicon
-
         registry, entry = published_entry(tmp_path)
-        tokens = entry.product.grammar.tokens
+        grammar = entry.product.grammar
+        tokens = grammar.tokens
         text = render_lexicon(
-            tokens, entry.fingerprint.digest,
-            entry.product.grammar.name, entry.product.grammar.start,
+            Lexicon(entry.fingerprint.digest, grammar.name, grammar.start,
+                    tokens)
         )
         assert lexicon_fingerprint(text) == entry.fingerprint.digest
-        rebuilt, name, start = _load_lexicon(text)
-        assert name == entry.product.grammar.name
-        assert start == entry.product.grammar.start
-        assert {d.name for d in rebuilt} == {d.name for d in tokens}
-        by_name = {d.name: d for d in rebuilt}
+        rebuilt = load_lexicon(text)
+        assert rebuilt.grammar == grammar.name
+        assert rebuilt.start == grammar.start
+        assert {d.name for d in rebuilt.tokens} == {d.name for d in tokens}
+        by_name = {d.name: d for d in rebuilt.tokens}
         for d in tokens:
             assert by_name[d.name].pattern == d.pattern
             assert by_name[d.name].skip == d.skip
@@ -94,28 +99,26 @@ class TestLexiconArtifact:
 
 
 class TestWorkerEntryPoints:
-    """execute_task / execute_batch as plain functions — the worker side
-    of the protocol without any process pool in the way."""
+    """execute_batch as a plain function — the worker side of the
+    protocol without any process pool in the way."""
 
-    def test_execute_task_matches_in_parent_tree(self, tmp_path):
+    def test_single_text_batch_matches_in_parent_tree(self, tmp_path):
         registry, entry = published_entry(tmp_path)
         reset_worker_cache()
         expected = entry.parser().parse("SELECT a FROM t WHERE x = y")
-        reply = execute_task(
+        reply = execute_one(
             task_for(entry, tmp_path, "SELECT a FROM t WHERE x = y")
         )
         assert not reply.bootstrap_failed and not reply.internal_error
         assert reply.bootstrapped  # first task in this "process"
         assert reply.tree.to_sexpr() == expected.to_sexpr()
-        again = execute_task(task_for(entry, tmp_path, "SELECT a FROM t"))
+        again = execute_one(task_for(entry, tmp_path, "SELECT a FROM t"))
         assert not again.bootstrapped  # cached parser reused
 
     def test_execute_batch_amortizes_one_bootstrap(self, tmp_path):
         registry, entry = published_entry(tmp_path)
         reset_worker_cache()
-        replies = execute_batch(
-            task_for(entry, tmp_path, "", texts=tuple(CORPUS))
-        )
+        replies = execute_batch(task_for(entry, tmp_path, *CORPUS))
         assert len(replies) == len(CORPUS)
         assert replies[0].bootstrapped
         assert not any(r.bootstrapped for r in replies[1:])
@@ -128,29 +131,48 @@ class TestWorkerEntryPoints:
     def test_missing_artifacts_report_bootstrap_failure(self, tmp_path):
         registry, entry = published_entry(tmp_path)
         reset_worker_cache()
-        task = task_for(entry, tmp_path, "SELECT a FROM t")
         task = WorkerTask(
             digest="0" * len(entry.fingerprint.digest),
             cache_dir=str(tmp_path), backend="compiled",
-            text="SELECT a FROM t",
+            text="", texts=("SELECT a FROM t",),
         )
-        reply = execute_task(task)
+        reply = execute_one(task)
         assert reply.bootstrap_failed
         assert "missing" in (reply.error or "")
+
+    def test_non_compiled_backend_is_a_bootstrap_failure(self, tmp_path):
+        registry, entry = published_entry(tmp_path)
+        reset_worker_cache()
+        reply = execute_one(
+            task_for(entry, tmp_path, "SELECT a FROM t", backend="generated")
+        )
+        assert reply.bootstrap_failed
+        assert "compiled" in (reply.error or "")
 
     def test_corrupt_ir_is_quarantined_not_raised(self, tmp_path):
         registry, entry = published_entry(tmp_path)
         reset_worker_cache()
         ir_path = tmp_path / f"{entry.fingerprint.digest}.ir.json"
         ir_path.write_text('{"kind": "repro-parse-program", "oops": 1}')
-        replies = execute_batch(
-            task_for(entry, tmp_path, "", texts=("SELECT a FROM t",))
-        )
+        replies = execute_batch(task_for(entry, tmp_path, "SELECT a FROM t"))
         assert len(replies) == 1
         assert replies[0].bootstrap_failed
         assert replies[0].quarantined  # renamed aside, pool not poisoned
         assert not ir_path.exists()
         assert ir_path.with_name(ir_path.name + ".bad").exists()
+
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+    def test_zero_byte_artifact_reply_lists_the_quarantine(self, tmp_path, kind):
+        registry, entry = published_entry(tmp_path)
+        reset_worker_cache()
+        path = tmp_path / f"{entry.fingerprint.digest}{kind.suffix}"
+        path.write_text("")
+        reply = execute_one(task_for(entry, tmp_path, "SELECT a FROM t"))
+        assert reply.bootstrap_failed
+        assert f"{kind.name} artifact corrupt" in reply.error
+        assert reply.quarantined == (str(path),)
+        assert path.with_name(path.name + ".bad").exists()
 
 
 @pytest.fixture(scope="module")
@@ -237,17 +259,16 @@ class TestWorkerRepublishProtocol:
         )
         try:
             entry = service.registry.get(FULL)
-            entry.publish_worker_artifacts(tmp_path, backend="compiled")
+            entry.publish_worker_artifacts(tmp_path)
             original = RegistryEntry.publish_worker_artifacts
 
-            def skip_freshness_heal(self, cache_dir, backend="compiled",
-                                    force=False):
+            def skip_freshness_heal(self, cache_dir, force=False):
                 # the parent's batch-start publish would quietly rewrite
                 # the corrupt artifact; suppress the non-forced call so
                 # the *worker-side* detection path is what gets tested
                 if not force:
                     return None
-                return original(self, cache_dir, backend=backend, force=force)
+                return original(self, cache_dir, force=force)
 
             monkeypatch.setattr(
                 RegistryEntry, "publish_worker_artifacts", skip_freshness_heal

@@ -6,8 +6,15 @@ import pytest
 
 from repro.core import GrammarProductLine
 from repro.core.composer import GrammarComposer
-from repro.parsing.codegen import FINGERPRINT_CONSTANT
 from repro.service import ParserRegistry
+from repro.service.artifacts import (
+    CLOSURES,
+    IR,
+    KINDS,
+    LEX,
+    ArtifactMiss,
+    Lexicon,
+)
 
 from tests.test_core_product_line import mini_model, mini_units
 
@@ -112,63 +119,173 @@ class TestLRU:
         assert len(registry) == 0
 
 
+def value_of(entry, kind):
+    """The in-memory artifact of ``kind`` for ``entry``."""
+    if kind is LEX:
+        grammar = entry.product.grammar
+        return Lexicon(
+            entry.fingerprint.digest, grammar.name, grammar.start,
+            grammar.tokens,
+        )
+    return entry.program() if kind is IR else entry.closure_program()
+
+
+def context_of(entry, kind):
+    """What decoding ``kind`` needs besides the text (closures: the IR)."""
+    return entry.program() if kind is CLOSURES else None
+
+
+def count(registry, kind, event):
+    return registry.metrics.counter(f"artifact.{kind.name}.{event}")
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
 class TestDiskCache:
-    def test_artifact_round_trip_across_registries(self, tmp_path):
+    """Store behaviour, identical for every artifact kind: artifacts are
+    written by worker publication and read back the way a worker reads
+    them (the IR and closure kinds also load through the entry, covered
+    by the per-kind classes below)."""
+
+    def test_artifact_round_trip_across_registries(self, tmp_path, kind):
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(["Query", "Where"])
-        source = first.generated_source(entry)
-        assert first.metrics.counter("compiles") == 1
-        assert first.metrics.counter("disk_misses") == 1
-        artifact = tmp_path / f"{entry.fingerprint.digest}.py"
+        entry.publish_worker_artifacts(tmp_path)
+        assert count(first, kind, "build") == 1
+        artifact = tmp_path / f"{entry.fingerprint.digest}{kind.suffix}"
         assert artifact.exists()
 
         # a fresh registry (fresh process, in spirit) reuses the artifact
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
-        source2 = second.generated_source(entry2)
-        assert source2 == source
-        assert second.metrics.counter("disk_hits") == 1
-        assert second.metrics.counter("compiles") == 0
+        value = second.store.read(
+            kind, entry2.fingerprint.digest, context_of(entry, kind)
+        )
+        assert count(second, kind, "hit") == 1
+        assert count(second, kind, "build") == 0
+        assert kind.encode(value) == artifact.read_text()
 
-        module = second.generated_module(entry2)
-        assert module.accepts("SELECT a FROM t WHERE x = y")
-
-    def test_tampered_artifact_is_invalidated(self, tmp_path):
+    def test_tampered_artifact_is_invalidated(self, tmp_path, kind):
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(["Query", "Where"])
-        first.generated_source(entry)
-        artifact = tmp_path / f"{entry.fingerprint.digest}.py"
+        entry.publish_worker_artifacts(tmp_path)
+        digest = entry.fingerprint.digest
+        artifact = tmp_path / f"{digest}{kind.suffix}"
 
         # corrupt the embedded provenance: stale-file simulation
         text = artifact.read_text()
-        assert FINGERPRINT_CONSTANT in text
-        artifact.write_text(
-            text.replace(entry.fingerprint.digest, "0" * 64, 1)
-        )
+        assert digest in text
+        artifact.write_text(text.replace(digest, "0" * 64, 1))
 
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
-        source = second.generated_source(entry2)
-        assert second.metrics.counter("disk_invalidations") == 1
-        assert second.metrics.counter("disk_hits") == 0
-        assert second.metrics.counter("compiles") == 1
-        # the regenerated artifact replaces the bad one
-        assert entry.fingerprint.digest in artifact.read_text()
-        assert source is not None
+        with pytest.raises(ArtifactMiss) as miss:
+            second.store.read(kind, digest, context_of(entry, kind))
+        assert miss.value.quarantined == (str(artifact),)
+        # stale provenance is quarantined but NOT counted as corruption
+        assert count(second, kind, "stale") == 1
+        assert count(second, kind, "corrupt") == 0
+        assert count(second, kind, "hit") == 0
+        assert second.metrics.counter("quarantined") == 1
+        # republishing rebuilds the artifact in the clean slot
+        entry2.publish_worker_artifacts(tmp_path)
+        assert digest in artifact.read_text()
 
-    def test_no_cache_dir_means_no_files(self, registry, tmp_path):
+    def test_no_cache_dir_means_no_files(self, registry, tmp_path, kind):
         entry = registry.get(["Query"])
-        registry.generated_source(entry)
+        digest = entry.fingerprint.digest
+        registry.store.save(kind, digest, value_of(entry, kind))
+        with pytest.raises(ArtifactMiss, match="no cache directory"):
+            registry.store.read(kind, digest, context_of(entry, kind))
         assert list(tmp_path.iterdir()) == []
-        assert registry.metrics.counter("disk_misses") == 0
+        assert count(registry, kind, "miss") == 0
 
-    def test_set_cache_dir_toggles(self, registry, tmp_path):
+    def test_set_cache_dir_toggles(self, registry, tmp_path, kind):
         registry.set_cache_dir(tmp_path)
         entry = registry.get(["Query"])
-        registry.generated_source(entry)
-        assert (tmp_path / f"{entry.fingerprint.digest}.py").exists()
+        registry.store.save(kind, entry.fingerprint.digest, value_of(entry, kind))
+        assert (tmp_path / f"{entry.fingerprint.digest}{kind.suffix}").exists()
         registry.set_cache_dir(None)
         assert registry.cache_dir is None
+        assert not registry.store.fresh(kind, entry.fingerprint.digest)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+class TestArtifactStoreSafety:
+    """The I/O safety properties of the one store, for every kind."""
+
+    def test_missing_file_is_a_plain_miss(self, tmp_path, kind):
+        registry = make_registry(cache_dir=tmp_path)
+        entry = registry.get(["Query"])
+        with pytest.raises(ArtifactMiss, match="missing") as miss:
+            registry.store.read(
+                kind, entry.fingerprint.digest, context_of(entry, kind)
+            )
+        assert miss.value.quarantined == ()
+        assert count(registry, kind, "miss") == 1
+        assert count(registry, kind, "corrupt") == 0
+        assert registry.metrics.counter("quarantined") == 0
+        assert registry.metrics.counter("retries") == 0
+
+    def test_transient_read_error_is_retried(self, tmp_path, kind, monkeypatch):
+        registry = make_registry(cache_dir=tmp_path)
+        entry = registry.get(["Query"])
+        entry.publish_worker_artifacts(tmp_path)
+        digest = entry.fingerprint.digest
+        target = registry.store.path(kind, digest)
+        original = type(target).read_text
+        failures = []
+
+        def flaky(path, *args, **kwargs):
+            if path == target and len(failures) < 2:
+                failures.append(path)
+                raise OSError("transient")
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(type(target), "read_text", flaky)
+        registry.store.read(kind, digest, context_of(entry, kind))
+        assert len(failures) == 2
+        assert registry.metrics.counter("retries") == 2
+        assert count(registry, kind, "hit") == 1
+        assert count(registry, kind, "corrupt") == 0
+
+    def test_publish_is_atomic_and_best_effort(self, tmp_path, kind, monkeypatch):
+        registry = make_registry(cache_dir=tmp_path)
+        entry = registry.get(["Query"])
+        digest = entry.fingerprint.digest
+        value = value_of(entry, kind)
+        for path in tmp_path.iterdir():
+            path.unlink()
+
+        def refuse(*_args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.service.artifacts.os.replace", refuse)
+        registry.store.save(kind, digest, value)  # dropped, never raised
+        assert not registry.store.fresh(kind, digest)
+        assert registry.metrics.counter("retries") == 2
+        monkeypatch.undo()
+        registry.store.save(kind, digest, value)
+        # the artifact name only ever holds a complete file
+        path = registry.store.path(kind, digest)
+        assert path.read_text() == kind.encode(value)
+
+
+class TestEntriesFollowTheRegistryDirectory:
+    def test_set_cache_dir_moves_existing_entries(self, tmp_path):
+        """An entry composed before ``set_cache_dir`` (what ``--cache``
+        and ``ParseService(cache_dir=)`` do to the shared registry)
+        writes to the new directory, not the one it was created under."""
+        old, new = tmp_path / "old", tmp_path / "new"
+        old.mkdir()
+        new.mkdir()
+        registry = make_registry(cache_dir=old)
+        entry = registry.get(["Query", "Where"])
+        registry.set_cache_dir(new)
+        entry.thread_parser()
+        assert list(old.iterdir()) == []
+        inventory = {item["kind"]: item for item in entry.artifacts()}
+        assert inventory["ir"]["exists"]
+        assert inventory["ir"]["path"].startswith(str(new))
 
 
 class TestConcurrency:
@@ -253,18 +370,18 @@ class TestProgramDiskCache:
     def test_program_round_trip_across_registries(self, tmp_path):
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(["Query", "Where"])
-        program = first.parse_program(entry)
-        assert first.metrics.counter("ir_compiles") == 1
-        assert first.metrics.counter("ir_disk_misses") == 1
+        program = entry.program()
+        assert count(first, IR, "build") == 1
+        assert count(first, IR, "miss") == 1
         artifact = tmp_path / f"{entry.fingerprint.digest}.ir.json"
         assert artifact.exists()
 
         # a fresh registry (fresh process, in spirit) reuses the artifact
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
-        program2 = second.parse_program(entry2)
-        assert second.metrics.counter("ir_disk_hits") == 1
-        assert second.metrics.counter("ir_compiles") == 0
+        program2 = entry2.program()
+        assert count(second, IR, "hit") == 1
+        assert count(second, IR, "build") == 0
         assert program2.fingerprint == program.fingerprint
         assert program2.code == program.code
         assert program2.sync == program.sync
@@ -278,7 +395,7 @@ class TestProgramDiskCache:
     def test_stale_program_artifact_is_rebuilt_not_loaded(self, tmp_path):
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(["Query", "Where"])
-        first.parse_program(entry)
+        entry.program()
         artifact = tmp_path / f"{entry.fingerprint.digest}.ir.json"
 
         # corrupt the embedded provenance: stale-file simulation
@@ -290,10 +407,10 @@ class TestProgramDiskCache:
 
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
-        program = second.parse_program(entry2)
-        assert second.metrics.counter("ir_disk_invalidations") == 1
-        assert second.metrics.counter("ir_disk_hits") == 0
-        assert second.metrics.counter("ir_compiles") == 1
+        program = entry2.program()
+        assert count(second, IR, "stale") == 1
+        assert count(second, IR, "hit") == 0
+        assert count(second, IR, "build") == 1
         # the rebuilt artifact replaces the stale one and carries the
         # correct provenance again
         assert entry.fingerprint.digest in artifact.read_text()
@@ -304,18 +421,9 @@ class TestProgramDiskCache:
         entry = first.get(["Query"])
         artifact = tmp_path / f"{entry.fingerprint.digest}.ir.json"
         artifact.write_text("{not json")
-        assert first.parse_program(entry) is not None
-        assert first.metrics.counter("ir_disk_invalidations") == 1
-        assert first.metrics.counter("ir_compiles") == 1
-
-    def test_generated_source_shares_the_entry_program(self, tmp_path):
-        registry = make_registry(cache_dir=tmp_path)
-        entry = registry.get(["Query", "GroupBy"])
-        registry.generated_source(entry)
-        # codegen compiled (and cached) the one shared program
-        assert registry.metrics.counter("ir_compiles") == 1
-        assert (tmp_path / f"{entry.fingerprint.digest}.ir.json").exists()
-        assert registry.parse_program(entry) is entry.program()
+        assert entry.program() is not None
+        assert count(first, IR, "corrupt") == 1
+        assert count(first, IR, "build") == 1
 
     def test_thread_parsers_share_one_program(self, registry):
         entry = registry.get(["Query"])
@@ -330,7 +438,7 @@ class TestProgramDiskCache:
         t.join()
         assert seen[0] is not main_parser
         assert seen[0].program is main_parser.program
-        assert registry.metrics.counter("ir_compiles") == 1
+        assert count(registry, IR, "build") == 1
 
 class TestQuarantine:
     """Corrupt disk artifacts are renamed aside (``.bad``), counted as
@@ -340,16 +448,16 @@ class TestQuarantine:
     def test_truncated_ir_artifact_is_quarantined_and_rebuilt(self, tmp_path):
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(["Query", "Where"])
-        first.parse_program(entry)
+        entry.program()
         artifact = tmp_path / f"{entry.fingerprint.digest}.ir.json"
         text = artifact.read_text()
         artifact.write_text(text[: len(text) // 2])  # torn write simulation
 
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
-        program = second.parse_program(entry2)
+        program = entry2.program()
         assert program is not None
-        assert second.metrics.counter("ir_corrupt") == 1
+        assert count(second, IR, "corrupt") == 1
         assert second.metrics.counter("quarantined") == 1
         # the bad bytes are kept aside for post-mortems...
         bad = tmp_path / f"{entry.fingerprint.digest}.ir.json.bad"
@@ -358,28 +466,30 @@ class TestQuarantine:
         # ...and a valid artifact is rebuilt in the clean slot
         assert entry.fingerprint.digest in artifact.read_text()
 
-    def test_zero_byte_artifacts_are_quarantined_and_rebuilt(self, tmp_path):
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+    def test_zero_byte_artifacts_are_quarantined_and_rebuilt(
+        self, tmp_path, kind
+    ):
         registry = make_registry(cache_dir=tmp_path)
         entry = registry.get(["Query"])
-        ir_path = tmp_path / f"{entry.fingerprint.digest}.ir.json"
-        src_path = tmp_path / f"{entry.fingerprint.digest}.py"
-        ir_path.write_text("")
-        src_path.write_text("")
+        digest = entry.fingerprint.digest
+        path = tmp_path / f"{digest}{kind.suffix}"
+        path.write_text("")
 
-        assert registry.parse_program(entry) is not None
-        source = registry.generated_source(entry)
-        assert FINGERPRINT_CONSTANT in source
-        assert registry.metrics.counter("ir_corrupt") == 1
-        assert registry.metrics.counter("source_corrupt") == 1
-        assert registry.metrics.counter("quarantined") == 2
-        # both slots hold fresh, valid artifacts again
-        assert entry.fingerprint.digest in ir_path.read_text()
-        assert entry.fingerprint.digest in src_path.read_text()
+        with pytest.raises(ArtifactMiss, match="corrupt"):
+            registry.store.read(kind, digest, context_of(entry, kind))
+        assert count(registry, kind, "corrupt") == 1
+        assert count(registry, kind, "stale") == 0
+        assert registry.metrics.counter("quarantined") == 1
+        assert path.with_name(path.name + ".bad").read_text() == ""
+        # republishing fills the slot with a fresh, valid artifact again
+        entry.publish_worker_artifacts(tmp_path)
+        assert registry.store.fresh(kind, digest)
 
     def test_mismatched_fingerprint_is_stale_not_corrupt(self, tmp_path):
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(["Query", "Where"])
-        first.parse_program(entry)
+        entry.program()
         artifact = tmp_path / f"{entry.fingerprint.digest}.ir.json"
         artifact.write_text(
             artifact.read_text().replace(entry.fingerprint.digest, "0" * 64, 1)
@@ -387,10 +497,10 @@ class TestQuarantine:
 
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
-        assert second.parse_program(entry2) is not None
+        assert entry2.program() is not None
         # stale provenance is quarantined but NOT counted as corruption
-        assert second.metrics.counter("ir_disk_invalidations") == 1
-        assert second.metrics.counter("ir_corrupt") == 0
+        assert count(second, IR, "stale") == 1
+        assert count(second, IR, "corrupt") == 0
         assert second.metrics.counter("quarantined") == 1
         assert (tmp_path / f"{entry.fingerprint.digest}.ir.json.bad").exists()
 
@@ -410,9 +520,9 @@ class TestQuarantine:
         ir_path = tmp_path / f"{entry.fingerprint.digest}.ir.json"
         ir_path.mkdir()
 
-        assert registry.parse_program(entry) is not None
+        assert entry.program() is not None
         assert registry.metrics.counter("retries") == 2  # attempts - 1
-        assert registry.metrics.counter("ir_corrupt") == 1
+        assert count(registry, IR, "corrupt") == 1
         assert registry.metrics.counter("quarantined") == 1
         # the squatter was moved aside and a real file rebuilt in place
         assert (tmp_path / f"{entry.fingerprint.digest}.ir.json.bad").is_dir()
