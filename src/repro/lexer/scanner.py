@@ -4,6 +4,13 @@ The scanner is the "separate scanner" the paper argues is sufficient for
 decomposing a single language (in contrast to MetaBorg's scannerless
 approach): every composed dialect gets its own scanner whose keyword table
 contains exactly the keywords its features contributed.
+
+One class serves every parse backend.  :meth:`Scanner.scan` and
+:meth:`Scanner.scan_with_diagnostics` run a fast loop over the master
+pattern's ``finditer``; any input that loop cannot finish (an unmatchable
+character, a zero-width match) is rescanned by the precise
+:meth:`Scanner.tokens` generator, which owns every error message and the
+recovery path.
 """
 
 from __future__ import annotations
@@ -39,10 +46,12 @@ class Scanner:
     def tokens(self, text: str, recover: bool = False) -> Iterator[Token]:
         """Yield tokens for ``text``, ending with a single EOF token.
 
-        With ``recover=True`` unmatchable input does not raise: each
-        maximal run of unmatchable characters is emitted as a single
-        :data:`~repro.lexer.token.ERROR` token and scanning continues, so
-        one bad character can no longer kill the whole scan.
+        This is the precise loop: :meth:`scan` and
+        :meth:`scan_with_diagnostics` fall back to it for input their fast
+        loop cannot finish.  With ``recover=True`` unmatchable input does
+        not raise: each maximal run of unmatchable characters is emitted
+        as a single :data:`~repro.lexer.token.ERROR` token and scanning
+        continues, so one bad character can no longer kill the whole scan.
 
         Raises:
             ScanError: when no token matches and ``recover`` is False.
@@ -82,8 +91,13 @@ class Scanner:
         yield eof_token(line, col, pos)
 
     def scan(self, text: str) -> list[Token]:
-        """Tokenize the full input eagerly (EOF token included)."""
-        return list(self.tokens(text))
+        """Tokenize the full input eagerly (EOF token included).
+
+        Raises:
+            ScanError: on the first unmatchable character.
+        """
+        # the precise loop re-runs only to raise its ScanError
+        return self._fast_scan(text) or list(self.tokens(text))
 
     def scan_with_diagnostics(
         self, text: str
@@ -93,6 +107,9 @@ class Scanner:
         Returns the token list (ERROR tokens included, EOF terminated)
         plus one diagnostic per run of unmatchable characters.
         """
+        tokens = self._fast_scan(text)
+        if tokens is not None:
+            return tokens, []
         tokens = list(self.tokens(text, recover=True))
         diagnostics = [
             Diagnostic(
@@ -105,6 +122,54 @@ class Scanner:
             if token.type == ERROR
         ]
         return tokens, diagnostics
+
+    def _fast_scan(self, text: str) -> list[Token] | None:
+        """The :meth:`tokens` loop for clean input, or ``None`` on any gap.
+
+        Iterates the master pattern's matches instead of anchoring one
+        ``match`` per position, and builds tokens with ``object.__new__``
+        plus direct slot stores instead of the frozen dataclass
+        constructor.  A match that does not start where the previous one
+        ended, a zero-width match, or an unmatched tail returns ``None``.
+        """
+        kw_get = self._keywords.get
+        skip = self._skip_names
+        id_rules = self.identifier_rules
+        new = object.__new__
+        store = object.__setattr__
+        out: list[Token] = []
+        append = out.append
+        pos = 0
+        line = 1
+        col = 1
+        for m in self._master.finditer(text):
+            end = m.end()
+            if m.start() != pos or end == pos:
+                return None
+            name = m.lastgroup or ""
+            lexeme = text[pos:end]
+            if name not in skip:
+                if name in id_rules:
+                    ttype = kw_get(lexeme.upper(), name)
+                else:
+                    ttype = name
+                token = new(Token)
+                store(token, "type", ttype)
+                store(token, "text", lexeme)
+                store(token, "line", line)
+                store(token, "column", col)
+                store(token, "offset", pos)
+                append(token)
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                col = len(lexeme) - lexeme.rfind("\n")
+            else:
+                col += end - pos
+            pos = end
+        if pos != len(text):
+            return None
+        append(eof_token(line, col, pos))
+        return out
 
 
 def _describe_bad_run(text: str) -> str:

@@ -28,7 +28,6 @@ from .backends import (
 from .closures import (
     ClosureParser,
     ClosureProgram,
-    CompiledScanner,
     closure_fingerprint,
     compile_closure_program,
     generate_closure_source,
@@ -57,7 +56,6 @@ __all__ = [
     "ClosureParser",
     "ClosureProgram",
     "CompiledBackend",
-    "CompiledScanner",
     "CoverageCollector",
     "CoverageMap",
     "GENERATED",

@@ -27,9 +27,6 @@ Layers:
 * :class:`ClosureProgram` — the exec'd artifact: per-rule functions
   plus a lazily compiled *instrumented* twin whose emitted counter
   bumps mirror the interpreter's ``_exec_cov`` point for point;
-* :class:`CompiledScanner` — a tighter tokenize loop over the same
-  master pattern (all error/recovery paths delegate to the wrapped
-  scanner);
 * :class:`ClosureParser` — a :class:`~repro.parsing.parser.Parser`
   subclass overriding only ``_call_rule``, so the whole public surface
   (diagnostics, panic-mode recovery, hints, coverage) is inherited
@@ -43,7 +40,7 @@ import threading
 from typing import Any, Callable
 
 from ..errors import ParseBudgetExceeded, ParseDeadlineExceeded
-from ..lexer.token import EOF, Token, eof_token
+from ..lexer.token import EOF, Token
 from .codegen import FINGERPRINT_CONSTANT, source_fingerprint
 from .parser import (
     DEADLINE_CHECK_INTERVAL,
@@ -725,89 +722,6 @@ def compile_closure_program(
     )
 
 
-# -- compiled scanner --------------------------------------------------------
-
-
-class CompiledScanner:
-    """Drop-in scanner facade with a tighter tokenize loop.
-
-    Wraps a :class:`~repro.lexer.scanner.Scanner` and reuses its master
-    pattern, keyword table, and skip set, but builds tokens with
-    ``object.__new__`` + direct slot stores instead of the (frozen)
-    dataclass constructor.  Any input the fast loop cannot finish — an
-    unmatchable character, a zero-width match — falls back to the
-    wrapped scanner, which owns every error message and the recovery
-    path, so diagnostics are byte-identical to the interpreter's.
-    """
-
-    __slots__ = ("_inner", "_finditer", "_keywords", "_skip", "_id_rules")
-
-    def __init__(self, inner: Any) -> None:
-        self._inner = inner
-        self._finditer = inner._master.finditer
-        self._keywords = inner._keywords
-        self._skip = inner._skip_names
-        self._id_rules = inner.identifier_rules
-
-    def scan(self, text: str) -> list[Token]:
-        tokens = self._fast_scan(text)
-        if tokens is None:
-            return self._inner.scan(text)  # precise ScanError
-        return tokens
-
-    def scan_with_diagnostics(self, text: str) -> tuple[list[Token], list]:
-        tokens = self._fast_scan(text)
-        if tokens is None:
-            return self._inner.scan_with_diagnostics(text)
-        return tokens, []
-
-    def _fast_scan(self, text: str) -> list[Token] | None:
-        kw_get = self._keywords.get
-        skip = self._skip
-        id_rules = self._id_rules
-        new = object.__new__
-        store = object.__setattr__
-        out: list[Token] = []
-        append = out.append
-        pos = 0
-        line = 1
-        col = 1
-        for m in self._finditer(text):
-            if m.start() != pos:
-                return None  # unmatchable character: take the slow path
-            end = m.end()
-            if end == pos:
-                return None
-            name = m.lastgroup or ""
-            lexeme = text[pos:end]
-            if name not in skip:
-                if name in id_rules:
-                    ttype = kw_get(lexeme.upper(), name)
-                else:
-                    ttype = name
-                token = new(Token)
-                store(token, "type", ttype)
-                store(token, "text", lexeme)
-                store(token, "line", line)
-                store(token, "column", col)
-                store(token, "offset", pos)
-                append(token)
-            if "\n" in lexeme:
-                line += lexeme.count("\n")
-                col = len(lexeme) - lexeme.rfind("\n")
-            else:
-                col += end - pos
-            pos = end
-        if pos != len(text):
-            return None  # trailing unmatchable tail: slow path
-        append(eof_token(line, col, pos))
-        return out
-
-    def __getattr__(self, name: str) -> Any:
-        # everything else (tokens(), token_set, …) is the wrapped scanner's
-        return getattr(self._inner, name)
-
-
 # -- the parser facade -------------------------------------------------------
 
 
@@ -851,8 +765,6 @@ class ClosureParser(Parser):
         self.closure = closure_program
         self._rule_fns = closure_program.rule_fns
         self._instrumented_fns: tuple | None = None
-        if not isinstance(self.scanner, CompiledScanner):
-            self.scanner = CompiledScanner(self.scanner)
 
     # -- compiled fast path -------------------------------------------------
 

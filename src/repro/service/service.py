@@ -478,6 +478,8 @@ class ParseService:
         texts = list(texts)
         if not texts:
             return []
+        if self._closed:
+            raise RuntimeError("ParseService is closed")
         entry, warm, failure = self._acquire_entry(texts[0], features, counts)
         if failure is not None:
             return [
@@ -489,17 +491,23 @@ class ParseService:
                 for text in texts
             ]
         if len(texts) == 1 or self.max_workers == 1:
-            return [
-                self._parse_entry(
-                    entry, text, warm, start=start,
-                    max_errors=max_errors, max_steps=max_steps,
-                    coverage=coverage,
-                    deadline=(
-                        Deadline.after(timeout) if timeout is not None else None
-                    ),
-                )
-                for text in texts
-            ]
+            serial: list[ParseServiceResult] = []
+            for text in texts:
+                if not self._admit():
+                    serial.append(self._shed_result(text))
+                    continue
+                try:
+                    serial.append(self._parse_entry(
+                        entry, text, warm, start=start,
+                        max_errors=max_errors, max_steps=max_steps,
+                        coverage=coverage,
+                        deadline=(
+                            Deadline.after(timeout) if timeout is not None else None
+                        ),
+                    ))
+                finally:
+                    self._release_admission()
+            return serial
         if self._executor_effective == "process" and coverage is None:
             # coverage collectors cannot cross the pipe: those batches
             # stay on the thread path below

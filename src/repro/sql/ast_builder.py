@@ -37,9 +37,9 @@ class AstBuilder:
     # -- dispatch ----------------------------------------------------------
 
     def build(self, node: Node):
-        method = getattr(self, f"_build_{node.name}", None)
+        method = _BUILDERS.get(node.name)
         if method is not None:
-            return method(node)
+            return method(self, node)
         # chain rules (single node child, no meaningful tokens) pass through
         kids = node.node_children()
         if len(kids) == 1:
@@ -1066,6 +1066,14 @@ class AstBuilder:
             return ()
         return tuple(c.text() for c in node.children_named("column_name"))
 
+
+#: Rule name -> builder, collected once from the ``_build_*`` methods so
+#: :meth:`AstBuilder.build` dispatches with one dict lookup per node.
+_BUILDERS = {
+    name.removeprefix("_build_"): method
+    for name, method in vars(AstBuilder).items()
+    if name.startswith("_build_")
+}
 
 #: Parameterless special-value heads (USER, CURRENT_ROLE, ...; §6.4).
 _ZERO_ARG_HEADS = frozenset(

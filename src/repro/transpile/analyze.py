@@ -25,6 +25,7 @@ checking the leaf is sufficient.  Constructs every product can express
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from ..sql import ast
 
@@ -73,15 +74,19 @@ class CapabilityReport:
         ]
 
 
-def analyze(node, source_product=None) -> CapabilityReport:
+def analyze(node, source_product=None, *, rule_origins=None) -> CapabilityReport:
     """Collect the feature requirements of ``node`` (any AST object).
 
     ``source_product`` (a :class:`~repro.composer.ComposedProduct`)
     sharpens :class:`~repro.sql.ast.GenericStatement` analysis: the
     statement's rule name is mapped through the product's composition
-    trace to the unit that contributed the rule.
+    trace to the unit that contributed the rule.  A caller that analyzes
+    many queries of one product passes that product's
+    ``rule_origins()`` map instead, so it is not rebuilt per call.
     """
-    walker = _Walker(source_product)
+    if rule_origins is None and source_product is not None:
+        rule_origins = source_product.rule_origins()
+    walker = _Walker(rule_origins or {})
     walker.visit(node)
     return CapabilityReport(tuple(walker.requirements))
 
@@ -160,12 +165,10 @@ _JOIN_UNITS = {
 
 
 class _Walker:
-    def __init__(self, source_product=None) -> None:
+    def __init__(self, rule_origins: Mapping[str, str]) -> None:
         self.requirements: list[Requirement] = []
         self._seen: set[tuple[str, tuple[str, ...]]] = set()
-        self._rule_origins: dict[str, str] = {}
-        if source_product is not None:
-            self._rule_origins = dict(source_product.rule_origins())
+        self._rule_origins = rule_origins
 
     def need(self, construct: str, *alternatives: str) -> None:
         key = (construct, alternatives)
@@ -178,9 +181,9 @@ class _Walker:
     def visit(self, node) -> None:
         if node is None:
             return
-        method = getattr(self, f"_visit_{type(node).__name__}", None)
+        method = _VISITORS.get(type(node).__name__)
         if method is not None:
-            method(node)
+            method(self, node)
 
     def _visit_each(self, nodes) -> None:
         for node in nodes:
@@ -703,3 +706,12 @@ class _Walker:
         self.need("AT TIME ZONE operator", "AtTimeZone")
         self.visit(node.operand)
         self.visit(node.zone)
+
+
+#: AST class name -> visitor, collected once from the ``_visit_*`` methods
+#: so :meth:`_Walker.visit` dispatches with one dict lookup per node.
+_VISITORS = {
+    name.removeprefix("_visit_"): method
+    for name, method in vars(_Walker).items()
+    if name.startswith("_visit_")
+}

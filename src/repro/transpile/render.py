@@ -226,12 +226,12 @@ class SqlRenderer:
         return text
 
     def _expr_with_level(self, node: ast.Expression) -> tuple[str, int]:
-        method = getattr(self, f"_render_{type(node).__name__}", None)
+        method = _EXPRESSIONS.get(type(node).__name__)
         if method is None:
             raise UnrenderableNodeError(
                 f"no renderer for AST node {type(node).__name__}"
             )
-        return method(node)
+        return method(self, node)
 
     def _render_Literal(self, node: ast.Literal) -> tuple[str, int]:
         kind, value = node.type_name, node.value
@@ -888,12 +888,12 @@ class SqlRenderer:
     # -- statements ---------------------------------------------------------
 
     def render_statement(self, stmt: ast.Statement) -> str:
-        method = getattr(self, f"_stmt_{type(stmt).__name__}", None)
+        method = _STATEMENTS.get(type(stmt).__name__)
         if method is None:
             raise UnrenderableNodeError(
                 f"no renderer for statement {type(stmt).__name__}"
             )
-        return method(stmt)
+        return method(self, stmt)
 
     def _stmt_QueryStatement(self, stmt: ast.QueryStatement) -> str:
         return self.render_query(stmt.query)
@@ -1115,3 +1115,18 @@ def _tidy_type_text(text: str) -> str:
     text = re.sub(r"\s*\(\s*", "(", text)
     text = re.sub(r"\s*\)", ")", text)
     return re.sub(r"\s*,\s*", ", ", text)
+
+
+def _methods(prefix: str) -> dict:
+    """AST class name -> ``SqlRenderer`` method, for one method prefix."""
+    return {
+        name.removeprefix(prefix): method
+        for name, method in vars(SqlRenderer).items()
+        if name.startswith(prefix)
+    }
+
+
+#: Dispatch tables, collected once so rendering a node costs one dict
+#: lookup instead of formatting a method name and calling ``getattr``.
+_EXPRESSIONS = _methods("_render_")
+_STATEMENTS = _methods("_stmt_")

@@ -29,12 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING, Mapping
 
 from ..conformance.report import report_envelope
 from ..diagnostics.model import UNTRANSLATABLE
 from ..errors import ReproError
 from .analyze import CapabilityReport, Requirement, analyze
 from .render import RenderOptions, SqlRenderer
+
+if TYPE_CHECKING:
+    from ..service.registry import RegistryEntry
 
 __all__ = ["TranspileError", "TranslationResult", "translate"]
 
@@ -97,22 +101,43 @@ class TranslationResult:
         )
 
 
+@dataclass(frozen=True)
+class _DialectState:
+    """Everything :func:`translate` needs of one preset dialect."""
+
+    #: Registry entry: the per-thread parsers for the source parse and
+    #: the verify reparse.
+    entry: RegistryEntry
+    #: Resolved selected units, the set target gaps are checked against.
+    features: frozenset[str]
+    #: Render options when the dialect is the target.
+    options: RenderOptions
+    #: Rule name -> contributing unit when the dialect is the source.
+    rule_origins: Mapping[str, str]
+
+
 @lru_cache(maxsize=None)
-def _dialect_state(name: str):
-    """(product, registry entry) for a preset dialect, resolved once.
+def _dialect_state(name: str) -> _DialectState:
+    """Per-dialect translation state for a preset, built once per process.
 
     ``build_dialect`` re-resolves the feature configuration and the
     registry re-fingerprints the full selection on every call — both are
-    far more expensive than a warm parse, so translation caches the
-    resolved pair per preset name (presets are a small, fixed set).
-    Parsers come from the entry's per-thread cache
+    far more expensive than a warm parse.  The render options (two sets
+    of up to ~500 names) and the composition trace's rule origins depend
+    only on the dialect too, so all of it is built here once per preset
+    name (presets are a small, fixed set).  Parsers come from the entry's
+    per-thread cache
     (:meth:`~repro.service.registry.RegistryEntry.thread_parser`).
     """
     from ..sql import build_dialect, sql_parser_registry
 
     product = build_dialect(name)
-    entry = sql_parser_registry().get(product.configuration.selected)
-    return product, entry
+    return _DialectState(
+        entry=sql_parser_registry().get(product.configuration.selected),
+        features=frozenset(product.configuration.selected),
+        options=RenderOptions.for_product(product),
+        rule_origins=product.rule_origins(),
+    )
 
 
 def translate(sql: str, source_dialect: str, target_dialect: str) -> TranslationResult:
@@ -129,14 +154,14 @@ def translate(sql: str, source_dialect: str, target_dialect: str) -> Translation
     """
     from ..sql import build_ast
 
-    source, source_entry = _dialect_state(source_dialect)
-    target, target_entry = _dialect_state(target_dialect)
+    source = _dialect_state(source_dialect)
+    target = _dialect_state(target_dialect)
 
-    tree = source_entry.thread_parser().parse(sql)
+    tree = source.entry.thread_parser().parse(sql)
     script = build_ast(tree)
 
-    capabilities = analyze(script, source_product=source)
-    gaps = capabilities.gaps(frozenset(target.configuration.selected))
+    capabilities = analyze(script, rule_origins=source.rule_origins)
+    gaps = capabilities.gaps(target.features)
     if gaps:
         missing = ", ".join(sorted({gap.primary for gap in gaps}))
         raise TranspileError(
@@ -147,14 +172,14 @@ def translate(sql: str, source_dialect: str, target_dialect: str) -> Translation
             target_dialect=target_dialect,
         )
 
-    renderer = SqlRenderer(RenderOptions.for_product(target))
+    renderer = SqlRenderer(target.options)
     rendered = renderer.render(script)
 
     # never-malformed guarantee: the target's own parser must accept the
     # output; a rejection here is a renderer/analyzer inconsistency and
     # surfaces as a structured error, not as bad SQL handed to the caller
     try:
-        target_entry.thread_parser().parse(rendered)
+        target.entry.thread_parser().parse(rendered)
     except ReproError as exc:
         raise TranspileError(
             f"translation to dialect '{target_dialect}' produced SQL its own "

@@ -12,6 +12,8 @@ from repro.lexer import (
     pattern,
     standard_skip_tokens,
 )
+from repro.sql import build_dialect, dialect_names
+from repro.workloads import generate_workload
 
 
 def sql_like_token_set(extra_keywords=()):
@@ -105,3 +107,70 @@ class TestScanner:
         toks = scanner.scan("SELECT a")
         assert toks[0].offset == 0
         assert toks[1].offset == 7
+
+
+def _shape(tokens):
+    return [(t.type, t.text, t.line, t.column, t.offset) for t in tokens]
+
+
+@pytest.fixture(scope="module", params=dialect_names())
+def preset(request):
+    """(dialect name, that preset's scanner)."""
+    return request.param, Scanner(build_dialect(request.param).grammar.tokens)
+
+
+class TestFastLoopParity:
+    """``scan``'s fast loop agrees with the precise ``tokens`` loop."""
+
+    TEXTS = [
+        "",
+        " \n\t ",
+        "SELECT a,\n  b\nFROM t\n\n  WHERE a = 1",
+        "SELECT a -- trailing comment\nFROM t /* block\ncomment */ WHERE b = 'x\ny'",
+        "sElEcT DiStInCt a FrOm t wHeRe a iS nOt NuLl oRdEr By a",
+    ]
+
+    def test_clean_input_takes_the_fast_loop_with_identical_tokens(self, preset):
+        name, scanner = preset
+        for text in generate_workload(name, count=60, seed=5) + self.TEXTS:
+            fast = scanner._fast_scan(text)
+            assert fast is not None, text  # no fallback hides a mismatch
+            assert _shape(fast) == _shape(scanner.tokens(text)), text
+            assert _shape(scanner.scan(text)) == _shape(fast)
+            tokens, diagnostics = scanner.scan_with_diagnostics(text)
+            assert _shape(tokens) == _shape(fast) and diagnostics == []
+
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("@ SELECT a", "unexpected character '@'", 1, 1),
+            ("SELECT a\nFROM t WHERE @@ = 1", "unexpected character '@'", 2, 14),
+            ("SELECT a FROM t `", "unexpected character '`'", 1, 17),
+        ],
+    )
+    def test_unmatchable_input_raises_the_precise_scan_error(
+        self, preset, text, message, line, column
+    ):
+        _name, scanner = preset
+        with pytest.raises(ScanError) as precise:
+            list(scanner.tokens(text))
+        with pytest.raises(ScanError) as fast:
+            scanner.scan(text)
+        assert str(fast.value) == str(precise.value)
+        assert message in str(fast.value)
+        assert (fast.value.line, fast.value.column) == (line, column)
+        assert (precise.value.line, precise.value.column) == (line, column)
+
+    def test_unmatchable_input_gets_the_precise_diagnostics(self, preset):
+        _name, scanner = preset
+        text = "SELECT a\nFROM t WHERE @@ = 1 `"
+        tokens, diagnostics = scanner.scan_with_diagnostics(text)
+        assert _shape(tokens) == _shape(scanner.tokens(text, recover=True))
+        assert [
+            (d.code, d.message, d.span.line, d.span.column, d.span.end_column)
+            for d in diagnostics
+        ] == [
+            ("E0101", "unexpected characters '@@' (2 characters skipped)",
+             2, 14, 16),
+            ("E0101", "unexpected character '`'", 2, 21, 22),
+        ]

@@ -168,18 +168,6 @@ class TestCompiledCoverage:
         assert got.taken == ref.taken
         assert got.skipped == ref.skipped
 
-    def test_compiled_scanner_keeps_parity_with_inner(self, product, program):
-        compiled = get_backend(COMPILED).build(product, program=program)
-        inner = compiled.scanner._inner
-        for text in ACCEPTED:
-            fast = compiled.scanner.scan(text)
-            slow = inner.scan(text)
-            assert [
-                (t.type, t.text, t.line, t.column, t.offset) for t in fast
-            ] == [
-                (t.type, t.text, t.line, t.column, t.offset) for t in slow
-            ]
-
 
 class TestClosureArtifactValidation:
     def test_mismatched_source_is_rejected(self, product, program):

@@ -1,5 +1,6 @@
 """ParseService: resilient results, batch concurrency, timeouts, stats."""
 
+import threading
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from repro.core.composer import GrammarComposer
 from repro.diagnostics.model import (
     PARSE_BUDGET_EXCEEDED,
     PARSE_TIMEOUT,
+    SERVICE_OVERLOADED,
 )
 from repro.parsing.parser import Parser
 from repro.service import ParseRequest, ParseService, ParserRegistry
@@ -90,6 +92,63 @@ class TestParse:
         result = service.parse("SELECT a FROM t", ["Query", "Where"])
         assert result.warm
         assert result.fingerprint == fp
+
+
+class TestSerialParseManyAdmission:
+    """One text or one worker: each text still takes an admission slot."""
+
+    @pytest.mark.parametrize(
+        "texts, workers",
+        [(["SELECT a FROM t"], 2), (["SELECT a FROM t", "SELECT b FROM t"], 1)],
+        ids=["one-text", "one-worker"],
+    )
+    def test_each_text_holds_a_slot_while_it_parses(
+        self, monkeypatch, texts, workers
+    ):
+        with make_service(max_workers=workers) as service:
+            seen = []
+            original = service._parse_entry
+
+            def recording(*args, **kwargs):
+                seen.append(service.in_flight)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(service, "_parse_entry", recording)
+            results = service.parse_many(texts, FULL)
+            assert all(r.ok for r in results)
+            assert seen == [1] * len(texts)
+            assert service.in_flight == 0
+
+    def test_sheds_while_another_caller_holds_the_only_slot(self, monkeypatch):
+        with make_service(max_workers=1, max_queue=1) as service:
+            service.warm(FULL)
+            entered, release = threading.Event(), threading.Event()
+            original = service._parse_entry
+
+            def blocking(entry, text, *args, **kwargs):
+                if text == "SELECT blocker FROM t":
+                    entered.set()
+                    release.wait(timeout=10)
+                return original(entry, text, *args, **kwargs)
+
+            monkeypatch.setattr(service, "_parse_entry", blocking)
+            held = []
+            caller = threading.Thread(
+                target=lambda: held.append(
+                    service.parse("SELECT blocker FROM t", FULL)
+                )
+            )
+            caller.start()
+            try:
+                assert entered.wait(timeout=10)
+                (result,) = service.parse_many(["SELECT a FROM t"], FULL)
+            finally:
+                release.set()
+                caller.join(timeout=10)
+            assert not caller.is_alive()
+            assert [d.code for d in result.diagnostics] == [SERVICE_OVERLOADED]
+            assert held[0].ok
+            assert service.in_flight == 0
 
 
 class TestParseMany:
@@ -200,11 +259,16 @@ class TestLifecycleAndStats:
         assert snap["latency"]["parse"]["count"] == 1
         assert "parse service stats" in service.render_stats()
 
-    def test_closed_service_refuses_batches(self):
-        service = make_service(max_workers=2)
+    @pytest.mark.parametrize(
+        "texts, workers",
+        [(["a", "b"], 2), (["a"], 2), (["a", "b"], 1)],
+        ids=["pooled", "one-text", "one-worker"],
+    )
+    def test_closed_service_refuses_batches(self, texts, workers):
+        service = make_service(max_workers=workers)
         service.close()
-        with pytest.raises(RuntimeError):
-            service.parse_many(["a", "b"], ["Query"])
+        with pytest.raises(RuntimeError, match="closed"):
+            service.parse_many(texts, ["Query"])
 
     def test_default_service_uses_shared_sql_registry(self):
         from repro.sql import sql_parser_registry

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.lexer import Token
+from repro.parsing import Node
 from repro.sql import ast, build_ast, build_dialect
 
 
@@ -262,3 +264,17 @@ class TestTypeSpec:
         # text is provenance, not identity: equal specs spelled
         # differently still compare equal
         assert spec == ast.TypeSpec(name=spec.name, parameters=spec.parameters)
+
+
+class TestDispatch:
+    def test_rule_without_builder_raises_every_time(self):
+        tree = Node(
+            "mystery_rule",
+            [
+                Node("identifier", [Token("IDENTIFIER", "a")]),
+                Node("identifier", [Token("IDENTIFIER", "b")]),
+            ],
+        )
+        for _ in range(2):
+            with pytest.raises(NotImplementedError, match="'mystery_rule'"):
+                build_ast(tree)

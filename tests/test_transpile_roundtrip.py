@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.service import ParseService
-from repro.sql import build_ast, build_dialect, dialect_names
+from repro.sql import ast, build_ast, build_dialect, dialect_names
 from repro.transpile import (
     REPORT_KIND,
     REPORT_VERSION,
@@ -308,6 +308,50 @@ class TestTranslate:
             "core", "analytics",
         )
         target.parse(result.sql)  # must not raise
+
+    def test_warm_translate_rebuilds_no_dialect_state(self, monkeypatch):
+        from repro.core import ComposedProduct
+
+        pairs = [("full", "core"), ("analytics", "full"), ("core", "full")]
+        for source, target in pairs:
+            translate("SELECT a FROM t", source, target)  # warm-up
+        calls = []
+        rule_origins = ComposedProduct.rule_origins
+        for_product = RenderOptions.for_product.__func__
+
+        def counting_origins(product):
+            calls.append("rule_origins")
+            return rule_origins(product)
+
+        def counting_options(cls, product):
+            calls.append("for_product")
+            return for_product(cls, product)
+
+        monkeypatch.setattr(ComposedProduct, "rule_origins", counting_origins)
+        monkeypatch.setattr(
+            RenderOptions, "for_product", classmethod(counting_options)
+        )
+        for _ in range(5):
+            for source, target in pairs:
+                translate("SELECT a FROM t WHERE a = 1", source, target)
+        assert calls == []
+
+
+class TestDispatch:
+    """Walkers dispatch through tables; a miss fails the same way twice."""
+
+    @pytest.mark.parametrize(
+        "base, label",
+        [(ast.Expression, "AST node"), (ast.Statement, "statement")],
+    )
+    def test_node_without_renderer_raises_e0402_every_time(self, base, label):
+        opaque = type("Opaque", (base,), {})()
+        renderer = SqlRenderer()
+        for _ in range(2):
+            with pytest.raises(UnrenderableNodeError) as excinfo:
+                renderer.render(opaque)
+            assert excinfo.value.code == "E0402"
+            assert f"no renderer for {label} Opaque" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
