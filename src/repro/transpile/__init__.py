@@ -9,8 +9,15 @@ Public API::
     )
 """
 
-from .analyze import CapabilityReport, Requirement, analyze
-from .render import RenderOptions, SqlRenderer, UnrenderableNodeError, render_sql
+from .render import (
+    CapabilityReport,
+    RenderOptions,
+    Requirement,
+    SqlRenderer,
+    UnrenderableNodeError,
+    analyze,
+    render_sql,
+)
 from .translate import (
     REPORT_KIND,
     REPORT_VERSION,

@@ -24,10 +24,19 @@ output honest:
   (``DelimitedIdentifiers``).  Lossless degradations are recorded in
   :attr:`SqlRenderer.rewrites` so translation reports can surface them.
 
-* **Never silently wrong.**  A node that cannot be expressed with the
-  selected features raises :class:`UnrenderableNodeError` (``E0402``)
-  naming the missing unit, instead of emitting SQL the target parser
-  would reject or reinterpret.
+* **One source of truth for feature gating.**  Every construct that
+  needs a feature unit passes through ``_require(construct, *units)``,
+  which records a :class:`Requirement` (the units are alternatives; any
+  one suffices).  A requirement the target lacks is also recorded in
+  :attr:`SqlRenderer.gaps` and the walk goes on, so one pass collects
+  every gap; :meth:`SqlRenderer.render` then raises
+  :class:`UnrenderableNodeError` (``E0402``) for the first one instead
+  of returning SQL the target parser would reject.  A node with no
+  spelling at all (a FROM-less SELECT, a join whose right operand is a
+  join, a non-finite numeric literal, an unknown node) raises at once.
+  :func:`analyze` is a permissive render that returns the recorded
+  requirements, and :func:`~repro.transpile.translate` turns the gaps
+  into ``E0401``.
 
 Rendering with default (permissive) options emits the full-dialect
 surface syntax and is what the round-trip property suite exercises:
@@ -37,14 +46,25 @@ preset dialect.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
+from typing import Mapping
 
 from ..diagnostics.model import UNRENDERABLE
 from ..errors import ReproError
 from ..sql import ast
 
-__all__ = ["RenderOptions", "SqlRenderer", "UnrenderableNodeError", "render_sql"]
+__all__ = [
+    "CapabilityReport",
+    "RenderOptions",
+    "Requirement",
+    "SqlRenderer",
+    "UnrenderableNodeError",
+    "analyze",
+    "render_sql",
+]
 
 
 class UnrenderableNodeError(ReproError):
@@ -100,25 +120,195 @@ class RenderOptions:
         return any(u in self.features for u in units)
 
 
+@dataclass(frozen=True)
+class Requirement:
+    """One construct and the feature units (alternatives) that express it."""
+
+    construct: str
+    alternatives: tuple[str, ...]
+
+    @property
+    def primary(self) -> str:
+        """The preferred unit to suggest enabling."""
+        return self.alternatives[0]
+
+    def satisfied_by(self, features: frozenset[str]) -> bool:
+        return any(unit in features for unit in self.alternatives)
+
+
+@dataclass(frozen=True)
+class CapabilityReport:
+    """All feature requirements of one AST, in first-occurrence order."""
+
+    requirements: tuple[Requirement, ...]
+
+    def gaps(self, features: frozenset[str]) -> tuple[Requirement, ...]:
+        """Requirements the given selected-unit set cannot satisfy."""
+        return tuple(
+            r for r in self.requirements if not r.satisfied_by(features)
+        )
+
+    def to_payload(self) -> list[dict]:
+        """JSON-friendly shape for the transpile report."""
+        return [
+            {"construct": r.construct, "features": list(r.alternatives)}
+            for r in self.requirements
+        ]
+
+
+def analyze(node, source_product=None) -> CapabilityReport:
+    """Collect the feature requirements of ``node`` by rendering it permissively.
+
+    ``node`` is anything :meth:`SqlRenderer.render` accepts (script,
+    statement, query, expression); one with no spelling at all raises
+    :class:`UnrenderableNodeError`.
+
+    ``source_product`` (a :class:`~repro.composer.ComposedProduct`)
+    sharpens :class:`~repro.sql.ast.GenericStatement` analysis: the
+    statement's rule name is mapped through the product's composition
+    trace to the unit that contributed the rule.
+    """
+    renderer = SqlRenderer(
+        rule_origins=(
+            source_product.rule_origins() if source_product is not None else None
+        )
+    )
+    renderer.render(node)
+    return CapabilityReport(tuple(renderer.requirements))
+
+
 #: Precedence ladder; see module docstring.
 _OR, _AND, _NOT, _IS, _CMP, _CONCAT, _ADD, _MUL, _UNARY, _PRIMARY = range(1, 11)
 
-#: op -> (result level, left-operand minimum, right-operand minimum)
-_BINARY_LEVELS = {
-    "OR": (_OR, _OR, _AND),
-    "AND": (_AND, _AND, _NOT),
-    "=": (_CMP, _CONCAT, _CONCAT),
-    "<>": (_CMP, _CONCAT, _CONCAT),
-    "<": (_CMP, _CONCAT, _CONCAT),
-    ">": (_CMP, _CONCAT, _CONCAT),
-    "<=": (_CMP, _CONCAT, _CONCAT),
-    ">=": (_CMP, _CONCAT, _CONCAT),
-    "OVERLAPS": (_CMP, _CONCAT, _CONCAT),
-    "||": (_CONCAT, _CONCAT, _ADD),
-    "+": (_ADD, _ADD, _MUL),
-    "-": (_ADD, _ADD, _MUL),
-    "*": (_MUL, _MUL, _UNARY),
-    "/": (_MUL, _MUL, _UNARY),
+#: op -> (result level, left-operand minimum, right-operand minimum,
+#: construct, feature unit)
+_BINARY_OPERATORS = {
+    "OR": (_OR, _OR, _AND, "OR operator", "OrOperator"),
+    "AND": (_AND, _AND, _NOT, "AND operator", "AndOperator"),
+    "=": (_CMP, _CONCAT, _CONCAT, "= comparison", "Comparison.Equals"),
+    "<>": (_CMP, _CONCAT, _CONCAT, "<> comparison", "Comparison.NotEquals"),
+    "<": (_CMP, _CONCAT, _CONCAT, "< comparison", "Comparison.Less"),
+    ">": (_CMP, _CONCAT, _CONCAT, "> comparison", "Comparison.Greater"),
+    "<=": (_CMP, _CONCAT, _CONCAT, "<= comparison", "Comparison.LessOrEquals"),
+    ">=": (_CMP, _CONCAT, _CONCAT, ">= comparison", "Comparison.GreaterOrEquals"),
+    "OVERLAPS": (_CMP, _CONCAT, _CONCAT, "OVERLAPS predicate", "OverlapsPredicate"),
+    "||": (_CONCAT, _CONCAT, _ADD, "string concatenation", "Concatenation"),
+    "+": (_ADD, _ADD, _MUL, "additive arithmetic", "Addition"),
+    "-": (_ADD, _ADD, _MUL, "additive arithmetic", "Addition"),
+    "*": (_MUL, _MUL, _UNARY, "multiplicative arithmetic", "Multiplication"),
+    "/": (_MUL, _MUL, _UNARY, "multiplicative arithmetic", "Multiplication"),
+}
+
+#: Literal kind -> the unit whose token spells it.
+_LITERAL_UNITS = {
+    "integer": "ExactNumericLiteral",
+    "numeric": "ExactNumericLiteral",
+    "string": "CharacterStringLiteral",
+    "nstring": "NationalStringLiteral",
+    "binary": "BinaryStringLiteral",
+    "ustring": "UnicodeStringLiteral",
+    "boolean": "BooleanLiteral",
+    "date": "DateLiteral",
+    "time": "TimeLiteral",
+    "timestamp": "TimestampLiteral",
+    "interval": "IntervalLiteral",
+}
+
+#: Function head -> the unit that contributes its special form.
+_FUNCTION_UNITS = {
+    "EXTRACT": "ExtractFunction",
+    "SUBSTRING": "SubstringFunction",
+    "POSITION": "PositionFunction",
+    "OVERLAY": "OverlayFunction",
+    "TRIM": "TrimFunction",
+    "COALESCE": "Coalesce",
+    "NULLIF": "NullIf",
+    "NEXT VALUE FOR": "NextValue",
+    "GROUPING": "GroupingFunction",
+    "CURRENT_DATE": "CurrentDate",
+    "CURRENT_TIME": "CurrentTime",
+    "CURRENT_TIMESTAMP": "CurrentTimestamp",
+    "LOCALTIME": "LocalTime",
+    "LOCALTIMESTAMP": "LocalTimestamp",
+    "USER": "UserFn.User",
+    "CURRENT_USER": "UserFn.CurrentUser",
+    "SESSION_USER": "UserFn.SessionUser",
+    "SYSTEM_USER": "UserFn.SystemUser",
+    "CURRENT_ROLE": "UserFn.CurrentRole",
+    "CURRENT_PATH": "UserFn.CurrentPath",
+}
+
+#: Data-type keyword or phrase -> the ``sql/features/data_types`` leaf
+#: unit whose production spells it.
+_TYPE_UNITS = {
+    "CHARACTER": "FixedCharType",
+    "CHAR": "FixedCharType",
+    "CHARACTER VARYING": "VaryingCharType",
+    "CHAR VARYING": "VaryingCharType",
+    "VARCHAR": "VaryingCharType",
+    "CHARACTER SET": "CharacterSetSpec",
+    "NUMERIC": "Type.Numeric",
+    "DECIMAL": "Type.Numeric",
+    "DEC": "Type.Numeric",
+    "INTEGER": "Type.Integer",
+    "INT": "Type.Integer",
+    "SMALLINT": "Type.Smallint",
+    "BIGINT": "Type.Bigint",
+    "FLOAT": "Type.Float",
+    "REAL": "Type.Real",
+    "DOUBLE PRECISION": "Type.Double",
+    "NCHAR": "NationalCharTypes",
+    "NCHAR VARYING": "NationalCharTypes",
+    "NCLOB": "NationalCharTypes",
+    "BOOLEAN": "BooleanType",
+    "DATE": "Type.Date",
+    "TIME": "Type.Time",
+    "TIMESTAMP": "Type.Timestamp",
+    "WITH TIME ZONE": "WithTimeZone",
+    "WITHOUT TIME ZONE": "WithTimeZone",
+    "INTERVAL": "IntervalType",
+    "BLOB": "Type.Blob",
+    "CLOB": "Type.Clob",
+}
+
+#: Finds the ``_TYPE_UNITS`` phrases of a type's text, longest first, so
+#: ``TIME`` inside ``WITH TIME ZONE`` is not read as a type of its own.
+_TYPE_PHRASE = re.compile(
+    r"\b(?:"
+    + "|".join(re.escape(p) for p in sorted(_TYPE_UNITS, key=len, reverse=True))
+    + r")\b"
+)
+
+_DROP_UNITS = {
+    "table": "DropTable",
+    "view": "DropView",
+    "schema": "DropSchema",
+    "domain": "DropDomain",
+    "sequence": "DropSequence",
+}
+
+#: Join kind -> (construct, feature unit, keyword).
+_JOINS = {
+    "inner": ("INNER JOIN", "InnerJoin", "JOIN"),
+    "left": ("LEFT JOIN", "LeftJoin", "LEFT JOIN"),
+    "right": ("RIGHT JOIN", "RightJoin", "RIGHT JOIN"),
+    "full": ("FULL JOIN", "FullJoin", "FULL JOIN"),
+    "cross": ("CROSS JOIN", "CrossJoin", "CROSS JOIN"),
+    "natural": ("NATURAL JOIN", "NaturalJoin", "NATURAL JOIN"),
+    "union": ("UNION JOIN", "UnionJoin", "UNION JOIN"),
+}
+
+#: Boolean-test truth value -> (keyword, feature unit).
+_TRUTH = {
+    True: ("TRUE", "Truth.True"),
+    False: ("FALSE", "Truth.False"),
+    None: ("UNKNOWN", "Truth.Unknown"),
+}
+
+_MATCH_OPTIONS = {
+    "SIMPLE": "Match.Simple",
+    "PARTIAL": "Match.Partial",
+    "FULL": "Match.Full",
 }
 
 _BARE_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -137,21 +327,6 @@ _BARE_FUNCTIONS = frozenset(
     }
 )
 
-_TYPE_KEYWORDS = {
-    "char": "CHAR",
-    "varchar": "VARCHAR",
-    "numeric": "NUMERIC",
-    "integer": "INTEGER",
-    "real": "REAL",
-    "boolean": "BOOLEAN",
-    "date": "DATE",
-    "time": "TIME",
-    "timestamp": "TIMESTAMP",
-    "interval": "INTERVAL",
-    "blob": "BLOB",
-    "clob": "CLOB",
-}
-
 
 def render_sql(node, options: RenderOptions | None = None) -> str:
     """Render any AST node (script, statement, query, expression)."""
@@ -159,17 +334,53 @@ def render_sql(node, options: RenderOptions | None = None) -> str:
 
 
 class SqlRenderer:
-    """One rendering pass; collects lossless-rewrite notes in ``rewrites``."""
+    """One rendering pass; records requirements, gaps and rewrite notes.
 
-    def __init__(self, options: RenderOptions | None = None) -> None:
+    ``rule_origins`` (rule name -> contributing unit, the source
+    product's :meth:`~repro.core.ComposedProduct.rule_origins`) gates
+    :class:`~repro.sql.ast.GenericStatement`, whose text is re-emitted
+    verbatim.  The lists accumulate over every call made on one renderer.
+    """
+
+    def __init__(
+        self,
+        options: RenderOptions | None = None,
+        *,
+        rule_origins: Mapping[str, str] | None = None,
+    ) -> None:
         self.options = options or RenderOptions()
         #: Human-readable notes about feature-driven degradations applied
         #: during this pass (e.g. "FETCH FIRST degraded to LIMIT").
         self.rewrites: list[str] = []
+        #: Every construct met so far and the units that express it, in
+        #: first-occurrence order.
+        self.requirements: list[Requirement] = []
+        #: The requirements the target's features cannot satisfy.
+        self.gaps: list[Requirement] = []
+        self._rule_origins = rule_origins or {}
+        self._seen: set[tuple[str, tuple[str, ...]]] = set()
 
     # -- entry points -------------------------------------------------------
 
     def render(self, node) -> str:
+        """Render ``node``; raise ``E0402`` for the first gap after the walk."""
+        text = self.draft(node)
+        if self.gaps:
+            gap = self.gaps[0]
+            raise UnrenderableNodeError(
+                f"{gap.construct} is not expressible in the target dialect",
+                construct=gap.construct,
+                features=gap.alternatives,
+            )
+        return text
+
+    def draft(self, node) -> str:
+        """Render ``node`` without refusing what the target lacks.
+
+        Gaps land in :attr:`gaps` and are spelled anyway, so the text is
+        target SQL only when :attr:`gaps` is empty.  A node with no
+        spelling at all still raises :class:`UnrenderableNodeError`.
+        """
         if isinstance(node, ast.Script):
             return self.render_script(node)
         if isinstance(node, ast.Statement):
@@ -187,16 +398,31 @@ class SqlRenderer:
 
     # -- helpers ------------------------------------------------------------
 
-    def _has(self, *units: str) -> bool:
-        return self.options.has(*units)
-
     def _require(self, construct: str, *units: str) -> None:
-        if not self._has(*units):
-            raise UnrenderableNodeError(
-                f"{construct} is not expressible in the target dialect",
-                construct=construct,
-                features=units,
-            )
+        """Record that ``construct`` needs one of ``units``."""
+        key = (construct, units)
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        requirement = Requirement(construct, units)
+        self.requirements.append(requirement)
+        if not self.options.has(*units):
+            self.gaps.append(requirement)
+
+    def _falls_back(
+        self, construct: str, preferred: str, fallback: str, note: str
+    ) -> bool:
+        """Record ``construct``; True when only ``fallback`` can spell it.
+
+        The rewrite ``note`` is recorded when the fallback spelling is
+        chosen; with neither unit selected the preferred one is kept and
+        the requirement is a gap.
+        """
+        self._require(construct, preferred, fallback)
+        if self.options.has(preferred) or not self.options.has(fallback):
+            return False
+        self.rewrites.append(note)
+        return True
 
     def _ident(self, name: str) -> str:
         if len(name) >= 2 and name[0] == '"' and name[-1] == '"':
@@ -211,9 +437,11 @@ class SqlRenderer:
         self._require(f"identifier {name!r}", "DelimitedIdentifiers")
         return '"' + name.replace('"', '""') + '"'
 
-    def _chain(self, parts: tuple[str, ...]) -> str:
+    def _chain(
+        self, parts: tuple[str, ...], construct: str = "qualified name"
+    ) -> str:
         if len(parts) > 1:
-            self._require("qualified name", "QualifiedNames")
+            self._require(construct, "QualifiedNames")
         return ".".join(self._ident(p) for p in parts)
 
     # -- expressions --------------------------------------------------------
@@ -235,10 +463,19 @@ class SqlRenderer:
 
     def _render_Literal(self, node: ast.Literal) -> tuple[str, int]:
         kind, value = node.type_name, node.value
+        unit = _LITERAL_UNITS.get(kind)
+        if unit is not None:
+            self._require(f"{kind} literal", unit)
         if kind == "integer":
             return str(value), _PRIMARY
         if kind == "numeric":
-            return repr(float(value)), _PRIMARY
+            if not math.isfinite(value):
+                raise UnrenderableNodeError(
+                    f"numeric literal {value!r} has no finite spelling"
+                )
+            # positional: an exponent would need ApproximateNumericLiteral
+            text = format(Decimal(repr(float(value))), "f")
+            return (text if "." in text else text + ".0"), _PRIMARY
         if kind == "string":
             return "'" + str(value).replace("'", "''") + "'", _PRIMARY
         if kind == "nstring":
@@ -296,7 +533,7 @@ class SqlRenderer:
         return "DEFAULT", _PRIMARY
 
     def _render_ColumnRef(self, node: ast.ColumnRef) -> tuple[str, int]:
-        return self._chain(node.parts), _PRIMARY
+        return self._chain(node.parts, "qualified column reference"), _PRIMARY
 
     def _render_Star(self, node: ast.Star) -> tuple[str, int]:
         if node.table is not None:
@@ -306,27 +543,32 @@ class SqlRenderer:
                 self._ident(p) for p in node.table.split(".")
             )
             return f"{qualifier}.*", _PRIMARY
+        self._require("select-list asterisk", "Asterisk")
         return "*", _PRIMARY
 
     def _render_BinaryOp(self, node: ast.BinaryOp) -> tuple[str, int]:
-        levels = _BINARY_LEVELS.get(node.op)
-        if levels is None:
+        operator = _BINARY_OPERATORS.get(node.op)
+        if operator is None:
             raise UnrenderableNodeError(f"unknown binary operator {node.op!r}")
-        level, left_min, right_min = levels
+        level, left_min, right_min, construct, unit = operator
+        self._require(construct, unit)
         left = self._expr(node.left, left_min)
         right = self._expr(node.right, right_min)
         return f"{left} {node.op} {right}", level
 
     def _render_UnaryOp(self, node: ast.UnaryOp) -> tuple[str, int]:
         if node.op == "NOT":
+            self._require("NOT operator", "NotOperator")
             return f"NOT {self._expr(node.operand, _IS)}", _NOT
         return f"{node.op} {self._expr(node.operand, _PRIMARY)}", _UNARY
 
     def _render_IsNull(self, node: ast.IsNull) -> tuple[str, int]:
+        self._require("IS NULL predicate", "NullPredicate")
         not_kw = " NOT" if node.negated else ""
         return f"{self._expr(node.operand, _CONCAT)} IS{not_kw} NULL", _CMP
 
     def _render_Between(self, node: ast.Between) -> tuple[str, int]:
+        self._require("BETWEEN predicate", "BetweenPredicate")
         not_kw = "NOT " if node.negated else ""
         return (
             f"{self._expr(node.operand, _CONCAT)} {not_kw}BETWEEN "
@@ -335,16 +577,24 @@ class SqlRenderer:
         )
 
     def _render_InList(self, node: ast.InList) -> tuple[str, int]:
+        self._require("IN value list", "InValueList")
         not_kw = "NOT " if node.negated else ""
         items = ", ".join(self._expr(i, _CONCAT) for i in node.items)
         return f"{self._expr(node.operand, _CONCAT)} {not_kw}IN ({items})", _CMP
 
     def _render_InSubquery(self, node: ast.InSubquery) -> tuple[str, int]:
+        self._require("IN subquery", "InSubquery")
         not_kw = "NOT " if node.negated else ""
         sub = self.render_query(node.query)
         return f"{self._expr(node.operand, _CONCAT)} {not_kw}IN ({sub})", _CMP
 
     def _render_Like(self, node: ast.Like) -> tuple[str, int]:
+        if node.similar:
+            self._require("SIMILAR TO predicate", "SimilarPredicate")
+        else:
+            self._require("LIKE predicate", "LikePredicate")
+            if node.escape is not None:
+                self._require("LIKE ... ESCAPE", "LikeEscape")
         not_kw = "NOT " if node.negated else ""
         verb = "SIMILAR TO" if node.similar else "LIKE"
         text = (
@@ -356,25 +606,29 @@ class SqlRenderer:
         return text, _CMP
 
     def _render_Exists(self, node: ast.Exists) -> tuple[str, int]:
+        self._require("EXISTS predicate", "ExistsPredicate")
         return f"EXISTS ({self.render_query(node.query)})", _CMP
 
     def _render_UniqueSubquery(self, node: ast.UniqueSubquery) -> tuple[str, int]:
+        self._require("UNIQUE predicate", "UniquePredicate")
         return f"UNIQUE ({self.render_query(node.query)})", _CMP
 
     def _render_Quantified(self, node: ast.Quantified) -> tuple[str, int]:
+        self._require("quantified comparison", "QuantifiedComparison")
         quantifier = node.quantifier
-        if quantifier == "SOME" and not self._has("SomeQuantifier"):
-            if self._has("AnyQuantifier"):
+        if quantifier == "ALL":
+            self._require("ALL quantifier", "AllQuantifier")
+        elif quantifier == "SOME":
+            if self._falls_back(
+                "SOME quantifier", "SomeQuantifier", "AnyQuantifier",
+                "SOME quantifier rewritten to ANY",
+            ):
                 quantifier = "ANY"
-                self.rewrites.append("SOME quantifier rewritten to ANY")
-            else:
-                self._require("SOME quantifier", "SomeQuantifier", "AnyQuantifier")
-        elif quantifier == "ANY" and not self._has("AnyQuantifier"):
-            if self._has("SomeQuantifier"):
-                quantifier = "SOME"
-                self.rewrites.append("ANY quantifier rewritten to SOME")
-            else:
-                self._require("ANY quantifier", "AnyQuantifier", "SomeQuantifier")
+        elif self._falls_back(
+            "ANY quantifier", "AnyQuantifier", "SomeQuantifier",
+            "ANY quantifier rewritten to SOME",
+        ):
+            quantifier = "SOME"
         return (
             f"{self._expr(node.operand, _CONCAT)} {node.op} {quantifier} "
             f"({self.render_query(node.query)})",
@@ -382,9 +636,11 @@ class SqlRenderer:
         )
 
     def _render_ScalarSubquery(self, node: ast.ScalarSubquery) -> tuple[str, int]:
+        self._require("scalar subquery", "ScalarSubquery")
         return f"({self.render_query(node.query)})", _PRIMARY
 
     def _render_IsDistinctFrom(self, node: ast.IsDistinctFrom) -> tuple[str, int]:
+        self._require("IS DISTINCT FROM predicate", "DistinctPredicate")
         not_kw = " NOT" if node.negated else ""
         return (
             f"{self._expr(node.left, _CONCAT)} IS{not_kw} DISTINCT FROM "
@@ -393,20 +649,26 @@ class SqlRenderer:
         )
 
     def _render_BooleanIs(self, node: ast.BooleanIs) -> tuple[str, int]:
-        truth = {True: "TRUE", False: "FALSE", None: "UNKNOWN"}[node.truth]
+        truth, unit = _TRUTH[node.truth]
+        self._require("boolean test", "BooleanTest")
+        self._require(f"IS {truth} test", unit)
         not_kw = " NOT" if node.negated else ""
         return f"{self._expr(node.operand, _CMP)} IS{not_kw} {truth}", _IS
 
     def _render_Match(self, node: ast.Match) -> tuple[str, int]:
+        self._require("MATCH predicate", "MatchPredicate")
         parts = [self._expr(node.operand, _CONCAT), "MATCH"]
         if node.unique:
+            self._require("MATCH UNIQUE", "Match.Unique")
             parts.append("UNIQUE")
         if node.option:
+            self._require(f"MATCH {node.option}", _MATCH_OPTIONS[node.option])
             parts.append(node.option)
         parts.append(f"({self.render_query(node.query)})")
         return " ".join(parts), _CMP
 
     def _render_AtTimeZone(self, node: ast.AtTimeZone) -> tuple[str, int]:
+        self._require("AT TIME ZONE operator", "AtTimeZone")
         operand = self._expr(node.operand, _PRIMARY)
         if node.zone is None:
             return f"{operand} AT LOCAL", _UNARY
@@ -414,7 +676,10 @@ class SqlRenderer:
 
     def _render_CaseExpr(self, node: ast.CaseExpr) -> tuple[str, int]:
         parts = ["CASE"]
-        if node.operand is not None:
+        if node.operand is None:
+            self._require("searched CASE", "SearchedCase")
+        else:
+            self._require("simple CASE", "SimpleCase")
             parts.append(self._expr(node.operand, _CONCAT))
         for condition, result in node.whens:
             level = _CONCAT if node.operand is not None else 0
@@ -428,22 +693,31 @@ class SqlRenderer:
         return " ".join(parts), _PRIMARY
 
     def _render_Cast(self, node: ast.Cast) -> tuple[str, int]:
+        self._require("CAST specification", "CastSpecification")
         operand = self._expr(node.operand, 0)
         type_text = self._type_text(node.type_spec, node.type_name)
         return f"CAST({operand} AS {type_text})", _PRIMARY
 
     def _type_text(self, spec: ast.TypeSpec | None, fallback_name: str) -> str:
+        """Spell a data type, gating each of its keywords by its leaf unit."""
         if spec is not None and spec.text:
-            return _tidy_type_text(spec.text)
-        name = spec.name if spec is not None else fallback_name
-        keyword = _TYPE_KEYWORDS.get(name, name.upper())
-        params = spec.parameters if spec is not None else ()
-        if params:
-            return f"{keyword}({', '.join(str(p) for p in params)})"
-        return keyword
+            text = _tidy_type_text(spec.text)
+        else:
+            name = spec.name if spec is not None else fallback_name
+            text = name.upper()
+            params = spec.parameters if spec is not None else ()
+            if params:
+                text += f"({', '.join(str(p) for p in params)})"
+        for match in _TYPE_PHRASE.finditer(text.upper()):
+            phrase = match.group()
+            self._require(f"{phrase} type", _TYPE_UNITS[phrase])
+        return text
 
     def _render_FunctionCall(self, node: ast.FunctionCall) -> tuple[str, int]:
         name, args = node.name, node.args
+        unit = _FUNCTION_UNITS.get(name)
+        if unit is not None:
+            self._require(f"{name} function", unit)
         if name == "NEXT VALUE FOR":
             chain = self._chain(args[0].parts)
             return f"NEXT VALUE FOR {chain}", _PRIMARY
@@ -525,10 +799,15 @@ class SqlRenderer:
         return f"TRIM({self._expr(exprs[0], 0)})"
 
     def _render_AggregateCall(self, node: ast.AggregateCall) -> tuple[str, int]:
+        self._require("aggregate function", "AggregateFunctions")
         if node.argument is None:
+            self._require("COUNT(*)", "CountStar")
             text = "COUNT(*)"
         else:
-            quantifier = f"{node.quantifier} " if node.quantifier else ""
+            quantifier = ""
+            if node.quantifier:
+                self._require("aggregate quantifier", "AggregateQuantifier")
+                quantifier = f"{node.quantifier} "
             text = f"{node.function}({quantifier}{self._expr(node.argument, 0)})"
         if node.filter_condition is not None:
             self._require("FILTER clause", "FilterClause")
@@ -536,6 +815,9 @@ class SqlRenderer:
         return text, _PRIMARY
 
     def _render_WindowCall(self, node: ast.WindowCall) -> tuple[str, int]:
+        self._require("window function", "WindowFunctions")
+        if isinstance(node.function, ast.AggregateCall):
+            self._require("aggregate OVER window", "AggregateOver")
         function, _ = self._expr_with_level(node.function)
         if isinstance(node.window, str):
             return f"{function} OVER {self._ident(node.window)}", _PRIMARY
@@ -545,7 +827,7 @@ class SqlRenderer:
         # grammar order: partition clause, existing window name, order, frame
         parts = []
         if spec.partition_by:
-            self._require("PARTITION BY", "PartitionClause")
+            self._require("PARTITION BY clause", "PartitionClause")
             parts.append(
                 "PARTITION BY "
                 + ", ".join(self._expr(c, _PRIMARY) for c in spec.partition_by)
@@ -557,7 +839,7 @@ class SqlRenderer:
             self._require("window ORDER BY", "WindowOrderClause")
             parts.append("ORDER BY " + self._sort_specs(spec.order_by))
         if spec.frame:
-            self._require("window frame", "FrameClause")
+            self._require("window frame clause", "FrameClause")
             parts.append(spec.frame)
         return "(" + " ".join(parts) + ")"
 
@@ -569,49 +851,42 @@ class SqlRenderer:
             self._require("WITH clause", "WithClause")
             if query.recursive:
                 self._require("WITH RECURSIVE", "RecursiveWith")
+            if len(query.ctes) > 1:
+                self._require("multiple WITH elements", "With.MultipleElements")
             ctes = ", ".join(self._cte(c) for c in query.ctes)
             recursive = "RECURSIVE " if query.recursive else ""
             parts.append(f"WITH {recursive}{ctes}")
         parts.append(self._body(query.body, level="body"))
         if query.order_by:
-            self._require("ORDER BY", "OrderBy")
+            self._require("ORDER BY clause", "OrderBy")
+            if len(query.order_by) > 1:
+                self._require("multiple sort keys", "OrderBy.MultipleKeys")
             parts.append("ORDER BY " + self._sort_specs(query.order_by))
         parts.extend(self._limit_clauses(query))
         return " ".join(parts)
 
     def _limit_clauses(self, query: ast.Query) -> list[str]:
-        parts = []
-        limit_text = None
+        fetch = False
         if query.limit is not None:
-            style = query.limit_style or "limit"
-            if style == "fetch":
-                if self._has("FetchFirst"):
-                    limit_text = f"FETCH FIRST {query.limit} ROWS ONLY"
-                elif self._has("Limit"):
-                    limit_text = f"LIMIT {query.limit}"
-                    self.rewrites.append(
-                        "FETCH FIRST ... ROWS ONLY degraded to LIMIT"
-                    )
-                else:
-                    self._require("row limiting", "FetchFirst", "Limit")
+            if query.limit_style == "fetch":
+                fetch = not self._falls_back(
+                    "row limiting", "FetchFirst", "Limit",
+                    "FETCH FIRST ... ROWS ONLY degraded to LIMIT",
+                )
             else:
-                if self._has("Limit"):
-                    limit_text = f"LIMIT {query.limit}"
-                elif self._has("FetchFirst"):
-                    limit_text = f"FETCH FIRST {query.limit} ROWS ONLY"
-                    self.rewrites.append(
-                        "LIMIT promoted to FETCH FIRST ... ROWS ONLY"
-                    )
-                else:
-                    self._require("row limiting", "Limit", "FetchFirst")
+                fetch = self._falls_back(
+                    "row limiting", "Limit", "FetchFirst",
+                    "LIMIT promoted to FETCH FIRST ... ROWS ONLY",
+                )
         # grammar order: LIMIT, then OFFSET, then FETCH FIRST
-        if limit_text is not None and limit_text.startswith("LIMIT"):
-            parts.append(limit_text)
+        parts = []
+        if query.limit is not None and not fetch:
+            parts.append(f"LIMIT {query.limit}")
         if query.offset is not None:
-            self._require("OFFSET", "Offset")
+            self._require("OFFSET clause", "Offset")
             parts.append(f"OFFSET {query.offset}")
-        if limit_text is not None and limit_text.startswith("FETCH"):
-            parts.append(limit_text)
+        if fetch:
+            parts.append(f"FETCH FIRST {query.limit} ROWS ONLY")
         return parts
 
     def _cte(self, cte: ast.CommonTableExpr) -> str:
@@ -631,9 +906,14 @@ class SqlRenderer:
                 text += " DESC"
             if spec.nulls_last is not None:
                 self._require("NULLS FIRST/LAST", "NullOrdering")
-                text += " NULLS LAST" if spec.nulls_last else " NULLS FIRST"
+                if spec.nulls_last:
+                    self._require("NULLS LAST", "NullsLast")
+                    text += " NULLS LAST"
+                else:
+                    self._require("NULLS FIRST", "NullsFirst")
+                    text += " NULLS FIRST"
             if spec.collation:
-                self._require("COLLATE", "CollateClause")
+                self._require("COLLATE on a sort key", "CollateClause")
                 text += " COLLATE " + ".".join(
                     self._ident(p) for p in spec.collation
                 )
@@ -647,7 +927,9 @@ class SqlRenderer:
         if isinstance(body, ast.Select):
             return self._select(body)
         if isinstance(body, ast.Values):
-            self._require("VALUES constructor", "TableValueConstructor")
+            self._require("VALUES as a query", "TableValueConstructor")
+            if len(body.rows) > 1:
+                self._require("multi-row VALUES", "RowValues.MultipleElements")
             return self._values(body)
         if isinstance(body, ast.ExplicitTable):
             self._require("TABLE statement", "ExplicitTable")
@@ -659,7 +941,7 @@ class SqlRenderer:
     def _set_operation(self, op: ast.SetOperation, level: str) -> str:
         if op.kind in ("union", "except"):
             feature = "Union" if op.kind == "union" else "Except"
-            self._require(f"{op.kind.upper()} set operation", feature)
+            self._require(op.kind.upper(), feature)
             if level != "body":
                 self._require("nested set operation", "NestedQuery")
                 return f"({self._set_operation(op, 'body')})"
@@ -667,7 +949,7 @@ class SqlRenderer:
             right = self._body(op.right, "term")
             keyword = op.kind.upper()
         else:
-            self._require("INTERSECT set operation", "Intersect")
+            self._require("INTERSECT", "Intersect")
             if level == "primary":
                 self._require("nested set operation", "NestedQuery")
                 return f"({self._set_operation(op, 'term')})"
@@ -677,7 +959,7 @@ class SqlRenderer:
         text = f"{left} {keyword}"
         if op.quantifier:
             self._require(
-                "set-operation quantifier",
+                f"set-operation {op.quantifier}",
                 "SetOpQuantifier.All" if op.quantifier == "ALL"
                 else "SetOpQuantifier.Distinct",
             )
@@ -698,7 +980,7 @@ class SqlRenderer:
         parts = ["SELECT"]
         if select.quantifier:
             self._require(
-                "SELECT quantifier",
+                f"SELECT {select.quantifier}",
                 "SetQuantifier.DISTINCT" if select.quantifier == "DISTINCT"
                 else "SetQuantifier.ALL",
             )
@@ -738,23 +1020,20 @@ class SqlRenderer:
             )
         # grammar order: SAMPLE PERIOD, EPOCH DURATION, LIFETIME, OUTPUT ACTION
         if select.sample_period is not None:
-            self._require("SAMPLE PERIOD", "SamplePeriod")
+            self._require("SAMPLE PERIOD clause", "SamplePeriod")
             parts.append(f"SAMPLE PERIOD {select.sample_period}")
         if select.epoch_duration is not None:
-            self._require("EPOCH DURATION", "EpochDuration")
+            self._require("EPOCH DURATION clause", "EpochDuration")
             parts.append(f"EPOCH DURATION {select.epoch_duration}")
         if select.lifetime is not None:
-            self._require("LIFETIME", "QueryLifetime")
+            self._require("LIFETIME clause", "QueryLifetime")
             parts.append(f"LIFETIME {select.lifetime}")
         if select.output_action is not None:
-            self._require("OUTPUT ACTION", "OutputAction")
+            self._require("OUTPUT ACTION clause", "OutputAction")
             parts.append(f"OUTPUT ACTION {self._ident(select.output_action)}")
         return " ".join(parts)
 
     def _select_items(self, items: tuple) -> str:
-        if len(items) == 1 and isinstance(items[0], ast.Star) and items[0].table is None:
-            self._require("select-list asterisk", "Asterisk")
-            return "*"
         if len(items) > 1:
             self._require("multiple select items", "SelectSublist.Multiple")
         rendered = []
@@ -782,7 +1061,9 @@ class SqlRenderer:
                 )
         if not elements:
             return None
-        self._require("GROUP BY", "GroupBy")
+        self._require("GROUP BY clause", "GroupBy")
+        if len(elements) > 1:
+            self._require("multiple grouping keys", "GroupBy.MultipleKeys")
         return "GROUP BY " + ", ".join(
             self._grouping_element(e) for e in elements
         )
@@ -795,17 +1076,17 @@ class SqlRenderer:
             return "( )"
         columns = ", ".join(self._grouping_element(e) for e in element.elements)
         if element.kind == "rollup":
-            self._require("ROLLUP", "Rollup")
+            self._require("ROLLUP grouping", "Rollup")
             return f"ROLLUP ({columns})"
         if element.kind == "cube":
-            self._require("CUBE", "Cube")
+            self._require("CUBE grouping", "Cube")
             return f"CUBE ({columns})"
         self._require("GROUPING SETS", "GroupingSets")
         return f"GROUPING SETS ({columns})"
 
     def _table_ref(self, ref) -> str:
         if isinstance(ref, ast.NamedTable):
-            text = self._chain(ref.parts)
+            text = self._chain(ref.parts, "qualified table name")
             if ref.alias is not None:
                 self._require("table alias", "CorrelationName")
                 text += f" {self._alias(ref.alias)}"
@@ -814,7 +1095,7 @@ class SqlRenderer:
             self._require("derived table", "DerivedTable")
             prefix = ""
             if ref.lateral:
-                self._require("LATERAL", "LateralDerivedTable")
+                self._require("LATERAL derived table", "LateralDerivedTable")
                 prefix = "LATERAL "
             return (
                 f"{prefix}({self.render_query(ref.query)}) {self._alias(ref.alias)}"
@@ -826,7 +1107,7 @@ class SqlRenderer:
         )
 
     def _alias(self, alias: str) -> str:
-        if self._has("CorrelationName.As"):
+        if self.options.has("CorrelationName.As"):
             return f"AS {self._ident(alias)}"
         return self._ident(alias)
 
@@ -835,48 +1116,33 @@ class SqlRenderer:
             raise UnrenderableNodeError(
                 "join with a joined right operand has no grammar spelling"
             )
-        left = self._table_ref(join.left)
-        right = self._table_ref(join.right)
-        if join.kind == "cross":
-            self._require("CROSS JOIN", "CrossJoin")
-            return f"{left} CROSS JOIN {right}"
-        if join.kind == "natural":
-            self._require("NATURAL JOIN", "NaturalJoin")
-            return f"{left} NATURAL JOIN {right}"
-        if join.kind == "union":
-            self._require("UNION JOIN", "UnionJoin")
-            return f"{left} UNION JOIN {right}"
-        spec = self._join_spec(join)
-        if spec is None:
-            # inner join without ON/USING has no spelling; CROSS JOIN is
-            # the lossless equivalent when available
-            if join.kind == "inner" and self._has("CrossJoin"):
-                self.rewrites.append(
-                    "unconditional inner join rewritten to CROSS JOIN"
+        kind = join.kind
+        conditional = kind in ("inner", "left", "right", "full")
+        if conditional and join.on is None and not join.using:
+            if kind != "inner":
+                raise UnrenderableNodeError(
+                    f"{kind} join without a join specification",
+                    construct=f"{kind} join specification",
+                    features=("OnCondition", "UsingColumns"),
                 )
-                return f"{left} CROSS JOIN {right}"
-            raise UnrenderableNodeError(
-                f"{join.kind} join without a join specification",
-                construct=f"{join.kind} join specification",
-                features=("OnCondition", "UsingColumns"),
-            )
-        if join.kind == "inner":
-            self._require("INNER JOIN", "InnerJoin")
-            return f"{left} JOIN {right} {spec}"
-        feature = {"left": "LeftJoin", "right": "RightJoin", "full": "FullJoin"}[
-            join.kind
-        ]
-        self._require(f"{join.kind.upper()} JOIN", feature, "OuterJoin")
-        return f"{left} {join.kind.upper()} JOIN {right} {spec}"
+            # inner join without ON/USING has no spelling; CROSS JOIN is
+            # the lossless equivalent
+            kind, conditional = "cross", False
+        construct, unit, keyword = _JOINS[kind]
+        self._require(construct, unit)
+        text = f"{self._table_ref(join.left)} {keyword} {self._table_ref(join.right)}"
+        if kind != join.kind:
+            self.rewrites.append("unconditional inner join rewritten to CROSS JOIN")
+        if conditional:
+            text += " " + self._join_spec(join)
+        return text
 
-    def _join_spec(self, join: ast.Join) -> str | None:
+    def _join_spec(self, join: ast.Join) -> str:
         if join.on is not None:
-            self._require("ON condition", "OnCondition")
+            self._require("join ON condition", "OnCondition")
             return f"ON {self._expr(join.on, 0)}"
-        if join.using:
-            self._require("USING columns", "UsingColumns")
-            return "USING (" + ", ".join(self._ident(c) for c in join.using) + ")"
-        return None
+        self._require("join USING columns", "UsingColumns")
+        return "USING (" + ", ".join(self._ident(c) for c in join.using) + ")"
 
     def _values(self, values: ast.Values) -> str:
         rows = ", ".join(
@@ -900,11 +1166,14 @@ class SqlRenderer:
 
     def _stmt_GenericStatement(self, stmt: ast.GenericStatement) -> str:
         # reconstructed token text of a statement the engine doesn't model;
-        # round-trips verbatim
+        # round-trips verbatim, gated by the unit that contributed its rule
+        origin = self._rule_origins.get(stmt.kind)
+        if origin:
+            self._require(stmt.kind.replace("_", " "), origin)
         return stmt.text
 
     def _stmt_Insert(self, stmt: ast.Insert) -> str:
-        self._require("INSERT", "Insert")
+        self._require("INSERT statement", "Insert")
         parts = [f"INSERT INTO {self._chain(stmt.table)}"]
         if stmt.columns:
             self._require("INSERT column list", "InsertColumnList")
@@ -915,7 +1184,7 @@ class SqlRenderer:
             self._require("OVERRIDING clause", "OverridingClause")
             parts.append(f"OVERRIDING {stmt.overriding} VALUE")
         if stmt.source is None:
-            self._require("DEFAULT VALUES", "InsertDefaultValues")
+            self._require("INSERT ... DEFAULT VALUES", "InsertDefaultValues")
             parts.append("DEFAULT VALUES")
         elif isinstance(stmt.source, ast.Values):
             self._require("INSERT ... VALUES", "InsertFromConstructor")
@@ -928,14 +1197,16 @@ class SqlRenderer:
         return " ".join(parts)
 
     def _stmt_Update(self, stmt: ast.Update) -> str:
-        self._require("UPDATE", "Update")
+        self._require("UPDATE statement", "Update")
+        if len(stmt.assignments) > 1:
+            self._require("multiple SET assignments", "Update.MultipleAssignments")
         assignments = ", ".join(
             f"{self._ident(column)} = {self._expr(value, 0)}"
             for column, value in stmt.assignments
         )
         text = f"UPDATE {self._chain(stmt.table)} SET {assignments}"
         if stmt.current_of is not None:
-            self._require("WHERE CURRENT OF", "PositionedUpdate")
+            self._require("UPDATE ... WHERE CURRENT OF", "PositionedUpdate")
             return f"{text} WHERE CURRENT OF {self._ident(stmt.current_of)}"
         if stmt.where is not None:
             self._require("UPDATE ... WHERE", "UpdateWhere")
@@ -943,10 +1214,10 @@ class SqlRenderer:
         return text
 
     def _stmt_Delete(self, stmt: ast.Delete) -> str:
-        self._require("DELETE", "Delete")
+        self._require("DELETE statement", "Delete")
         text = f"DELETE FROM {self._chain(stmt.table)}"
         if stmt.current_of is not None:
-            self._require("WHERE CURRENT OF", "PositionedDelete")
+            self._require("DELETE ... WHERE CURRENT OF", "PositionedDelete")
             return f"{text} WHERE CURRENT OF {self._ident(stmt.current_of)}"
         if stmt.where is not None:
             self._require("DELETE ... WHERE", "DeleteWhere")
@@ -954,21 +1225,21 @@ class SqlRenderer:
         return text
 
     def _stmt_Merge(self, stmt: ast.Merge) -> str:
-        self._require("MERGE", "Merge")
+        self._require("MERGE statement", "Merge")
         parts = [f"MERGE INTO {self._chain(stmt.target)}"]
         if stmt.target_alias is not None:
             parts.append(f"AS {self._ident(stmt.target_alias)}")
         parts.append(f"USING {self._table_ref(stmt.source)}")
         parts.append(f"ON {self._expr(stmt.condition, 0)}")
         if stmt.matched_assignments:
-            self._require("WHEN MATCHED", "WhenMatched")
+            self._require("WHEN MATCHED clause", "WhenMatched")
             assignments = ", ".join(
                 f"{self._ident(c)} = {self._expr(v, 0)}"
                 for c, v in stmt.matched_assignments
             )
             parts.append(f"WHEN MATCHED THEN UPDATE SET {assignments}")
         if stmt.not_matched_values is not None:
-            self._require("WHEN NOT MATCHED", "WhenNotMatched")
+            self._require("WHEN NOT MATCHED clause", "WhenNotMatched")
             clause = "WHEN NOT MATCHED THEN INSERT"
             if stmt.not_matched_columns:
                 clause += (
@@ -980,7 +1251,7 @@ class SqlRenderer:
         return " ".join(parts)
 
     def _stmt_CreateTable(self, stmt: ast.CreateTable) -> str:
-        self._require("CREATE TABLE", "CreateTable")
+        self._require("CREATE TABLE statement", "CreateTable")
         parts = ["CREATE"]
         if stmt.scope is not None:
             self._require("temporary table", "TemporaryTables")
@@ -996,14 +1267,14 @@ class SqlRenderer:
             )
         parts.append("(" + ", ".join(elements) + ")")
         if stmt.on_commit is not None:
-            self._require("ON COMMIT", "OnCommitRows")
+            self._require("ON COMMIT clause", "OnCommitRows")
             parts.append(f"ON COMMIT {stmt.on_commit.upper()} ROWS")
         return " ".join(parts)
 
     def _column_def(self, column: ast.ColumnDef) -> str:
         parts = [self._ident(column.name), self._type_text(column.type, column.type.name)]
         if column.default is not None:
-            self._require("DEFAULT clause", "ColumnDefault")
+            self._require("column DEFAULT", "ColumnDefault")
             parts.append(f"DEFAULT {self._expr(column.default, _PRIMARY)}")
         if column.identity is not None:
             self._require("identity column", "IdentityColumn")
@@ -1011,7 +1282,7 @@ class SqlRenderer:
                 f"GENERATED {column.identity.upper()} AS IDENTITY"
             )
         if column.not_null:
-            self._require("NOT NULL", "NotNullConstraint")
+            self._require("NOT NULL constraint", "NotNullConstraint")
             parts.append("NOT NULL")
         if column.primary_key:
             self._require("column PRIMARY KEY", "ColumnPrimaryKey")
@@ -1038,7 +1309,7 @@ class SqlRenderer:
         if constraint.kind == "unique":
             self._require("table UNIQUE", "TableUnique")
             return f"UNIQUE {columns}"
-        self._require("FOREIGN KEY", "TableForeignKey")
+        self._require("FOREIGN KEY constraint", "TableForeignKey")
         text = (
             f"FOREIGN KEY {columns} REFERENCES "
             f"{self._chain(constraint.references_table)}"
@@ -1056,7 +1327,7 @@ class SqlRenderer:
         return text
 
     def _stmt_CreateView(self, stmt: ast.CreateView) -> str:
-        self._require("CREATE VIEW", "CreateView")
+        self._require("CREATE VIEW statement", "CreateView")
         parts = ["CREATE"]
         if stmt.recursive:
             self._require("recursive view", "RecursiveView")
@@ -1073,40 +1344,32 @@ class SqlRenderer:
             parts.append("WITH CHECK OPTION")
         return " ".join(parts)
 
-    _DROP_FEATURES = {
-        "table": "DropTable",
-        "view": "DropView",
-        "schema": "DropSchema",
-        "domain": "DropDomain",
-        "sequence": "DropSequence",
-    }
-
     def _stmt_DropStatement(self, stmt: ast.DropStatement) -> str:
-        feature = self._DROP_FEATURES.get(stmt.kind)
-        if feature is not None:
-            self._require(f"DROP {stmt.kind.upper()}", feature)
+        unit = _DROP_UNITS.get(stmt.kind)
+        if unit is not None:
+            self._require(f"DROP {stmt.kind.upper()} statement", unit)
         text = f"DROP {stmt.kind.upper()} {self._chain(stmt.name)}"
         if stmt.behavior is not None:
             text += f" {stmt.behavior.upper()}"
         return text
 
     def _stmt_Commit(self, stmt: ast.Commit) -> str:
-        self._require("COMMIT", "Commit")
+        self._require("COMMIT statement", "Commit")
         return "COMMIT"
 
     def _stmt_Rollback(self, stmt: ast.Rollback) -> str:
-        self._require("ROLLBACK", "Rollback")
+        self._require("ROLLBACK statement", "Rollback")
         if stmt.savepoint is not None:
             self._require("ROLLBACK TO SAVEPOINT", "Savepoints")
             return f"ROLLBACK TO SAVEPOINT {self._ident(stmt.savepoint)}"
         return "ROLLBACK"
 
     def _stmt_Savepoint(self, stmt: ast.Savepoint) -> str:
-        self._require("SAVEPOINT", "Savepoints")
+        self._require("SAVEPOINT statement", "Savepoints")
         return f"SAVEPOINT {self._ident(stmt.name)}"
 
     def _stmt_ReleaseSavepoint(self, stmt: ast.ReleaseSavepoint) -> str:
-        self._require("RELEASE SAVEPOINT", "ReleaseSavepoint")
+        self._require("RELEASE SAVEPOINT statement", "ReleaseSavepoint")
         return f"RELEASE SAVEPOINT {self._ident(stmt.name)}"
 
 

@@ -11,13 +11,14 @@ The pipeline of :func:`translate`:
 1. **parse** the input with the source dialect's cached parser (through
    the process-wide parser registry — no recomposition per call);
 2. **build** the AST (:func:`repro.sql.build_ast`);
-3. **analyze** feature requirements (:func:`repro.transpile.analyze`)
-   and diff them against the target's resolved selection — any gap
-   raises :class:`TranspileError` (``E0401``) with one "enable feature
-   'X'" hint per missing unit, *before* any SQL is emitted;
-4. **render** with the target's :class:`~repro.transpile.render.RenderOptions`,
-   applying lossless rewrites (``FETCH FIRST`` ↔ ``LIMIT``,
-   ``SOME`` ↔ ``ANY``) where spellings differ;
+3. **render** with the target's :class:`~repro.transpile.render.RenderOptions`
+   in one walk that records every construct's feature requirement and
+   applies lossless rewrites (``FETCH FIRST`` ↔ ``LIMIT``, ``SOME`` ↔
+   ``ANY``) where spellings differ;
+4. **refuse** when the walk recorded gaps — requirements the target's
+   selection cannot satisfy: :class:`TranspileError` (``E0401``) with
+   one "enable feature 'X'" hint per gap, and the drafted text is
+   dropped;
 5. **verify** by re-parsing the output with the target's parser — the
    "never emit malformed SQL" guarantee is checked, not assumed.
 
@@ -34,8 +35,7 @@ from typing import TYPE_CHECKING, Mapping
 from ..conformance.report import report_envelope
 from ..diagnostics.model import UNTRANSLATABLE
 from ..errors import ReproError
-from .analyze import CapabilityReport, Requirement, analyze
-from .render import RenderOptions, SqlRenderer
+from .render import CapabilityReport, RenderOptions, Requirement, SqlRenderer
 
 if TYPE_CHECKING:
     from ..service.registry import RegistryEntry
@@ -81,7 +81,7 @@ class TranslationResult:
     #: Human-readable notes about lossless degradations the renderer
     #: applied (e.g. "FETCH FIRST ... ROWS ONLY degraded to LIMIT").
     rewrites: tuple[str, ...]
-    #: Feature requirements of the input query (capability analysis).
+    #: Feature requirements the rendering recorded, in walk order.
     capabilities: CapabilityReport
     #: The original input text.
     source_sql: str
@@ -108,9 +108,8 @@ class _DialectState:
     #: Registry entry: the per-thread parsers for the source parse and
     #: the verify reparse.
     entry: RegistryEntry
-    #: Resolved selected units, the set target gaps are checked against.
-    features: frozenset[str]
-    #: Render options when the dialect is the target.
+    #: Render options when the dialect is the target; their resolved
+    #: selection is what gaps are checked against.
     options: RenderOptions
     #: Rule name -> contributing unit when the dialect is the source.
     rule_origins: Mapping[str, str]
@@ -134,7 +133,6 @@ def _dialect_state(name: str) -> _DialectState:
     product = build_dialect(name)
     return _DialectState(
         entry=sql_parser_registry().get(product.configuration.selected),
-        features=frozenset(product.configuration.selected),
         options=RenderOptions.for_product(product),
         rule_origins=product.rule_origins(),
     )
@@ -147,10 +145,12 @@ def translate(sql: str, source_dialect: str, target_dialect: str) -> Translation
         ScanError / ParseError: the input is not valid in the *source*
             dialect (standard parse diagnostics, feature hints included).
         TranspileError: the query parses but uses features the *target*
-            dialect lacks (E0401; one hint per missing unit).
-        UnrenderableNodeError: an AST node has no spelling under the
-            target's features (E0402) — a capability the analyzer does
-            not model; still structured, never malformed output.
+            dialect lacks (E0401; one hint per gap), or the verify reparse
+            rejected the output (E0401 without gaps: a transpiler defect).
+        UnrenderableNodeError: an AST node has no spelling at all (E0402)
+            — a FROM-less SELECT, a join whose right operand is a join, a
+            non-finite numeric literal, a node type without a renderer;
+            still structured, never malformed output.
     """
     from ..sql import build_ast
 
@@ -160,23 +160,20 @@ def translate(sql: str, source_dialect: str, target_dialect: str) -> Translation
     tree = source.entry.thread_parser().parse(sql)
     script = build_ast(tree)
 
-    capabilities = analyze(script, rule_origins=source.rule_origins)
-    gaps = capabilities.gaps(target.features)
-    if gaps:
-        missing = ", ".join(sorted({gap.primary for gap in gaps}))
+    renderer = SqlRenderer(target.options, rule_origins=source.rule_origins)
+    rendered = renderer.draft(script)
+    if renderer.gaps:
+        missing = ", ".join(sorted({gap.primary for gap in renderer.gaps}))
         raise TranspileError(
             f"query is not expressible in dialect '{target_dialect}': "
             f"missing feature units {missing}",
-            gaps=gaps,
+            gaps=tuple(renderer.gaps),
             source_dialect=source_dialect,
             target_dialect=target_dialect,
         )
 
-    renderer = SqlRenderer(target.options)
-    rendered = renderer.render(script)
-
     # never-malformed guarantee: the target's own parser must accept the
-    # output; a rejection here is a renderer/analyzer inconsistency and
+    # output; a rejection here is a gate the renderer is missing and
     # surfaces as a structured error, not as bad SQL handed to the caller
     try:
         target.entry.thread_parser().parse(rendered)
@@ -194,6 +191,6 @@ def translate(sql: str, source_dialect: str, target_dialect: str) -> Translation
         source_dialect=source_dialect,
         target_dialect=target_dialect,
         rewrites=tuple(renderer.rewrites),
-        capabilities=capabilities,
+        capabilities=CapabilityReport(tuple(renderer.requirements)),
         source_sql=sql,
     )

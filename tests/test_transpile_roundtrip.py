@@ -10,14 +10,25 @@ structured error naming the missing feature units.
 
 from __future__ import annotations
 
+import ast as pyast
+import inspect
+from itertools import product as pairs_of
+
 import pytest
 
 from repro.service import ParseService
-from repro.sql import ast, build_ast, build_dialect, dialect_names
+from repro.sql import (
+    ast,
+    build_ast,
+    build_dialect,
+    build_sql_product_line,
+    dialect_names,
+)
 from repro.transpile import (
     REPORT_KIND,
     REPORT_VERSION,
     RenderOptions,
+    Requirement,
     SqlRenderer,
     TranspileError,
     UnrenderableNodeError,
@@ -25,6 +36,7 @@ from repro.transpile import (
     render_sql,
     translate,
 )
+from repro.transpile import render as render_module
 from repro.workloads import generate_workload
 
 ROUNDTRIP_SENTENCES = 120
@@ -203,6 +215,45 @@ class TestFeatureGating:
         assert error.code == "E0402"
         assert any("enable feature 'LeftJoin'" in hint for hint in error.hints)
 
+    def test_outer_join_unit_alone_does_not_spell_left_join(
+        self, full_product, full_parser
+    ):
+        # OuterJoin is the parent group; only LeftJoin contributes LEFT
+        options = self._options(full_product, drop={"LeftJoin"})
+        with pytest.raises(UnrenderableNodeError) as excinfo:
+            self._render(
+                full_parser, options, "SELECT a FROM t LEFT JOIN u ON a = b"
+            )
+        assert excinfo.value.features == ("LeftJoin",)
+
+    def test_render_collects_every_gap_before_refusing(self, full_parser):
+        options = RenderOptions.for_product(build_dialect("scql"))
+        renderer = SqlRenderer(options)
+        script = build_ast(full_parser.parse(
+            "SELECT t.a FROM t LEFT JOIN u ON t.a = u.b"
+        ))
+        with pytest.raises(UnrenderableNodeError) as excinfo:
+            renderer.render(script)
+        assert excinfo.value.features == ("QualifiedNames",)
+        assert [gap.primary for gap in renderer.gaps] == [
+            "QualifiedNames", "LeftJoin", "OnCondition"
+        ]
+        assert set(renderer.gaps) <= set(renderer.requirements)
+
+    def test_spelling_choice_is_recorded_when_satisfied(
+        self, full_product, full_parser
+    ):
+        options = self._options(full_product, drop={"Limit"})
+        _, renderer = self._render(
+            full_parser, options, "SELECT a FROM t LIMIT 5"
+        )
+        limiting = [
+            r.alternatives for r in renderer.requirements
+            if r.construct == "row limiting"
+        ]
+        assert limiting == [("Limit", "FetchFirst")]
+        assert renderer.gaps == []
+
     def test_default_options_render_everything(self, full_parser):
         # features=None means "no gating" — the renderer emits full syntax
         out = render_sql(
@@ -247,6 +298,43 @@ class TestAnalyzer:
                 assert report.gaps(selected) == (), (
                     f"{dialect}: {sql!r} reported gaps against its own dialect"
                 )
+
+    def test_nested_query_only_where_parentheses_are_emitted(self, full_product):
+        def units(sql):
+            script = build_ast(full_product.parser().parse(sql))
+            return {
+                unit
+                for r in analyze(script, source_product=full_product).requirements
+                for unit in r.alternatives
+            }
+
+        chained = "SELECT a FROM t INTERSECT SELECT b FROM u INTERSECT SELECT c FROM v"
+        assert "NestedQuery" not in units(chained)
+        nested = "SELECT a FROM t UNION (SELECT b FROM u UNION SELECT c FROM v)"
+        assert "NestedQuery" in units(nested)
+
+    def test_data_types_need_their_leaf_units(self, full_product):
+        script = build_ast(full_product.parser().parse(
+            "CREATE TABLE t ( a NCHAR VARYING(5), b TIMESTAMP WITH TIME ZONE, "
+            "c CHAR(3) CHARACTER SET latin1 )"
+        ))
+        report = analyze(script, source_product=full_product)
+        units = {r.primary for r in report.requirements if "type" in r.construct}
+        # TIME inside WITH TIME ZONE and VARYING after NCHAR are not
+        # types of their own
+        assert units == {
+            "NationalCharTypes", "Type.Timestamp", "WithTimeZone",
+            "FixedCharType", "CharacterSetSpec",
+        }
+
+    def test_numeric_literal_needs_only_exact_numeric(self, full_product):
+        script = build_ast(full_product.parser().parse(
+            "SELECT a FROM t WHERE a = 1E-6"
+        ))
+        report = analyze(script, source_product=full_product)
+        assert Requirement(
+            "numeric literal", ("ExactNumericLiteral",)
+        ) in report.requirements
 
     def test_payload_shape(self):
         product = build_dialect("core")
@@ -296,6 +384,71 @@ class TestTranslate:
             for hint in error.hints
         )
 
+    def test_renders_once(self, monkeypatch):
+        # analyze() also goes through draft(), so a second walk shows here
+        drafts = []
+        draft = SqlRenderer.draft
+
+        def counting_draft(renderer, node):
+            drafts.append(node)
+            return draft(renderer, node)
+
+        monkeypatch.setattr(SqlRenderer, "draft", counting_draft)
+        result = translate("SELECT a FROM t WHERE a = 1", "core", "full")
+        assert len(drafts) == 1
+        assert result.capabilities.requirements
+
+    @pytest.mark.parametrize(
+        "sql, source, target, unit",
+        [
+            ("CREATE TABLE t ( a SMALLINT )", "core", "scql", "Type.Smallint"),
+            ("CREATE TABLE t ( a BIGINT )", "core", "scql", "Type.Bigint"),
+            ("CREATE TABLE t ( a DOUBLE PRECISION )", "core", "scql",
+             "Type.Double"),
+            ("CREATE TABLE t ( a VARCHAR(10) )", "core", "scql",
+             "VaryingCharType"),
+            ("CREATE TABLE t ( a CLOB )", "full", "core", "Type.Clob"),
+            ("SELECT CAST ( a AS CLOB ) FROM t", "full", "core", "Type.Clob"),
+            ("CREATE TABLE t ( a TIMESTAMP WITH TIME ZONE )", "full", "core",
+             "WithTimeZone"),
+        ],
+    )
+    def test_data_type_gap_names_its_unit(self, sql, source, target, unit):
+        # ungated, these reach the verify reparse and fail there as a
+        # gap-less "transpiler defect"
+        with pytest.raises(TranspileError) as excinfo:
+            translate(sql, source, target)
+        assert excinfo.value.code == "E0401"
+        assert [gap.primary for gap in excinfo.value.gaps] == [unit]
+        assert any(f"enable feature '{unit}'" in h for h in excinfo.value.hints)
+
+    def test_data_type_translates_where_target_has_it(self):
+        result = translate("CREATE TABLE t ( a SMALLINT )", "core", "full")
+        assert result.sql == "CREATE TABLE t (a SMALLINT)"
+
+    def test_small_numeric_literal_translates_positionally(self):
+        sql = "SELECT a FROM t WHERE a = 0.000001"
+        assert translate(sql, "core", "core").sql == sql
+
+    def test_large_numeric_literal_has_no_exponent(self):
+        result = translate(
+            "SELECT a FROM t WHERE a = 12345678901234567.5", "core", "core"
+        )
+        literal = result.sql.rsplit(" ", 1)[1]
+        assert "e" not in literal.lower()
+        build_dialect("core").parser().parse(result.sql)
+
+    def test_exponent_literal_translates_to_exact_form(self):
+        result = translate("SELECT a FROM t WHERE a = 1E-6", "full", "core")
+        assert result.sql == "SELECT a FROM t WHERE a = 0.000001"
+
+    def test_non_finite_numeric_literal_is_unrenderable(self):
+        # 1E999 overflows to inf; no dialect can spell it, and the bare
+        # word ``inf`` would reparse as a column reference
+        with pytest.raises(UnrenderableNodeError) as excinfo:
+            translate("SELECT a FROM t WHERE a = 1E999", "full", "full")
+        assert excinfo.value.code == "E0402"
+
     def test_row_limiting_gap(self):
         with pytest.raises(TranspileError):
             translate("SELECT a FROM t FETCH FIRST 5 ROWS ONLY", "full", "core")
@@ -335,6 +488,128 @@ class TestTranslate:
             for source, target in pairs:
                 translate("SELECT a FROM t WHERE a = 1", source, target)
         assert calls == []
+
+
+class TestTranslationMatrix:
+    """Every ordered preset pair over the source's coverage workload.
+
+    A success reparses in the target and, when nothing was rewritten,
+    has the source's AST; a refusal is E0401 naming at least one gap;
+    a source whose selection the target contains is never refused.
+    """
+
+    QUERIES = 30
+    SEED = 11
+
+    @pytest.fixture(scope="class")
+    def dialects(self):
+        return {name: build_dialect(name) for name in dialect_names()}
+
+    @pytest.fixture(scope="class")
+    def workloads(self, dialects):
+        return {
+            name: generate_workload(
+                name, self.QUERIES, seed=self.SEED, mode="coverage"
+            )
+            for name in dialects
+        }
+
+    def test_subset_pairs_are_covered(self, dialects):
+        subsets = {
+            (source, target)
+            for source, target in pairs_of(dialects, repeat=2)
+            if source != target
+            and dialects[source].configuration.selected
+            <= dialects[target].configuration.selected
+        }
+        assert subsets == {
+            ("scql", "core"), ("scql", "full"), ("tinysql", "full"),
+            ("core", "full"), ("analytics", "full"),
+        }
+
+    @pytest.mark.parametrize(
+        "source, target", list(pairs_of(dialect_names(), repeat=2))
+    )
+    def test_pair(self, dialects, workloads, source, target):
+        source_parser = dialects[source].parser()
+        target_parser = dialects[target].parser()
+        contained = (
+            dialects[source].configuration.selected
+            <= dialects[target].configuration.selected
+        )
+        for sql in workloads[source]:
+            try:
+                result = translate(sql, source, target)
+            except TranspileError as error:
+                assert error.gaps, f"gap-less E0401 for {sql!r}: {error}"
+                assert not contained, f"{source}->{target} refused {sql!r}"
+                continue
+            reparsed = build_ast(target_parser.parse(result.sql))
+            if not result.rewrites:
+                assert reparsed == build_ast(source_parser.parse(sql)), (
+                    f"{source}->{target} changed the AST of {sql!r} "
+                    f"(rendered {result.sql!r})"
+                )
+
+
+def _string_values(expr) -> set:
+    """String constants ``expr`` can evaluate to (through ``a if c else b``)."""
+    if isinstance(expr, pyast.IfExp):
+        return _string_values(expr.body) | _string_values(expr.orelse)
+    if isinstance(expr, pyast.Constant) and isinstance(expr.value, str):
+        return {expr.value}
+    return set()
+
+
+class TestGatedUnitNames:
+    """Every unit the renderer can gate on exists in the feature model."""
+
+    @pytest.fixture(scope="class")
+    def feature_names(self):
+        return set(build_sql_product_line().model.feature_names())
+
+    def test_unit_tables(self, feature_names):
+        units = {
+            *(entry[-1] for entry in render_module._BINARY_OPERATORS.values()),
+            *render_module._LITERAL_UNITS.values(),
+            *render_module._FUNCTION_UNITS.values(),
+            *render_module._TYPE_UNITS.values(),
+            *render_module._DROP_UNITS.values(),
+            *(unit for _, unit, _ in render_module._JOINS.values()),
+            *(unit for _, unit in render_module._TRUTH.values()),
+            *render_module._MATCH_OPTIONS.values(),
+        }
+        assert units - feature_names == set()
+
+    def test_literal_units_of_every_gate(self, feature_names):
+        # the unit arguments of each _require / _falls_back / has call
+        unit_args = {"_require": slice(1, None), "_falls_back": slice(1, 3),
+                     "has": slice(0, None)}
+        units = set()
+        tree = pyast.parse(inspect.getsource(render_module))
+        for call in pyast.walk(tree):
+            if not (
+                isinstance(call, pyast.Call)
+                and isinstance(call.func, pyast.Attribute)
+                and call.func.attr in unit_args
+            ):
+                continue
+            for arg in call.args[unit_args[call.func.attr]]:
+                units.update(_string_values(arg))
+        assert len(units) > 80
+        assert units - feature_names == set()
+
+    def test_units_recorded_over_preset_workloads(self, feature_names):
+        for dialect in dialect_names():
+            product = build_dialect(dialect)
+            parser = product.parser()
+            for sql in generate_workload(dialect, 30, seed=11, mode="coverage"):
+                report = analyze(build_ast(parser.parse(sql)),
+                                 source_product=product)
+                for requirement in report.requirements:
+                    assert set(requirement.alternatives) <= feature_names, (
+                        f"{dialect}: {sql!r} recorded {requirement}"
+                    )
 
 
 class TestDispatch:
