@@ -10,10 +10,11 @@ generated standalone module checks the accept/reject boundary only.  A
 dialect disagreement between any two backends is itself a conformance
 failure, independent of what the case expected.
 
-With ``collect_coverage`` on, the interpreter runs instrumented and the
-per-dialect :class:`~repro.parsing.coverage.CoverageCollector`s are kept
-on the runner, so one corpus pass yields both the pass/fail verdicts and
-the coverage feeding :class:`~repro.conformance.report.CoverageReport`.
+With ``collect_coverage`` on, the interpreter's calls run instrumented
+(``coverage=``) and the per-dialect
+:class:`~repro.parsing.coverage.CoverageCollector`s are kept on the
+runner, so one corpus pass yields both the pass/fail verdicts and the
+coverage feeding :class:`~repro.conformance.report.CoverageReport`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from ..parsing.backends import (
     backend_names,
     get_backend,
 )
+from ..parsing.coverage import CoverageMap
 from .corpus import ConformanceCase, Corpus, load_corpus
 
 #: JSON schema version for conformance reports.
@@ -138,8 +140,8 @@ class ConformanceRunner:
             resolve through a fingerprint-keyed registry so the parse
             program and closure source are *loaded* from ``<digest>.*``
             artifacts when fresh instead of being recompiled — this is
-            what lets CI's per-backend conformance matrix share one
-            composition per dialect across steps.  The generated module
+            what lets repeated runs (CI's conformance and coverage
+            steps) share one composition per dialect.  The generated module
             is always printed fresh from the program (an offline export,
             not a served artifact).
     """
@@ -226,14 +228,16 @@ class ConformanceRunner:
         self.products[dialect] = product
         self.programs[dialect] = program
         parser = None
-        if INTERPRETER in self.backends or self.collect_coverage:
+        if INTERPRETER in self.backends:
             parser = get_backend(INTERPRETER).build(product, program=program)
-            if self.collect_coverage:
-                self.collectors[dialect] = parser.enable_coverage()
+        coverage = None
+        if self.collect_coverage:
+            coverage = CoverageMap(program).collector()
+            self.collectors[dialect] = coverage
         compiled = None
         if COMPILED in self.backends:
             if entry is not None:
-                compiled = entry.thread_compiled_parser()
+                compiled = entry.compiled_parser()
             else:
                 compiled = get_backend(COMPILED).build(
                     product, program=program
@@ -254,7 +258,7 @@ class ConformanceRunner:
             if INTERPRETER in self.backends:
                 report.results.append(
                     self._check_diagnostics(
-                        case, dialect, parser, INTERPRETER
+                        case, dialect, parser, INTERPRETER, coverage
                     )
                 )
             if compiled is not None:
@@ -271,9 +275,10 @@ class ConformanceRunner:
 
     @staticmethod
     def _check_diagnostics(
-        case: ConformanceCase, dialect: str, parser, backend: str
+        case: ConformanceCase, dialect: str, parser, backend: str,
+        coverage=None,
     ) -> CaseResult:
-        outcome = parser.parse_with_diagnostics(case.sql)
+        outcome = parser.parse_with_diagnostics(case.sql, coverage=coverage)
         accepted = outcome.ok
         failures: list[str] = []
         if accepted != case.expects_accept:

@@ -14,11 +14,7 @@ parity but never served.
 The contract has two halves:
 
 * ``build(product, program=None, hints=True)`` returns a ready parser
-  for one composed product.  Capability flags
-  (``supports_diagnostics`` / ``supports_coverage`` / ``supports_fuel``)
-  say which parts of the full :class:`~repro.parsing.parser.Parser`
-  surface that object carries, so callers degrade per backend instead
-  of try/except-probing.
+  for one composed product.
 * ``outcome(parser, text)`` normalizes a parse attempt to a comparable
   verdict tuple — ``("ok", sexpr)``, ``("error", (line, column,
   expected))`` or ``("scan-error", (line, column))`` — papering over
@@ -42,20 +38,13 @@ COMPILED = "compiled"
 class ParseBackend:
     """Abstract parse-execution strategy over a ParseProgram.
 
-    Subclasses set :attr:`name` and the capability flags and implement
-    :meth:`build`.  One instance serves every product (builders take the
-    product as an argument), so registration is process-global.
+    Subclasses set :attr:`name` and implement :meth:`build`.  One
+    instance serves every product (builders take the product as an
+    argument), so registration is process-global.
     """
 
     #: registry key (``repro conformance --backend``)
     name: str = ""
-    #: the built parser carries ``parse_with_diagnostics`` (recovery,
-    #: hints, partial trees)
-    supports_diagnostics: bool = False
-    #: the built parser carries ``enable_coverage``/``disable_coverage``
-    supports_coverage: bool = False
-    #: ``parse_tokens`` honors ``max_steps``/``deadline`` fuel limits
-    supports_fuel: bool = False
 
     def build(
         self, product: Any, program: Any = None, hints: bool = True
@@ -82,9 +71,6 @@ class InterpreterBackend(ParseBackend):
     """The IR interpreter: full surface, the semantic reference."""
 
     name = INTERPRETER
-    supports_diagnostics = True
-    supports_coverage = True
-    supports_fuel = True
 
     def build(
         self, product: Any, program: Any = None, hints: bool = True
@@ -96,9 +82,6 @@ class CompiledBackend(ParseBackend):
     """Closure-compiled threaded code: full surface, the fast path."""
 
     name = COMPILED
-    supports_diagnostics = True
-    supports_coverage = True
-    supports_fuel = True
 
     def build(
         self, product: Any, program: Any = None, hints: bool = True

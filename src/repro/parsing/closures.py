@@ -18,8 +18,10 @@ verdict for well-formed budgets, which are input-scaled).
 
 Layers:
 
-* a module-level runtime (:class:`RunState`, ``_fail`` / ``_check`` /
-  ``_depth_fail``) shared by every compiled artifact;
+* the runtime every compiled artifact imports from here
+  (:class:`~repro.parsing.parser.RunState`, ``_Fail``, ``_fail`` /
+  ``_check`` / ``_depth_fail``) — the interpreter's own, so both
+  backends run a parse on one per-call state object;
 * :func:`generate_closure_source` — a self-contained artifact module
   (cached on disk as ``<digest>.closures.py`` next to
   ``<digest>.ir.json``, embedding the same fingerprint constant as
@@ -35,20 +37,17 @@ Layers:
 
 from __future__ import annotations
 
-import sys
 import threading
 from typing import Any, Callable
 
-from ..errors import ParseBudgetExceeded, ParseDeadlineExceeded
-from ..lexer.token import EOF, Token
 from .codegen import FINGERPRINT_CONSTANT, source_fingerprint
-from .parser import (
-    DEADLINE_CHECK_INTERVAL,
-    DEFAULT_STEP_FLOOR,
-    DEFAULT_STEPS_PER_TOKEN,
-    Parser,
-    _Failure,
-)
+from .parser import Parser, RunState
+
+# The runtime every artifact imports from this module.  Compiled rule
+# functions take ``s`` (the call's RunState) and ``out`` (the parent's
+# children list), so they close over nothing: the artifact namespace
+# holds only constants and other functions, shareable across threads.
+from .parser import _check, _depth_fail, _Fail, _fail  # noqa: F401
 from .program import (
     OP_CALL,
     OP_CHOICE,
@@ -60,9 +59,6 @@ from .program import (
     called_rules,
 )
 
-_MAXSTEPS = sys.maxsize
-_EOF_SET = frozenset((EOF,))
-
 
 def closure_fingerprint(source: str) -> str | None:
     """Configuration fingerprint embedded in a closure artifact.
@@ -72,119 +68,6 @@ def closure_fingerprint(source: str) -> str | None:
     validate staleness with the same cheap line scan.
     """
     return source_fingerprint(source)
-
-
-# -- shared runtime ----------------------------------------------------------
-#
-# Compiled rule functions receive two arguments: ``s`` (a RunState: the
-# parse registers) and ``out`` (the parent's children list).  Keeping
-# the registers on one slotted object makes every compiled function a
-# closure over nothing — the artifact namespace holds only constants
-# and other functions, so it is trivially shareable across threads.
-
-
-class _Fail(Exception):
-    """Backtracking signal inside compiled code (twin of ``_Failure``)."""
-
-    __slots__ = ("index", "expected")
-
-    def __init__(self, index: int, expected: frozenset[str]) -> None:
-        self.index = index
-        self.expected = expected
-
-
-class RunState:
-    """Mutable per-parse registers threaded through compiled rules.
-
-    ``limit`` is the next step count at which ``_check`` must run: with
-    no budget and no deadline it is never reached; otherwise it is
-    re-armed every :data:`~repro.parsing.parser.DEADLINE_CHECK_INTERVAL`
-    steps (and clamped to ``budget + 1`` so the budget trip is exact).
-    """
-
-    __slots__ = (
-        "tokens", "i", "fi", "fexp", "steps", "limit",
-        "budget", "deadline", "depth", "max_depth", "cov",
-    )
-
-    def __init__(
-        self,
-        tokens: list[Token],
-        budget: int | None = None,
-        deadline: Any = None,
-        max_depth: int = 200,
-        steps: int = 0,
-        cov: Any = None,
-    ) -> None:
-        self.tokens = tokens
-        self.i = 0
-        self.fi = 0
-        self.fexp: set[str] = set()
-        self.steps = steps
-        self.budget = budget
-        self.deadline = deadline
-        self.depth = 0
-        self.max_depth = max_depth
-        self.cov = cov
-        if budget is None and deadline is None:
-            self.limit = _MAXSTEPS
-        elif budget is None:
-            self.limit = steps + DEADLINE_CHECK_INTERVAL
-        else:
-            self.limit = min(budget + 1, steps + DEADLINE_CHECK_INTERVAL)
-
-
-def _fail(s: RunState, expected: frozenset[str]) -> None:
-    """Record the furthest failure point and unwind (never returns)."""
-    i = s.i
-    if i > s.fi:
-        s.fi = i
-        s.fexp = set(expected)
-    elif i == s.fi:
-        s.fexp |= expected
-    raise _Fail(i, expected)
-
-
-def _check(s: RunState, st: int) -> None:
-    """Budget/deadline check, re-arming ``s.limit`` (messages match the
-    interpreter's ``_budget_exceeded`` / ``_deadline_exceeded``)."""
-    b = s.budget
-    if b is not None and st > b:
-        token = s.tokens[s.i]
-        raise ParseBudgetExceeded(
-            f"parse budget of {b} steps exceeded "
-            f"(pathological backtracking near {token.type})",
-            line=token.line,
-            column=token.column,
-            steps=st,
-        )
-    deadline = s.deadline
-    if deadline is not None and deadline.expired():
-        token = s.tokens[min(s.i, len(s.tokens) - 1)]
-        raise ParseDeadlineExceeded(
-            f"parse aborted: request deadline expired after {st} "
-            f"steps (near {token.type})",
-            line=token.line,
-            column=token.column,
-            steps=st,
-        )
-    limit = st + DEADLINE_CHECK_INTERVAL
-    if b is not None and b + 1 < limit:
-        limit = b + 1
-    s.limit = limit
-
-
-def _depth_fail(s: RunState) -> None:
-    """Depth-limit trip (message matches the interpreter's)."""
-    token = s.tokens[s.i]
-    s.depth = 0
-    raise ParseBudgetExceeded(
-        f"parser recursion depth limit of {s.max_depth} exceeded "
-        f"(input nested too deeply near {token.type})",
-        line=token.line,
-        column=token.column,
-        steps=s.steps,
-    )
 
 
 # -- source generation -------------------------------------------------------
@@ -543,7 +426,7 @@ class _SourceBuilder:
             w(1, "if st >= s.limit:")
             w(2, "_check(s, st)")
         if self.cov is not None:
-            # mirrors _call_rule_cov: entry counted before the depth check
+            # mirrors Parser._call_rule: entry counted before the depth check
             w(1, f"s.cov.rules[{rid}] += 1")
         if leaf:
             # leaf rule (no nested CALLs): nothing below can observe the
@@ -686,22 +569,25 @@ class ClosureProgram:
 
     def instrumented(self, coverage_map: Any) -> tuple:
         """Rule functions with coverage bumps compiled in (lazy, shared)."""
-        with self._lock:
-            if self._instrumented is None:
-                source = generate_closure_source(
-                    self.program, coverage_map=coverage_map
-                )
-                namespace: dict[str, Any] = {}
-                exec(
-                    compile(
-                        source,
-                        f"<closures-cov:{self.program.grammar_name}>",
-                        "exec",
-                    ),
-                    namespace,
-                )
-                self._instrumented = namespace["RULES"]
-            return self._instrumented
+        fns = self._instrumented
+        if fns is None:
+            with self._lock:
+                if self._instrumented is None:
+                    source = generate_closure_source(
+                        self.program, coverage_map=coverage_map
+                    )
+                    namespace: dict[str, Any] = {}
+                    exec(
+                        compile(
+                            source,
+                            f"<closures-cov:{self.program.grammar_name}>",
+                            "exec",
+                        ),
+                        namespace,
+                    )
+                    self._instrumented = namespace["RULES"]
+                fns = self._instrumented
+        return fns
 
     def __repr__(self) -> str:
         return (
@@ -728,12 +614,15 @@ def compile_closure_program(
 class ClosureParser(Parser):
     """A :class:`Parser` whose rule calls run closure-compiled code.
 
-    Only ``_call_rule`` is overridden: ``parse_tokens`` therefore runs
-    the *entire* parse compiled (one bridge per parse), while
+    Only ``_call_rule`` is overridden, by a direct call that hands the
+    compiled rule function the call's own :class:`RunState`:
+    ``parse_tokens`` therefore runs the *entire* parse compiled, while
     ``parse_with_diagnostics`` interprets just the top-level start-rule
     body — a handful of instructions per recovery segment — and enters
     compiled code at every nested rule call, keeping panic-mode
-    recovery, diagnostics, and hint semantics literally inherited.
+    recovery, diagnostics, and hint semantics literally inherited.  An
+    instrumented call (``coverage=``) runs the instrumented twin, whose
+    rule prologues count entries themselves.
     """
 
     def __init__(
@@ -764,137 +653,9 @@ class ClosureParser(Parser):
         )
         self.closure = closure_program
         self._rule_fns = closure_program.rule_fns
-        self._instrumented_fns: tuple | None = None
 
-    # -- compiled fast path -------------------------------------------------
-
-    def parse_tokens(
-        self,
-        tokens: list[Token],
-        start: str | None = None,
-        max_steps: int | None = None,
-        deadline: Any = None,
-    ) -> Any:
-        """Parse a token list entirely in compiled code.
-
-        Semantics are :meth:`Parser.parse_tokens`'s exactly (budget
-        defaulting, input-scaled deadline fuel, trailing-input EOF
-        failure, ``_build_error`` on reject); the lean path simply skips
-        the per-parse field resets the bridge would otherwise pay.
-        """
-        rule_id = self._start_rule_id(start)
-        budget = max_steps if max_steps is not None else self.max_steps
-        if deadline is not None and budget is None:
-            budget = DEFAULT_STEPS_PER_TOKEN * len(tokens) + DEFAULT_STEP_FLOOR
-        s = RunState(
-            tokens, budget=budget, deadline=deadline, max_depth=self.max_depth
-        )
-        out: list = []
-        try:
+    def _call_rule(self, s: RunState, rule_id: int, out: list) -> None:
+        if s.cov is None:
             self._rule_fns[rule_id](s, out)
-            if not tokens[s.i].is_eof:
-                _fail(s, _EOF_SET)
-        except _Fail:
-            # _build_error reads the furthest point off the parser fields
-            self._tokens = tokens
-            self._index = s.i
-            self._furthest_index = s.fi
-            self._furthest_expected = s.fexp
-            raise self._build_error() from None
-        return out[0]
-
-    # -- compiled bridge ----------------------------------------------------
-
-    def _call_rule(self, rule_id: int):
-        s = RunState(
-            self._tokens,
-            budget=self._budget,
-            deadline=self._deadline,
-            max_depth=self.max_depth,
-            steps=self._steps,
-        )
-        s.i = self._index
-        s.fi = self._furthest_index
-        s.fexp = self._furthest_expected
-        s.depth = self._depth
-        out: list = []
-        try:
-            self._rule_fns[rule_id](s, out)
-        except _Fail as failure:
-            raise _Failure(failure.index, failure.expected) from None
-        finally:
-            # sync back on success *and* failure: the interpreter's
-            # CHOICE/OPT/LOOP handlers above this frame restore the
-            # cursor themselves and _build_error reads the furthest point
-            self._index = s.i
-            self._furthest_index = s.fi
-            self._furthest_expected = s.fexp
-            self._steps = s.steps
-        return out[0]
-
-    # -- coverage instrumentation -------------------------------------------
-
-    def enable_coverage(self, collector=None):
-        """Flip to the instrumented compiled functions (see ``Parser``)."""
-        from .coverage import CoverageCollector, CoverageMap
-
-        if collector is None:
-            collector = CoverageCollector(CoverageMap(self.program))
-        elif collector.map.program is not self.program:
-            raise ValueError(
-                "coverage collector is keyed to a different parse program "
-                f"({collector.map.program.grammar_name!r})"
-            )
-        self._instrumented_fns = self.closure.instrumented(collector.map)
-        self._coverage = collector
-        self.__class__ = _InstrumentedClosureParser
-        return collector
-
-    def disable_coverage(self):
-        collector = self._coverage
-        self._coverage = None
-        self.__class__ = ClosureParser
-        return collector
-
-
-class _InstrumentedClosureParser(ClosureParser):
-    """Coverage-counting flavor of :class:`ClosureParser`.
-
-    Never instantiated directly — ``enable_coverage`` flips the class.
-    The top-level diagnostics body interprets through ``_exec_cov``
-    (whose OP_CALL delegation lands in the bridge below), and the
-    bridge hands the collector to the instrumented compiled functions,
-    whose rule prologues count entries themselves.
-    """
-
-    _exec = Parser._exec_cov
-    # the lean fast path binds the *plain* rule functions; coverage runs
-    # must go through the bridge below, which hands over the collector
-    parse_tokens = Parser.parse_tokens
-
-    def _call_rule(self, rule_id: int):
-        s = RunState(
-            self._tokens,
-            budget=self._budget,
-            deadline=self._deadline,
-            max_depth=self.max_depth,
-            steps=self._steps,
-            cov=self._coverage,
-        )
-        s.i = self._index
-        s.fi = self._furthest_index
-        s.fexp = self._furthest_expected
-        s.depth = self._depth
-        out: list = []
-        fns = self._instrumented_fns
-        assert fns is not None
-        try:
-            fns[rule_id](s, out)
-        except _Fail as failure:
-            raise _Failure(failure.index, failure.expected) from None
-        finally:
-            self._index = s.i
-            self._furthest_index = s.fi
-            self._furthest_expected = s.fexp
-            self._steps = s.steps
-        return out[0]
+        else:
+            self.closure.instrumented(s.cov.map)[rule_id](s, out)

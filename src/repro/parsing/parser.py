@@ -24,11 +24,19 @@ the program's per-rule sync sets (statement boundaries ``;``, closing
 parens), and returns a partial tree together with *every* diagnostic in
 the input.  A fuel/step budget bounds pathological backtracking with a
 clean :class:`~repro.errors.ParseBudgetExceeded` instead of a hang.
+
+Every parse runs on its own :class:`RunState` — cursor, furthest
+failure, fuel, depth, and the optional coverage collector — which both
+backends share (the closure-compiled rule functions of
+:mod:`repro.parsing.closures` take the same object).  A parser is never
+written to after construction, so one instance serves every thread.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..diagnostics.model import (
     TOO_MANY_ERRORS,
@@ -74,12 +82,12 @@ DEFAULT_STEP_FLOOR = 20_000
 #: Backwards-compatible alias; the canonical definition lives with the IR.
 _CONSUMABLE_SYNC = CONSUMABLE_SYNC
 
-#: How often (in interpreter steps) the driver consults a propagated
-#: wall-clock deadline.  Checks piggyback on the fuel counter with a
-#: power-of-two mask, so the hot path pays one extra AND + branch per
-#: step; at >1M steps/s a timed-out parse aborts within ~1 ms.
+#: How often (in steps) the driver consults a propagated wall-clock
+#: deadline.  Checks piggyback on the fuel counter: ``RunState.limit``
+#: is the next step at which :func:`_check` runs, so the hot path pays
+#: one compare per step; at >1M steps/s a timed-out parse aborts within
+#: ~1 ms.
 DEADLINE_CHECK_INTERVAL = 1024
-_DEADLINE_MASK = DEADLINE_CHECK_INTERVAL - 1
 
 #: Maximum simultaneous rule activations.  Kept well under Python's own
 #: recursion limit (each activation costs a handful of interpreter
@@ -87,15 +95,115 @@ _DEADLINE_MASK = DEADLINE_CHECK_INTERVAL - 1
 #: than RecursionError.
 DEFAULT_MAX_DEPTH = 200
 
+_MAXSTEPS = sys.maxsize
+_EOF_SET = frozenset((EOF,))
 
-class _Failure(Exception):
-    """Internal backtracking signal; never escapes :meth:`Parser.parse`."""
+
+# -- per-call parse state, shared by both backends ------------------------------
+
+
+class _Fail(Exception):
+    """Backtracking signal of both backends; never escapes a parse."""
 
     __slots__ = ("index", "expected")
 
     def __init__(self, index: int, expected: frozenset[str]) -> None:
         self.index = index
         self.expected = expected
+
+
+class RunState:
+    """The mutable registers of one parse call.
+
+    ``i`` is the cursor into ``tokens``; ``fi``/``fexp`` the furthest
+    failure index and the terminals expected there; ``depth`` the active
+    rule calls; ``cov`` the coverage collector of an instrumented call.
+    ``limit`` is the next step count at which :func:`_check` must run:
+    with no budget and no deadline it is never reached; otherwise it is
+    re-armed every :data:`DEADLINE_CHECK_INTERVAL` steps (and clamped to
+    ``budget + 1`` so the budget trip is exact).
+    """
+
+    __slots__ = (
+        "tokens", "i", "fi", "fexp", "steps", "limit",
+        "budget", "deadline", "depth", "max_depth", "cov",
+    )
+
+    def __init__(
+        self,
+        tokens: list[Token],
+        budget: int | None = None,
+        deadline: Any = None,
+        max_depth: int = DEFAULT_MAX_DEPTH,
+        cov: Any = None,
+    ) -> None:
+        self.tokens = tokens
+        self.i = 0
+        self.fi = 0
+        self.fexp: set[str] = set()
+        self.steps = 0
+        self.budget = budget
+        self.deadline = deadline
+        self.depth = 0
+        self.max_depth = max_depth
+        self.cov = cov
+        if budget is None and deadline is None:
+            self.limit = _MAXSTEPS
+        elif budget is None:
+            self.limit = DEADLINE_CHECK_INTERVAL
+        else:
+            self.limit = min(budget + 1, DEADLINE_CHECK_INTERVAL)
+
+
+def _fail(s: RunState, expected: frozenset[str]) -> None:
+    """Record the furthest failure point and unwind (never returns)."""
+    i = s.i
+    if i > s.fi:
+        s.fi = i
+        s.fexp = set(expected)
+    elif i == s.fi:
+        s.fexp |= expected
+    raise _Fail(i, expected)
+
+
+def _check(s: RunState, st: int) -> None:
+    """Budget/deadline check at step ``st``, re-arming ``s.limit``."""
+    b = s.budget
+    if b is not None and st > b:
+        token = s.tokens[s.i]
+        raise ParseBudgetExceeded(
+            f"parse budget of {b} steps exceeded "
+            f"(pathological backtracking near {token.type})",
+            line=token.line,
+            column=token.column,
+            steps=st,
+        )
+    deadline = s.deadline
+    if deadline is not None and deadline.expired():
+        token = s.tokens[min(s.i, len(s.tokens) - 1)]
+        raise ParseDeadlineExceeded(
+            f"parse aborted: request deadline expired after {st} "
+            f"steps (near {token.type})",
+            line=token.line,
+            column=token.column,
+            steps=st,
+        )
+    limit = st + DEADLINE_CHECK_INTERVAL
+    if b is not None and b + 1 < limit:
+        limit = b + 1
+    s.limit = limit
+
+
+def _depth_fail(s: RunState) -> None:
+    """Depth-limit trip: the input nests deeper than ``s.max_depth``."""
+    token = s.tokens[s.i]
+    raise ParseBudgetExceeded(
+        f"parser recursion depth limit of {s.max_depth} exceeded "
+        f"(input nested too deeply near {token.type})",
+        line=token.line,
+        column=token.column,
+        steps=s.steps,
+    )
 
 
 @dataclass
@@ -147,9 +255,12 @@ class Parser:
             "enable feature 'Window'") are attached to the error and its
             diagnostic.
         analysis / table / program: Let a registry share the immutable
-            compiled pieces across per-thread parser instances; passing
-            them asserts the grammar was already validated when they were
-            built.  When ``program`` is omitted it is compiled here.
+            compiled pieces it already holds; passing them asserts the
+            grammar was already validated when they were built.  When
+            ``program`` is omitted it is compiled here.
+
+    Parse state lives in a per-call :class:`RunState`, never on the
+    parser, so one instance may serve any number of threads at once.
     """
 
     def __init__(
@@ -184,20 +295,9 @@ class Parser:
         self.max_steps = max_steps
         self.max_depth = max_depth
         self.hint_provider = hint_provider
-        # opt-in coverage instrumentation (None = off, zero overhead)
-        self._coverage = None
         # hot-path aliases into the program
         self._code = program.code
         self._rule_names = program.rule_names
-        # parse state (reset per parse call)
-        self._tokens: list[Token] = []
-        self._index = 0
-        self._furthest_index = 0
-        self._furthest_expected: set[str] = set()
-        self._steps = 0
-        self._depth = 0
-        self._budget: int | None = None
-        self._deadline = None
 
     # -- shared compiled artifacts (lazy: a program-driven parser does not
     # -- need them unless a caller asks for conflict metrics or FIRST sets)
@@ -216,14 +316,23 @@ class Parser:
 
     # -- public API -----------------------------------------------------------
 
-    def parse(self, text: str, start: str | None = None) -> Node:
+    def parse(
+        self, text: str, start: str | None = None, coverage: Any = None
+    ) -> Node:
         """Parse source text into a parse tree rooted at the start rule.
+
+        ``coverage`` is an optional
+        :class:`~repro.parsing.coverage.CoverageCollector` over this
+        parser's program; the call then runs instrumented and counts
+        into it (see :meth:`parse_tokens`).
 
         Raises:
             ParseError: with position and expected-terminal information.
             ScanError: when tokenization fails.
         """
-        return self.parse_tokens(self.scanner.scan(text), start=start)
+        return self.parse_tokens(
+            self.scanner.scan(text), start=start, coverage=coverage
+        )
 
     def parse_tokens(
         self,
@@ -231,6 +340,7 @@ class Parser:
         start: str | None = None,
         max_steps: int | None = None,
         deadline=None,
+        coverage: Any = None,
     ) -> Node:
         """Parse an already-scanned token list (must end with EOF).
 
@@ -241,32 +351,30 @@ class Parser:
         every :data:`DEADLINE_CHECK_INTERVAL` steps and aborts with
         :class:`~repro.errors.ParseDeadlineExceeded` (E0203) once expired,
         so a timed-out service request releases its worker promptly.
+
+        ``coverage`` selects the instrumented path for this call only:
+        rule entries, CHOICE-alternative selections, and OPT/LOOP
+        taken/skipped edges are counted into the collector, which must
+        be keyed to this parser's program (``ValueError`` otherwise).
+        Counting is not synchronized: give each thread its own collector
+        and fold them with
+        :meth:`~repro.parsing.coverage.CoverageCollector.merge`.
         """
         rule_id = self._start_rule_id(start)
-        self._tokens = tokens
-        self._index = 0
-        self._furthest_index = 0
-        self._furthest_expected = set()
-        self._steps = 0
-        self._depth = 0
-        self._budget = max_steps if max_steps is not None else self.max_steps
-        if deadline is not None and self._budget is None:
+        budget = max_steps if max_steps is not None else self.max_steps
+        if deadline is not None and budget is None:
             # deadline checks piggyback on the fuel counter; give the
             # counter the input-scaled default so it actually runs
-            self._budget = (
-                DEFAULT_STEPS_PER_TOKEN * len(tokens) + DEFAULT_STEP_FLOOR
-            )
-        self._deadline = deadline
+            budget = DEFAULT_STEPS_PER_TOKEN * len(tokens) + DEFAULT_STEP_FLOOR
+        s = self._state(tokens, budget, deadline, coverage)
+        out: list = []
         try:
-            node = self._call_rule(rule_id)
-            if not self._tokens[self._index].is_eof:
-                self._fail(frozenset((EOF,)))
-            return node
-        except _Failure:
-            raise self._build_error() from None
-        finally:
-            self._budget = None
-            self._deadline = None
+            self._call_rule(s, rule_id, out)
+            if not tokens[s.i].is_eof:
+                _fail(s, _EOF_SET)
+        except _Fail:
+            raise self._build_error(s) from None
+        return out[0]
 
     def parse_with_diagnostics(
         self,
@@ -275,6 +383,7 @@ class Parser:
         max_errors: int | None = 25,
         max_steps: int | None = None,
         deadline=None,
+        coverage: Any = None,
     ) -> ParseOutcome:
         """Resilient one-pass parse: partial tree plus *every* diagnostic.
 
@@ -303,6 +412,8 @@ class Parser:
             deadline: Optional propagated
                 :class:`~repro.resilience.deadline.Deadline`; expiry
                 surfaces as an E0203 diagnostic, not an exception.
+            coverage: Optional collector this call counts into (see
+                :meth:`parse_tokens`).
         """
         if max_errors is not None and max_errors < 1:
             max_errors = 1
@@ -322,73 +433,62 @@ class Parser:
         body = self._code[rule_id]
         sync = self.program.sync[rule_id]
         consumable = self.program.consumable
-        self._tokens = tokens
-        self._index = 0
-        self._steps = 0
-        self._depth = 0
         if max_steps is None:
             max_steps = DEFAULT_STEPS_PER_TOKEN * len(tokens) + DEFAULT_STEP_FLOOR
-        self._budget = max_steps
-        self._deadline = deadline
+        s = self._state(tokens, max_steps, deadline, coverage)
+        cov = s.cov
+        run = self._exec if cov is None else self._exec_cov
 
         root = Node(start_rule)
-        coverage = self._coverage
         try:
             while not bag.full():
-                if coverage is not None:
+                if cov is not None:
                     # the start rule's body runs without a _call_rule frame;
                     # count its entry here so rule coverage still sees it
-                    coverage.rules[rule_id] += 1
-                iteration_start = self._index
-                self._furthest_index = self._index
-                self._furthest_expected = set()
+                    cov.rules[rule_id] += 1
+                iteration_start = s.i
+                s.fi = s.i
+                s.fexp = set()
                 segment = Node(start_rule)
                 failed = False
                 try:
                     # execute the start rule's body directly into the
                     # segment (no depth frame) so a partially parsed
                     # single-alternative rule keeps its children
-                    self._exec(body, segment.children)
-                except _Failure:
+                    run(s, body, segment.children)
+                except _Fail:
                     failed = True
                 root.children.extend(segment.children)
-                if not failed and self._tokens[self._index].is_eof:
+                if not failed and tokens[s.i].is_eof:
                     break
                 if not failed:
                     # a segment parsed but trailing input remains
-                    if self._index > self._furthest_index:
-                        self._furthest_index = self._index
-                        self._furthest_expected = set()
-                    if self._index == self._furthest_index:
-                        self._furthest_expected.add(EOF)
-                bag.add(self._build_error().to_diagnostic())
+                    if s.i > s.fi:
+                        s.fi = s.i
+                        s.fexp = set()
+                    if s.i == s.fi:
+                        s.fexp.add(EOF)
+                bag.add(self._build_error(s).to_diagnostic())
                 # panic-mode synchronization: skip to a sync token
-                self._index = max(self._index, self._furthest_index)
-                while (
-                    not self._current.is_eof and self._current.type not in sync
-                ):
-                    self._index += 1
-                while (
-                    not self._current.is_eof
-                    and self._current.type in consumable
-                ):
-                    self._index += 1
-                if self._current.is_eof:
+                s.i = max(s.i, s.fi)
+                while not tokens[s.i].is_eof and tokens[s.i].type not in sync:
+                    s.i += 1
+                while not tokens[s.i].is_eof and tokens[s.i].type in consumable:
+                    s.i += 1
+                if tokens[s.i].is_eof:
                     break
-                if self._index == iteration_start:
-                    self._index += 1  # always make progress
+                if s.i == iteration_start:
+                    s.i += 1  # always make progress
         except ParseBudgetExceeded as exceeded:
             bag.add(exceeded.to_diagnostic())
-        finally:
-            self._budget = None
-            self._deadline = None
-        if bag.full() and not self._current.is_eof:
+        current = tokens[s.i]
+        if bag.full() and not current.is_eof:
             bag.truncated = True
         if bag.truncated:
             bag.items.append(
                 Diagnostic(
                     "too many errors; giving up on the rest of the input",
-                    span=Span.of_token(self._current),
+                    span=Span.of_token(current),
                     severity=Severity.NOTE,
                     code=TOO_MANY_ERRORS,
                 )
@@ -400,6 +500,7 @@ class Parser:
         text: str,
         start: str | None = None,
         max_steps: int | None = None,
+        coverage: Any = None,
     ) -> bool:
         """True when the text parses; scan and parse errors both count as no.
 
@@ -407,12 +508,14 @@ class Parser:
         the parser-level one) or the recursion-depth cap — also counts as
         rejection: an input this parser refuses to spend more resources on
         is an input it does not accept (E0202 never escapes as a crash).
+        ``coverage`` counts the call into a collector (see
+        :meth:`parse_tokens`).
         """
         from ..errors import ScanError
 
         try:
             self.parse_tokens(self.scanner.scan(text), start=start,
-                              max_steps=max_steps)
+                              max_steps=max_steps, coverage=coverage)
         except ParseBudgetExceeded:
             # explicit: budget/depth exhaustion is a rejection, not an error
             return False
@@ -420,60 +523,18 @@ class Parser:
             return False
         return True
 
-    # -- coverage instrumentation ----------------------------------------------
+    # -- parse machinery --------------------------------------------------------
 
-    @property
-    def coverage(self):
-        """The active :class:`~repro.parsing.coverage.CoverageCollector`."""
-        return self._coverage
-
-    def enable_coverage(self, collector=None):
-        """Switch this parser to the instrumented interpreter path.
-
-        Every subsequent parse counts rule entries, CHOICE-alternative
-        selections, and OPT/LOOP taken/skipped edges into ``collector``
-        (a fresh one keyed to this parser's program when omitted).
-        Instrumentation is per-parser (and parsers are per-thread in the
-        service layer), so counting is lock-free; fold per-thread
-        collectors together with
-        :meth:`~repro.parsing.coverage.CoverageCollector.merge`.
-
-        Prefer a dedicated parser instance for coverage work: the flip
-        into (or out of) instrumented mode materializes this instance's
-        attribute dict, permanently costing ~15-20% of interpretation
-        throughput on CPython 3.11+ — a parser that never opts in pays
-        nothing, which is why the service layer keeps separate plain and
-        instrumented per-thread parsers.
-
-        Returns the active collector.
-        """
-        from .coverage import CoverageCollector, CoverageMap
-
-        if collector is None:
-            collector = CoverageCollector(CoverageMap(self.program))
-        elif collector.map.program is not self.program:
+    def _state(self, tokens: list[Token], budget, deadline, coverage) -> RunState:
+        """The registers of one call; ``coverage`` must fit this program."""
+        if coverage is not None and coverage.map.program is not self.program:
             # point ids are keyed by instruction identity, so a collector
             # built over any other program object cannot be used here
             raise ValueError(
                 "coverage collector is keyed to a different parse program "
-                f"({collector.map.program.grammar_name!r})"
+                f"({coverage.map.program.grammar_name!r})"
             )
-        self._coverage = collector
-        self.__class__ = _InstrumentedParser
-        return collector
-
-    def disable_coverage(self):
-        """Restore the uninstrumented path; returns the collector (or None)."""
-        collector = self._coverage
-        self._coverage = None
-        self.__class__ = Parser
-        return collector
-
-    # -- parse machinery --------------------------------------------------------
-
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._index]
+        return RunState(tokens, budget, deadline, self.max_depth, coverage)
 
     def _start_rule_id(self, start: str | None) -> int:
         """Resolve a start-rule override to its interned program id."""
@@ -495,22 +556,16 @@ class Parser:
             return frozenset((EOF,))
         return self.program.sync[rule_id]
 
-    def _fail(self, expected: frozenset[str]) -> None:
-        if self._index > self._furthest_index:
-            self._furthest_index = self._index
-            self._furthest_expected = set(expected)
-        elif self._index == self._furthest_index:
-            self._furthest_expected |= expected
-        raise _Failure(self._index, expected)
-
-    def _build_error(self) -> ParseError:
-        token = self._tokens[min(self._furthest_index, len(self._tokens) - 1)]
+    def _build_error(self, s: RunState) -> ParseError:
+        """The syntax error at the call's furthest failure point."""
+        tokens = s.tokens
+        token = tokens[min(s.fi, len(tokens) - 1)]
         found = "end of input" if token.is_eof else repr(token.text)
-        expected = ", ".join(sorted(self._furthest_expected))
+        expected_set = frozenset(s.fexp)
+        expected = ", ".join(sorted(expected_set))
         span = Span.of_token(token)
         hints: tuple[str, ...] = ()
         if self.hint_provider is not None and not token.is_eof:
-            expected_set = frozenset(self._furthest_expected)
             try:
                 hints = tuple(self.hint_provider(token, expected_set))
             except TypeError:
@@ -524,201 +579,180 @@ class Parser:
             f"syntax error: found {found}, expected one of: {expected}",
             line=token.line,
             column=token.column,
-            expected=frozenset(self._furthest_expected),
+            expected=expected_set,
             found=token.type,
             end_line=span.end_line,
             end_column=span.end_column,
             hints=hints,
         )
 
-    def _budget_exceeded(self) -> ParseBudgetExceeded:
-        token = self._tokens[self._index]
-        return ParseBudgetExceeded(
-            f"parse budget of {self._budget} steps exceeded "
-            f"(pathological backtracking near {token.type})",
-            line=token.line,
-            column=token.column,
-            steps=self._steps,
-        )
+    def _call_rule(self, s: RunState, rule_id: int, out: list) -> None:
+        """Run one rule and append its node to ``out``.
 
-    def _deadline_exceeded(self) -> ParseDeadlineExceeded:
-        token = self._tokens[min(self._index, len(self._tokens) - 1)]
-        return ParseDeadlineExceeded(
-            f"parse aborted: request deadline expired after {self._steps} "
-            f"steps (near {token.type})",
-            line=token.line,
-            column=token.column,
-            steps=self._steps,
-        )
-
-    def _call_rule(self, rule_id: int) -> Node:
-        self._depth += 1
-        if self._depth > self.max_depth:
-            self._depth = 0  # unwind fully; outer finally blocks re-raise
-            token = self._tokens[self._index]
-            raise ParseBudgetExceeded(
-                f"parser recursion depth limit of {self.max_depth} exceeded "
-                f"(input nested too deeply near {token.type})",
-                line=token.line,
-                column=token.column,
-                steps=self._steps,
-            )
+        The backend hook: :class:`~repro.parsing.closures.ClosureParser`
+        overrides it with a direct call into compiled code on the same
+        state.  An instrumented call (``s.cov`` set) counts the entry
+        before the depth check and runs the body through ``_exec_cov``.
+        """
+        cov = s.cov
+        if cov is not None:
+            cov.rules[rule_id] += 1
+        d = s.depth
+        if d >= s.max_depth:
+            _depth_fail(s)
+        s.depth = d + 1
+        node = Node(self._rule_names[rule_id])
         try:
-            node = Node(self._rule_names[rule_id])
-            self._exec(self._code[rule_id], node.children)
-            return node
+            if cov is None:
+                self._exec(s, self._code[rule_id], node.children)
+            else:
+                self._exec_cov(s, self._code[rule_id], node.children)
         finally:
-            self._depth = max(0, self._depth - 1)
+            s.depth = d
+        out.append(node)
 
-    def _exec(self, instr, children: list) -> None:
+    def _exec(self, s: RunState, instr, children: list) -> None:
         """Execute one tuple-encoded instruction against the token stream."""
-        if self._budget is not None:
-            steps = self._steps + 1
-            self._steps = steps
-            if steps > self._budget:
-                raise self._budget_exceeded()
-            # mask test first: the deadline attributes are only touched
-            # once per check interval, keeping the hot path branch-cheap
-            if not (steps & _DEADLINE_MASK) and (
-                self._deadline is not None and self._deadline.expired()
-            ):
-                raise self._deadline_exceeded()
+        if s.budget is not None:
+            st = s.steps + 1
+            s.steps = st
+            if st >= s.limit:
+                _check(s, st)
         op = instr[0]
         if op == OP_MATCH:
-            token = self._tokens[self._index]
+            token = s.tokens[s.i]
             if token.type != instr[1]:
-                self._fail(instr[2])
+                _fail(s, instr[2])
             children.append(token)
-            self._index += 1
+            s.i += 1
         elif op == OP_SEQ:
             for item in instr[1]:
-                self._exec(item, children)
+                self._exec(s, item, children)
         elif op == OP_CALL:
-            children.append(self._call_rule(instr[1]))
+            self._call_rule(s, instr[1], children)
         elif op == OP_CHOICE:
             # (op, dispatch, default, expected, blocks, firsts, nullables)
-            candidates = instr[1].get(self._tokens[self._index].type)
+            candidates = instr[1].get(s.tokens[s.i].type)
             if candidates is None:
                 candidates = instr[2]
             if not candidates:
-                self._fail(instr[3])
+                _fail(s, instr[3])
             if len(candidates) == 1:
-                self._exec(candidates[0], children)
+                self._exec(s, candidates[0], children)
                 return
-            saved_index = self._index
+            saved_index = s.i
             saved_len = len(children)
-            last_failure: _Failure | None = None
+            last_failure: _Fail | None = None
             for block in candidates:
                 try:
-                    self._exec(block, children)
+                    self._exec(s, block, children)
                     return
-                except _Failure as failure:
+                except _Fail as failure:
                     last_failure = failure
-                    self._index = saved_index
+                    s.i = saved_index
                     del children[saved_len:]
             assert last_failure is not None
             raise last_failure
         elif op == OP_OPT:
             # (op, inner, first)
-            if self._tokens[self._index].type not in instr[2]:
+            if s.tokens[s.i].type not in instr[2]:
                 return
-            saved_index = self._index
+            saved_index = s.i
             saved_len = len(children)
             try:
-                self._exec(instr[1], children)
-            except _Failure:
+                self._exec(s, instr[1], children)
+            except _Fail:
                 # the optional content looked plausible but did not parse;
                 # treat as absent and let the continuation decide
-                self._index = saved_index
+                s.i = saved_index
                 del children[saved_len:]
         elif op == OP_LOOP:
             # (op, inner, first, min)
             inner = instr[1]
             first = instr[2]
+            tokens = s.tokens
             count = 0
-            while self._tokens[self._index].type in first:
-                saved_index = self._index
+            while tokens[s.i].type in first:
+                saved_index = s.i
                 saved_len = len(children)
                 try:
-                    self._exec(inner, children)
-                except _Failure:
-                    self._index = saved_index
+                    self._exec(s, inner, children)
+                except _Fail:
+                    s.i = saved_index
                     del children[saved_len:]
                     break
-                if self._index == saved_index:
+                if s.i == saved_index:
                     break  # inner matched empty input; avoid infinite loop
                 count += 1
             if count < instr[3]:
-                self._fail(first)
+                _fail(s, first)
         else:  # OP_SEPLOOP: (op, inner, sep, first, sep_first, min)
-            if instr[5] == 0 and self._tokens[self._index].type not in instr[3]:
+            tokens = s.tokens
+            if instr[5] == 0 and tokens[s.i].type not in instr[3]:
                 return
-            self._exec(instr[1], children)
+            self._exec(s, instr[1], children)
             sep_first = instr[4]
-            while self._tokens[self._index].type in sep_first:
-                saved_index = self._index
+            while tokens[s.i].type in sep_first:
+                saved_index = s.i
                 saved_len = len(children)
                 try:
-                    self._exec(instr[2], children)
-                    self._exec(instr[1], children)
-                except _Failure:
+                    self._exec(s, instr[2], children)
+                    self._exec(s, instr[1], children)
+                except _Fail:
                     # the separator belonged to the surrounding context
-                    self._index = saved_index
+                    s.i = saved_index
                     del children[saved_len:]
                     break
 
     # -- instrumented parse machinery -------------------------------------------
     #
-    # ``enable_coverage`` switches dispatch to the methods below (via the
-    # ``_InstrumentedParser`` class flip).  MATCH/SEQ/CALL have no decision
-    # to record, so they delegate to the canonical ``_exec`` — whose
-    # recursive ``self._exec`` calls re-enter the instrumented path —
-    # keeping one source of truth for their semantics.
-    # CHOICE/OPT/LOOP/SEPLOOP are mirrored with counter bumps at the
+    # An instrumented call (``coverage=``) runs the methods below instead
+    # of ``_exec``.  MATCH and CALL have no decision to record and nothing
+    # nested, so they delegate to the canonical ``_exec`` — a CALL lands
+    # in ``_call_rule``, which keeps the callee's body instrumented while
+    # ``s.cov`` is set — keeping one source of truth for their semantics.
+    # SEQ/CHOICE/OPT/LOOP/SEPLOOP are mirrored with counter bumps at the
     # points where the uninstrumented code commits to a decision; control
     # flow is otherwise identical instruction for instruction (guarded by
     # the parity tests in ``tests/test_parsing_coverage.py``).
 
-    def _call_rule_cov(self, rule_id: int) -> Node:
-        self._coverage.rules[rule_id] += 1
-        return Parser._call_rule(self, rule_id)
-
-    def _exec_cov(self, instr, children: list) -> None:
+    def _exec_cov(self, s: RunState, instr, children: list) -> None:
         op = instr[0]
-        if op < OP_CHOICE:  # OP_MATCH, OP_CALL, OP_SEQ: no decision here
-            return Parser._exec(self, instr, children)
-        if self._budget is not None:
-            steps = self._steps + 1
-            self._steps = steps
-            if steps > self._budget:
-                raise self._budget_exceeded()
-            if not (steps & _DEADLINE_MASK) and (
-                self._deadline is not None and self._deadline.expired()
-            ):
-                raise self._deadline_exceeded()
-        cov = self._coverage
+        if op < OP_SEQ:  # OP_MATCH, OP_CALL: no decision here
+            return self._exec(s, instr, children)
+        if s.budget is not None:
+            st = s.steps + 1
+            s.steps = st
+            if st >= s.limit:
+                _check(s, st)
+        if op == OP_SEQ:
+            for item in instr[1]:
+                self._exec_cov(s, item, children)
+            return
+        tokens = s.tokens
+        cov = s.cov
         if op == OP_CHOICE:
             slot_of_block = cov.map.slot_of_block
             alts = cov.alts
-            candidates = instr[1].get(self._tokens[self._index].type)
+            candidates = instr[1].get(tokens[s.i].type)
             if candidates is None:
                 candidates = instr[2]
             if not candidates:
-                self._fail(instr[3])
+                _fail(s, instr[3])
             if len(candidates) == 1:
                 block = candidates[0]
-                self._exec(block, children)
+                self._exec_cov(s, block, children)
                 alts[slot_of_block[id(block)]] += 1
                 return
-            saved_index = self._index
+            saved_index = s.i
             saved_len = len(children)
-            last_failure: _Failure | None = None
+            last_failure: _Fail | None = None
             for block in candidates:
                 try:
-                    self._exec(block, children)
-                except _Failure as failure:
+                    self._exec_cov(s, block, children)
+                except _Fail as failure:
                     last_failure = failure
-                    self._index = saved_index
+                    s.i = saved_index
                     del children[saved_len:]
                 else:
                     alts[slot_of_block[id(block)]] += 1
@@ -727,15 +761,15 @@ class Parser:
             raise last_failure
         point = cov.map.decision_of_instr[id(instr)]
         if op == OP_OPT:
-            if self._tokens[self._index].type not in instr[2]:
+            if tokens[s.i].type not in instr[2]:
                 cov.skipped[point] += 1
                 return
-            saved_index = self._index
+            saved_index = s.i
             saved_len = len(children)
             try:
-                self._exec(instr[1], children)
-            except _Failure:
-                self._index = saved_index
+                self._exec_cov(s, instr[1], children)
+            except _Fail:
+                s.i = saved_index
                 del children[saved_len:]
                 cov.skipped[point] += 1
             else:
@@ -744,39 +778,39 @@ class Parser:
             inner = instr[1]
             first = instr[2]
             count = 0
-            while self._tokens[self._index].type in first:
-                saved_index = self._index
+            while tokens[s.i].type in first:
+                saved_index = s.i
                 saved_len = len(children)
                 try:
-                    self._exec(inner, children)
-                except _Failure:
-                    self._index = saved_index
+                    self._exec_cov(s, inner, children)
+                except _Fail:
+                    s.i = saved_index
                     del children[saved_len:]
                     break
-                if self._index == saved_index:
+                if s.i == saved_index:
                     break
                 count += 1
             if count < instr[3]:
-                self._fail(first)
+                _fail(s, first)
             if count > instr[3]:
                 cov.taken[point] += 1
             else:
                 cov.skipped[point] += 1
         else:  # OP_SEPLOOP
-            if instr[5] == 0 and self._tokens[self._index].type not in instr[3]:
+            if instr[5] == 0 and tokens[s.i].type not in instr[3]:
                 cov.skipped[point] += 1
                 return
-            self._exec(instr[1], children)
+            self._exec_cov(s, instr[1], children)
             items = 1
             sep_first = instr[4]
-            while self._tokens[self._index].type in sep_first:
-                saved_index = self._index
+            while tokens[s.i].type in sep_first:
+                saved_index = s.i
                 saved_len = len(children)
                 try:
-                    self._exec(instr[2], children)
-                    self._exec(instr[1], children)
-                except _Failure:
-                    self._index = saved_index
+                    self._exec_cov(s, instr[2], children)
+                    self._exec_cov(s, instr[1], children)
+                except _Fail:
+                    s.i = saved_index
                     del children[saved_len:]
                     break
                 items += 1
@@ -784,22 +818,3 @@ class Parser:
                 cov.taken[point] += 1
             else:
                 cov.skipped[point] += 1
-
-
-class _InstrumentedParser(Parser):
-    """The coverage-counting flavor of :class:`Parser`.
-
-    Never instantiated directly: ``enable_coverage`` flips an existing
-    parser's ``__class__`` here and ``disable_coverage`` flips it back.
-    Both modes therefore dispatch plain class methods — the off path
-    stays byte-identical to a parser that never opted in, with no
-    per-instruction coverage branch and no instance-dict method
-    rebinding (adding and later popping instance keys would wreck the
-    shared-key dict layout and slow every attribute access on the
-    instance by ~15-20% on CPython 3.11).
-    """
-
-    __slots__ = ()
-
-    _exec = Parser._exec_cov
-    _call_rule = Parser._call_rule_cov

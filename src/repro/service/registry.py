@@ -5,8 +5,8 @@ maps :class:`~repro.service.fingerprint.Fingerprint` keys to
 :class:`RegistryEntry` objects holding the composed
 :class:`~repro.core.product_line.ComposedProduct` plus everything needed
 to parse with it — the (shared, immutable) grammar analysis, LL table,
-scanner, parse program and closure-compiled code, and per-thread
-parsers over them.
+scanner, parse program and closure-compiled code, and the parsers over
+them.
 
 Three cache layers, cheapest first:
 
@@ -14,9 +14,10 @@ Three cache layers, cheapest first:
    per-fingerprint build locks so N concurrent requests for the same
    selection trigger exactly one composition.
 2. **Per-entry lazy compilation**: grammar analysis, the LL table, the
-   parse program and the closure-compiled code are built on first use
-   and shared by every parser of the entry.  Parsers carry per-parse
-   mutable state, so the entry hands out one parser per thread.
+   parse program, the closure-compiled code and the entry's three
+   parsers (interpreting, compiled, clean-room fallback) are built on
+   first use.  A parse keeps its state in a per-call object, so every
+   thread shares each of them.
 3. **On-disk artifact cache** (optional): one
    :class:`~repro.service.artifacts.ArtifactStore`, shared by every
    entry of the registry, persists the parse program
@@ -49,6 +50,7 @@ from .fingerprint import Fingerprint, configuration_fingerprint
 from .metrics import ServiceMetrics
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..parsing.closures import ClosureParser
     from ..parsing.parser import Parser
 
 #: Default number of composed products kept in memory.
@@ -58,12 +60,12 @@ DEFAULT_CAPACITY = 32
 class RegistryEntry:
     """One cached product and its lazily-compiled parser artifacts.
 
-    The grammar analysis, LL table, scanner, and hint provider are
-    immutable once built and shared across threads; the interpreting
-    :class:`~repro.parsing.parser.Parser` keeps per-parse cursor state on
-    ``self``, so :meth:`thread_parser` maintains one parser per thread
-    over the shared pieces (construction is then just a few attribute
-    assignments).
+    The grammar analysis, LL table, scanner, hint provider and parsers
+    are immutable once built and shared across threads: a parser keeps
+    each call's state in a per-call
+    :class:`~repro.parsing.parser.RunState`, so :meth:`parser`,
+    :meth:`compiled_parser` and :meth:`fallback_parser` each build one
+    instance, on first use, that every thread calls.
 
     Artifacts go through ``store`` — the registry's shared
     :class:`~repro.service.artifacts.ArtifactStore`, so an entry follows
@@ -86,7 +88,6 @@ class RegistryEntry:
             store if store is not None else ArtifactStore(None, metrics)
         )
         self._lock = threading.RLock()
-        self._tls = threading.local()
         self._analysis = None
         self._table = None
         self._scanner = None
@@ -95,6 +96,9 @@ class RegistryEntry:
         self._program = None
         self._coverage_map = None
         self._closure = None
+        self._parser = None
+        self._compiled_parser = None
+        self._fallback_parser = None
 
     # -- shared immutable artifacts ---------------------------------------
 
@@ -114,6 +118,19 @@ class RegistryEntry:
                     self._table = LLTable(grammar, analysis)
         return self._analysis, self._table, self._scanner
 
+    def _once(self, attr: str, build):
+        """``self.<attr>``, built by ``build()`` under the entry lock on
+        first use.  A build that raises is not cached: the next call
+        retries it."""
+        value = getattr(self, attr)
+        if value is None:
+            with self._lock:
+                value = getattr(self, attr)
+                if value is None:
+                    value = build()
+                    setattr(self, attr, value)
+        return value
+
     def _fault(self, site: str) -> None:
         if self._faults is not None:
             self._faults.check(site)
@@ -123,7 +140,7 @@ class RegistryEntry:
 
         Hints are the lowest rung of the degradation ladder: if building
         the provider fails (or a fault is injected at ``hints.build``),
-        the entry serves hint-less parsers and retries the build on the
+        the entry serves hint-less errors and retries the build on the
         next request rather than caching the failure.
         """
         if not self._hints_built:
@@ -138,6 +155,12 @@ class RegistryEntry:
                         return None
         return self._hint_provider
 
+    def _hints(self, token, expected=frozenset()):
+        """The shared parsers' hint provider: asks :meth:`hint_provider`
+        at every error, so a build that failed once is retried."""
+        provider = self.hint_provider()
+        return () if provider is None else provider(token, expected)
+
     # -- parse program and closure-compiled code ----------------------------
 
     def program(self):
@@ -147,13 +170,9 @@ class RegistryEntry:
         a fresh one, compiled from the composed grammar (and published)
         otherwise.
         """
-        if self._program is None:
-            with self._lock:
-                if self._program is None:
-                    self._program = self._store.obtain(
-                        IR, self.fingerprint.digest, self._compile_program
-                    )
-        return self._program
+        return self._once("_program", lambda: self._store.obtain(
+            IR, self.fingerprint.digest, self._compile_program
+        ))
 
     def _compile_program(self):
         self._fault("program.compile")
@@ -167,17 +186,17 @@ class RegistryEntry:
         passes the fingerprint check but does not exec into a rule table
         matching the program counts as corrupt and is rebuilt.
         """
-        if self._closure is None:
-            with self._lock:
-                if self._closure is None:
-                    program = self.program()
-                    self._closure = self._store.obtain(
-                        CLOSURES,
-                        self.fingerprint.digest,
-                        lambda: self._compile_closures(program),
-                        context=program,
-                    )
-        return self._closure
+
+        def obtain():
+            program = self.program()
+            return self._store.obtain(
+                CLOSURES,
+                self.fingerprint.digest,
+                lambda: self._compile_closures(program),
+                context=program,
+            )
+
+        return self._once("_closure", obtain)
 
     def _compile_closures(self, program):
         from ..parsing.closures import compile_closure_program
@@ -195,44 +214,54 @@ class RegistryEntry:
         :meth:`coverage_collector` is keyed to the same map (and so to
         the same program object), which is what makes them mergeable.
         """
-        if self._coverage_map is None:
-            with self._lock:
-                if self._coverage_map is None:
-                    from ..parsing.coverage import CoverageMap
+        from ..parsing.coverage import CoverageMap
 
-                    self._coverage_map = CoverageMap(self.program())
-        return self._coverage_map
+        return self._once("_coverage_map", lambda: CoverageMap(self.program()))
 
     def coverage_collector(self):
         """A fresh collector over this entry's shared coverage map."""
         return self.coverage_map().collector()
 
-    # -- parsers -----------------------------------------------------------
+    # -- parsers: one of each, shared by every thread ------------------------
 
-    def parser(self, hints: bool = True) -> "Parser":
-        """A fresh interpreting parser sharing this entry's compiled tables."""
-        from ..parsing.parser import Parser
+    def parser(self) -> "Parser":
+        """The interpreting parser over this entry's compiled tables."""
 
-        analysis, table, scanner = self._compiled()
-        return Parser(
-            self.product.grammar,
-            scanner=scanner,
-            hint_provider=self.hint_provider() if hints else None,
-            analysis=analysis,
-            table=table,
-            program=self.program(),
-        )
+        def build():
+            from ..parsing.parser import Parser
 
-    def thread_parser(self) -> "Parser":
-        """The calling thread's parser for this product (created on demand)."""
-        parser = getattr(self._tls, "parser", None)
-        if parser is None:
-            parser = self.parser()
-            self._tls.parser = parser
-        return parser
+            analysis, table, scanner = self._compiled()
+            return Parser(
+                self.product.grammar,
+                scanner=scanner,
+                hint_provider=self._hints,
+                analysis=analysis,
+                table=table,
+                program=self.program(),
+            )
 
-    def thread_fallback_parser(self) -> "Parser":
-        """The calling thread's clean-room parser: the degradation backstop.
+        return self._once("_parser", build)
+
+    def compiled_parser(self) -> "ClosureParser":
+        """The closure-backend parser over this entry's shared artifact."""
+
+        def build():
+            from ..parsing.closures import ClosureParser
+
+            analysis, table, scanner = self._compiled()
+            return ClosureParser(
+                self.product.grammar,
+                self.closure_program(),
+                scanner=scanner,
+                hint_provider=self._hints,
+                analysis=analysis,
+                table=table,
+            )
+
+        return self._once("_compiled_parser", build)
+
+    def fallback_parser(self) -> "Parser":
+        """The clean-room parser: the degradation backstop.
 
         Shares *nothing* with the cached artifacts — the grammar is
         re-validated and the parse program re-compiled directly in the
@@ -243,66 +272,15 @@ class RegistryEntry:
         """
         from ..parsing.parser import Parser
 
-        parser = getattr(self._tls, "fallback_parser", None)
-        if parser is None:
-            parser = Parser(self.product.grammar)
-            self._tls.fallback_parser = parser
-        return parser
-
-    def thread_coverage_parser(self) -> "Parser":
-        """The calling thread's *instrumented* parser for this product.
-
-        Kept strictly separate from :meth:`thread_parser`: flipping a
-        parser in and out of coverage mode permanently de-optimizes that
-        instance's attribute storage on CPython 3.11+ (the ``__class__``
-        flip materializes the inline-values dict), so coverage requests
-        get their own per-thread parser and the plain one is never
-        touched.
-        """
-        parser = getattr(self._tls, "coverage_parser", None)
-        if parser is None:
-            parser = self.parser()
-            self._tls.coverage_parser = parser
-        return parser
-
-    def compiled_parser(self, hints: bool = True):
-        """A fresh closure-backend parser over this entry's shared artifact."""
-        from ..parsing.closures import ClosureParser
-
-        analysis, table, scanner = self._compiled()
-        return ClosureParser(
-            self.product.grammar,
-            self.closure_program(),
-            scanner=scanner,
-            hint_provider=self.hint_provider() if hints else None,
-            analysis=analysis,
-            table=table,
+        return self._once(
+            "_fallback_parser", lambda: Parser(self.product.grammar)
         )
 
+    # the per-thread accessors' names, kept for callers written against them
+    thread_parser = parser
+
     def thread_compiled_parser(self, cache_dir: Path | None = None):
-        """The calling thread's closure-backend parser (created on demand).
-
-        ``cache_dir`` is accepted for older callers and ignored: the
-        entry reads and writes artifacts through its store.
-        """
-        parser = getattr(self._tls, "compiled_parser", None)
-        if parser is None:
-            parser = self.compiled_parser()
-            self._tls.compiled_parser = parser
-        return parser
-
-    def thread_compiled_coverage_parser(self):
-        """Per-thread *instrumented* closure-backend parser.
-
-        Separate from :meth:`thread_compiled_parser` for the same
-        ``__class__``-flip de-optimization reason as the interpreting
-        pair above.
-        """
-        parser = getattr(self._tls, "compiled_coverage_parser", None)
-        if parser is None:
-            parser = self.compiled_parser()
-            self._tls.compiled_coverage_parser = parser
-        return parser
+        return self.compiled_parser()
 
     # -- worker publication and inventory -----------------------------------
 

@@ -350,8 +350,8 @@ class ParseService:
         """Parse one text with the parser for one selection.
 
         A warm call (selection already cached) performs zero composition
-        work: the fingerprint lookup finds the entry and the calling
-        thread's cached parser runs immediately.
+        work: the fingerprint lookup finds the entry and its cached
+        parser runs immediately.
 
         ``coverage`` accepts a
         :class:`~repro.parsing.coverage.CoverageCollector` from the
@@ -859,37 +859,33 @@ class ParseService:
         self.metrics.incr("parses")
         degraded: list[str] = []
         if coverage is not None:
-            # count into a per-call private collector on the dedicated
-            # instrumented parser and merge at the end: the caller's
-            # collector may be shared across workers, and the plain
-            # thread parser must never be flipped into coverage mode.
+            # count into a per-call private collector and merge at the
+            # end: the caller's collector may be shared across workers.
             # Coverage runs on the serving backend (the CI gate must
             # cover what production executes), degrading to the
-            # instrumented interpreter if the compiled artifact fails.
+            # interpreter if the compiled artifact fails.
             try:
-                parser = entry.thread_compiled_coverage_parser()
+                parser = entry.compiled_parser()
                 series = "parse_compiled"
             except Exception:
                 degraded.append("backend")
                 self.metrics.incr("degraded_backend")
-                parser = entry.thread_coverage_parser()
+                parser = entry.parser()
                 series = "parse_interpreter"
             private = entry.coverage_collector()
-            parser.enable_coverage(private)
             try:
                 outcome, seconds = self._interpret(
                     parser, text, start, max_errors, max_steps, deadline,
-                    series=series,
+                    series=series, coverage=private,
                 )
             finally:
-                parser.disable_coverage()
                 coverage.merge(private)
         else:
             try:
                 if self._faults is not None:
                     self._faults.check("backend.parse")
                 outcome, seconds = self._interpret(
-                    entry.thread_compiled_parser(), text, start, max_errors,
+                    entry.compiled_parser(), text, start, max_errors,
                     max_steps, deadline, series="parse_compiled",
                 )
             except Exception:
@@ -897,7 +893,7 @@ class ParseService:
                 self.metrics.incr("degraded_backend")
                 try:
                     outcome, seconds = self._interpret(
-                        entry.thread_parser(), text, start, max_errors,
+                        entry.parser(), text, start, max_errors,
                         max_steps, deadline,
                     )
                 except Exception:
@@ -905,7 +901,7 @@ class ParseService:
                     # rung before the never-crash guard — the clean-room
                     # parser shares nothing with the cache
                     outcome, seconds = self._interpret(
-                        entry.thread_fallback_parser(), text, start,
+                        entry.fallback_parser(), text, start,
                         max_errors, max_steps, deadline,
                     )
 
@@ -932,12 +928,12 @@ class ParseService:
 
     def _interpret(
         self, parser, text, start, max_errors, max_steps, deadline,
-        series: str = "parse_interpreter",
+        series: str = "parse_interpreter", coverage=None,
     ):
         with self.metrics.time("parse") as timer:
             outcome = parser.parse_with_diagnostics(
                 text, start=start, max_errors=max_errors,
-                max_steps=max_steps, deadline=deadline,
+                max_steps=max_steps, deadline=deadline, coverage=coverage,
             )
         # "parse" stays the aggregate; the per-backend series shows which
         # rung of the ladder actually served

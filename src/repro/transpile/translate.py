@@ -105,8 +105,8 @@ class TranslationResult:
 class _DialectState:
     """Everything :func:`translate` needs of one preset dialect."""
 
-    #: Registry entry: the per-thread parsers for the source parse and
-    #: the verify reparse.
+    #: Registry entry: its shared parser runs the source parse and the
+    #: verify reparse.
     entry: RegistryEntry
     #: Render options when the dialect is the target; their resolved
     #: selection is what gaps are checked against.
@@ -124,9 +124,8 @@ def _dialect_state(name: str) -> _DialectState:
     far more expensive than a warm parse.  The render options (two sets
     of up to ~500 names) and the composition trace's rule origins depend
     only on the dialect too, so all of it is built here once per preset
-    name (presets are a small, fixed set).  Parsers come from the entry's
-    per-thread cache
-    (:meth:`~repro.service.registry.RegistryEntry.thread_parser`).
+    name (presets are a small, fixed set).  The parser is the entry's
+    shared one (:meth:`~repro.service.registry.RegistryEntry.parser`).
     """
     from ..sql import build_dialect, sql_parser_registry
 
@@ -157,7 +156,7 @@ def translate(sql: str, source_dialect: str, target_dialect: str) -> Translation
     source = _dialect_state(source_dialect)
     target = _dialect_state(target_dialect)
 
-    tree = source.entry.thread_parser().parse(sql)
+    tree = source.entry.parser().parse(sql)
     script = build_ast(tree)
 
     renderer = SqlRenderer(target.options, rule_origins=source.rule_origins)
@@ -176,7 +175,7 @@ def translate(sql: str, source_dialect: str, target_dialect: str) -> Translation
     # output; a rejection here is a gate the renderer is missing and
     # surfaces as a structured error, not as bad SQL handed to the caller
     try:
-        target.entry.thread_parser().parse(rendered)
+        target.entry.parser().parse(rendered)
     except ReproError as exc:
         raise TranspileError(
             f"translation to dialect '{target_dialect}' produced SQL its own "

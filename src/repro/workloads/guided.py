@@ -16,8 +16,8 @@ seen yet:
 * otherwise fall back to seeded randomness, with a depth budget that
   degrades to minimal-cost expansion so recursion terminates.
 
-Each emitted sentence is immediately parsed by an instrumented
-interpreter sharing the generator's collector, so the bias reflects
+Each emitted sentence is immediately parsed by the interpreter, counting
+into the generator's collector (``coverage=``), so the bias reflects
 *actual* coverage (what the parser really did), not what the generator
 intended — and the emitted corpus is guaranteed accepted by the product.
 Generation is deterministic per seed: coverage state evolves
@@ -88,7 +88,6 @@ class CoverageGuidedGenerator:
         # expansion would explode
         self._picked: dict[int, int] = {}
         self.parser = product.parser(hints=False, program=self.program)
-        self.parser.enable_coverage(collector)
 
     # -- public ------------------------------------------------------------
 
@@ -106,7 +105,7 @@ class CoverageGuidedGenerator:
         text = " ".join(out)
         # parsing both validates the sentence and advances the coverage
         # state the *next* sentence's bias reads
-        self.parser.accepts(text)
+        self.parser.accepts(text, coverage=self.collector)
         return text
 
     def generate(self, count: int) -> list[str]:

@@ -11,6 +11,7 @@ from repro.conformance import (
     DimensionCount,
 )
 from repro.conformance.report import UNATTRIBUTED
+from repro.parsing.coverage import CoverageMap
 from repro.sql import build_dialect
 
 QUERIES = [
@@ -25,9 +26,9 @@ QUERIES = [
 def scql_report():
     product = build_dialect("scql")
     parser = product.parser()
-    collector = parser.enable_coverage()
+    collector = CoverageMap(parser.program).collector()
     for query in QUERIES:
-        parser.accepts(query)
+        parser.accepts(query, coverage=collector)
     return product, collector, CoverageReport.of(
         product, collector, inputs=len(QUERIES)
     )
@@ -143,7 +144,7 @@ def make_suite():
     for dialect in ("scql", "tinysql"):
         product = build_dialect(dialect)
         parser = product.parser()
-        collector = parser.enable_coverage()
-        parser.accepts("SELECT a FROM t")
+        collector = CoverageMap(parser.program).collector()
+        parser.accepts("SELECT a FROM t", coverage=collector)
         reports.append(CoverageReport.of(product, collector, inputs=1))
     return CoverageSuiteReport(reports)

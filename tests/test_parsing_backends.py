@@ -17,6 +17,7 @@ from repro.parsing import (
     INTERPRETER,
     ClosureParser,
     CompiledBackend,
+    CoverageMap,
     ParseBackend,
     backend_names,
     compile_closure_program,
@@ -84,17 +85,6 @@ class TestRegistry:
         finally:
             register_backend(original, replace=True)
 
-    def test_capability_flags(self):
-        for name in (INTERPRETER, COMPILED):
-            backend = get_backend(name)
-            assert backend.supports_diagnostics
-            assert backend.supports_coverage
-            assert backend.supports_fuel
-        generated = get_backend(GENERATED)
-        assert not generated.supports_diagnostics
-        assert not generated.supports_coverage
-        assert not generated.supports_fuel
-
     def test_build_returns_a_closure_parser_for_compiled(self, compiled):
         assert isinstance(compiled, ClosureParser)
 
@@ -156,13 +146,11 @@ class TestCompiledCoverage:
         texts = ACCEPTED + REJECTED
         ref_parser = get_backend(INTERPRETER).build(product, program=program)
         got_parser = get_backend(COMPILED).build(product, program=program)
-        ref = ref_parser.enable_coverage()
-        got = got_parser.enable_coverage()
+        ref = CoverageMap(program).collector()
+        got = CoverageMap(program).collector()
         for text in texts:
-            ref_parser.parse_with_diagnostics(text)
-            got_parser.parse_with_diagnostics(text)
-        ref_parser.disable_coverage()
-        got_parser.disable_coverage()
+            ref_parser.parse_with_diagnostics(text, coverage=ref)
+            got_parser.parse_with_diagnostics(text, coverage=got)
         assert got.rules == ref.rules
         assert got.alts == ref.alts
         assert got.taken == ref.taken

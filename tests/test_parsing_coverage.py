@@ -1,10 +1,10 @@
 """Coverage instrumentation over the parse-program interpreter.
 
-The contract under test: instrumentation is opt-in and decision-exact —
-an instrumented parse produces the same tree and diagnostics as a plain
-one while counting rule entries, CHOICE-alternative selections, and
-OPT/LOOP/SEPLOOP edges; collectors merge across parsers (and threads)
-but never across programs.
+The contract under test: instrumentation is opt-in per call and
+decision-exact — a ``coverage=`` parse produces the same tree and
+diagnostics as a plain one while counting rule entries,
+CHOICE-alternative selections, and OPT/LOOP/SEPLOOP edges; collectors
+merge across parsers (and threads) but never across programs.
 """
 
 import pytest
@@ -37,6 +37,12 @@ def scql_program(scql):
     return scql.program()
 
 
+def instrumented(product, **kwargs):
+    """A parser plus a fresh collector keyed to its program."""
+    parser = product.parser(**kwargs)
+    return parser, CoverageMap(parser.program).collector()
+
+
 class TestCoverageMap:
     def test_sizing_matches_program(self, scql_program):
         cmap = CoverageMap(scql_program)
@@ -67,9 +73,10 @@ class TestCoverageMap:
 
 class TestCollector:
     def test_counts_rule_entries_and_decisions(self, scql):
-        parser = scql.parser()
-        collector = parser.enable_coverage()
-        assert parser.accepts("SELECT a, b FROM t WHERE a = 1")
+        parser, collector = instrumented(scql)
+        assert parser.accepts(
+            "SELECT a, b FROM t WHERE a = 1", coverage=collector
+        )
         assert collector.rules_covered() > 0
         assert collector.alts_covered() > 0
         assert collector.edges_covered() > 0
@@ -78,33 +85,29 @@ class TestCollector:
             assert 0 < covered <= total
 
     def test_more_inputs_never_lose_coverage(self, scql):
-        parser = scql.parser()
-        collector = parser.enable_coverage()
+        parser, collector = instrumented(scql)
         scores = []
         for query in ACCEPTED:
-            parser.accepts(query)
+            parser.accepts(query, coverage=collector)
             scores.append(collector.score())
         assert scores == sorted(scores)
 
     def test_opt_edges_both_ways(self, scql):
         """A WHERE-less and a WHERE-ful parse exercise both OPT edges."""
-        parser = scql.parser()
-        collector = parser.enable_coverage()
-        parser.accepts("SELECT a FROM t")
+        parser, collector = instrumented(scql)
+        parser.accepts("SELECT a FROM t", coverage=collector)
         after_skip = collector.edges_covered()
-        parser.accepts("SELECT a FROM t WHERE a = 1")
+        parser.accepts("SELECT a FROM t WHERE a = 1", coverage=collector)
         assert collector.edges_covered() > after_skip
 
     def test_rejected_inputs_still_count(self, scql):
-        parser = scql.parser()
-        collector = parser.enable_coverage()
-        assert not parser.accepts("SELECT FROM t")
+        parser, collector = instrumented(scql)
+        assert not parser.accepts("SELECT FROM t", coverage=collector)
         assert collector.score() > 0
 
     def test_reset_zeroes_everything(self, scql):
-        parser = scql.parser()
-        collector = parser.enable_coverage()
-        parser.accepts("SELECT a FROM t")
+        parser, collector = instrumented(scql)
+        parser.accepts("SELECT a FROM t", coverage=collector)
         assert collector.score() > 0
         collector.reset()
         assert collector.score() == 0
@@ -113,10 +116,9 @@ class TestCollector:
         )
 
     def test_uncovered_listings_complement_counts(self, scql):
-        parser = scql.parser()
-        collector = parser.enable_coverage()
+        parser, collector = instrumented(scql)
         for query in ACCEPTED:
-            parser.accepts(query)
+            parser.accepts(query, coverage=collector)
         counts = collector.counts()
         rules_covered, rules_total = counts["rules"]
         assert len(collector.uncovered_rules()) == rules_total - rules_covered
@@ -132,11 +134,9 @@ class TestCollector:
 class TestInstrumentedParity:
     @pytest.mark.parametrize("query", ACCEPTED + REJECTED)
     def test_same_tree_and_diagnostics(self, scql, query):
-        plain = scql.parser(hints=True)
-        instrumented = scql.parser(hints=True)
-        instrumented.enable_coverage()
-        expected = plain.parse_with_diagnostics(query)
-        actual = instrumented.parse_with_diagnostics(query)
+        parser, collector = instrumented(scql, hints=True)
+        expected = parser.parse_with_diagnostics(query)
+        actual = parser.parse_with_diagnostics(query, coverage=collector)
         assert actual.ok == expected.ok
         assert actual.tree == expected.tree
         assert [d.code for d in actual.diagnostics] == [
@@ -144,35 +144,37 @@ class TestInstrumentedParity:
         ]
 
     def test_accepts_agrees(self, scql):
-        plain = scql.parser()
-        instrumented = scql.parser()
-        instrumented.enable_coverage()
+        parser, collector = instrumented(scql)
         for query in ACCEPTED + REJECTED:
-            assert instrumented.accepts(query) == plain.accepts(query)
+            plain = parser.accepts(query)
+            assert parser.accepts(query, coverage=collector) == plain
 
 
 class TestEnableDisable:
-    def test_disable_restores_plain_path(self, scql):
-        parser = scql.parser()
-        cls = type(parser)
-        assert parser._exec.__func__ is cls._exec
-        collector = parser.enable_coverage()
-        assert parser._exec.__func__ is cls._exec_cov
-        assert parser._call_rule.__func__ is cls._call_rule_cov
-        assert parser.coverage is collector
-        returned = parser.disable_coverage()
-        assert returned is collector
-        assert parser._exec.__func__ is cls._exec
-        assert parser._call_rule.__func__ is cls._call_rule
-        assert parser.coverage is None
+    """Coverage is enabled per call, by passing ``coverage=``, and
+    disabled by leaving it out; the parser itself never changes."""
 
-    def test_disabled_parser_stops_counting(self, scql):
-        parser = scql.parser()
-        collector = parser.enable_coverage()
-        parser.accepts("SELECT a FROM t")
+    def test_disable_restores_plain_path(self, scql, monkeypatch):
+        """A call without ``coverage=`` runs the plain ``_exec``, even
+        right after an instrumented call on the same parser."""
+        parser, collector = instrumented(scql)
+        parser.accepts("SELECT a FROM t", coverage=collector)
+
+        def instrumented_path(*args):
+            raise AssertionError("a plain call ran the instrumented path")
+
+        monkeypatch.setattr(type(parser), "_exec_cov", instrumented_path)
+        assert parser.accepts("SELECT a, b FROM t WHERE a = 1")
+        assert parser.parse_with_diagnostics("SELECT a FROM t").ok
+
+    def test_call_without_coverage_counts_nothing(self, scql):
+        parser, collector = instrumented(scql)
+        parser.accepts("SELECT a FROM t", coverage=collector)
         frozen = collector.score()
-        parser.disable_coverage()
+        assert frozen > 0
         parser.accepts("SELECT a, b FROM t WHERE a = 1")
+        parser.parse_with_diagnostics("SELECT a, b FROM t WHERE a = 1")
+        parser.parse("INSERT INTO t VALUES (1)")
         assert collector.score() == frozen
 
     def test_enable_rejects_foreign_collector(self, scql):
@@ -180,13 +182,17 @@ class TestEnableDisable:
         foreign = CoverageMap(core.program()).collector()
         parser = scql.parser()
         with pytest.raises(ValueError):
-            parser.enable_coverage(foreign)
+            parser.accepts("SELECT a FROM t", coverage=foreign)
+        with pytest.raises(ValueError):
+            parser.parse("SELECT a FROM t", coverage=foreign)
+        with pytest.raises(ValueError):
+            parser.parse_with_diagnostics("SELECT a FROM t", coverage=foreign)
+        assert foreign.score() == 0
 
     def test_explicit_collector_is_used(self, scql, scql_program):
         shared = CoverageMap(scql_program).collector()
         parser = scql.parser(program=scql_program)
-        assert parser.enable_coverage(shared) is shared
-        parser.accepts("SELECT a FROM t")
+        parser.accepts("SELECT a FROM t", coverage=shared)
         assert shared.score() > 0
 
 
@@ -195,11 +201,9 @@ class TestMerge:
         cmap = CoverageMap(scql_program)
         a, b = cmap.collector(), cmap.collector()
         pa = scql.parser(program=scql_program)
-        pa.enable_coverage(a)
-        pa.accepts("SELECT a FROM t")
+        pa.accepts("SELECT a FROM t", coverage=a)
         pb = scql.parser(program=scql_program)
-        pb.enable_coverage(b)
-        pb.accepts("INSERT INTO t VALUES (1)")
+        pb.accepts("INSERT INTO t VALUES (1)", coverage=b)
         expected_rules = [x + y for x, y in zip(a.rules, b.rules)]
         a.merge(b)
         assert a.rules == expected_rules
@@ -241,24 +245,26 @@ class TestServiceCoverage:
             start_hits = max(shared.rules)
             assert start_hits >= len(texts)
 
-    def test_coverage_request_spares_plain_thread_parser(self):
-        """Coverage requests run on a dedicated instrumented parser: the
-        cached plain parser is never flipped (the flip would permanently
-        deoptimize its instance storage)."""
-        from repro.parsing.parser import Parser
+    def test_coverage_request_leaves_shared_parser_unchanged(self):
+        """Coverage is a per-call argument: a coverage request runs on
+        the entry's one shared parser and leaves it exactly as it was."""
+        from repro.parsing.closures import ClosureParser
 
         line = build_sql_product_line()
         features = dialect_features("scql")
         with ParseService(registry=ParserRegistry(line, capacity=4)) as svc:
             svc.parse("SELECT a FROM t", features)
             entry = svc.registry.get(features)
-            plain = entry.thread_parser()
+            parser = entry.compiled_parser()
+            before = {name: id(value) for name, value in vars(parser).items()}
             shared = entry.coverage_collector()
             svc.parse("SELECT a FROM t", features, coverage=shared)
             assert shared.score() > 0
-            assert entry.thread_parser() is plain
-            assert type(plain) is Parser
-            assert entry.thread_coverage_parser() is not plain
+            assert entry.compiled_parser() is parser
+            assert type(parser) is ClosureParser
+            assert {
+                name: id(value) for name, value in vars(parser).items()
+            } == before
 
     def test_uninstrumented_parse_leaves_no_trace(self):
         line = build_sql_product_line()

@@ -518,6 +518,27 @@ class TestDegradationLadder:
             assert not bad.ok  # still diagnosed, just without hints
         assert service.metrics.counter("degraded_hints") >= 1
 
+    def test_one_hint_build_failure_costs_one_request_its_hint(self):
+        """The shared parsers ask the entry for its hint provider at every
+        error, so the build is retried after a failure instead of leaving
+        hints off for every later request."""
+        from repro.sql import build_sql_product_line, dialect_features
+
+        plan = FaultPlan([FaultRule("hints.build", times=1)])
+        features = dialect_features("scql")
+        with ParseService(
+            line=build_sql_product_line(), fault_plan=plan
+        ) as service:
+            hints = [
+                sum(len(d.hints) for d in service.parse(
+                    "SELECT a FROM t ORDER BY a", features
+                ).diagnostics)
+                for _ in range(4)
+            ]
+        assert service.metrics.counter("degraded_hints") == 1
+        assert hints[0] == 0
+        assert all(count >= 1 for count in hints[1:]), hints
+
     def test_program_compile_fault_still_serves(self):
         plan = FaultPlan([FaultRule("program.compile", probability=1.0)])
         with make_service(fault_plan=plan) as service:

@@ -317,24 +317,29 @@ class TestConcurrency:
         # composition ran in exactly one thread
         assert len({t for t in compose_calls}) == 1
 
-    def test_thread_parser_is_per_thread(self, registry):
+    def test_one_parser_of_each_kind_for_all_threads(self, registry):
         entry = registry.get(["Query"])
-        main_parser = entry.thread_parser()
-        assert entry.thread_parser() is main_parser
+
+        def parsers():
+            return (
+                entry.parser(), entry.compiled_parser(), entry.fallback_parser()
+            )
+
+        main = parsers()
+        assert parsers() == main
+        # the per-thread accessors' old names are aliases now
+        assert entry.thread_parser() is main[0]
+        assert entry.thread_compiled_parser(None) is main[1]
 
         seen = []
 
         def worker():
-            seen.append(entry.thread_parser())
-            seen.append(entry.thread_parser())
+            seen.append(parsers())
 
         t = threading.Thread(target=worker)
         t.start()
         t.join()
-        assert seen[0] is seen[1]
-        assert seen[0] is not main_parser
-        # both parsers share the compiled table
-        assert seen[0].table is main_parser.table
+        assert all(a is b for a, b in zip(seen[0], main))
 
     def test_concurrent_distinct_selections(self, registry):
         selections = [
@@ -427,17 +432,16 @@ class TestProgramDiskCache:
 
     def test_thread_parsers_share_one_program(self, registry):
         entry = registry.get(["Query"])
-        main_parser = entry.thread_parser()
         seen = []
 
         def worker():
-            seen.append(entry.thread_parser())
+            seen.append(entry.compiled_parser())
 
         t = threading.Thread(target=worker)
         t.start()
         t.join()
-        assert seen[0] is not main_parser
-        assert seen[0].program is main_parser.program
+        assert seen[0] is entry.compiled_parser()
+        assert seen[0].program is entry.parser().program
         assert count(registry, IR, "build") == 1
 
 class TestQuarantine:

@@ -71,9 +71,8 @@ class TestCoverageGuidedMode:
         def alts_covered(queries):
             collector = CoverageMap(program).collector()
             parser = product.parser(program=program)
-            parser.enable_coverage(collector)
             for query in queries:
-                parser.accepts(query)
+                parser.accepts(query, coverage=collector)
             return collector.alts_covered()
 
         plain = alts_covered(generate_workload("core", 120, seed=9))
@@ -100,8 +99,7 @@ class TestCoverageGuidedMode:
         program = product.program()
         collector = CoverageMap(program).collector()
         parser = product.parser(program=program)
-        parser.enable_coverage(collector)
-        parser.accepts("SELECT a FROM t")
+        parser.accepts("SELECT a FROM t", coverage=collector)
         seeded = collector.score()
         generator = CoverageGuidedGenerator(
             product, program=program, collector=collector, seed=1
