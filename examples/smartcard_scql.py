@@ -10,7 +10,7 @@ Run:  python examples/smartcard_scql.py
 """
 
 from repro import Database, build_dialect
-from repro.errors import ExecutionError, ParseError
+from repro.errors import ExecutionError, ReproError
 
 
 def footprint(name: str) -> str:
@@ -67,7 +67,7 @@ def main() -> None:
         try:
             card.execute(rejected)
             print("UNEXPECTEDLY ACCEPTED:", rejected)
-        except ParseError:
+        except ReproError:  # a ParseError, or a ScanError for the '.'
             print("not in the card's SQL:", rejected)
 
 

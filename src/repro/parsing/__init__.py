@@ -7,7 +7,7 @@ Public API::
         ParseProgram, compile_program,
         Parser, Node,
         CoverageMap, CoverageCollector,
-        ParserCodeGenerator, generate_parser_source, load_generated_parser,
+        generate_parser_source, load_generated_parser,
         ParseBackend, get_backend, backend_names,
         ClosureParser, compile_closure_program,
     )
@@ -31,13 +31,9 @@ from .closures import (
     closure_fingerprint,
     compile_closure_program,
     generate_closure_source,
-)
-from .codegen import (
-    ParserCodeGenerator,
-    generate_parser_source,
-    load_generated_parser,
     source_fingerprint,
 )
+from .codegen import generate_parser_source, load_generated_parser
 from .coverage import CoverageCollector, CoverageMap
 from .first_follow import GrammarAnalysis
 from .ll1 import LLConflict, LLTable
@@ -71,7 +67,6 @@ __all__ = [
     "ParseOutcome",
     "ParseProgram",
     "Parser",
-    "ParserCodeGenerator",
     "SentenceGenerator",
     "backend_names",
     "closure_fingerprint",

@@ -2,14 +2,14 @@
 
 Every execution strategy for a compiled
 :class:`~repro.parsing.program.ParseProgram` — the IR interpreter, the
-generated standalone source module, and the closure-compiled threaded
-code — registers here as a :class:`ParseBackend`.  The conformance and
-differential suites iterate :func:`backend_names` instead of hardcoding
-backends, and any new strategy joins the same safety net by calling
-:func:`register_backend`.  The parse service serves the compiled
-backend (degrading to the interpreter); the generated module is an
-offline export — ``repro compose --emit`` writes it — checked here for
-parity but never served.
+closure-compiled threaded code, and the generated standalone module
+(the same lowering behind an inline runtime) — registers here as a
+:class:`ParseBackend`.  The conformance and differential suites iterate
+:func:`backend_names` instead of hardcoding backends, and any new
+strategy joins the same safety net by calling :func:`register_backend`.
+The parse service serves the compiled backend (degrading to the
+interpreter); the generated module is an offline export — ``repro
+compose --emit`` writes it — checked here for parity but never served.
 
 The contract has two halves:
 
@@ -95,23 +95,8 @@ class CompiledBackend(ParseBackend):
         )
 
 
-class GeneratedParser:
-    """Uniform facade over a generated standalone parser module."""
-
-    __slots__ = ("module",)
-
-    def __init__(self, module: Any) -> None:
-        self.module = module
-
-    def parse(self, text: str, start: str | None = None) -> Any:
-        return self.module.parse(text, start=start)
-
-    def accepts(self, text: str, start: str | None = None) -> bool:
-        return self.module.accepts(text, start=start)
-
-
 class GeneratedBackend(ParseBackend):
-    """The pretty-printed standalone module: minimal surface, portable."""
+    """The ``compose --emit`` export: the served lowering, standalone."""
 
     name = GENERATED
 
@@ -120,21 +105,20 @@ class GeneratedBackend(ParseBackend):
     ) -> Any:
         if program is None:
             program = product.program()
-        module = load_generated_parser(
+        return load_generated_parser(
             generate_parser_source(product.grammar, program=program),
             f"generated_{program.grammar_name}",
         )
-        return GeneratedParser(module)
 
     def outcome(
         self, parser: Any, text: str, start: str | None = None
     ) -> tuple:
-        module = parser.module
+        # the module's own exception types, not repro.errors'
         try:
             return ("ok", parser.parse(text, start=start).to_sexpr())
-        except module.ScanError as error:
+        except parser.ScanError as error:
             return ("scan-error", (error.line, error.column))
-        except module.ParseError as error:
+        except parser.ParseError as error:
             return ("error", (error.line, error.column, error.expected))
 
 

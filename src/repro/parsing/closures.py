@@ -22,10 +22,13 @@ Layers:
   (:class:`~repro.parsing.parser.RunState`, ``_Fail``, ``_fail`` /
   ``_check`` / ``_depth_fail``) — the interpreter's own, so both
   backends run a parse on one per-call state object;
-* :func:`generate_closure_source` — a self-contained artifact module
-  (cached on disk as ``<digest>.closures.py`` next to
-  ``<digest>.ir.json``, embedding the same fingerprint constant as
-  generated source);
+* the lowering — constants, per-rule functions, helper tuples and
+  ``RULES`` — which both generated modules share: the ``repro compose
+  --emit`` export (:func:`~repro.parsing.codegen.generate_parser_source`)
+  puts an inline runtime in front of the same body;
+* :func:`generate_closure_source` — the artifact module (cached on disk
+  as ``<digest>.closures.py`` next to ``<digest>.ir.json``, embedding
+  its fingerprint in a ``_FINGERPRINT`` line);
 * :class:`ClosureProgram` — the exec'd artifact: per-rule functions
   plus a lazily compiled *instrumented* twin whose emitted counter
   bumps mirror the interpreter's ``_exec_cov`` point for point;
@@ -40,7 +43,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
-from .codegen import FINGERPRINT_CONSTANT, source_fingerprint
 from .parser import Parser, RunState
 
 # The runtime every artifact imports from this module.  Compiled rule
@@ -60,14 +62,30 @@ from .program import (
 )
 
 
-def closure_fingerprint(source: str) -> str | None:
-    """Configuration fingerprint embedded in a closure artifact.
+#: Module-level constant both generated modules embed; the service
+#: layer's on-disk artifact cache uses it to validate that a cached file
+#: still corresponds to the fingerprint it is filed under.
+FINGERPRINT_CONSTANT = "_FINGERPRINT"
 
-    Closure artifacts reuse the generated-source convention (a
-    ``_FINGERPRINT = "…"`` line near the top), so the registry can
-    validate staleness with the same cheap line scan.
+
+def source_fingerprint(source: str) -> str | None:
+    """The fingerprint digest embedded in generated source, if any.
+
+    A cheap line scan for the ``_FINGERPRINT = "…"`` line near the top,
+    so the registry validates staleness without exec'ing the module.
     """
-    return source_fingerprint(source)
+    prefix = f"{FINGERPRINT_CONSTANT} = "
+    for line in source.splitlines():
+        if line.startswith(prefix):
+            value = line[len(prefix):].strip()
+            if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+                return value[1:-1]
+            return None
+    return None
+
+
+#: The same scan, under the name the ``closures`` artifact kind uses.
+closure_fingerprint = source_fingerprint
 
 
 # -- source generation -------------------------------------------------------
@@ -177,11 +195,14 @@ class _SourceBuilder:
         dispatch, default, expected = instr[1], instr[2], instr[3]
         # group lookaheads that share an identical candidate sequence
         # into one branch, so the emitted dispatch dict maps terminal ->
-        # small branch int instead of terminal -> code copy
+        # small branch int instead of terminal -> code copy; terminals go
+        # in sorted order because the dict's own order follows set
+        # iteration, which would make the source vary with the hash seed
         seq_ids: dict[tuple[int, ...], int] = {}
         branches: list[tuple] = []
         table: dict[str, int] = {}
-        for term, cands in dispatch.items():
+        for term in sorted(dispatch):
+            cands = dispatch[term]
             key = tuple(id(b) for b in cands)
             bi = seq_ids.get(key)
             if bi is None:
@@ -475,25 +496,52 @@ class _SourceBuilder:
         return "\n".join(self.lines)
 
 
+def _lowered_body(program: ParseProgram, coverage_map: Any = None) -> str:
+    """The lowering both generated modules share, after their headers.
+
+    Constants, one function per rule, the helper-function tuples and
+    ``RULES`` (rule functions by rule id).  The text needs ``_Fail``,
+    ``_fail``, ``_check``, ``_depth_fail``, ``_Node`` and ``_new`` in
+    scope, and a state object with the :class:`RunState` slots it reads.
+    """
+    builder = _SourceBuilder(program, coverage_map)
+    body = builder.build()
+    lines = [f"{name} = {_literal(value)}" for name, value in builder.const_defs]
+    lines += ["", body]
+    for tname, names, slots in builder.fn_tuples:
+        if slots is None:
+            items = ", ".join(names)
+        else:
+            items = ", ".join(
+                f"({name}, {slot})" for name, slot in zip(names, slots)
+            )
+        if len(names) == 1:
+            items += ","
+        lines.append(f"{tname} = ({items})")
+    n_rules = len(program.rule_names)
+    rules = ", ".join(f"_r{rid}" for rid in range(n_rules))
+    if n_rules == 1:
+        rules += ","
+    lines += ["", f"RULES = ({rules})", ""]
+    return "\n".join(lines)
+
+
 def generate_closure_source(
     program: ParseProgram,
     fingerprint: str | None = None,
     coverage_map: Any = None,
 ) -> str:
-    """The self-contained artifact module for one parse program.
+    """The artifact module for one parse program.
 
-    The text exec's into per-rule functions (``RULES``); with
-    ``fingerprint`` it carries the shared ``_FINGERPRINT`` constant so
-    the registry's staleness scan works unchanged.  With
+    The text exec's into per-rule functions (``RULES``) over this
+    module's runtime; with ``fingerprint`` it carries the
+    ``_FINGERPRINT`` line the registry's staleness scan reads.  With
     ``coverage_map``, instrumented functions are generated instead
     (those are never written to disk — they are rebuilt on demand).
     """
-    builder = _SourceBuilder(program, coverage_map)
-    body = builder.build()
-    n_rules = len(program.rule_names)
     head = [
         f'"""Closure-compiled parser for {program.grammar_name!r} '
-        f"({n_rules} rules).",
+        f"({len(program.rule_names)} rules).",
         "",
         "Generated by repro.parsing.closures; do not edit.",
         '"""',
@@ -507,28 +555,9 @@ def generate_closure_source(
         "",
         "_new = object.__new__",
         "",
+        _lowered_body(program, coverage_map),
     ]
-    for name, value in builder.const_defs:
-        head.append(f"{name} = {_literal(value)}")
-    head.append("")
-    parts = ["\n".join(head), body]
-    tuple_lines = []
-    for tname, names, slots in builder.fn_tuples:
-        if slots is None:
-            items = ", ".join(names)
-        else:
-            items = ", ".join(
-                f"({name}, {slot})" for name, slot in zip(names, slots)
-            )
-        if len(names) == 1:
-            items += ","
-        tuple_lines.append(f"{tname} = ({items})")
-    rules = ", ".join(f"_r{rid}" for rid in range(n_rules))
-    if n_rules == 1:
-        rules += ","
-    tuple_lines += ["", f"RULES = ({rules})", ""]
-    parts.append("\n".join(tuple_lines))
-    return "\n".join(parts)
+    return "\n".join(head)
 
 
 # -- the compiled artifact ---------------------------------------------------

@@ -1,41 +1,39 @@
 """Standalone parser source generation — the reproduction's ANTLR analogue.
 
-The paper feeds composed LL(k) grammars to ANTLR and ships the generated
-parser.  :class:`ParserCodeGenerator` plays that role here: it
-pretty-prints the *same* :class:`~repro.parsing.program.ParseProgram` the
-interpreting :class:`~repro.parsing.parser.Parser` drives into a single
-self-contained Python module (no imports beyond ``re``) containing the
-scanner, FIRST-set constants, and one recursive-descent function per
-rule.  Because both backends consume one compiled program, the generated
-parser makes exactly the same decisions as the interpreter by
-construction — the test suite's cross-checks guard the printer, not two
-parallel encodings of the LL decision procedure.
+The paper feeds each composed LL(k) grammar to ANTLR and ships what it
+outputs.  :func:`generate_parser_source` plays that role here (``repro
+compose --emit`` writes its output), and it is the generator the parse
+service already runs: the module body is the closure lowering of
+:mod:`repro.parsing.closures` — one function per rule of the product's
+:class:`~repro.parsing.program.ParseProgram` — so the exported parser
+is the code the differential and conformance suites check, not a second
+encoding of the LL decision procedure.
+
+Only the header differs.  Where the served artifact imports its runtime
+from ``repro``, the export inlines one that needs nothing beyond ``re``:
+token and tree classes, ``ParseError``/``ScanError``, the parse-state
+registers the lowering reads, the scanner, and ``parse``/``accepts``.
+Like the served backends it stops input nested deeper than 200 rule
+activations with a ``ParseError``; unlike them it has no fuel budget or
+deadline.
 
 Typical use::
 
-    source = ParserCodeGenerator(grammar).generate()
+    source = generate_parser_source(grammar)
     module = load_generated_parser(source)
     tree = module.parse("SELECT a FROM t")
 """
 
 from __future__ import annotations
 
-import re
 import types
 
 from ..grammar.grammar import Grammar
+from ..lexer.spec import compile_master_pattern
+from .closures import FINGERPRINT_CONSTANT, _lowered_body
 from .first_follow import GrammarAnalysis
-from .program import (
-    OP_CALL,
-    OP_CHOICE,
-    OP_LOOP,
-    OP_MATCH,
-    OP_OPT,
-    OP_SEPLOOP,
-    OP_SEQ,
-    ParseProgram,
-    compile_program,
-)
+from .parser import DEFAULT_MAX_DEPTH
+from .program import ParseProgram, compile_program
 
 _RUNTIME = '''
 import re
@@ -59,10 +57,6 @@ class Token:
 
 class Node:
     __slots__ = ("name", "children")
-
-    def __init__(self, name):
-        self.name = name
-        self.children = []
 
     def to_sexpr(self):
         parts = [self.name]
@@ -88,31 +82,44 @@ class _Fail(Exception):
 
 
 class _State:
-    __slots__ = ("tokens", "i", "fi", "fexp")
+    """The registers of one parse call (the ``s`` of every rule function)."""
+
+    __slots__ = ("tokens", "i", "fi", "fexp", "steps", "limit", "depth", "max_depth")
 
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
         self.fi = 0
         self.fexp = set()
+        self.steps = 0
+        self.limit = 1 << 62
+        self.depth = 0
+        self.max_depth = _MAX_DEPTH
 
-    def la(self):
-        return self.tokens[self.i].type
 
-    def fail(self, expected):
-        if self.i > self.fi:
-            self.fi = self.i
-            self.fexp = set(expected)
-        elif self.i == self.fi:
-            self.fexp |= set(expected)
-        raise _Fail()
+def _fail(s, expected):
+    i = s.i
+    if i > s.fi:
+        s.fi = i
+        s.fexp = set(expected)
+    elif i == s.fi:
+        s.fexp |= expected
+    raise _Fail()
 
-    def match(self, node, name):
-        token = self.tokens[self.i]
-        if token.type != name:
-            self.fail((name,))
-        node.children.append(token)
-        self.i += 1
+
+def _check(s, st):
+    """Never reached: the export has no fuel budget or deadline."""
+
+
+def _depth_fail(s):
+    t = s.tokens[s.i]
+    raise ParseError(
+        "parser recursion depth limit of %d exceeded "
+        "(input nested too deeply near %s)" % (s.max_depth, t.type),
+        t.line,
+        t.column,
+        frozenset(),
+    )
 
 
 def _scan(text):
@@ -142,14 +149,12 @@ def _scan(text):
 
 
 def parse(text, start=None):
-    tokens = _scan(text)
-    s = _State(tokens)
-    fn = _RULES[start or _START]
+    s = _State(_scan(text))
+    out = []
     try:
-        node = fn(s)
-        if s.la() != EOF:
-            s.fail((EOF,))
-        return node
+        RULES[_RULE_IDS[start or _START]](s, out)
+        if s.tokens[s.i].type != EOF:
+            _fail(s, frozenset((EOF,)))
     except _Fail:
         t = s.tokens[min(s.fi, len(s.tokens) - 1)]
         found = "end of input" if t.type == EOF else repr(t.text)
@@ -160,6 +165,7 @@ def parse(text, start=None):
             t.column,
             frozenset(s.fexp),
         ) from None
+    return out[0]
 
 
 def accepts(text, start=None):
@@ -168,254 +174,11 @@ def accepts(text, start=None):
     except ParseError:
         return False
     return True
+
+
+_Node = Node
+_new = object.__new__
 '''
-
-
-#: Module-level constant embedded in generated parsers; the service
-#: layer's on-disk artifact cache uses it to validate that a cached file
-#: still corresponds to the fingerprint it is filed under.
-FINGERPRINT_CONSTANT = "_FINGERPRINT"
-
-
-def source_fingerprint(source: str) -> str | None:
-    """Extract the embedded fingerprint digest from generated source."""
-    prefix = f"{FINGERPRINT_CONSTANT} = "
-    for line in source.splitlines():
-        if line.startswith(prefix):
-            value = line[len(prefix):].strip()
-            if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-                return value[1:-1]
-            return None
-    return None
-
-
-class ParserCodeGenerator:
-    """Pretty-prints one parse program into standalone Python source."""
-
-    def __init__(
-        self,
-        grammar: Grammar,
-        analysis: GrammarAnalysis | None = None,
-        fingerprint: str | None = None,
-        program: ParseProgram | None = None,
-    ) -> None:
-        if program is None:
-            program = compile_program(
-                grammar,
-                analysis=analysis,
-                fingerprint=fingerprint,
-            )
-        self.grammar = grammar
-        self.analysis = analysis
-        self.program = program
-        self.fingerprint = (
-            fingerprint if fingerprint is not None else program.fingerprint
-        )
-        self._first_consts: dict[frozenset[str], str] = {}
-        self._helpers: list[str] = []
-        self._counter = 0
-
-    # -- public ---------------------------------------------------------------
-
-    def generate(self) -> str:
-        """Emit the complete module source."""
-        program = self.program
-        rule_sources = [
-            self._emit_rule(rid, name)
-            for rid, name in enumerate(program.rule_names)
-        ]
-        lines: list[str] = []
-        lines.append('"""Parser for grammar %r.' % program.grammar_name)
-        lines.append("")
-        lines.append("Generated by repro.parsing.codegen - do not edit by hand.")
-        lines.append('"""')
-        if self.fingerprint is not None:
-            lines.append(f"{FINGERPRINT_CONSTANT} = {self.fingerprint!r}")
-        lines.append(_RUNTIME)
-        lines.extend(self._emit_scanner_tables())
-        lines.append("")
-        for const_set, const_name in sorted(
-            self._first_consts.items(), key=lambda kv: kv[1]
-        ):
-            terms = ", ".join(repr(t) for t in sorted(const_set))
-            lines.append(f"{const_name} = frozenset(({terms}{',' if len(const_set) == 1 else ''}))")
-        lines.append("")
-        lines.extend(self._helpers)
-        lines.extend(rule_sources)
-        lines.append("")
-        rule_map = ", ".join(
-            f"{name!r}: _parse_{name}" for name in program.rule_names
-        )
-        lines.append(f"_RULES = {{{rule_map}}}")
-        lines.append(f"_START = {program.start_name()!r}")
-        return "\n".join(lines) + "\n"
-
-    # -- scanner tables ----------------------------------------------------------
-
-    def _emit_scanner_tables(self) -> list[str]:
-        tokens = self.grammar.tokens
-        parts: list[str] = []
-        for d in tokens.patterns:
-            parts.append(f"(?P<{d.name}>{d.pattern})")
-        for d in tokens.literals:
-            parts.append(f"(?P<{d.name}>{re.escape(d.pattern)})")
-        if not parts:
-            parts.append(r"(?P<_NOTHING_>(?!))")
-        master = "|".join(parts)
-        skip = sorted(d.name for d in tokens if d.skip)
-        keywords = tokens.keywords
-        return [
-            f"_MASTER = re.compile({master!r})",
-            f"_SKIP = frozenset({skip!r})",
-            f"_KEYWORDS = {keywords!r}",
-            "_IDENT_RULES = ('IDENTIFIER',)",
-        ]
-
-    # -- emission helpers -----------------------------------------------------------
-
-    def _fresh(self) -> int:
-        self._counter += 1
-        return self._counter
-
-    def _first_const(self, terms: frozenset[str]) -> str:
-        if terms not in self._first_consts:
-            self._first_consts[terms] = f"_F{len(self._first_consts)}"
-        return self._first_consts[terms]
-
-    def _emit_rule(self, rule_id: int, name: str) -> str:
-        body: list[str] = []
-        self._emit_instr(self.program.code[rule_id], body, 1)
-        stmts = "\n".join(body) if body else "    pass"
-        return (
-            f"\n\ndef _parse_{name}(s):\n"
-            f"    node = Node({name!r})\n"
-            f"{stmts}\n"
-            f"    return node"
-        )
-
-    def _emit_instr(self, instr, out: list[str], depth: int) -> None:
-        pad = "    " * depth
-        op = instr[0]
-        if op == OP_MATCH:
-            out.append(f"{pad}s.match(node, {instr[1]!r})")
-            return
-        if op == OP_CALL:
-            callee = self.program.rule_names[instr[1]]
-            out.append(f"{pad}node.children.append(_parse_{callee}(s))")
-            return
-        if op == OP_SEQ:
-            if not instr[1]:
-                out.append(f"{pad}pass")
-            for item in instr[1]:
-                self._emit_instr(item, out, depth)
-            return
-        if op == OP_OPT:
-            self._emit_optional(instr, out, depth)
-            return
-        if op in (OP_LOOP, OP_SEPLOOP):
-            self._emit_repetition(instr, out, depth)
-            return
-        if op == OP_CHOICE:
-            self._emit_dispatch(instr, out, depth)
-            return
-        raise TypeError(f"unknown opcode: {op!r}")
-
-    def _emit_optional(self, instr, out: list[str], depth: int) -> None:
-        pad = "    " * depth
-        uid = self._fresh()
-        first = self._first_const(instr[2])
-        out.append(f"{pad}if s.la() in {first}:")
-        out.append(f"{pad}    _m{uid} = (s.i, len(node.children))")
-        out.append(f"{pad}    try:")
-        self._emit_instr(instr[1], out, depth + 2)
-        out.append(f"{pad}    except _Fail:")
-        out.append(f"{pad}        s.i = _m{uid}[0]; del node.children[_m{uid}[1]:]")
-
-    def _emit_repetition(self, instr, out: list[str], depth: int) -> None:
-        pad = "    " * depth
-        uid = self._fresh()
-        if instr[0] == OP_LOOP:
-            inner, first_set, minimum = instr[1], instr[2], instr[3]
-            first = self._first_const(first_set)
-            out.append(f"{pad}_n{uid} = 0")
-            out.append(f"{pad}while s.la() in {first}:")
-            out.append(f"{pad}    _m{uid} = (s.i, len(node.children))")
-            out.append(f"{pad}    try:")
-            self._emit_instr(inner, out, depth + 2)
-            out.append(f"{pad}    except _Fail:")
-            out.append(
-                f"{pad}        s.i = _m{uid}[0]; del node.children[_m{uid}[1]:]; break"
-            )
-            out.append(f"{pad}    if s.i == _m{uid}[0]:")
-            out.append(f"{pad}        break")
-            out.append(f"{pad}    _n{uid} += 1")
-            if minimum == 1:
-                out.append(f"{pad}if _n{uid} < 1:")
-                out.append(f"{pad}    s.fail({first})")
-            return
-        # OP_SEPLOOP: (op, inner, sep, first, sep_first, min)
-        inner, sep, first_set, sep_first_set, minimum = instr[1:6]
-        first = self._first_const(first_set)
-        sep_first = self._first_const(sep_first_set)
-        inner_depth = depth
-        if minimum == 0:
-            out.append(f"{pad}if s.la() in {first}:")
-            inner_depth = depth + 1
-        pad2 = "    " * inner_depth
-        self._emit_instr(inner, out, inner_depth)
-        out.append(f"{pad2}while s.la() in {sep_first}:")
-        out.append(f"{pad2}    _m{uid} = (s.i, len(node.children))")
-        out.append(f"{pad2}    try:")
-        self._emit_instr(sep, out, inner_depth + 2)
-        self._emit_instr(inner, out, inner_depth + 2)
-        out.append(f"{pad2}    except _Fail:")
-        out.append(
-            f"{pad2}        s.i = _m{uid}[0]; del node.children[_m{uid}[1]:]; break"
-        )
-
-    def _emit_dispatch(self, instr, out: list[str], depth: int) -> None:
-        """Ordered-choice dispatch matching the interpreter's strategy."""
-        pad = "    " * depth
-        uid = self._fresh()
-        # (op, dispatch, default, expected, blocks, firsts, nullables)
-        blocks, firsts, nullables = instr[4], instr[5], instr[6]
-        helper_names: list[str] = []
-        for block in blocks:
-            helper = f"_a{self._fresh()}"
-            body: list[str] = []
-            self._emit_instr(block, body, 1)
-            stmts = "\n".join(body) if body else "    pass"
-            self._helpers.append(f"\n\ndef {helper}(s, node):\n{stmts}\n")
-            helper_names.append(helper)
-
-        union_const = self._first_const(instr[3])
-
-        out.append(f"{pad}_ok{uid} = False")
-        out.append(f"{pad}_m{uid} = (s.i, len(node.children))")
-        # pass 1: alternatives whose FIRST contains the lookahead, in order
-        for index, helper in enumerate(helper_names):
-            first = self._first_const(firsts[index])
-            out.append(f"{pad}if not _ok{uid} and s.la() in {first}:")
-            out.append(f"{pad}    try:")
-            out.append(f"{pad}        {helper}(s, node); _ok{uid} = True")
-            out.append(f"{pad}    except _Fail:")
-            out.append(
-                f"{pad}        s.i = _m{uid}[0]; del node.children[_m{uid}[1]:]"
-            )
-        # pass 2: nullable alternatives as epsilon fallbacks
-        for index, helper in enumerate(helper_names):
-            if not nullables[index]:
-                continue
-            first = self._first_const(firsts[index])
-            out.append(f"{pad}if not _ok{uid} and s.la() not in {first}:")
-            out.append(f"{pad}    try:")
-            out.append(f"{pad}        {helper}(s, node); _ok{uid} = True")
-            out.append(f"{pad}    except _Fail:")
-            out.append(
-                f"{pad}        s.i = _m{uid}[0]; del node.children[_m{uid}[1]:]"
-            )
-        out.append(f"{pad}if not _ok{uid}:")
-        out.append(f"{pad}    s.fail({union_const})")
 
 
 def generate_parser_source(
@@ -424,15 +187,44 @@ def generate_parser_source(
     fingerprint: str | None = None,
     program: ParseProgram | None = None,
 ) -> str:
-    """One-call convenience wrapper around :class:`ParserCodeGenerator`.
+    """The standalone parser module for ``grammar``, as source text.
 
     ``analysis``/``program`` let a caller that already compiled the
-    product (the registry) skip recomputation; ``fingerprint`` embeds
-    provenance the on-disk artifact cache validates on load.
+    product (the registry) skip recomputation; ``fingerprint`` (default:
+    the program's) is embedded as the ``_FINGERPRINT`` line.
     """
-    return ParserCodeGenerator(
-        grammar, analysis=analysis, fingerprint=fingerprint, program=program
-    ).generate()
+    if program is None:
+        program = compile_program(
+            grammar, analysis=analysis, fingerprint=fingerprint
+        )
+    if fingerprint is None:
+        fingerprint = program.fingerprint
+    tokens = grammar.tokens
+    rule_ids = ", ".join(
+        f"{name!r}: {rid}" for rid, name in enumerate(program.rule_names)
+    )
+    head = [
+        f'"""Parser for grammar {program.grammar_name!r} '
+        f"({len(program.rule_names)} rules).",
+        "",
+        "Generated by repro.parsing.codegen; do not edit.",
+        '"""',
+    ]
+    if fingerprint is not None:
+        head += ["", f'{FINGERPRINT_CONSTANT} = "{fingerprint}"']
+    head += [
+        _RUNTIME,
+        f"_MASTER = re.compile({compile_master_pattern(tokens).pattern!r})",
+        f"_SKIP = frozenset({sorted(d.name for d in tokens if d.skip)!r})",
+        f"_KEYWORDS = {tokens.keywords!r}",
+        "_IDENT_RULES = ('IDENTIFIER',)",
+        f"_MAX_DEPTH = {DEFAULT_MAX_DEPTH}",
+        f"_START = {program.start_name()!r}",
+        f"_RULE_IDS = {{{rule_ids}}}",
+        "",
+        _lowered_body(program),
+    ]
+    return "\n".join(head)
 
 
 def load_generated_parser(source: str, module_name: str = "generated_parser"):

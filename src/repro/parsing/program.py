@@ -17,9 +17,12 @@ instead of re-deriving structure from the grammar:
 * the interpreting :class:`~repro.parsing.parser.Parser` is a driver
   over the instruction form (flat opcode dispatch, no ``Element``
   pattern-matching on the hot path);
-* :class:`~repro.parsing.codegen.ParserCodeGenerator` pretty-prints the
-  *same* program into standalone source, so generated parsers are
-  correct by construction rather than by parallel maintenance;
+* the closure lowering (:mod:`repro.parsing.closures`) turns the *same*
+  program into one Python function per rule — for the served backend
+  and, behind an inline runtime, for the standalone module
+  :func:`~repro.parsing.codegen.generate_parser_source` exports — so
+  generated parsers are correct by construction rather than by
+  parallel maintenance;
 * the diagnostics machinery takes sync/expected sets straight from the
   program;
 * the :mod:`repro.service` disk cache serializes programs as a second

@@ -35,7 +35,12 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Mapping, Sequence
 
 from ..resilience.deadline import Deadline
-from .service import ParseService, ParseServiceResult, _timeout_result
+from .service import (
+    ParseService,
+    ParseServiceResult,
+    _count_timeout,
+    _timeout_result,
+)
 
 
 class AsyncParseService:
@@ -216,7 +221,7 @@ class AsyncParseService:
         if deadline is not None:
             remaining = deadline.remaining()
             if remaining <= 0.0:
-                self.metrics.incr("timeouts")
+                _count_timeout(self.metrics, timeout)
                 return _timeout_result(text, None, timeout, False)
         return await asyncio.get_running_loop().run_in_executor(
             self._dispatch,

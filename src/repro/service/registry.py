@@ -4,20 +4,19 @@
 maps :class:`~repro.service.fingerprint.Fingerprint` keys to
 :class:`RegistryEntry` objects holding the composed
 :class:`~repro.core.product_line.ComposedProduct` plus everything needed
-to parse with it — the (shared, immutable) grammar analysis, LL table,
-scanner, parse program and closure-compiled code, and the parsers over
-them.
+to parse with it — the (shared, immutable) scanner, parse program and
+closure-compiled code, and the parsers over them.
 
 Three cache layers, cheapest first:
 
 1. **In-memory LRU** of composed products keyed by fingerprint, with
    per-fingerprint build locks so N concurrent requests for the same
    selection trigger exactly one composition.
-2. **Per-entry lazy compilation**: grammar analysis, the LL table, the
-   parse program, the closure-compiled code and the entry's three
-   parsers (interpreting, compiled, clean-room fallback) are built on
-   first use.  A parse keeps its state in a per-call object, so every
-   thread shares each of them.
+2. **Per-entry lazy compilation**: the scanner, the parse program, the
+   closure-compiled code and the entry's three parsers (interpreting,
+   compiled, clean-room fallback) are built on first use.  A parse
+   keeps its state in a per-call object, so every thread shares each
+   of them.
 3. **On-disk artifact cache** (optional): one
    :class:`~repro.service.artifacts.ArtifactStore`, shared by every
    entry of the registry, persists the parse program
@@ -60,12 +59,13 @@ DEFAULT_CAPACITY = 32
 class RegistryEntry:
     """One cached product and its lazily-compiled parser artifacts.
 
-    The grammar analysis, LL table, scanner, hint provider and parsers
-    are immutable once built and shared across threads: a parser keeps
-    each call's state in a per-call
-    :class:`~repro.parsing.parser.RunState`, so :meth:`parser`,
+    The scanner, hint provider and parsers are immutable once built and
+    shared across threads: a parser keeps each call's state in a
+    per-call :class:`~repro.parsing.parser.RunState`, so :meth:`parser`,
     :meth:`compiled_parser` and :meth:`fallback_parser` each build one
-    instance, on first use, that every thread calls.
+    instance, on first use, that every thread calls.  The entry builds
+    no grammar analysis or LL table: compiling the program builds the
+    analysis it needs, and a program loaded from disk needs none.
 
     Artifacts go through ``store`` — the registry's shared
     :class:`~repro.service.artifacts.ArtifactStore`, so an entry follows
@@ -88,8 +88,6 @@ class RegistryEntry:
             store if store is not None else ArtifactStore(None, metrics)
         )
         self._lock = threading.RLock()
-        self._analysis = None
-        self._table = None
         self._scanner = None
         self._hint_provider = None
         self._hints_built = False
@@ -101,22 +99,6 @@ class RegistryEntry:
         self._fallback_parser = None
 
     # -- shared immutable artifacts ---------------------------------------
-
-    def _compiled(self):
-        """Analysis + LL table + scanner, built once under the entry lock."""
-        if self._table is None:
-            with self._lock:
-                if self._table is None:
-                    from ..lexer.scanner import Scanner
-                    from ..parsing.first_follow import GrammarAnalysis
-                    from ..parsing.ll1 import LLTable
-
-                    grammar = self.product.grammar
-                    analysis = GrammarAnalysis(grammar)
-                    self._scanner = Scanner(grammar.tokens)
-                    self._analysis = analysis
-                    self._table = LLTable(grammar, analysis)
-        return self._analysis, self._table, self._scanner
 
     def _once(self, attr: str, build):
         """``self.<attr>``, built by ``build()`` under the entry lock on
@@ -130,6 +112,14 @@ class RegistryEntry:
                     value = build()
                     setattr(self, attr, value)
         return value
+
+    def _shared_scanner(self):
+        """The product's scanner, shared by the entry's two parsers."""
+        from ..lexer.scanner import Scanner
+
+        return self._once(
+            "_scanner", lambda: Scanner(self.product.grammar.tokens)
+        )
 
     def _fault(self, site: str) -> None:
         if self._faults is not None:
@@ -177,7 +167,7 @@ class RegistryEntry:
     def _compile_program(self):
         self._fault("program.compile")
         with self._metrics.time("ir_compile"):
-            return self.product.program(analysis=self._analysis)
+            return self.product.program()
 
     def closure_program(self):
         """The exec-compiled closure artifact, shared across threads.
@@ -230,13 +220,10 @@ class RegistryEntry:
         def build():
             from ..parsing.parser import Parser
 
-            analysis, table, scanner = self._compiled()
             return Parser(
                 self.product.grammar,
-                scanner=scanner,
+                scanner=self._shared_scanner(),
                 hint_provider=self._hints,
-                analysis=analysis,
-                table=table,
                 program=self.program(),
             )
 
@@ -248,14 +235,11 @@ class RegistryEntry:
         def build():
             from ..parsing.closures import ClosureParser
 
-            analysis, table, scanner = self._compiled()
             return ClosureParser(
                 self.product.grammar,
                 self.closure_program(),
-                scanner=scanner,
+                scanner=self._shared_scanner(),
                 hint_provider=self._hints,
-                analysis=analysis,
-                table=table,
             )
 
         return self._once("_compiled_parser", build)

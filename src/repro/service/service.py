@@ -201,6 +201,18 @@ def _timeout_result(text: str, fp: Fingerprint | None, timeout: float,
     )
 
 
+def _count_timeout(metrics: ServiceMetrics, seconds: float) -> None:
+    """Count one timed-out request and record its latency.
+
+    The ``timeouts`` counter and latency series always move together;
+    the dedicated series keeps the main parse histogram clean while
+    still letting p99 reflect requests that hit the wall.  A negative
+    duration (a request given a negative timeout) records as zero.
+    """
+    metrics.incr("timeouts")
+    metrics.observe("timeouts", max(0.0, seconds))
+
+
 def _error_result(text: str, error) -> ParseServiceResult:
     """Wrap a pre-parse failure (bad selection, composition error)."""
     bag = DiagnosticBag()
@@ -911,10 +923,7 @@ class ParseService:
             d.code == PARSE_TIMEOUT for d in outcome.diagnostics
         )
         if timed_out:
-            self.metrics.incr("timeouts")
-            # the dedicated series keeps the main parse histogram clean
-            # while still letting p99 reflect requests that hit the wall
-            self.metrics.observe("timeouts", seconds)
+            _count_timeout(self.metrics, seconds)
         return ParseServiceResult(
             text=text,
             fingerprint=entry.fingerprint,
@@ -967,8 +976,7 @@ class ParseService:
             return future.result(timeout=max(0.0, wait))
         except _FutureTimeout:
             future.cancel()
-            self.metrics.incr("timeouts")
-            self.metrics.observe("timeouts", timeout)
+            _count_timeout(self.metrics, timeout)
             return _timeout_result(text, fp, timeout, warm)
 
     # -- process executor ----------------------------------------------------
@@ -1130,9 +1138,8 @@ class ParseService:
                 )
         except _FutureTimeout:
             future.cancel()
-            self.metrics.incr("timeouts", len(texts))
             for _ in texts:
-                self.metrics.observe("timeouts", timeout)
+                _count_timeout(self.metrics, timeout)
             return [
                 _timeout_result(text, entry.fingerprint, timeout, True)
                 for text in texts
@@ -1241,8 +1248,7 @@ class ParseService:
             self.metrics.incr("parse_errors")
         timed_out = any(d.code == PARSE_TIMEOUT for d in bag)
         if timed_out:
-            self.metrics.incr("timeouts")
-            self.metrics.observe("timeouts", reply.seconds)
+            _count_timeout(self.metrics, reply.seconds)
         return ParseServiceResult(
             text=text,
             fingerprint=entry.fingerprint,

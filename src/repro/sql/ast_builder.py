@@ -677,10 +677,10 @@ class AstBuilder:
         if kind == "UNKNOWN":
             return ast.Literal(None, "boolean")
         if kind in ("DATE", "TIME", "TIMESTAMP"):
-            value = node.token("STRING_LITERAL").text[1:-1]
+            value = node.token("STRING_LITERAL").text[1:-1].replace("''", "'")
             return ast.Literal(value, kind.lower())
         if kind == "INTERVAL":
-            value = node.token("STRING_LITERAL").text[1:-1]
+            value = node.token("STRING_LITERAL").text[1:-1].replace("''", "'")
             qualifier = node.child("interval_qualifier").text().upper()
             return ast.Literal(f"{value} {qualifier}", "interval")
         raise NotImplementedError(f"literal token {kind!r}")

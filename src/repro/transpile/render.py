@@ -491,7 +491,7 @@ class SqlRenderer:
         if kind == "null":
             return "NULL", _PRIMARY
         if kind in ("date", "time", "timestamp"):
-            return f"{kind.upper()} '{value}'", _PRIMARY
+            return f"{kind.upper()} '" + str(value).replace("'", "''") + "'", _PRIMARY
         if kind == "interval":
             return self._render_interval(str(value)), _PRIMARY
         if kind in ("field", "trim_spec"):

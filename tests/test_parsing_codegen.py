@@ -4,8 +4,13 @@ The key property: the generated parser and the interpreting parser accept
 exactly the same language and produce structurally identical trees.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.grammar import read_grammar
 from repro.lexer import (
     TokenSet,
@@ -78,12 +83,26 @@ class TestGeneratedParser:
         node = generated.parse("x = 1", start="condition")
         assert node.name == "condition"
 
-    def test_source_is_self_contained(self):
+    def test_source_is_self_contained(self, tmp_path):
         grammar = read_grammar(TINY_SQL, tokens=tiny_tokens())
         source = generate_parser_source(grammar)
         assert "import re" in source
         # no repro imports: the module must run anywhere
         assert "repro" not in source.replace("repro.parsing.codegen", "")
+        # ... and it does: -I ignores PYTHONPATH, the cwd and user site
+        (tmp_path / "tiny_parser.py").write_text(source)
+        check = (
+            "import runpy, sys\n"
+            "ns = runpy.run_path('tiny_parser.py')\n"
+            "assert ns['accepts']('SELECT a FROM t WHERE x = 1')\n"
+            "assert not ns['accepts']('SELECT a FROM')\n"
+            "assert 'repro' not in sys.modules\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", check],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestGeneratedEdgeCases:
@@ -123,3 +142,36 @@ class TestGeneratedEdgeCases:
         mod = load_generated_parser(generate_parser_source(g))
         with pytest.raises(mod.ParseError):
             mod.parse("@")
+
+
+# the directory holding the repro package under test
+_SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+_DIGESTS = """
+import hashlib
+from repro.parsing import generate_closure_source, generate_parser_source
+from repro.sql import build_dialect
+for name in ("core", "full"):
+    product = build_dialect(name)
+    program = product.program()
+    for source in (generate_closure_source(program, program.fingerprint),
+                   generate_parser_source(product.grammar, program=program)):
+        print(name, hashlib.sha256(source.encode()).hexdigest())
+"""
+
+
+def test_generated_source_does_not_depend_on_the_hash_seed():
+    # dispatch tables are dicts over terminal sets: their iteration order
+    # follows the hash seed, the emitted source must not
+    def digests(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=_SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGESTS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    first = digests("0")
+    assert len(first) == 4
+    assert first == digests("1")

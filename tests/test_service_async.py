@@ -140,12 +140,16 @@ class TestDeadlines:
                 result = await service.parse(
                     "SELECT a FROM t", FULL, timeout=-1.0
                 )
-                return result, service.metrics.counter("parses") - before
+                parses = service.metrics.counter("parses") - before
+                return result, parses, service.service.health()["timeouts"]
 
-        result, parses = run(scenario())
+        result, parses, timeouts = run(scenario())
         assert result.timed_out
         assert any(d.code == PARSE_TIMEOUT for d in result.diagnostics)
         assert parses == 0  # the expired request never reached a parser
+        # counted and timed alike, the negative budget clamped to zero
+        assert timeouts["count"] == timeouts["latency"]["count"] == 1
+        assert timeouts["latency"]["min_ms"] == 0.0
 
     def test_generous_deadline_parses_normally(self):
         async def scenario():
