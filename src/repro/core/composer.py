@@ -321,23 +321,42 @@ class GrammarComposer:
         it in the trace's provenance maps (what lets coverage reports
         say *which feature* an uncovered rule came from).
         """
-        trace = trace if trace is not None else CompositionTrace()
         result = base.copy()
-        result.tokens = base.tokens.merge(extension.tokens)
+        result.tokens = base.tokens.copy()
+        self.extend(result, extension, trace=trace, origin=origin)
+        return result
+
+    def extend(
+        self,
+        grammar: Grammar,
+        extension: Grammar,
+        trace: CompositionTrace | None = None,
+        origin: str | None = None,
+    ) -> None:
+        """Fold ``extension`` into ``grammar`` in place.
+
+        The one composition step: :meth:`compose` runs it on a copy, and
+        :meth:`~repro.core.product_line.GrammarProductLine.compose_product`
+        runs it on one working grammar per product, so composing a
+        product copies no grammar and re-merges no token set per unit.
+        ``grammar`` must own its rules and token set.  A step that
+        raises leaves ``grammar`` partly extended.
+        """
+        trace = trace if trace is not None else CompositionTrace()
+        grammar.tokens.update(extension.tokens)
         for ext_rule in extension:
-            if not result.has_rule(ext_rule.name):
+            if not grammar.has_rule(ext_rule.name):
                 self._check_order_for_new_rule(ext_rule)
-                result.add_rule(ext_rule.copy())
+                grammar.add_rule(ext_rule.copy())
                 trace.added_rules.append(ext_rule.name)
                 trace.record_touch(ext_rule.name, origin)
                 continue
-            target = result.rule(ext_rule.name)
+            target = grammar.rule(ext_rule.name)
             for alternative in ext_rule.alternatives:
                 self._merge_alternative(target, alternative, trace)
             trace.record_touch(ext_rule.name, origin)
-        if result.start is None:
-            result.start = extension.start
-        return result
+        if grammar.start is None:
+            grammar.start = extension.start
 
     def compose_all(
         self,
@@ -348,8 +367,7 @@ class GrammarComposer:
         """Fold a composition sequence left to right."""
         result = Grammar(name)
         for grammar in grammars:
-            result = self.compose(result, grammar, trace=trace)
-        result.name = name
+            self.extend(result, grammar, trace=trace)
         return result
 
     def remove_rules(

@@ -247,9 +247,7 @@ class GrammarProductLine:
         grammar = Grammar(name)
         for u in sequence:
             if u.grammar is not None:
-                grammar = composer.compose(
-                    grammar, u.grammar, trace=trace, origin=u.feature
-                )
+                composer.extend(grammar, u.grammar, trace=trace, origin=u.feature)
             if u.removes:
                 grammar = composer.remove_rules(grammar, u.removes, trace=trace)
         grammar.name = name

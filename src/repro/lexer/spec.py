@@ -143,12 +143,23 @@ class TokenSet:
         otherwise a :class:`~repro.errors.TokenMergeConflictError` is
         raised naming the two contributing units.
         """
-        merged = TokenSet(name=self.name or other.name)
-        for d in self:
-            merged.add(d, origin=self._origins.get(d.name, self.name))
-        for d in other:
-            merged.add(d, origin=other._origins.get(d.name, other.name))
+        merged = self.copy()
+        merged.update(other)
         return merged
+
+    def update(self, other: "TokenSet") -> None:
+        """:meth:`merge` ``other`` into this set in place."""
+        if not self.name:
+            self.name = other.name
+        for d in other:
+            self.add(d, origin=other._origins.get(d.name, other.name))
+
+    def copy(self) -> "TokenSet":
+        """An independent set with the same definitions and origins."""
+        clone = TokenSet(name=self.name)
+        clone._defs = dict(self._defs)
+        clone._origins = dict(self._origins)
+        return clone
 
     def get(self, name: str) -> TokenDef | None:
         return self._defs.get(name)

@@ -5,8 +5,7 @@ per instruction.  This module removes that dispatch by *lowering* a
 :class:`~repro.parsing.program.ParseProgram` to one Python function per
 rule — straight-line token matches, native ``while`` loops for
 repetition, pre-grouped dispatch dictionaries for CHOICE — and
-``exec``-compiling the result once at registry-build time (threaded
-code).
+compiling each function on its first call (threaded code).
 
 Semantics are interpreter-exact and enforced by the differential suite:
 identical parse trees on accepts, identical line/column/expected sets
@@ -29,9 +28,11 @@ Layers:
 * :func:`generate_closure_source` — the artifact module (cached on disk
   as ``<digest>.closures.py`` next to ``<digest>.ir.json``, embedding
   its fingerprint in a ``_FINGERPRINT`` line);
-* :class:`ClosureProgram` — the exec'd artifact: per-rule functions
-  plus a lazily compiled *instrumented* twin whose emitted counter
-  bumps mirror the interpreter's ``_exec_cov`` point for point;
+* :class:`ClosureProgram` — the loaded lowering: per-rule functions
+  that compile on first call (a disk artifact is checked by
+  regenerating its text, not by compiling it), plus an *instrumented*
+  twin, loaded the same way, whose emitted counter bumps mirror the
+  interpreter's ``_exec_cov`` point for point;
 * :class:`ClosureParser` — a :class:`~repro.parsing.parser.Parser`
   subclass overriding only ``_call_rule``, so the whole public surface
   (diagnostics, panic-mode recovery, hints, coverage) is inherited
@@ -40,7 +41,10 @@ Layers:
 
 from __future__ import annotations
 
+import builtins
 import threading
+from functools import partial
+from types import CodeType, FunctionType
 from typing import Any, Callable
 
 from .parser import Parser, RunState
@@ -49,7 +53,7 @@ from .parser import Parser, RunState
 # functions take ``s`` (the call's RunState) and ``out`` (the parent's
 # children list), so they close over nothing: the artifact namespace
 # holds only constants and other functions, shareable across threads.
-from .parser import _check, _depth_fail, _Fail, _fail  # noqa: F401
+from .parser import _check, _depth_fail, _Fail, _fail
 from .program import (
     OP_CALL,
     OP_CHOICE,
@@ -60,6 +64,7 @@ from .program import (
     ParseProgram,
     called_rules,
 )
+from .tree import Node
 
 
 #: Module-level constant both generated modules embed; the service
@@ -481,11 +486,16 @@ class _SourceBuilder:
         w(1, "out.append(node)")
         w(0, "")
 
-    def build(self) -> str:
+    def build(self) -> list[tuple[str, str]]:
+        """``(name, def text)`` per function: rules in id order, then helpers."""
+        functions = []
         for rid in range(len(self.program.rule_names)):
+            self.lines = []
             self.emit_rule(rid)
+            functions.append((f"_r{rid}", "\n".join(self.lines)))
         while self.helpers:
             name, instr = self.helpers.pop()
+            self.lines = []
             self.w(0, f"def {name}(s, ch):")
             self.w(1, "tk = s.tokens")
             saved = self.tmp
@@ -493,37 +503,55 @@ class _SourceBuilder:
             self.emit(instr, 1)
             self.tmp = saved
             self.w(0, "")
-        return "\n".join(self.lines)
+            functions.append((name, "\n".join(self.lines)))
+        return functions
 
 
-def _lowered_body(program: ParseProgram, coverage_map: Any = None) -> str:
-    """The lowering both generated modules share, after their headers.
+class _Lowering:
+    """A program lowered to Python, in the pieces both loaders need.
 
-    Constants, one function per rule, the helper-function tuples and
-    ``RULES`` (rule functions by rule id).  The text needs ``_Fail``,
-    ``_fail``, ``_check``, ``_depth_fail``, ``_Node`` and ``_new`` in
-    scope, and a state object with the :class:`RunState` slots it reads.
+    ``consts`` are ``(name, value)`` pairs, ``functions`` ``(name, def
+    text)`` pairs (rules in id order, then helpers), ``tuples`` the
+    helper-function tuples as ``(name, function names, alt slots or
+    None)``.  :meth:`body` joins them into the module text both
+    generated modules share; :func:`_load` binds them without it.
     """
-    builder = _SourceBuilder(program, coverage_map)
-    body = builder.build()
-    lines = [f"{name} = {_literal(value)}" for name, value in builder.const_defs]
-    lines += ["", body]
-    for tname, names, slots in builder.fn_tuples:
-        if slots is None:
-            items = ", ".join(names)
-        else:
-            items = ", ".join(
-                f"({name}, {slot})" for name, slot in zip(names, slots)
-            )
-        if len(names) == 1:
-            items += ","
-        lines.append(f"{tname} = ({items})")
-    n_rules = len(program.rule_names)
-    rules = ", ".join(f"_r{rid}" for rid in range(n_rules))
-    if n_rules == 1:
-        rules += ","
-    lines += ["", f"RULES = ({rules})", ""]
-    return "\n".join(lines)
+
+    __slots__ = ("consts", "functions", "tuples", "n_rules")
+
+    def __init__(self, program: ParseProgram, coverage_map: Any = None) -> None:
+        builder = _SourceBuilder(program, coverage_map)
+        self.functions = builder.build()
+        self.consts = builder.const_defs
+        self.tuples = builder.fn_tuples
+        self.n_rules = len(program.rule_names)
+
+    def body(self) -> str:
+        """The lowering both generated modules share, after their headers.
+
+        Constants, one function per rule, the helper-function tuples and
+        ``RULES`` (rule functions by rule id).  The text needs ``_Fail``,
+        ``_fail``, ``_check``, ``_depth_fail``, ``_Node`` and ``_new`` in
+        scope, and a state object with the :class:`RunState` slots it
+        reads.
+        """
+        lines = [f"{name} = {_literal(value)}" for name, value in self.consts]
+        lines += ["", "\n".join(text for _name, text in self.functions)]
+        for tname, names, slots in self.tuples:
+            if slots is None:
+                items = ", ".join(names)
+            else:
+                items = ", ".join(
+                    f"({name}, {slot})" for name, slot in zip(names, slots)
+                )
+            if len(names) == 1:
+                items += ","
+            lines.append(f"{tname} = ({items})")
+        rules = ", ".join(f"_r{rid}" for rid in range(self.n_rules))
+        if self.n_rules == 1:
+            rules += ","
+        lines += ["", f"RULES = ({rules})", ""]
+        return "\n".join(lines)
 
 
 def generate_closure_source(
@@ -539,6 +567,12 @@ def generate_closure_source(
     ``coverage_map``, instrumented functions are generated instead
     (those are never written to disk — they are rebuilt on demand).
     """
+    return _module_text(program, fingerprint, _Lowering(program, coverage_map))
+
+
+def _module_text(
+    program: ParseProgram, fingerprint: str | None, lowering: _Lowering
+) -> str:
     head = [
         f'"""Closure-compiled parser for {program.grammar_name!r} '
         f"({len(program.rule_names)} rules).",
@@ -555,46 +589,125 @@ def generate_closure_source(
         "",
         "_new = object.__new__",
         "",
-        _lowered_body(program, coverage_map),
+        lowering.body(),
     ]
     return "\n".join(head)
 
 
 # -- the compiled artifact ---------------------------------------------------
 
+#: What the artifact header imports, bound straight into each namespace.
+_RUNTIME: dict[str, Any] = {
+    "__builtins__": builtins.__dict__,
+    "_Fail": _Fail,
+    "_check": _check,
+    "_depth_fail": _depth_fail,
+    "_fail": _fail,
+    "_Node": Node,
+    "_new": object.__new__,
+}
+
+
+def _stub(s: RunState, out: list, _first_call: Any = None) -> None:
+    """The code every lowered function starts with (see :func:`_load`)."""
+    return _first_call(s, out)
+
+
+def _load(
+    lowering: _Lowering, filename: str, lock: threading.Lock
+) -> tuple[Callable[[RunState, list], None], ...]:
+    """Bind a lowering into a fresh namespace, compiling each function lazily.
+
+    The constants go in as values, and every function name is bound to
+    a stub made from :func:`_stub`'s one code object, with the call that
+    compiles that function in its defaults.  The first call compiles
+    the function's own text under ``lock``, swaps the compiled
+    ``__code__`` into the stub and clears its defaults, then runs it.
+    ``RULES``, the helper tuples and every global reference hold the
+    stub objects themselves, so from then on they run the real code,
+    with no trampoline left.  A compile that raises leaves the function
+    pending, and its next call retries.  Returns ``RULES``.
+    """
+    pending = dict(lowering.functions)
+    namespace = dict(_RUNTIME)
+    namespace.update(lowering.consts)
+
+    def first_call(name: str, s: RunState, out: list) -> None:
+        fn = namespace[name]
+        with lock:
+            text = pending.get(name)
+            if text is not None:
+                module = compile(text, filename, "exec")
+                fn.__code__ = next(
+                    c for c in module.co_consts if isinstance(c, CodeType)
+                )
+                # after the code: a racing call may still bind the old
+                # defaults to the new code, never the stub to none
+                fn.__defaults__ = None
+                del pending[name]
+        return fn(s, out)
+
+    for name in pending:
+        namespace[name] = FunctionType(
+            _stub.__code__, namespace, name, (partial(first_call, name),)
+        )
+    for tname, names, slots in lowering.tuples:
+        fns = [namespace[name] for name in names]
+        namespace[tname] = tuple(fns) if slots is None else tuple(zip(fns, slots))
+    return tuple(namespace[f"_r{rid}"] for rid in range(lowering.n_rules))
+
 
 class ClosureProgram:
-    """A :class:`ParseProgram` exec-compiled to per-rule functions.
+    """A :class:`ParseProgram` lowered to per-rule functions, compiled lazily.
 
-    Immutable once built and safe to share across threads (the rule
-    functions close over nothing; all parse state rides on the
-    :class:`RunState` argument).  ``instrumented()`` compiles the
-    coverage-counting twin on first use, keyed to the program's
-    deterministic :class:`~repro.parsing.coverage.CoverageMap` layout.
+    Building one lowers the program and binds every function to a stub;
+    each function compiles on its first call (see :func:`_load`), so a
+    cold program pays for the rules its workload reaches.  Safe to share
+    across threads: the rule functions close over nothing, and all parse
+    state rides on the :class:`RunState` argument.  ``instrumented()``
+    lowers and loads the coverage-counting twin the same way on first
+    use, keyed to the program's deterministic
+    :class:`~repro.parsing.coverage.CoverageMap` layout.
+
+    ``source`` is artifact text to check: it is accepted only when it is
+    byte-identical to what :func:`generate_closure_source` regenerates
+    under the fingerprint it embeds, so a torn or tampered
+    ``.closures.py`` raises ``ValueError`` without being compiled.
+    Otherwise ``fingerprint`` (default: the program's) is what
+    :attr:`source` embeds.
     """
 
-    __slots__ = ("program", "source", "rule_fns", "_lock", "_instrumented")
+    __slots__ = ("program", "fingerprint", "rule_fns", "_lock", "_instrumented")
 
-    def __init__(self, program: ParseProgram, source: str | None = None) -> None:
-        if source is None:
-            source = generate_closure_source(program, program.fingerprint)
-        namespace: dict[str, Any] = {}
-        exec(
-            compile(source, f"<closures:{program.grammar_name}>", "exec"),
-            namespace,
-        )
-        rules = namespace.get("RULES")
-        if not isinstance(rules, tuple) or len(rules) != len(program.rule_names):
-            raise ValueError(
-                "closure artifact does not match the parse program "
-                f"({program.grammar_name!r}: expected "
-                f"{len(program.rule_names)} rules)"
-            )
+    def __init__(
+        self,
+        program: ParseProgram,
+        source: str | None = None,
+        fingerprint: str | None = None,
+    ) -> None:
+        lowering = _Lowering(program)
+        if source is not None:
+            fingerprint = source_fingerprint(source)
+            if source != _module_text(program, fingerprint, lowering):
+                raise ValueError(
+                    "closure artifact does not match the parse program "
+                    f"({program.grammar_name!r}): it differs from the "
+                    "regenerated text"
+                )
+        elif fingerprint is None:
+            fingerprint = program.fingerprint
         self.program = program
-        self.source = source
-        self.rule_fns: tuple[Callable[[RunState, list], None], ...] = rules
+        self.fingerprint = fingerprint
         self._lock = threading.Lock()
+        self.rule_fns = _load(
+            lowering, f"<closures:{program.grammar_name}>", self._lock
+        )
         self._instrumented: tuple | None = None
+
+    @property
+    def source(self) -> str:
+        """The artifact text, regenerated on every read (a store saves it)."""
+        return generate_closure_source(self.program, self.fingerprint)
 
     def instrumented(self, coverage_map: Any) -> tuple:
         """Rule functions with coverage bumps compiled in (lazy, shared)."""
@@ -602,39 +715,26 @@ class ClosureProgram:
         if fns is None:
             with self._lock:
                 if self._instrumented is None:
-                    source = generate_closure_source(
-                        self.program, coverage_map=coverage_map
+                    self._instrumented = _load(
+                        _Lowering(self.program, coverage_map),
+                        f"<closures-cov:{self.program.grammar_name}>",
+                        self._lock,
                     )
-                    namespace: dict[str, Any] = {}
-                    exec(
-                        compile(
-                            source,
-                            f"<closures-cov:{self.program.grammar_name}>",
-                            "exec",
-                        ),
-                        namespace,
-                    )
-                    self._instrumented = namespace["RULES"]
                 fns = self._instrumented
         return fns
 
     def __repr__(self) -> str:
         return (
             f"<ClosureProgram {self.program.grammar_name!r}: "
-            f"{len(self.rule_fns)} rules, {len(self.source)} chars>"
+            f"{len(self.rule_fns)} rules>"
         )
 
 
 def compile_closure_program(
     program: ParseProgram, fingerprint: str | None = None
 ) -> ClosureProgram:
-    """Compile ``program`` to threaded code (one function per rule)."""
-    return ClosureProgram(
-        program,
-        generate_closure_source(
-            program, fingerprint if fingerprint is not None else program.fingerprint
-        ),
-    )
+    """Lower ``program`` to threaded code (one function per rule)."""
+    return ClosureProgram(program, fingerprint=fingerprint)
 
 
 # -- the parser facade -------------------------------------------------------

@@ -30,7 +30,7 @@ import types
 
 from ..grammar.grammar import Grammar
 from ..lexer.spec import compile_master_pattern
-from .closures import FINGERPRINT_CONSTANT, _lowered_body
+from .closures import FINGERPRINT_CONSTANT, _Lowering
 from .first_follow import GrammarAnalysis
 from .parser import DEFAULT_MAX_DEPTH
 from .program import ParseProgram, compile_program
@@ -222,7 +222,7 @@ def generate_parser_source(
         f"_START = {program.start_name()!r}",
         f"_RULE_IDS = {{{rule_ids}}}",
         "",
-        _lowered_body(program),
+        _Lowering(program).body(),
     ]
     return "\n".join(head)
 

@@ -5,7 +5,9 @@ directory, each named ``<digest><suffix>`` and each embedding the
 fingerprint it was built for:
 
 * ``ir`` (``.ir.json``) — the compiled parse program;
-* ``closures`` (``.closures.py``) — the closure-backend source;
+* ``closures`` (``.closures.py``) — the closure-backend source,
+  accepted only when byte-identical to the text regenerated from the
+  program (so loading one compiles nothing up front);
 * ``lex`` (``.lex.json``) — token definitions + start rule, so a
   process-pool worker can build a scanner without the composed grammar.
 

@@ -13,8 +13,9 @@ Three cache layers, cheapest first:
    per-fingerprint build locks so N concurrent requests for the same
    selection trigger exactly one composition.
 2. **Per-entry lazy compilation**: the scanner, the parse program, the
-   closure-compiled code and the entry's three parsers (interpreting,
-   compiled, clean-room fallback) are built on first use.  A parse
+   closure-compiled code (whose rules compile on their own first call)
+   and the entry's three parsers (interpreting, compiled, clean-room
+   fallback) are built on first use.  A parse
    keeps its state in a per-call object, so every thread shares each
    of them.
 3. **On-disk artifact cache** (optional): one
@@ -170,11 +171,12 @@ class RegistryEntry:
             return self.product.program()
 
     def closure_program(self):
-        """The exec-compiled closure artifact, shared across threads.
+        """The closure-compiled program, shared across threads.
 
-        Loaded from ``<digest>.closures.py`` when fresh; a file that
-        passes the fingerprint check but does not exec into a rule table
-        matching the program counts as corrupt and is rebuilt.
+        Its rules compile on their first call.  Loaded from
+        ``<digest>.closures.py`` when fresh; a file that passes the
+        fingerprint check but is not byte-identical to the text
+        regenerated from the program counts as corrupt and is rebuilt.
         """
 
         def obtain():

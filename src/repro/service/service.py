@@ -421,17 +421,23 @@ class ParseService:
         (``translates``/``renders``/``translate_errors``) and the
         ``translate`` latency histogram are recorded, and unexpected
         failures degrade to an ``E0000`` diagnostic instead of a crash.
+        Admission control is :meth:`parse`'s: with ``max_queue``
+        requests in flight the call is shed with an ``E0204``
+        diagnostic.
         """
         from ..errors import ReproError
         from ..transpile import translate as _translate
 
-        self.metrics.incr("translates")
-        timer = self.metrics.time("translate")
         outcome = TranslateServiceResult(
             source_sql=sql,
             source_dialect=source_dialect,
             target_dialect=target_dialect,
         )
+        if not self._admit():
+            outcome.diagnostics.add(self._overloaded().to_diagnostic())
+            return outcome
+        self.metrics.incr("translates")
+        timer = self.metrics.time("translate")
         try:
             with timer:
                 result = _translate(sql, source_dialect, target_dialect)
@@ -453,6 +459,8 @@ class ParseService:
             )
             outcome.seconds = timer.seconds
             return outcome
+        finally:
+            self._release_admission()
         self.metrics.incr("renders")
         outcome.sql = result.sql
         outcome.rewrites = result.rewrites
@@ -798,18 +806,18 @@ class ParseService:
         with self._admission_lock:
             return self._in_flight
 
-    def _shed_result(self, text: str) -> ParseServiceResult:
+    def _overloaded(self):
         from ..errors import ServiceOverloadedError
 
-        return _error_result(
-            text,
-            ServiceOverloadedError(
-                f"service overloaded: {self.max_queue} requests already "
-                "in flight; request shed",
-                in_flight=self.max_queue,
-                limit=self.max_queue,
-            ),
+        return ServiceOverloadedError(
+            f"service overloaded: {self.max_queue} requests already "
+            "in flight; request shed",
+            in_flight=self.max_queue,
+            limit=self.max_queue,
         )
+
+    def _shed_result(self, text: str) -> ParseServiceResult:
+        return _error_result(text, self._overloaded())
 
     def _serve_request(
         self, request: ParseRequest, deadline: Deadline | None = None

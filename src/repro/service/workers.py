@@ -134,6 +134,10 @@ _PARSERS: "OrderedDict[str, Any]" = OrderedDict()
 def _bootstrap_parser(task: WorkerTask):
     """Build a compiled parser for ``task`` purely from on-disk artifacts.
 
+    The closure artifact goes through the registry's loader: its text is
+    checked against the one regenerated from the IR, and each rule
+    compiles on its first call in this worker.
+
     Raises :class:`~repro.service.artifacts.ArtifactMiss` (with the
     store's quarantine bookkeeping) on any missing/stale/corrupt
     artifact — the *only* exception the caller sees.

@@ -1176,7 +1176,16 @@ class SqlRenderer:
         self._require("INSERT statement", "Insert")
         parts = [f"INSERT INTO {self._chain(stmt.table)}"]
         if stmt.columns:
-            self._require("INSERT column list", "InsertColumnList")
+            # the unit licensing the list is the one whose production
+            # carries it for this source kind: a query source's
+            # ``column_list?`` comes with InsertFromQuery
+            from_query = stmt.source is not None and not isinstance(
+                stmt.source, ast.Values
+            )
+            self._require(
+                "INSERT column list",
+                "InsertFromQuery" if from_query else "InsertColumnList",
+            )
             parts.append(
                 "(" + ", ".join(self._ident(c) for c in stmt.columns) + ")"
             )

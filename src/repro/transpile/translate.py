@@ -8,8 +8,9 @@ explanation of exactly which feature units the target is missing.
 
 The pipeline of :func:`translate`:
 
-1. **parse** the input with the source dialect's cached parser (through
-   the process-wide parser registry — no recomposition per call);
+1. **parse** the input with the source dialect's cached compiled
+   parser, the backend that serves ``parse`` (through the process-wide
+   parser registry — no recomposition per call);
 2. **build** the AST (:func:`repro.sql.build_ast`);
 3. **render** with the target's :class:`~repro.transpile.render.RenderOptions`
    in one walk that records every construct's feature requirement and
@@ -19,8 +20,9 @@ The pipeline of :func:`translate`:
    selection cannot satisfy: :class:`TranspileError` (``E0401``) with
    one "enable feature 'X'" hint per gap, and the drafted text is
    dropped;
-5. **verify** by re-parsing the output with the target's parser — the
-   "never emit malformed SQL" guarantee is checked, not assumed.
+5. **verify** by re-parsing the output with the target's compiled
+   parser — the "never emit malformed SQL" guarantee is checked, not
+   assumed.
 
 The result carries a versioned JSON report (kind
 ``repro-transpile-report``, v1) through the shared report envelope.
@@ -105,8 +107,8 @@ class TranslationResult:
 class _DialectState:
     """Everything :func:`translate` needs of one preset dialect."""
 
-    #: Registry entry: its shared parser runs the source parse and the
-    #: verify reparse.
+    #: Registry entry: its shared compiled parser runs the source parse
+    #: and the verify reparse.
     entry: RegistryEntry
     #: Render options when the dialect is the target; their resolved
     #: selection is what gaps are checked against.
@@ -125,7 +127,9 @@ def _dialect_state(name: str) -> _DialectState:
     of up to ~500 names) and the composition trace's rule origins depend
     only on the dialect too, so all of it is built here once per preset
     name (presets are a small, fixed set).  The parser is the entry's
-    shared one (:meth:`~repro.service.registry.RegistryEntry.parser`).
+    shared compiled one
+    (:meth:`~repro.service.registry.RegistryEntry.compiled_parser`),
+    whose rules compile on their first call.
     """
     from ..sql import build_dialect, sql_parser_registry
 
@@ -156,7 +160,7 @@ def translate(sql: str, source_dialect: str, target_dialect: str) -> Translation
     source = _dialect_state(source_dialect)
     target = _dialect_state(target_dialect)
 
-    tree = source.entry.parser().parse(sql)
+    tree = source.entry.compiled_parser().parse(sql)
     script = build_ast(tree)
 
     renderer = SqlRenderer(target.options, rule_origins=source.rule_origins)
@@ -175,7 +179,7 @@ def translate(sql: str, source_dialect: str, target_dialect: str) -> Translation
     # output; a rejection here is a gate the renderer is missing and
     # surfaces as a structured error, not as bad SQL handed to the caller
     try:
-        target.entry.parser().parse(rendered)
+        target.entry.compiled_parser().parse(rendered)
     except ReproError as exc:
         raise TranspileError(
             f"translation to dialect '{target_dialect}' produced SQL its own "

@@ -267,6 +267,28 @@ class TestWholeGrammarComposition:
         GrammarComposer().compose(base, ext)
         assert alts(base, "a") == [Ref("b")]
 
+    def test_compose_leaves_base_and_extension_unmodified(self):
+        base = g("a : X ;\nb : X ;", name="base", tokens=[literal("X", "x")])
+        ext = g(
+            "a : X Y ;\nc : Y ;", name="ext",
+            tokens=[literal("X", "x"), literal("Y", "y")],
+        )
+
+        def state(grammar):
+            return (
+                grammar.name, grammar.start,
+                [(r.name, list(r.alternatives)) for r in grammar],
+                [(d, grammar.tokens._origins[d.name]) for d in grammar.tokens],
+                grammar.tokens.name,
+            )
+
+        before = state(base), state(ext)
+        composed = GrammarComposer().compose(base, ext)
+        assert (state(base), state(ext)) == before
+        assert composed.tokens is not base.tokens
+        assert composed.tokens.names() == {"X", "Y"}
+        assert alts(composed, "a") == [seq(Tok("X"), Tok("Y"))]
+
     def test_remove_rules(self):
         trace = CompositionTrace()
         composed = GrammarComposer().remove_rules(

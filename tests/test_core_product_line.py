@@ -5,10 +5,14 @@ Uses a miniature SELECT product line mirroring the paper's worked example
 multi-column select list.
 """
 
+import random
+
 import pytest
 
 from repro.core import (
+    CompositionTrace,
     FeatureUnit,
+    GrammarComposer,
     GrammarProductLine,
     ParserBuilder,
     check_unit_constraints,
@@ -19,6 +23,7 @@ from repro.errors import (
     CompositionError,
     ConstraintViolationError,
     InvalidConfigurationError,
+    ReproError,
 )
 from repro.features import (
     FeatureModel,
@@ -26,7 +31,10 @@ from repro.features import (
     mandatory,
     optional,
 )
+from repro.grammar import Grammar
 from repro.lexer import keyword, literal, pattern, standard_skip_tokens
+from repro.service.fingerprint import configuration_fingerprint
+from repro.sql import build_sql_product_line, dialect_features, dialect_names
 
 
 def mini_model():
@@ -225,3 +233,71 @@ class TestParserBuilder:
     def test_metrics_as_dict(self, line):
         metrics = ParserBuilder(line).build(["Query"]).metrics.as_dict()
         assert set(metrics) >= {"compose_seconds", "grammar_rules", "tokens"}
+
+
+class TestInPlaceFold:
+    """``compose_product`` folds every unit into one working grammar in
+    place; it must give exactly the functional left fold of
+    ``GrammarComposer.compose`` (one copy per step)."""
+
+    @staticmethod
+    def functional_fold(line, product):
+        trace = CompositionTrace()
+        composer = GrammarComposer()
+        grammar = Grammar(product.name)
+        for feature in product.sequence:
+            u = line.unit_for(feature)
+            if u.grammar is not None:
+                grammar = composer.compose(
+                    grammar, u.grammar, trace=trace, origin=u.feature
+                )
+            if u.removes:
+                grammar = composer.remove_rules(grammar, u.removes, trace=trace)
+        if line.start is not None:
+            grammar.start = line.start
+        return grammar, trace
+
+    @staticmethod
+    def state(grammar, trace):
+        tokens = grammar.tokens
+        return {
+            "grammar": (grammar.name, grammar.start),
+            "rules": [(r.name, list(r.alternatives)) for r in grammar],
+            "tokens": [(d, tokens._origins[d.name]) for d in tokens],
+            "token_set": tokens.name,
+            "trace": (
+                trace.replaced, trace.retained, trace.appended, trace.merged,
+                trace.added_rules, trace.removed_rules, trace.origins,
+                trace.contributors,
+            ),
+        }
+
+    def check(self, line, config):
+        product = line.compose_product(config)
+        grammar, trace = self.functional_fold(line, product)
+        assert self.state(product.grammar, product.trace) == self.state(
+            grammar, trace
+        )
+        assert product.fingerprint == configuration_fingerprint(line, config)
+
+    @pytest.mark.parametrize("dialect", dialect_names())
+    def test_presets(self, dialect):
+        line = build_sql_product_line()
+        self.check(line, line.resolve_configuration(dialect_features(dialect)))
+
+    def test_random_valid_selections(self):
+        line = build_sql_product_line()
+        leaves = sorted(
+            f.name for f in line.model.root.walk()
+            if not f.children and line.unit_for(f.name) is not None
+        )
+        rng = random.Random(20260807)
+        checked = 0
+        while checked < 20:
+            picked = rng.sample(leaves, rng.randint(2, 12))
+            try:
+                config = line.resolve_configuration(picked)
+            except ReproError:
+                continue  # not a valid selection
+            self.check(line, config)
+            checked += 1

@@ -110,6 +110,31 @@ class TestClosureDiskCache:
         assert artifact.with_name(artifact.name + ".bad").exists()
         assert entry2.compiled_parser().accepts(ACCEPTED)
 
+    def test_tampered_but_valid_python_artifact_is_corrupt(self, tmp_path):
+        """A file that still compiles and keeps its fingerprint line, but
+        no longer matches the program, is caught by regeneration: served,
+        it would reject a query the interpreter accepts."""
+        first = make_registry(cache_dir=tmp_path)
+        entry = first.get(FEATURES)
+        entry.closure_program()
+        artifact = tmp_path / f"{entry.fingerprint.digest}.closures.py"
+        text = artifact.read_text()
+        assert "'WHERE'" in text
+        tampered = text.replace("'WHERE'", "'FROM'")
+        compile(tampered, str(artifact), "exec")  # still valid Python
+        artifact.write_text(tampered)
+
+        second = make_registry(cache_dir=tmp_path)
+        entry2 = second.get(FEATURES)
+        entry2.closure_program()
+        assert second.metrics.counter("artifact.closures.corrupt") == 1
+        assert second.metrics.counter("artifact.closures.hit") == 0
+        assert second.metrics.counter("artifact.closures.build") == 1
+        assert artifact.with_name(artifact.name + ".bad").exists()
+        assert artifact.read_text() == text
+        assert entry2.compiled_parser().accepts(ACCEPTED)
+        assert entry2.parser().accepts(ACCEPTED)
+
     def test_artifact_inventory_lists_every_kind(self, tmp_path):
         registry = make_registry(cache_dir=tmp_path)
         entry = registry.get(FEATURES)

@@ -34,13 +34,13 @@ def service():
 @pytest.fixture
 def compose_calls(monkeypatch):
     calls = []
-    original = GrammarComposer.compose
+    original = GrammarComposer.extend
 
     def counting(self, *args, **kwargs):
         calls.append(1)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(GrammarComposer, "compose", counting)
+    monkeypatch.setattr(GrammarComposer, "extend", counting)
     return calls
 
 
@@ -148,6 +148,44 @@ class TestSerialParseManyAdmission:
             assert not caller.is_alive()
             assert [d.code for d in result.diagnostics] == [SERVICE_OVERLOADED]
             assert held[0].ok
+            assert service.in_flight == 0
+
+    def test_translate_sheds_while_another_caller_holds_the_only_slot(
+        self, monkeypatch
+    ):
+        with make_service(max_workers=1, max_queue=1) as service:
+            service.warm(FULL)
+            entered, release = threading.Event(), threading.Event()
+            original = service._parse_entry
+
+            def blocking(entry, text, *args, **kwargs):
+                entered.set()
+                release.wait(timeout=10)
+                return original(entry, text, *args, **kwargs)
+
+            monkeypatch.setattr(service, "_parse_entry", blocking)
+            held = []
+            caller = threading.Thread(
+                target=lambda: held.append(
+                    service.parse("SELECT blocker FROM t", FULL)
+                )
+            )
+            caller.start()
+            try:
+                assert entered.wait(timeout=10)
+                shed = service.translate("SELECT a FROM t", "core", "full")
+            finally:
+                release.set()
+                caller.join(timeout=10)
+            assert not caller.is_alive()
+            assert [d.code for d in shed.diagnostics] == [SERVICE_OVERLOADED]
+            assert not shed.ok and shed.sql is None
+            counters = service.metrics.snapshot()["counters"]
+            assert counters["shed"] == 1
+            assert counters["translates"] == 0
+            assert held[0].ok
+            # with the slot free again, translate runs and releases it
+            assert service.translate("SELECT a FROM t", "core", "full").ok
             assert service.in_flight == 0
 
 

@@ -33,13 +33,13 @@ def registry():
 def compose_calls(monkeypatch):
     """Count grammar compositions performed anywhere in the process."""
     calls = []
-    original = GrammarComposer.compose
+    original = GrammarComposer.extend
 
     def counting(self, *args, **kwargs):
         calls.append(threading.get_ident())
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(GrammarComposer, "compose", counting)
+    monkeypatch.setattr(GrammarComposer, "extend", counting)
     return calls
 
 

@@ -22,6 +22,8 @@ from repro.sql import (
     build_ast,
     build_dialect,
     build_sql_product_line,
+    configure_sql,
+    dialect_features,
     dialect_names,
 )
 from repro.transpile import (
@@ -253,6 +255,33 @@ class TestFeatureGating:
         ]
         assert limiting == [("Limit", "FetchFirst")]
         assert renderer.gaps == []
+
+    def test_insert_from_query_licenses_its_column_list(self, full_parser):
+        """``InsertFromQuery`` contributes ``column_list? query_expression``,
+        so a product without ``InsertColumnList`` still spells a column
+        list before a query; before a VALUES source it does not."""
+        features = [
+            f for f in dialect_features("core")
+            if f not in ("InsertColumnList", "OverridingClause")
+        ] + ["InsertFromQuery"]
+        product = configure_sql(features)
+        assert "InsertColumnList" not in product.configuration.selected
+        options = RenderOptions.for_product(product)
+        parser = product.parser()
+
+        renderer = SqlRenderer(options, rule_origins=product.rule_origins())
+        out = renderer.render(
+            build_ast(parser.parse("INSERT INTO t ( a ) SELECT b FROM u"))
+        )
+        assert renderer.gaps == []
+        assert out == "INSERT INTO t (a) SELECT b FROM u"
+        parser.parse(out)
+
+        renderer = SqlRenderer(options)
+        renderer.draft(
+            build_ast(full_parser.parse("INSERT INTO t ( a ) VALUES ( 1 )"))
+        )
+        assert [gap.primary for gap in renderer.gaps] == ["InsertColumnList"]
 
     def test_default_options_render_everything(self, full_parser):
         # features=None means "no gating" — the renderer emits full syntax
