@@ -6,21 +6,33 @@ The transpiler's budget claims:
   fraction of parsing: < 25% of a warm ``parser.parse`` on the same
   workload.  Rendering is pure tree traversal; if it ever approaches
   parse cost something structural regressed.
-* **translate** — the full pipeline (source parse, AST build, capability
-  analysis, render, verify re-parse) must cost < 2 warm parses through
-  the serving path (``ParseService.parse`` on a warmed service).  A
-  translation *contains* two raw parses (source + verify) by
-  construction, so the serving-path parse — the cost of one warm parse
-  request end to end — is the unit of comparison.  The assertion has
-  teeth: before translation memoized dialect resolution, every call
-  re-ran ``build_dialect`` + registry fingerprinting and landed near
-  3x this baseline.
+* **translate** — the full pipeline (source parse, AST build, render
+  with its feature gating, verify re-parse) must cost < 6 warm compiled
+  parses of the same queries: the registry entry's
+  ``compiled_parser().parse``, the call ``translate`` makes twice.  By
+  construction a translation is about 3.2 of them (two parses, an AST
+  build of about 0.9 parse and a render of about 0.3); 6 leaves room
+  for a shared host's noise.  The unit used to be a warm
+  ``ParseService.parse``, which re-resolved the selection on every
+  call; with resolution memoised in the registry a warm service parse
+  is just a parse, so "< 2 of them" cannot hold for a pipeline that
+  contains two.  Rebuilding per-dialect translation state on every call
+  — the regression this gate named before — now adds only about a fifth
+  to a third, which a bound wide enough for a shared host's noise cannot
+  catch; the deterministic call-count test
+  ``tests/test_transpile_roundtrip.py::test_warm_translate_rebuilds_no_dialect_state``
+  guards it instead.  Both sides are timed interleaved, min-of-N, so
+  host drift hits them equally.
 """
 
 import time
 
-from repro.service import ParseService
-from repro.sql import build_ast, build_dialect, dialect_features
+from repro.sql import (
+    build_ast,
+    build_dialect,
+    dialect_features,
+    sql_parser_registry,
+)
 from repro.transpile import RenderOptions, SqlRenderer, translate
 from repro.workloads import generate_workload
 
@@ -30,7 +42,8 @@ SEED = 11
 REPS = 5
 
 RENDER_BUDGET = 0.25   # render < 25% of a warm raw parse
-TRANSLATE_BUDGET = 2.0  # translate < 2 warm serving-path parses
+TRANSLATE_BUDGET = 6.0  # translate < 6 warm compiled parses (~3.2 by construction)
+ROUNDS = 7              # interleaved rounds of the translate gate
 
 
 def median_pass_seconds(fn, items, reps=REPS):
@@ -43,6 +56,19 @@ def median_pass_seconds(fn, items, reps=REPS):
         samples.append(time.perf_counter() - t0)
     samples.sort()
     return samples[len(samples) // 2]
+
+
+def interleaved_min_pass_seconds(fn_a, fn_b, items, rounds=ROUNDS):
+    """Min wall time of a pass of each ``fn`` over ``items``, A and B
+    alternating within every round so machine noise hits both alike."""
+    best = [float("inf"), float("inf")]
+    for _ in range(rounds):
+        for side, fn in enumerate((fn_a, fn_b)):
+            t0 = time.perf_counter()
+            for item in items:
+                fn(item)
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return best[0], best[1]
 
 
 def test_render_cost_vs_warm_parse():
@@ -71,31 +97,26 @@ def test_render_cost_vs_warm_parse():
 
 
 def test_translate_cost_vs_warm_parse():
-    """Acceptance criterion: translate < 2 warm serving-path parses."""
+    """Acceptance criterion: translate < 6 warm compiled parses."""
     features = dialect_features(DIALECT)
     queries = generate_workload(DIALECT, COUNT, seed=SEED)
+    parser = sql_parser_registry().get(features).compiled_parser()
+    for q in queries:  # compile every rule the workload reaches
+        parser.parse(q)
+        translate(q, DIALECT, DIALECT)
 
-    with ParseService() as service:
-        service.warm(features)
-        for q in queries[:10]:  # warm thread-local parsers and caches
-            service.parse(q, features)
-        translate(queries[0], DIALECT, DIALECT)
-
-        parse_seconds = median_pass_seconds(
-            lambda q: service.parse(q, features), queries
-        )
-        translate_seconds = median_pass_seconds(
-            lambda q: translate(q, DIALECT, DIALECT), queries
-        )
+    parse_seconds, translate_seconds = interleaved_min_pass_seconds(
+        parser.parse, lambda q: translate(q, DIALECT, DIALECT), queries
+    )
 
     ratio = translate_seconds / parse_seconds
     print(
-        f"\n[E13] warm service parse={parse_seconds * 1000:.1f}ms "
+        f"\n[E13] warm compiled parse={parse_seconds * 1000:.1f}ms "
         f"translate={translate_seconds * 1000:.1f}ms "
         f"({COUNT} queries, {DIALECT}->{DIALECT}) ratio={ratio:.2f}"
     )
     assert ratio < TRANSLATE_BUDGET, (
-        f"translate costs {ratio:.2f} warm parses "
+        f"translate costs {ratio:.2f} warm compiled parses "
         f"(budget {TRANSLATE_BUDGET})"
     )
 

@@ -100,6 +100,7 @@ CONFIG_INVALID = "E0301"        #: feature selection violates the model
 COMPOSITION_ORDER = "E0302"     #: units composed in a forbidden order
 LINT_GATE_FAILED = "E0303"      #: composed product rejected by the lint gate
 CIRCUIT_OPEN = "E0304"          #: fingerprint failing fast (circuit breaker open)
+PRODUCT_INCOMPLETE = "E0305"    #: composed grammar references undefined symbols
 UNTRANSLATABLE = "E0401"        #: query uses features the target dialect lacks
 UNRENDERABLE = "E0402"          #: AST node not expressible with the selected features
 GENERIC_ERROR = "E0000"         #: any ReproError without a more specific code

@@ -15,19 +15,12 @@ and an executor, plus simple snapshot-based transactions::
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
 from ..errors import ExecutionError, ParseError
 from ..sql import ast, build_ast, build_dialect, configure_sql
-from ..sql.product_line import ComposedProduct
 from .catalog import Catalog
 from .executor import Executor, Result
-
-
-@lru_cache(maxsize=None)
-def _preset_product(name: str) -> ComposedProduct:
-    return build_dialect(name)
 
 
 class Database:
@@ -49,7 +42,7 @@ class Database:
             self.product = configure_sql(features)
             self.dialect = "custom"
         else:
-            self.product = _preset_product(dialect)
+            self.product = build_dialect(dialect)
             self.dialect = dialect
         self.parser = self.product.parser()
         self.catalog = Catalog()

@@ -24,6 +24,7 @@ from .diagnostics.model import (
     PARSE_BUDGET_EXCEEDED,
     PARSE_ERROR,
     PARSE_TIMEOUT,
+    PRODUCT_INCOMPLETE,
     SCAN_ERROR,
     SERVICE_OVERLOADED,
     Diagnostic,
@@ -348,6 +349,30 @@ class LintGateError(CompositionError):
     def __init__(self, message: str, findings: tuple = ()) -> None:
         super().__init__(message)
         self.findings = tuple(findings)
+
+
+class IncompleteProductError(CompositionError):
+    """A selection composed into a grammar that is not closed.
+
+    Raised by the :class:`~repro.service.registry.ParserRegistry` when a
+    freshly composed product references a nonterminal with no rule or a
+    terminal with no token definition — a parser over it would fail on
+    every request.  ``undefined`` maps each such symbol to the selected
+    units that reference it; the hints name the line's units that define
+    it.
+    """
+
+    code = PRODUCT_INCOMPLETE
+
+    def __init__(
+        self,
+        message: str,
+        undefined: dict[str, tuple[str, ...]] | None = None,
+        hints: tuple[str, ...] = (),
+    ) -> None:
+        super().__init__(message)
+        self.undefined = dict(undefined or {})
+        self.hints = tuple(hints)
 
 
 class CircuitOpenError(CompositionError):

@@ -183,10 +183,17 @@ class FeatureModel:
 
     Feature names must be unique within a model; lookups, configurations
     and composition all address features by name.
+
+    ``revision`` counts the model's mutations (:meth:`add_constraint`,
+    :meth:`graft`), so a cache of what a selection resolves to can tell
+    that the model it was computed from has changed.  It is bumped once
+    a mutation is complete: a resolution that read the model mid-change
+    was made under the old revision and is discarded with it.
     """
 
     def __init__(self, root: Feature, constraints: Iterable = ()) -> None:
         self.root = root
+        self.revision = 0
         self._by_name: dict[str, Feature] = {}
         for feature in root.walk():
             if feature.name in self._by_name:
@@ -234,6 +241,7 @@ class FeatureModel:
         for name in constraint.feature_names():
             self.feature(name)
         self.constraints.append(constraint)
+        self.revision += 1
 
     def graft(self, parent_name: str, subtree: Feature) -> None:
         """Attach a new subtree under an existing feature.
@@ -250,6 +258,7 @@ class FeatureModel:
         parent.add_child(subtree)
         for feature in subtree.walk():
             self._by_name[feature.name] = feature
+        self.revision += 1
 
     def __repr__(self) -> str:
         return f"<FeatureModel root={self.root.name!r}, {len(self)} features>"

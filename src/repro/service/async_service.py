@@ -202,7 +202,9 @@ class AsyncParseService:
 
         Fingerprint resolution canonicalizes the selection (order,
         expansion), so ``["Where", "Query"]`` and ``["Query", "Where"]``
-        coalesce.  An invalid selection returns ``None`` — the parse
+        coalesce.  It runs on the event-loop thread, which is affordable
+        because a spelling seen before is a registry memo hit, not a
+        resolution.  An invalid selection returns ``None`` — the parse
         still runs (and fails with its usual diagnostic result).
         """
         try:

@@ -7,18 +7,24 @@ maps :class:`~repro.service.fingerprint.Fingerprint` keys to
 to parse with it — the (shared, immutable) scanner, parse program and
 closure-compiled code, and the parsers over them.
 
-Three cache layers, cheapest first:
+Four cache layers, cheapest first:
 
-1. **In-memory LRU** of composed products keyed by fingerprint, with
+1. **Selection memo**: an LRU from a selection's spelling (feature set,
+   clone counts, ``expand``) to its fingerprint, so a warm request
+   neither resolves the selection nor hashes its units.  It holds
+   ``2 * capacity`` spellings and is valid for one stamp — the line's
+   model object and its ``revision``, the line's name and start rule —
+   and emptied when the stamp changes.
+2. **In-memory LRU** of composed products keyed by fingerprint, with
    per-fingerprint build locks so N concurrent requests for the same
    selection trigger exactly one composition.
-2. **Per-entry lazy compilation**: the scanner, the parse program, the
+3. **Per-entry lazy compilation**: the scanner, the parse program, the
    closure-compiled code (whose rules compile on their own first call)
    and the entry's three parsers (interpreting, compiled, clean-room
    fallback) are built on first use.  A parse
    keeps its state in a per-call object, so every thread shares each
    of them.
-3. **On-disk artifact cache** (optional): one
+4. **On-disk artifact cache** (optional): one
    :class:`~repro.service.artifacts.ArtifactStore`, shared by every
    entry of the registry, persists the parse program
    (``<digest>.ir.json``), the closure-backend source
@@ -55,6 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Default number of composed products kept in memory.
 DEFAULT_CAPACITY = 32
+
+#: Defining features an E0305 hint names per undefined symbol.
+_HINTED_UNITS = 5
 
 
 class RegistryEntry:
@@ -370,6 +379,12 @@ class ParserRegistry:
         self._entries: "OrderedDict[str, RegistryEntry]" = OrderedDict()
         self._building: dict[str, threading.Lock] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
+        # selection spelling -> fingerprint, LRU, valid for one stamp
+        # (see _selection_key); bounded because a full selection key is
+        # tens of kilobytes
+        self._memo: "OrderedDict[tuple, Fingerprint]" = OrderedDict()
+        self._memo_stamp: tuple | None = None
+        self._memo_capacity = 2 * capacity
 
     # -- lookups -----------------------------------------------------------
 
@@ -380,8 +395,13 @@ class ParserRegistry:
         expand: bool = True,
     ) -> Fingerprint:
         """The cache key a selection resolves to (no composition)."""
-        config = self.line.resolve_configuration(features, counts, expand=expand)
-        return configuration_fingerprint(self.line, config)
+        features = frozenset(features)
+        key, stamp = self._selection_key(features, counts, expand)
+        with self._lock:
+            fp = self._remembered(key, stamp)
+        if fp is None:
+            fp = self._resolve(key, stamp, features, counts, expand)[1]
+        return fp
 
     def get(
         self,
@@ -411,13 +431,22 @@ class ParserRegistry:
 
         Returns ``(entry, warm)`` where ``warm`` is True when the product
         was already composed (no composition work was done for this call).
+        A warm call for a selection spelled as before resolves nothing:
+        one lock hold finds its fingerprint in the memo and its entry.
         """
-        config = self.line.resolve_configuration(features, counts, expand=expand)
-        fp = configuration_fingerprint(self.line, config)
-
-        entry = self._lookup(fp)
+        features = frozenset(features)
+        key, stamp = self._selection_key(features, counts, expand)
+        with self._lock:
+            fp = self._remembered(key, stamp)
+            entry = None if fp is None else self._lookup(fp)
         if entry is not None:
             return entry, True
+        config = None
+        if fp is None:
+            config, fp = self._resolve(key, stamp, features, counts, expand)
+            entry = self._lookup(fp)
+            if entry is not None:
+                return entry, True
 
         with self._lock:
             build_lock = self._building.setdefault(fp.digest, threading.Lock())
@@ -436,6 +465,10 @@ class ParserRegistry:
                     fingerprint=fp.digest,
                     retry_after=breaker.retry_after(),
                 )
+            if config is None:  # the memo knew the key, not the configuration
+                config = self.line.resolve_configuration(
+                    features, counts, expand=expand
+                )
             self.metrics.incr("misses")
             self.metrics.incr("composes")
             try:
@@ -445,6 +478,7 @@ class ParserRegistry:
                     product = self.line.compose_product(
                         config, strict_order=strict_order, fingerprint=fp
                     )
+                self._check_complete(product)
                 if self.lint_gate:
                     self._check_lint_gate(product)
             except Exception:
@@ -465,6 +499,105 @@ class ParserRegistry:
                     self.metrics.incr("evictions")
                 self._building.pop(fp.digest, None)
             return entry, False
+
+    # -- the selection memo -------------------------------------------------
+
+    def _selection_key(self, features, counts, expand) -> tuple[tuple, tuple]:
+        """``(key, stamp)`` of one selection spelling.
+
+        The key is the spelling itself; the stamp is everything else
+        resolution reads (the line's model and its revision, the line's
+        name and start rule — its units are fixed when it is built).
+        """
+        line = self.line
+        counts_key = None if counts is None else tuple(sorted(counts.items()))
+        return (
+            (features, counts_key, expand),
+            (line.model, line.model.revision, line.name, line.start),
+        )
+
+    def _remembered(self, key: tuple, stamp: tuple) -> Fingerprint | None:
+        """The memoised fingerprint of ``key``; the caller holds the lock.
+
+        The memo holds fingerprints for one stamp only: a changed stamp
+        empties it, so a hit is exactly what resolving would return now.
+        """
+        if stamp != self._memo_stamp:
+            self._memo.clear()
+            self._memo_stamp = stamp
+            return None
+        fp = self._memo.get(key)
+        if fp is not None:
+            self._memo.move_to_end(key)
+        return fp
+
+    def _resolve(self, key, stamp, features, counts, expand):
+        """Resolve and fingerprint a selection, and memoise the fingerprint.
+
+        An invalid selection raises and memoises nothing.  A result is
+        kept only if the stamp it was resolved under is still the memo's,
+        so a resolution that raced a model change is never served.
+        """
+        config = self.line.resolve_configuration(features, counts, expand=expand)
+        fp = configuration_fingerprint(self.line, config)
+        with self._lock:
+            if stamp == self._memo_stamp:
+                self._memo[key] = fp
+                self._memo.move_to_end(key)
+                while len(self._memo) > self._memo_capacity:
+                    self._memo.popitem(last=False)
+        return config, fp
+
+    # -- composition gates ---------------------------------------------------
+
+    def _check_complete(self, product: ComposedProduct) -> None:
+        """Reject a product whose grammar references undefined symbols.
+
+        Every parse over such a grammar would fail, so the selection is
+        refused once, at composition, instead of on every request.
+        """
+        from ..errors import IncompleteProductError
+        from ..grammar.validate import validate
+
+        report = validate(product.grammar)
+        missing = report.undefined_nonterminals + report.undefined_terminals
+        if not missing:
+            return
+        references = {
+            name: _referenced(self.line.unit_for(name))
+            for name in product.sequence
+        }
+        undefined = {
+            symbol: tuple(
+                name for name, symbols in references.items() if symbol in symbols
+            )
+            for symbol in missing
+        }
+        hints = []
+        for symbol in missing:
+            defining = [
+                f"'{u.feature}'" for u in self.line.units()
+                if symbol in _defined(u)
+            ]
+            if not defining:
+                hints.append(f"no feature of the product line defines '{symbol}'")
+                continue
+            hint = f"select a feature that defines '{symbol}': " + ", ".join(
+                defining[:_HINTED_UNITS]
+            )
+            if len(defining) > _HINTED_UNITS:
+                hint += f" (or one of {len(defining) - _HINTED_UNITS} more)"
+            hints.append(hint)
+        details = "; ".join(
+            f"'{symbol}' referenced by {', '.join(units) or 'no selected unit'}"
+            for symbol, units in undefined.items()
+        )
+        raise IncompleteProductError(
+            f"product {product.name!r} is incomplete: {len(missing)} "
+            f"undefined symbol(s) — {details}",
+            undefined=undefined,
+            hints=tuple(hints),
+        )
 
     def _check_lint_gate(self, product: ComposedProduct) -> None:
         """Reject a freshly composed product with error-grade lint findings."""
@@ -549,6 +682,7 @@ class ParserRegistry:
         with self._lock:
             self.metrics.incr("evictions", len(self._entries))
             self._entries.clear()
+            self._memo.clear()
 
     @property
     def cache_dir(self) -> Path | None:
@@ -568,3 +702,18 @@ class ParserRegistry:
             f"<ParserRegistry {self.line.name!r}: {len(self)}/{self.capacity} "
             f"entries, disk={'on' if self.cache_dir else 'off'}>"
         )
+
+
+def _defined(unit) -> frozenset[str]:
+    """The rule and token names a unit's sub-grammar defines."""
+    if unit.grammar is None:
+        return frozenset()
+    return frozenset(unit.grammar.rule_names()) | unit.grammar.tokens.names()
+
+
+def _referenced(unit) -> frozenset[str]:
+    """The nonterminals and terminals a unit's sub-grammar references."""
+    if unit.grammar is None:
+        return frozenset()
+    grammar = unit.grammar
+    return grammar.referenced_nonterminals() | grammar.referenced_terminals()

@@ -121,14 +121,13 @@ class _DialectState:
 def _dialect_state(name: str) -> _DialectState:
     """Per-dialect translation state for a preset, built once per process.
 
-    ``build_dialect`` re-resolves the feature configuration and the
-    registry re-fingerprints the full selection on every call — both are
-    far more expensive than a warm parse.  The render options (two sets
-    of up to ~500 names) and the composition trace's rule origins depend
-    only on the dialect too, so all of it is built here once per preset
-    name (presets are a small, fixed set).  The parser is the entry's
-    shared compiled one
-    (:meth:`~repro.service.registry.RegistryEntry.compiled_parser`),
+    The registry answers a warm ``build_dialect`` from its selection
+    memo, but the render options (two sets of up to ~500 names) and the
+    composition trace's rule origins would still be rebuilt on every
+    call, about a fifth of a warm translate.  They depend only on the
+    dialect, so all of it is built here once per preset name (presets
+    are a small, fixed set).  The parser is the entry's shared compiled
+    one (:meth:`~repro.service.registry.RegistryEntry.compiled_parser`),
     whose rules compile on their first call.
     """
     from ..sql import build_dialect, sql_parser_registry

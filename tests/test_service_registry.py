@@ -1,12 +1,47 @@
-"""ParserRegistry: LRU behavior, disk artifacts, single-flight composition."""
+"""ParserRegistry: LRU behavior, disk artifacts, single-flight composition,
+the selection memo and the completeness gate."""
 
+import asyncio
+import itertools
+import os
+import random
+import re
+import sys
 import threading
+import time
 
 import pytest
 
-from repro.core import GrammarProductLine
+from repro.core import GrammarProductLine, unit
 from repro.core.composer import GrammarComposer
-from repro.service import ParserRegistry
+from repro.diagnostics.model import GENERIC_ERROR, PRODUCT_INCOMPLETE
+from repro.errors import (
+    CircuitOpenError,
+    IncompleteProductError,
+    InvalidConfigurationError,
+    ReproError,
+)
+from repro.features import FeatureModel, mandatory, optional
+from repro.features.constraints import Requires
+from repro.lexer import keyword, pattern, standard_skip_tokens
+from repro.resilience import BreakerPolicy
+from repro.service import (
+    AsyncParseService,
+    ParseRequest,
+    ParserRegistry,
+    ParseService,
+    product_fingerprint,
+)
+from repro.service import fingerprint as fingerprint_module
+from repro.service import registry as registry_module
+from repro.sql import (
+    build_dialect,
+    build_sql_product_line,
+    configure_sql,
+    dialect_features,
+    dialect_names,
+)
+from repro.workloads import generate_workload
 from repro.service.artifacts import (
     CLOSURES,
     IR,
@@ -572,3 +607,396 @@ class TestConcurrentEviction:
             t.join()
         assert errors == []
         assert registry.metrics.counter("evictions") > 0
+
+
+def every_mini_selection():
+    """Query plus each subset of the mini line's optional leaves (16)."""
+    leaves = ["SetQuantifier", "MultiColumn", "Where", "GroupBy"]
+    return [
+        ["Query", *subset]
+        for size in range(len(leaves) + 1)
+        for subset in itertools.combinations(leaves, size)
+    ]
+
+
+def same_fingerprint(got, want):
+    """Digest, expanded selection and normalized counts all agree."""
+    return (got.digest, got.selection, dict(got.counts)) == (
+        want.digest, want.selection, dict(want.counts)
+    )
+
+
+def memo_size(registry):
+    with registry._lock:
+        return len(registry._memo)
+
+
+@pytest.fixture
+def resolutions(monkeypatch):
+    """Count selection resolutions and configuration fingerprints."""
+    calls = []
+    resolve = GrammarProductLine.resolve_configuration
+    fingerprint = fingerprint_module.configuration_fingerprint
+
+    def counting_resolve(self, *args, **kwargs):
+        calls.append("resolve")
+        return resolve(self, *args, **kwargs)
+
+    def counting_fingerprint(*args, **kwargs):
+        calls.append("fingerprint")
+        return fingerprint(*args, **kwargs)
+
+    monkeypatch.setattr(
+        GrammarProductLine, "resolve_configuration", counting_resolve
+    )
+    for module in (fingerprint_module, registry_module):
+        monkeypatch.setattr(
+            module, "configuration_fingerprint", counting_fingerprint
+        )
+    return calls
+
+
+class TestSelectionMemo:
+    def test_equivalent_spellings_resolve_once(self, registry, resolutions):
+        line = registry.line
+        fresh = product_fingerprint(line, ["Query", "GroupBy"])
+        expanded = sorted(fresh.selection)
+        spellings = [
+            ["Query", "GroupBy"],
+            ["GroupBy", "Query"],  # reordered
+            ["GroupBy", "Query", "GroupBy", "Query"],  # duplicates
+            expanded,  # sparse vs expanded: another key, same fingerprint
+            expanded[::-1],
+            expanded + expanded,
+        ]
+        resolutions.clear()
+        for spelling in spellings:
+            for _ in range(2):
+                entry, _warm = registry.acquire(spelling)
+                assert same_fingerprint(entry.fingerprint, fresh)
+                assert same_fingerprint(registry.fingerprint(spelling), fresh)
+        # one resolution for the sparse set and one for the expanded set
+        assert resolutions == ["resolve", "fingerprint"] * 2
+        assert registry.metrics.counter("composes") == 1
+
+    def test_distinct_selections_never_share_a_slot(self, registry):
+        line = registry.line
+        selections = every_mini_selection()
+        for _ in range(2):
+            for selection in selections:
+                assert same_fingerprint(
+                    registry.fingerprint(selection),
+                    product_fingerprint(line, selection),
+                )
+        assert len({registry.fingerprint(s) for s in selections}) > 1
+
+    def test_expand_is_part_of_the_key(self, registry):
+        sparse = ["Query", "Where"]
+        registry.fingerprint(sparse)
+        with pytest.raises(InvalidConfigurationError):
+            registry.fingerprint(sparse, expand=False)
+        expanded = sorted(registry.fingerprint(sparse).selection)
+        assert same_fingerprint(
+            registry.fingerprint(expanded, expand=False),
+            product_fingerprint(registry.line, expanded, expand=False),
+        )
+
+    def test_counts_are_part_of_the_key(self):
+        registry = ParserRegistry(build_sql_product_line())
+        features = ["QuerySpecification", "SelectSublist"]
+        spellings = [
+            None, {}, {"SelectSublist": 1}, {"SelectSublist": 2},
+            {"SelectSublist": 3},
+        ]
+        for _ in range(2):
+            fingerprints = []
+            for counts in spellings:
+                fp = registry.fingerprint(features, counts)
+                fresh = product_fingerprint(registry.line, features, counts)
+                assert same_fingerprint(fp, fresh)
+                fingerprints.append(fp)
+            none, empty, one, two, three = fingerprints
+            # None and {} both mean "every count is 1", as before the memo
+            assert none == empty == one
+            assert len({one, two, three}) == 3
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            # Where is selected, MultiColumn is not: the constraint
+            # pulls it into the expansion
+            lambda line: line.model.add_constraint(
+                Requires("Where", "MultiColumn")
+            ),
+            # a mandatory child of a selected feature joins the expansion
+            lambda line: line.model.graft("Where", mandatory("WhereDetail")),
+            lambda line: setattr(line, "start", "select_list"),
+            lambda line: setattr(line, "name", "renamed"),
+        ],
+        ids=["add_constraint", "graft", "start", "name"],
+    )
+    def test_a_changed_line_invalidates_the_memo(self, registry, mutate):
+        line = registry.line
+        selection = ["Query", "Where"]
+        old, _warm = registry.acquire(selection)
+        assert registry.acquire(selection) == (old, True)
+        before = registry.fingerprint(selection)
+
+        mutate(line)
+
+        after = registry.fingerprint(selection)
+        assert same_fingerprint(after, product_fingerprint(line, selection))
+        assert after != before
+        entry, warm = registry.acquire(selection)
+        assert not warm
+        assert entry.fingerprint == after
+
+    def test_a_resolution_that_raced_a_model_change_is_dropped(
+        self, registry, monkeypatch
+    ):
+        """A resolution that read the old model finishes after another
+        caller memoised the new one: it must not overwrite that slot."""
+        line = registry.line
+        selection = ["Query", "Where"]
+        resolve = line.resolve_configuration
+        raced = []
+
+        def racing(*args, **kwargs):
+            config = resolve(*args, **kwargs)
+            if not raced:
+                raced.append(True)
+                line.model.add_constraint(Requires("Where", "MultiColumn"))
+                registry.fingerprint(selection)
+            return config
+
+        monkeypatch.setattr(line, "resolve_configuration", racing)
+        stale = registry.fingerprint(selection)
+        fresh = product_fingerprint(line, selection)
+        assert stale != fresh
+        assert same_fingerprint(registry.fingerprint(selection), fresh)
+
+    def test_clear_empties_the_memo(self, registry):
+        registry.get(["Query", "Where"])
+        assert memo_size(registry) == 1
+        registry.clear()
+        assert memo_size(registry) == 0
+
+    def test_invalid_selection_raises_every_time(self, registry, resolutions):
+        for _ in range(3):
+            with pytest.raises(InvalidConfigurationError):
+                registry.fingerprint(["Query"], expand=False)
+            with pytest.raises(InvalidConfigurationError):
+                registry.acquire(["Query"], expand=False)
+        assert resolutions.count("resolve") == 6
+        assert memo_size(registry) == 0
+        assert len(registry) == 0
+
+    def test_memo_is_bounded_by_twice_the_capacity(self):
+        registry = make_registry(capacity=2)
+        line = registry.line
+        selections = every_mini_selection()
+        assert len(selections) > 2 * registry.capacity
+        for selection in selections:
+            assert same_fingerprint(
+                registry.fingerprint(selection),
+                product_fingerprint(line, selection),
+            )
+            assert memo_size(registry) <= 2 * registry.capacity
+        assert memo_size(registry) == 2 * registry.capacity
+
+    def test_warm_requests_resolve_nothing(self, registry, resolutions):
+        selection = ["Where", "Query"]
+        texts = ["SELECT a FROM t", "SELECT a FROM t WHERE a = b"]
+
+        async def through_async(service):
+            async with AsyncParseService(service) as front:
+                return await front.parse(texts[0], selection)
+
+        def resolved_on_second_call(call):
+            assert call()
+            resolutions.clear()
+            assert call()
+            return list(resolutions)
+
+        with ParseService(registry=registry, max_workers=2) as service:
+            assert resolved_on_second_call(
+                lambda: service.parse(texts[0], selection).ok
+            ) == []
+            assert resolved_on_second_call(
+                lambda: all(r.ok for r in service.parse_many(texts, selection))
+            ) == []
+            assert resolved_on_second_call(
+                lambda: all(
+                    r.ok for r in service.batch(
+                        [ParseRequest(text, tuple(selection)) for text in texts]
+                    )
+                )
+            ) == []
+            assert resolved_on_second_call(
+                lambda: asyncio.run(through_async(service)).ok
+            ) == []
+
+    def test_warm_configure_sql_resolves_nothing(self, resolutions):
+        features = dialect_features("scql")
+        configure_sql(features)
+        build_dialect("scql")
+        resolutions.clear()
+        assert configure_sql(features).fingerprint is not None
+        assert build_dialect("scql").name == "sql-scql"
+        assert resolutions == []
+
+    def test_stress_mixed_selections_across_threads(self):
+        """More threads than cores, a tiny switch interval and more
+        selection spellings than the memo holds: every answer equals a
+        fresh resolution and the memo never outgrows its bound."""
+        registry = make_registry(capacity=2)
+        bound = 2 * registry.capacity
+        selections = every_mini_selection()
+        fresh = {
+            tuple(s): product_fingerprint(registry.line, s) for s in selections
+        }
+        n = 2 * (os.cpu_count() or 1) + 2
+        stop_at = time.monotonic() + 1.5
+        errors = []
+        calls = [0] * n
+
+        def worker(index):
+            rng = random.Random(index)
+            try:
+                while time.monotonic() < stop_at:
+                    selection = rng.choice(selections)
+                    spelling = rng.sample(selection, len(selection))
+                    if rng.random() < 0.25:
+                        got = registry.get(spelling).fingerprint
+                    else:
+                        got = registry.fingerprint(spelling)
+                    assert same_fingerprint(got, fresh[tuple(selection)])
+                    assert memo_size(registry) <= bound
+                    calls[index] += 1
+            except Exception as error:  # pragma: no cover - the assertion
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert all(calls)
+        assert memo_size(registry) <= bound
+
+
+def incomplete_line():
+    """A line whose ``Where`` unit needs ``condition`` (defined only by
+    the ``Comparison`` unit) and the terminal ``STAR`` (defined by no
+    unit): selecting Where without Comparison composes an open grammar."""
+    model = FeatureModel(
+        mandatory("Query", optional("Where"), optional("Comparison"))
+    )
+    units = [
+        unit(
+            "Query",
+            """
+            grammar query ;
+            start q ;
+            q : SELECT IDENTIFIER ;
+            """,
+            tokens=standard_skip_tokens() + [
+                keyword("select"),
+                pattern("IDENTIFIER", r"[A-Za-z_][A-Za-z0-9_]*", priority=1),
+            ],
+        ),
+        unit(
+            "Where",
+            "q : SELECT IDENTIFIER (WHERE condition)? STAR? ;",
+            tokens=[keyword("where")],
+            after=("Query",),
+        ),
+        unit(
+            "Comparison",
+            "condition : IDENTIFIER ;",
+            after=("Where",),
+        ),
+    ]
+    return GrammarProductLine(model, units, name="open")
+
+
+class TestIncompleteProducts:
+    def test_undefined_symbols_raise_e0305_naming_units(self):
+        registry = ParserRegistry(incomplete_line())
+        with pytest.raises(IncompleteProductError) as info:
+            registry.get(["Query", "Where"])
+        error = info.value
+        assert error.code == PRODUCT_INCOMPLETE == "E0305"
+        assert error.undefined == {"condition": ("Where",), "STAR": ("Where",)}
+        assert "'condition' referenced by Where" in str(error)
+        assert "'STAR' referenced by Where" in str(error)
+        assert error.hints == (
+            "select a feature that defines 'condition': 'Comparison'",
+            "no feature of the product line defines 'STAR'",
+        )
+        # never cached: the next request composes and fails again
+        assert len(registry) == 0
+        with pytest.raises(IncompleteProductError):
+            registry.get(["Query", "Where"])
+        assert registry.metrics.counter("composes") == 2
+
+    def test_failures_count_toward_the_breaker(self):
+        registry = ParserRegistry(
+            incomplete_line(), breaker_policy=BreakerPolicy(threshold=2)
+        )
+        for _ in range(2):
+            with pytest.raises(IncompleteProductError):
+                registry.get(["Query", "Where"])
+        with pytest.raises(CircuitOpenError):
+            registry.get(["Query", "Where"])
+
+    def test_check_stays_out_of_direct_composition(self):
+        line = incomplete_line()
+        product = line.configure(["Query", "Where"])
+        assert product.grammar.undefined_nonterminals() == {"condition"}
+
+    def test_other_selections_of_the_line_still_serve(self):
+        registry = ParserRegistry(incomplete_line())
+        with pytest.raises(IncompleteProductError):
+            registry.get(["Query", "Where", "Comparison"])  # STAR still open
+        assert registry.get(["Query"]).parser().accepts("SELECT a")
+
+    def test_random_valid_selections_never_answer_e0000(self):
+        """Random model leaves put through resolution: each selection is
+        valid, but some compose an open grammar.  Those answer E0305
+        naming a symbol, not an internal error on every request."""
+        line = build_sql_product_line()
+        leaves = [feature.name for feature in line.model.leaves()]
+        rng = random.Random(1)
+        selections = []
+        while len(selections) < 60:
+            pick = rng.sample(leaves, rng.randint(1, 8))
+            try:
+                selections.append(line.resolve_configuration(pick).selected)
+            except ReproError:
+                continue
+        with ParseService(registry=ParserRegistry(line, capacity=4)) as service:
+            codes = []
+            for selection in selections:
+                result = service.parse("SELECT a FROM t", selection)
+                for diagnostic in result.diagnostics:
+                    codes.append(diagnostic.code)
+                    if diagnostic.code == PRODUCT_INCOMPLETE:
+                        assert re.search(
+                            r"'\w+' referenced by \w", diagnostic.message
+                        )
+            assert service.metrics.counter("internal_errors") == 0
+            for dialect in dialect_names():
+                query = generate_workload(dialect, 1, seed=1)[0]
+                assert service.parse(query, dialect_features(dialect)).ok
+        assert GENERIC_ERROR not in codes
+        assert PRODUCT_INCOMPLETE in codes
