@@ -50,9 +50,10 @@ from typing import Any, Callable
 from .parser import Parser, RunState
 
 # The runtime every artifact imports from this module.  Compiled rule
-# functions take ``s`` (the call's RunState) and ``out`` (the parent's
-# children list), so they close over nothing: the artifact namespace
-# holds only constants and other functions, shareable across threads.
+# functions take ``s`` (the call's RunState) and ``out`` (the parent
+# node, which is its own child list), so they close over nothing: the
+# artifact namespace holds only constants and other functions,
+# shareable across threads.
 from .parser import _check, _depth_fail, _Fail, _fail
 from .program import (
     OP_CALL,
@@ -464,11 +465,11 @@ class _SourceBuilder:
             w(1, "if s.depth >= s.max_depth:")
             w(2, "_depth_fail(s)")
             w(1, "tk = s.tokens")
-            w(1, "node = _new(_Node)")
-            w(1, f"node.name = {rname!r}")
-            w(1, "node.children = ch = []")
+            # the node is its own child list (repro.parsing.tree.Node)
+            w(1, "ch = _new(_Node)")
+            w(1, f"ch.name = {rname!r}")
             self.emit(body, 1)
-            w(1, "out.append(node)")
+            w(1, "out.append(ch)")
             w(0, "")
             return
         w(1, "d = s.depth")
@@ -476,14 +477,13 @@ class _SourceBuilder:
         w(2, "_depth_fail(s)")
         w(1, "s.depth = d + 1")
         w(1, "tk = s.tokens")
-        w(1, "node = _new(_Node)")
-        w(1, f"node.name = {rname!r}")
-        w(1, "node.children = ch = []")
+        w(1, "ch = _new(_Node)")
+        w(1, f"ch.name = {rname!r}")
         w(1, "try:")
         self.emit(body, 2)
         w(1, "finally:")
         w(2, "s.depth = d")
-        w(1, "out.append(node)")
+        w(1, "out.append(ch)")
         w(0, "")
 
     def build(self) -> list[tuple[str, str]]:
@@ -587,7 +587,7 @@ def _module_text(
         "from repro.parsing.closures import _Fail, _check, _depth_fail, _fail",
         "from repro.parsing.tree import Node as _Node",
         "",
-        "_new = object.__new__",
+        "_new = list.__new__",
         "",
         lowering.body(),
     ]
@@ -604,7 +604,7 @@ _RUNTIME: dict[str, Any] = {
     "_depth_fail": _depth_fail,
     "_fail": _fail,
     "_Node": Node,
-    "_new": object.__new__,
+    "_new": list.__new__,
 }
 
 

@@ -55,12 +55,34 @@ class Token:
         return "%s(%r@%d:%d)" % (self.type, self.text, self.line, self.column)
 
 
-class Node:
-    __slots__ = ("name", "children")
+class Node(list):
+    """A rule name over its children; the node is its own child list."""
+
+    __slots__ = ("name",)
+
+    @property
+    def children(self):
+        return self
+
+    def __bool__(self):
+        return True
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Node)
+            and self.name == other.name
+            and list.__eq__(self, other)
+        )
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __repr__(self):
+        return "<Node %s with %d children>" % (self.name, len(self))
 
     def to_sexpr(self):
         parts = [self.name]
-        for c in self.children:
+        for c in self:
             parts.append(c.to_sexpr() if isinstance(c, Node) else (c.text or c.type))
         return "(" + " ".join(parts) + ")"
 
@@ -177,7 +199,7 @@ def accepts(text, start=None):
 
 
 _Node = Node
-_new = object.__new__
+_new = list.__new__
 '''
 
 

@@ -449,16 +449,14 @@ class Parser:
                 iteration_start = s.i
                 s.fi = s.i
                 s.fexp = set()
-                segment = Node(start_rule)
                 failed = False
                 try:
                     # execute the start rule's body directly into the
-                    # segment (no depth frame) so a partially parsed
+                    # root (no depth frame) so a partially parsed
                     # single-alternative rule keeps its children
-                    run(s, body, segment.children)
+                    run(s, body, root)
                 except _Fail:
                     failed = True
-                root.children.extend(segment.children)
                 if not failed and tokens[s.i].is_eof:
                     break
                 if not failed:
@@ -601,12 +599,12 @@ class Parser:
         if d >= s.max_depth:
             _depth_fail(s)
         s.depth = d + 1
-        node = Node(self._rule_names[rule_id])
+        node = Node(self._rule_names[rule_id])  # its own child list
         try:
             if cov is None:
-                self._exec(s, self._code[rule_id], node.children)
+                self._exec(s, self._code[rule_id], node)
             else:
-                self._exec_cov(s, self._code[rule_id], node.children)
+                self._exec_cov(s, self._code[rule_id], node)
         finally:
             s.depth = d
         out.append(node)

@@ -271,6 +271,23 @@ _TYPE_UNITS = {
     "CLOB": "Type.Clob",
 }
 
+#: Parameterised type phrase -> (what its parenthesised parameters are,
+#: the units whose productions spell them).  A fixed ``CHAR``'s length
+#: comes with ``CharLengthSpec``, ``VaryingCharType`` or
+#: ``CharacterSetSpec`` (all three carry ``char_length``); a numeric
+#: precision only with ``NumericPrecisionSpec``.  The other
+#: parameterised types (``VARCHAR``, ``FLOAT``, ``NCHAR``, ``TIME``,
+#: ``BLOB``, ...) take their parameters in their own unit.
+_CHAR_LENGTH = ("length", ("CharLengthSpec", "VaryingCharType", "CharacterSetSpec"))
+_NUMERIC_PRECISION = ("precision", ("NumericPrecisionSpec",))
+_TYPE_PARAMETER_UNITS = {
+    "CHARACTER": _CHAR_LENGTH,
+    "CHAR": _CHAR_LENGTH,
+    "NUMERIC": _NUMERIC_PRECISION,
+    "DECIMAL": _NUMERIC_PRECISION,
+    "DEC": _NUMERIC_PRECISION,
+}
+
 #: Finds the ``_TYPE_UNITS`` phrases of a type's text, longest first, so
 #: ``TIME`` inside ``WITH TIME ZONE`` is not read as a type of its own.
 _TYPE_PHRASE = re.compile(
@@ -708,9 +725,14 @@ class SqlRenderer:
             params = spec.parameters if spec is not None else ()
             if params:
                 text += f"({', '.join(str(p) for p in params)})"
-        for match in _TYPE_PHRASE.finditer(text.upper()):
+        upper = text.upper()
+        for match in _TYPE_PHRASE.finditer(upper):
             phrase = match.group()
             self._require(f"{phrase} type", _TYPE_UNITS[phrase])
+            parameters = _TYPE_PARAMETER_UNITS.get(phrase)
+            if parameters is not None and upper.startswith("(", match.end()):
+                what, units = parameters
+                self._require(f"{phrase} {what}", *units)
         return text
 
     def _render_FunctionCall(self, node: ast.FunctionCall) -> tuple[str, int]:

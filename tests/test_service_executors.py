@@ -19,6 +19,7 @@ import pytest
 
 from repro.core import GrammarProductLine
 from repro.diagnostics.model import SERVICE_OVERLOADED
+from repro.parsing.tree import Node
 from repro.resilience import FaultPlan, FaultRule
 from repro.service import ParseService, ParserRegistry
 from repro.service.artifacts import (
@@ -204,15 +205,20 @@ class TestProcessExecutor:
 
     def test_parity_with_thread_results(self, process_service):
         with ParseService(line=make_line()) as reference:
-            expected = {
-                text: reference.parse(text, FULL) for text in CORPUS
-            }
+            expected = reference.parse_many(list(CORPUS), FULL)
         results = process_service.parse_many(list(CORPUS), FULL)
         assert len(results) == len(CORPUS)
-        for text, result in zip(CORPUS, results):
-            assert result.ok == expected[text].ok
+        for result, thread in zip(results, expected):
+            assert result.ok == thread.ok
             if result.ok:
-                assert result.tree.to_sexpr() == expected[text].tree.to_sexpr()
+                # whole trees, token positions included, rebuilt as
+                # nodes at every level on this side of the pipe
+                assert result.tree == thread.tree
+                stack = [result.tree]
+                while stack:
+                    node = stack.pop()
+                    assert type(node) is Node and node.children is node
+                    stack.extend(c for c in node if isinstance(c, Node))
             else:
                 assert result.diagnostics.has_errors
             assert not result.timed_out

@@ -283,6 +283,52 @@ class TestFeatureGating:
         )
         assert [gap.primary for gap in renderer.gaps] == ["InsertColumnList"]
 
+    TYPE_PARAMETER_UNITS = (
+        "CharLengthSpec", "VaryingCharType", "CharacterSetSpec",
+        "NumericPrecisionSpec",
+    )
+    PARAMETERISED_TYPES = "CREATE TABLE t ( a CHAR(10), b NUMERIC(5, 2) )"
+
+    def _type_parameter_product(self, *units):
+        """``core`` without the units that spell type parameters, plus
+        ``units``."""
+        return configure_sql([
+            f for f in dialect_features("core")
+            if f not in self.TYPE_PARAMETER_UNITS
+        ] + list(units))
+
+    def test_type_parameters_need_their_units(self):
+        product = self._type_parameter_product()
+        assert not set(self.TYPE_PARAMETER_UNITS) & set(
+            product.configuration.selected
+        )
+        parser = product.parser()
+        assert parser.accepts("CREATE TABLE t ( a CHAR, b NUMERIC )")
+        assert not parser.accepts(self.PARAMETERISED_TYPES)
+
+        renderer = SqlRenderer(RenderOptions.for_product(product))
+        renderer.draft(build_ast(
+            build_dialect("core").parser().parse(self.PARAMETERISED_TYPES)
+        ))
+        assert [(gap.construct, gap.alternatives) for gap in renderer.gaps] == [
+            ("CHAR length",
+             ("CharLengthSpec", "VaryingCharType", "CharacterSetSpec")),
+            ("NUMERIC precision", ("NumericPrecisionSpec",)),
+        ]
+
+    @pytest.mark.parametrize(
+        "char_unit", ["CharLengthSpec", "VaryingCharType", "CharacterSetSpec"]
+    )
+    def test_type_parameters_render_where_the_units_are(self, char_unit):
+        product = self._type_parameter_product(char_unit, "NumericPrecisionSpec")
+        renderer = SqlRenderer(RenderOptions.for_product(product))
+        out = renderer.render(build_ast(
+            build_dialect("core").parser().parse(self.PARAMETERISED_TYPES)
+        ))
+        assert renderer.gaps == []
+        assert out == "CREATE TABLE t (a CHAR(10), b NUMERIC(5, 2))"
+        product.parser().parse(out)
+
     def test_default_options_render_everything(self, full_parser):
         # features=None means "no gating" — the renderer emits full syntax
         out = render_sql(
@@ -603,6 +649,8 @@ class TestGatedUnitNames:
             *render_module._LITERAL_UNITS.values(),
             *render_module._FUNCTION_UNITS.values(),
             *render_module._TYPE_UNITS.values(),
+            *(unit for _, units in render_module._TYPE_PARAMETER_UNITS.values()
+              for unit in units),
             *render_module._DROP_UNITS.values(),
             *(unit for _, unit, _ in render_module._JOINS.values()),
             *(unit for _, unit in render_module._TRUTH.values()),
