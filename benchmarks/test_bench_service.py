@@ -7,7 +7,8 @@ cache must amortize it.  Measured here:
 * cold request (compose + analyse + parse) vs warm request (cache hit +
   parse) on the ``core`` dialect — the warm path must be >= 10x faster,
 * ``parse_many`` throughput at worker-pool widths 1 / 4 / 8,
-* on-disk artifact cache: closures (+ IR) artifact load from disk.
+* on-disk artifact cache: the IR artifact load from disk, and the
+  compiled backend lowered from it.
 """
 
 import time
@@ -99,7 +100,8 @@ def test_bench_batch_throughput(benchmark, workers):
 
 
 def test_bench_disk_cache_load(benchmark, tmp_path):
-    """Loading the closures artifact (and its IR) from the artifact cache."""
+    """Loading the IR artifact from the cache and lowering the compiled
+    backend from it."""
     features = dialect_features("core")
     line = build_sql_product_line()
 
@@ -113,5 +115,5 @@ def test_bench_disk_cache_load(benchmark, tmp_path):
 
     closure, registry = benchmark(load_from_disk)
     assert closure.rule_fns
-    assert registry.metrics.counter("artifact.closures.hit") == 1
-    assert registry.metrics.counter("artifact.closures.build") == 0
+    assert registry.metrics.counter("artifact.ir.hit") == 1
+    assert registry.metrics.counter("artifact.ir.build") == 0

@@ -23,8 +23,8 @@ composing these features."  This CLI is that interface, terminal-flavoured::
 Products are resolved through the process-wide fingerprint-keyed
 registry (:mod:`repro.service`): repeated commands against the same
 selection reuse the composed parser, and ``--cache DIR`` persists the
-compiled parser artifacts (IR, closure source, lexicon) across
-processes.
+compiled parser artifacts (the IR and the lexicon) across processes;
+the compiled backend is lowered from the IR in memory.
 """
 
 from __future__ import annotations
@@ -529,7 +529,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          "program as <digest>.ir.json)")
     ir.add_argument("--artifacts", action="store_true",
                     help="list every artifact kind for the selection's "
-                         "fingerprint (ir/closures/lex) with size and "
+                         "fingerprint (ir/lex) with size and "
                          "staleness instead of the IR listing")
     ir.set_defaults(fn=_cmd_ir)
 
@@ -594,7 +594,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              help="emit the versioned JSON report")
     conformance.add_argument("--cache", metavar="DIR",
                              help="on-disk artifact cache directory; reuses "
-                                  "ir/closure artifacts across runs (the CI "
+                                  "ir artifacts across runs (the CI "
                                   "per-backend matrix stops recomposing)")
     conformance.set_defaults(fn=_cmd_conformance)
 

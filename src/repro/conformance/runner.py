@@ -138,8 +138,8 @@ class ConformanceRunner:
             per-dialect collectors on :attr:`collectors`.
         cache_dir: On-disk artifact cache directory.  When set, dialects
             resolve through a fingerprint-keyed registry so the parse
-            program and closure source are *loaded* from ``<digest>.*``
-            artifacts when fresh instead of being recompiled — this is
+            program is *loaded* from its ``<digest>.ir.json`` artifact
+            when fresh instead of being recompiled — this is
             what lets repeated runs (CI's conformance and coverage
             steps) share one composition per dialect.  The generated module
             is always printed fresh from the program (an offline export,
@@ -215,8 +215,8 @@ class ConformanceRunner:
         entry = None
         if self._registry is not None:
             # artifact-cached path: an unchanged fingerprint loads the
-            # parse program (and below, the closures) from disk instead
-            # of recompiling it
+            # parse program from disk instead of recompiling it, and the
+            # compiled parser below is lowered from that program
             from ..sql import dialect_features
 
             entry = self._registry.get(dialect_features(dialect))

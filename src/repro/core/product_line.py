@@ -116,8 +116,9 @@ class ComposedProduct:
         """Emit standalone Python parser source for this product.
 
         When the product carries a fingerprint, its digest is embedded in
-        the source so the service layer's disk cache can validate
-        artifacts across processes.  ``program`` reuses an
+        the source (``_FINGERPRINT``, read back by
+        :func:`~repro.parsing.codegen.source_fingerprint`), so an export
+        names the product it was generated for.  ``program`` reuses an
         already-compiled parse program instead of recompiling.
         """
         from ..parsing.codegen import generate_parser_source

@@ -9,7 +9,7 @@ Public API::
         CoverageMap, CoverageCollector,
         generate_parser_source, load_generated_parser,
         ParseBackend, get_backend, backend_names,
-        ClosureParser, compile_closure_program,
+        ClosureParser, ClosureProgram,
     )
 """
 
@@ -25,15 +25,12 @@ from .backends import (
     get_backend,
     register_backend,
 )
-from .closures import (
-    ClosureParser,
-    ClosureProgram,
-    closure_fingerprint,
-    compile_closure_program,
-    generate_closure_source,
+from .closures import ClosureParser, ClosureProgram
+from .codegen import (
+    generate_parser_source,
+    load_generated_parser,
     source_fingerprint,
 )
-from .codegen import generate_parser_source, load_generated_parser
 from .coverage import CoverageCollector, CoverageMap
 from .first_follow import GrammarAnalysis
 from .ll1 import LLConflict, LLTable
@@ -69,10 +66,7 @@ __all__ = [
     "Parser",
     "SentenceGenerator",
     "backend_names",
-    "closure_fingerprint",
-    "compile_closure_program",
     "compile_program",
-    "generate_closure_source",
     "generate_parser_source",
     "generate_sentences",
     "get_backend",

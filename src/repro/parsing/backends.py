@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..errors import ParseError, ScanError
-from .closures import ClosureParser, compile_closure_program
+from .closures import ClosureParser, ClosureProgram
 from .codegen import generate_parser_source, load_generated_parser
 
 INTERPRETER = "interpreter"
@@ -90,7 +90,7 @@ class CompiledBackend(ParseBackend):
             program = product.program()
         return ClosureParser(
             product.grammar,
-            compile_closure_program(program),
+            ClosureProgram(program),
             hint_provider=product.hint_provider() if hints else None,
         )
 

@@ -17,22 +17,20 @@ verdict for well-formed budgets, which are input-scaled).
 
 Layers:
 
-* the runtime every compiled artifact imports from here
+* the runtime the lowered code runs on
   (:class:`~repro.parsing.parser.RunState`, ``_Fail``, ``_fail`` /
   ``_check`` / ``_depth_fail``) — the interpreter's own, so both
   backends run a parse on one per-call state object;
 * the lowering — constants, per-rule functions, helper tuples and
-  ``RULES`` — which both generated modules share: the ``repro compose
-  --emit`` export (:func:`~repro.parsing.codegen.generate_parser_source`)
-  puts an inline runtime in front of the same body;
-* :func:`generate_closure_source` — the artifact module (cached on disk
-  as ``<digest>.closures.py`` next to ``<digest>.ir.json``, embedding
-  its fingerprint in a ``_FINGERPRINT`` line);
-* :class:`ClosureProgram` — the loaded lowering: per-rule functions
-  that compile on first call (a disk artifact is checked by
-  regenerating its text, not by compiling it), plus an *instrumented*
-  twin, loaded the same way, whose emitted counter bumps mirror the
-  interpreter's ``_exec_cov`` point for point;
+  ``RULES`` — which the ``repro compose --emit`` export
+  (:func:`~repro.parsing.codegen.generate_parser_source`) also prints,
+  behind an inline runtime;
+* :class:`ClosureProgram` — the lowering of a program held in memory,
+  bound to per-rule functions that compile on first call, plus an
+  *instrumented* twin, loaded the same way, whose emitted counter bumps
+  mirror the interpreter's ``_exec_cov`` point for point.  It is never
+  persisted: the service lowers the program it loads from the ``ir``
+  artifact;
 * :class:`ClosureParser` — a :class:`~repro.parsing.parser.Parser`
   subclass overriding only ``_call_rule``, so the whole public surface
   (diagnostics, panic-mode recovery, hints, coverage) is inherited
@@ -49,11 +47,10 @@ from typing import Any, Callable
 
 from .parser import Parser, RunState
 
-# The runtime every artifact imports from this module.  Compiled rule
-# functions take ``s`` (the call's RunState) and ``out`` (the parent
-# node, which is its own child list), so they close over nothing: the
-# artifact namespace holds only constants and other functions,
-# shareable across threads.
+# The runtime the lowered code calls.  Compiled rule functions take
+# ``s`` (the call's RunState) and ``out`` (the parent node, which is its
+# own child list), so they close over nothing: a lowered namespace
+# holds only constants and other functions, shareable across threads.
 from .parser import _check, _depth_fail, _Fail, _fail
 from .program import (
     OP_CALL,
@@ -66,32 +63,6 @@ from .program import (
     called_rules,
 )
 from .tree import Node
-
-
-#: Module-level constant both generated modules embed; the service
-#: layer's on-disk artifact cache uses it to validate that a cached file
-#: still corresponds to the fingerprint it is filed under.
-FINGERPRINT_CONSTANT = "_FINGERPRINT"
-
-
-def source_fingerprint(source: str) -> str | None:
-    """The fingerprint digest embedded in generated source, if any.
-
-    A cheap line scan for the ``_FINGERPRINT = "…"`` line near the top,
-    so the registry validates staleness without exec'ing the module.
-    """
-    prefix = f"{FINGERPRINT_CONSTANT} = "
-    for line in source.splitlines():
-        if line.startswith(prefix):
-            value = line[len(prefix):].strip()
-            if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-                return value[1:-1]
-            return None
-    return None
-
-
-#: The same scan, under the name the ``closures`` artifact kind uses.
-closure_fingerprint = source_fingerprint
 
 
 # -- source generation -------------------------------------------------------
@@ -118,7 +89,7 @@ class _SourceBuilder:
     With ``coverage_map`` set, counter bumps are compiled in at exactly
     the points where the interpreter's ``_exec_cov`` commits to a
     decision, using compile-time slot indices (the map's numbering is
-    deterministic for a given program, so instrumented artifacts from
+    deterministic for a given program, so instrumented lowerings from
     any map over the same program agree).
 
     Two code-size pressure valves keep CPython happy ("too many
@@ -508,13 +479,13 @@ class _SourceBuilder:
 
 
 class _Lowering:
-    """A program lowered to Python, in the pieces both loaders need.
+    """A program lowered to Python, in the pieces both consumers need.
 
     ``consts`` are ``(name, value)`` pairs, ``functions`` ``(name, def
     text)`` pairs (rules in id order, then helpers), ``tuples`` the
     helper-function tuples as ``(name, function names, alt slots or
-    None)``.  :meth:`body` joins them into the module text both
-    generated modules share; :func:`_load` binds them without it.
+    None)``.  :meth:`body` joins them into the ``--emit`` export's
+    module text; :func:`_load` binds them without it.
     """
 
     __slots__ = ("consts", "functions", "tuples", "n_rules")
@@ -527,7 +498,7 @@ class _Lowering:
         self.n_rules = len(program.rule_names)
 
     def body(self) -> str:
-        """The lowering both generated modules share, after their headers.
+        """The lowering as module text, for the export to print after its header.
 
         Constants, one function per rule, the helper-function tuples and
         ``RULES`` (rule functions by rule id).  The text needs ``_Fail``,
@@ -554,49 +525,9 @@ class _Lowering:
         return "\n".join(lines)
 
 
-def generate_closure_source(
-    program: ParseProgram,
-    fingerprint: str | None = None,
-    coverage_map: Any = None,
-) -> str:
-    """The artifact module for one parse program.
+# -- the compiled program ----------------------------------------------------
 
-    The text exec's into per-rule functions (``RULES``) over this
-    module's runtime; with ``fingerprint`` it carries the
-    ``_FINGERPRINT`` line the registry's staleness scan reads.  With
-    ``coverage_map``, instrumented functions are generated instead
-    (those are never written to disk — they are rebuilt on demand).
-    """
-    return _module_text(program, fingerprint, _Lowering(program, coverage_map))
-
-
-def _module_text(
-    program: ParseProgram, fingerprint: str | None, lowering: _Lowering
-) -> str:
-    head = [
-        f'"""Closure-compiled parser for {program.grammar_name!r} '
-        f"({len(program.rule_names)} rules).",
-        "",
-        "Generated by repro.parsing.closures; do not edit.",
-        '"""',
-    ]
-    if fingerprint is not None:
-        head += ["", f'{FINGERPRINT_CONSTANT} = "{fingerprint}"']
-    head += [
-        "",
-        "from repro.parsing.closures import _Fail, _check, _depth_fail, _fail",
-        "from repro.parsing.tree import Node as _Node",
-        "",
-        "_new = list.__new__",
-        "",
-        lowering.body(),
-    ]
-    return "\n".join(head)
-
-
-# -- the compiled artifact ---------------------------------------------------
-
-#: What the artifact header imports, bound straight into each namespace.
+#: The runtime the lowering reads, bound straight into each namespace.
 _RUNTIME: dict[str, Any] = {
     "__builtins__": builtins.__dict__,
     "_Fail": _Fail,
@@ -668,46 +599,17 @@ class ClosureProgram:
     lowers and loads the coverage-counting twin the same way on first
     use, keyed to the program's deterministic
     :class:`~repro.parsing.coverage.CoverageMap` layout.
-
-    ``source`` is artifact text to check: it is accepted only when it is
-    byte-identical to what :func:`generate_closure_source` regenerates
-    under the fingerprint it embeds, so a torn or tampered
-    ``.closures.py`` raises ``ValueError`` without being compiled.
-    Otherwise ``fingerprint`` (default: the program's) is what
-    :attr:`source` embeds.
     """
 
-    __slots__ = ("program", "fingerprint", "rule_fns", "_lock", "_instrumented")
+    __slots__ = ("program", "rule_fns", "_lock", "_instrumented")
 
-    def __init__(
-        self,
-        program: ParseProgram,
-        source: str | None = None,
-        fingerprint: str | None = None,
-    ) -> None:
-        lowering = _Lowering(program)
-        if source is not None:
-            fingerprint = source_fingerprint(source)
-            if source != _module_text(program, fingerprint, lowering):
-                raise ValueError(
-                    "closure artifact does not match the parse program "
-                    f"({program.grammar_name!r}): it differs from the "
-                    "regenerated text"
-                )
-        elif fingerprint is None:
-            fingerprint = program.fingerprint
+    def __init__(self, program: ParseProgram) -> None:
         self.program = program
-        self.fingerprint = fingerprint
         self._lock = threading.Lock()
         self.rule_fns = _load(
-            lowering, f"<closures:{program.grammar_name}>", self._lock
+            _Lowering(program), f"<closures:{program.grammar_name}>", self._lock
         )
         self._instrumented: tuple | None = None
-
-    @property
-    def source(self) -> str:
-        """The artifact text, regenerated on every read (a store saves it)."""
-        return generate_closure_source(self.program, self.fingerprint)
 
     def instrumented(self, coverage_map: Any) -> tuple:
         """Rule functions with coverage bumps compiled in (lazy, shared)."""
@@ -728,13 +630,6 @@ class ClosureProgram:
             f"<ClosureProgram {self.program.grammar_name!r}: "
             f"{len(self.rule_fns)} rules>"
         )
-
-
-def compile_closure_program(
-    program: ParseProgram, fingerprint: str | None = None
-) -> ClosureProgram:
-    """Lower ``program`` to threaded code (one function per rule)."""
-    return ClosureProgram(program, fingerprint=fingerprint)
 
 
 # -- the parser facade -------------------------------------------------------

@@ -9,10 +9,11 @@ service already runs: the module body is the closure lowering of
 is the code the differential and conformance suites check, not a second
 encoding of the LL decision procedure.
 
-Only the header differs.  Where the served artifact imports its runtime
-from ``repro``, the export inlines one that needs nothing beyond ``re``:
-token and tree classes, ``ParseError``/``ScanError``, the parse-state
-registers the lowering reads, the scanner, and ``parse``/``accepts``.
+Only the header differs.  Where the served backend binds its runtime
+from ``repro`` in memory, the export inlines one that needs nothing
+beyond ``re``: token and tree classes, ``ParseError``/``ScanError``, the
+parse-state registers the lowering reads, the scanner, and
+``parse``/``accepts``.
 Like the served backends it stops input nested deeper than 200 rule
 activations with a ``ParseError``; unlike them it has no fuel budget or
 deadline.
@@ -30,10 +31,31 @@ import types
 
 from ..grammar.grammar import Grammar
 from ..lexer.spec import compile_master_pattern
-from .closures import FINGERPRINT_CONSTANT, _Lowering
+from .closures import _Lowering
 from .first_follow import GrammarAnalysis
 from .parser import DEFAULT_MAX_DEPTH
 from .program import ParseProgram, compile_program
+
+#: Module-level constant the export embeds: the fingerprint of the
+#: product it was generated for.
+FINGERPRINT_CONSTANT = "_FINGERPRINT"
+
+
+def source_fingerprint(source: str) -> str | None:
+    """The fingerprint digest embedded in generated source, if any.
+
+    A cheap line scan for the ``_FINGERPRINT = "…"`` line near the top,
+    so a caller identifies an export without exec'ing it.
+    """
+    prefix = f"{FINGERPRINT_CONSTANT} = "
+    for line in source.splitlines():
+        if line.startswith(prefix):
+            value = line[len(prefix):].strip()
+            if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+                return value[1:-1]
+            return None
+    return None
+
 
 _RUNTIME = '''
 import re

@@ -25,8 +25,9 @@ instead of re-deriving structure from the grammar:
   parallel maintenance;
 * the diagnostics machinery takes sync/expected sets straight from the
   program;
-* the :mod:`repro.service` disk cache serializes programs as a second
-  artifact kind (``<digest>.ir.json``) next to generated source.
+* the :mod:`repro.service` disk cache serializes programs as the
+  ``ir`` artifact kind (``<digest>.ir.json``), and the served backend
+  is lowered from the loaded program.
 
 Instruction set (opcode, operands...):
 

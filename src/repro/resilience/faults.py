@@ -29,8 +29,6 @@ from dataclasses import dataclass
 SITES = (
     "artifact.read.ir",       # parse-program IR artifact read (registry)
     "artifact.write.ir",      # parse-program IR artifact publish (registry)
-    "artifact.read.closures",   # closure artifact read (registry)
-    "artifact.write.closures",  # closure artifact publish (registry)
     "artifact.write.lex",     # lexicon artifact publish (worker publication)
     "compose",                # grammar composition (registry build lock)
     "program.compile",        # ParseProgram compilation (registry entry)

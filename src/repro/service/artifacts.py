@@ -1,13 +1,11 @@
 """The on-disk artifact store shared by registry entries and workers.
 
-A composed product persists three artifact kinds under a cache
+A composed product persists two artifact kinds under a cache
 directory, each named ``<digest><suffix>`` and each embedding the
 fingerprint it was built for:
 
-* ``ir`` (``.ir.json``) — the compiled parse program;
-* ``closures`` (``.closures.py``) — the closure-backend source,
-  accepted only when byte-identical to the text regenerated from the
-  program (so loading one compiles nothing up front);
+* ``ir`` (``.ir.json``) — the compiled parse program, which the
+  compiled backend is lowered from in memory;
 * ``lex`` (``.lex.json``) — token definitions + start rule, so a
   process-pool worker can build a scanner without the composed grammar.
 
@@ -31,7 +29,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..lexer.spec import TokenDef, TokenSet
-from ..parsing.closures import ClosureProgram, closure_fingerprint
 from ..parsing.program import ParseProgram, program_fingerprint
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_call
@@ -128,36 +125,28 @@ class ArtifactKind:
 
     ``peek`` reads the embedded fingerprint without a full decode
     (``None`` when the text carries none); ``encode`` turns the
-    in-memory value into file text; ``decode(text, context)`` rebuilds
-    the value — ``context`` is whatever else the kind needs (the parse
-    program, for closures) — and raises on a bad artifact.
+    in-memory value into file text; ``decode`` rebuilds the value from
+    the text and raises on a bad artifact.
     """
 
     name: str
     suffix: str
     peek: Callable[[str], str | None]
     encode: Callable[[Any], str]
-    decode: Callable[[str, Any], Any]
+    decode: Callable[[str], Any]
 
 
 IR = ArtifactKind(
     "ir", ".ir.json", program_fingerprint,
     lambda program: program.to_json(),
-    lambda text, _context: ParseProgram.from_json(text),
-)
-CLOSURES = ArtifactKind(
-    "closures", ".closures.py", closure_fingerprint,
-    lambda closure: closure.source,
-    lambda text, program: ClosureProgram(program, text),
+    ParseProgram.from_json,
 )
 LEX = ArtifactKind(
-    "lex", ".lex.json", lexicon_fingerprint,
-    render_lexicon,
-    lambda text, _context: load_lexicon(text),
+    "lex", ".lex.json", lexicon_fingerprint, render_lexicon, load_lexicon
 )
 
 #: Every artifact kind, in inventory order.
-KINDS: tuple[ArtifactKind, ...] = (IR, CLOSURES, LEX)
+KINDS: tuple[ArtifactKind, ...] = (IR, LEX)
 
 #: Per-kind counter events: served from disk, not served from disk (any
 #: reason), found with another digest, found unreadable/undecodable, and
@@ -220,7 +209,7 @@ class ArtifactStore:
 
     # -- reading -------------------------------------------------------------
 
-    def read(self, kind: ArtifactKind, digest: str, context: Any = None) -> Any:
+    def read(self, kind: ArtifactKind, digest: str) -> Any:
         """The decoded artifact, or :class:`ArtifactMiss` saying why not.
 
         A missing file is a plain miss.  An unreadable file (after
@@ -253,7 +242,7 @@ class ArtifactStore:
                 f"embedded fingerprint {embedded!r}",
             )
         try:
-            value = kind.decode(text, context)
+            value = kind.decode(text)
         except Exception as error:
             raise self._reject(
                 kind, path, "corrupt", f"does not decode ({error})"
@@ -262,15 +251,11 @@ class ArtifactStore:
         return value
 
     def obtain(
-        self,
-        kind: ArtifactKind,
-        digest: str,
-        build: Callable[[], Any],
-        context: Any = None,
+        self, kind: ArtifactKind, digest: str, build: Callable[[], Any]
     ) -> Any:
         """Load the artifact, or build it and publish the result."""
         try:
-            return self.read(kind, digest, context)
+            return self.read(kind, digest)
         except ArtifactMiss:
             pass
         self.count(kind, "build")

@@ -27,12 +27,12 @@ Four cache layers, cheapest first:
 4. **On-disk artifact cache** (optional): one
    :class:`~repro.service.artifacts.ArtifactStore`, shared by every
    entry of the registry, persists the parse program
-   (``<digest>.ir.json``), the closure-backend source
-   (``<digest>.closures.py``) and the lexicon (``<digest>.lex.json``,
-   for process-pool worker bootstrap) under ``cache_dir``.  All embed
+   (``<digest>.ir.json``) and the lexicon (``<digest>.lex.json``, for
+   process-pool worker bootstrap) under ``cache_dir``.  Both embed
    their fingerprint; a stale or corrupt artifact is quarantined and
    rebuilt, and a changed selection or sub-grammar changes the digest —
-   automatic invalidation.
+   automatic invalidation.  The closure-compiled code is never
+   persisted: it is lowered from the program in memory.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from ..resilience.breaker import (
 )
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from .artifacts import CLOSURES, IR, KINDS, LEX, ArtifactStore, Lexicon
+from .artifacts import IR, KINDS, LEX, ArtifactStore, Lexicon
 from .fingerprint import Fingerprint, configuration_fingerprint
 from .metrics import ServiceMetrics
 
@@ -182,29 +182,19 @@ class RegistryEntry:
     def closure_program(self):
         """The closure-compiled program, shared across threads.
 
-        Its rules compile on their first call.  Loaded from
-        ``<digest>.closures.py`` when fresh; a file that passes the
-        fingerprint check but is not byte-identical to the text
-        regenerated from the program counts as corrupt and is rebuilt.
+        Lowered in memory from :meth:`program`; its rules compile on
+        their first call.
         """
 
-        def obtain():
+        def build():
+            from ..parsing.closures import ClosureProgram
+
             program = self.program()
-            return self._store.obtain(
-                CLOSURES,
-                self.fingerprint.digest,
-                lambda: self._compile_closures(program),
-                context=program,
-            )
+            self._fault("closure.compile")
+            with self._metrics.time("closure_compile"):
+                return ClosureProgram(program)
 
-        return self._once("_closure", obtain)
-
-    def _compile_closures(self, program):
-        from ..parsing.closures import compile_closure_program
-
-        self._fault("closure.compile")
-        with self._metrics.time("closure_compile"):
-            return compile_closure_program(program, self.fingerprint.digest)
+        return self._once("_closure", build)
 
     # -- coverage ----------------------------------------------------------
 
@@ -241,7 +231,7 @@ class RegistryEntry:
         return self._once("_parser", build)
 
     def compiled_parser(self) -> "ClosureParser":
-        """The closure-backend parser over this entry's shared artifact."""
+        """The closure-backend parser over this entry's shared closure program."""
 
         def build():
             from ..parsing.closures import ClosureParser
@@ -292,19 +282,17 @@ class RegistryEntry:
         """Ensure every artifact a process-pool worker bootstraps from is fresh.
 
         Called by the parent before shipping
-        :class:`~repro.service.workers.WorkerTask`\\ s: the IR program,
-        the lexicon and the closure source are written to ``cache_dir``
-        — idempotently, skipping files whose embedded fingerprint already
-        matches — so workers never recompose.  ``force=True`` rewrites
+        :class:`~repro.service.workers.WorkerTask`\\ s: the IR program
+        and the lexicon are written to ``cache_dir`` — idempotently,
+        skipping files whose embedded fingerprint already matches — so
+        workers never recompose.  ``force=True`` rewrites
         unconditionally; it is the parent's answer to a worker-reported
         corrupt/quarantined artifact (the "rebuild request" of the
         bootstrap protocol).
         """
         store = self._store.at(cache_dir)
         digest = self.fingerprint.digest
-        values = {
-            IR: self.program, LEX: self._lexicon, CLOSURES: self.closure_program,
-        }
+        values = {IR: self.program, LEX: self._lexicon}
         for kind in KINDS:
             if force or not store.fresh(kind, digest):
                 store.save(kind, digest, values[kind]())

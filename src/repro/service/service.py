@@ -252,8 +252,8 @@ class ParseService:
             preset dialects, and the CLI all reuse one cache.
         registry: Explicit registry to serve (overrides ``line``).
         capacity: LRU capacity when a fresh registry is built.
-        cache_dir: On-disk artifact cache directory (IR, closure source,
-            lexicon); applied to the shared registry too when serving it.
+        cache_dir: On-disk artifact cache directory (IR and lexicon);
+            applied to the shared registry too when serving it.
         max_workers: Worker-pool width for the batch APIs.
         max_queue: Admission-control bound: maximum requests in flight
             (queued + executing) before new ones are shed with an E0204

@@ -6,10 +6,10 @@ The GIL caps a thread pool's batch throughput at roughly one core, so
 pipe thin and the workers stateless:
 
 * the **parent** composes (at most once, via the registry), publishes
-  every artifact a worker needs under the cache directory —
-  ``<digest>.ir.json`` (the parse program), ``<digest>.lex.json`` (the
-  lexicon, so workers can build a scanner), and ``<digest>.closures.py``
-  (the compiled backend) — and ships only a :class:`WorkerTask`
+  the two artifacts a worker needs under the cache directory —
+  ``<digest>.ir.json`` (the parse program, which the worker lowers to
+  the compiled backend) and ``<digest>.lex.json`` (the lexicon, so
+  workers can build a scanner) — and ships only a :class:`WorkerTask`
   (fingerprint digest + texts) across the pipe.  **No grammar
   composition ever happens in a worker.**
 * each **worker** keeps a small per-process cache of bootstrapped
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .artifacts import CLOSURES, IR, LEX, ArtifactMiss, ArtifactStore
+from .artifacts import IR, LEX, ArtifactMiss, ArtifactStore
 from .metrics import ServiceMetrics
 
 #: Parsers cached per worker process (small: workers are many).
@@ -134,25 +134,25 @@ _PARSERS: "OrderedDict[str, Any]" = OrderedDict()
 def _bootstrap_parser(task: WorkerTask):
     """Build a compiled parser for ``task`` purely from on-disk artifacts.
 
-    The closure artifact goes through the registry's loader: its text is
-    checked against the one regenerated from the IR, and each rule
-    compiles on its first call in this worker.
+    The lexicon and the IR come from disk; the IR is lowered in memory,
+    and each rule compiles on its first call in this worker.
 
     Raises :class:`~repro.service.artifacts.ArtifactMiss` (with the
     store's quarantine bookkeeping) on any missing/stale/corrupt
     artifact — the *only* exception the caller sees.
     """
     from ..lexer.scanner import Scanner
-    from ..parsing.closures import ClosureParser
+    from ..parsing.closures import ClosureParser, ClosureProgram
 
     store = ArtifactStore(Path(task.cache_dir), ServiceMetrics())
     lexicon = store.read(LEX, task.digest)
     program = store.read(IR, task.digest)
-    closure = store.read(CLOSURES, task.digest, program)
     grammar = _ArtifactGrammar(
         lexicon.grammar, lexicon.start or program.start_name(), lexicon.tokens
     )
-    return ClosureParser(grammar, closure, scanner=Scanner(lexicon.tokens))
+    return ClosureParser(
+        grammar, ClosureProgram(program), scanner=Scanner(lexicon.tokens)
+    )
 
 
 def _parser_for(task: WorkerTask):

@@ -743,7 +743,10 @@ class AstBuilder:
         if wft.child("aggregate_function") is not None:
             function = self.build(wft.child("aggregate_function"))
         else:
-            function = ast.FunctionCall(_token_texts(wft)[0])
+            args = wft.children_named("value_expression")  # NTILE's bucket count
+            function = ast.FunctionCall(
+                _token_texts(wft)[0], tuple(self.build(a) for a in args)
+            )
         target = node.child("window_name_or_spec")
         spec_node = target.child("window_specification")
         window: str | ast.WindowSpec

@@ -236,6 +236,12 @@ _FUNCTION_UNITS = {
     "SYSTEM_USER": "UserFn.SystemUser",
     "CURRENT_ROLE": "UserFn.CurrentRole",
     "CURRENT_PATH": "UserFn.CurrentPath",
+    "RANK": "RankFunction",
+    "DENSE_RANK": "RankFunction",
+    "ROW_NUMBER": "RowNumberFunction",
+    "PERCENT_RANK": "PercentRankFunction",
+    "CUME_DIST": "PercentRankFunction",
+    "NTILE": "NtileFunction",
 }
 
 #: Data-type keyword or phrase -> the ``sql/features/data_types`` leaf

@@ -14,7 +14,9 @@ seen yet:
 * at an OPT/LOOP/SEPLOOP, prefer whichever *taken*/*skipped* edge is
   still unexercised;
 * otherwise fall back to seeded randomness, with a depth budget that
-  degrades to minimal-cost expansion so recursion terminates.
+  degrades to minimal-cost expansion so recursion terminates;
+* never enter a body that derives no finite sentence (a non-productive
+  rule), and refuse a start rule that derives none at all.
 
 Each emitted sentence is immediately parsed by the interpreter, counting
 into the generator's collector (``coverage=``), so the bias reflects
@@ -81,6 +83,7 @@ class CoverageGuidedGenerator:
         self._out: list[str] = []
         self._terminals = build_terminal_table(product.grammar.tokens)
         self._rule_cost = self._compute_rule_costs()
+        self._costs: dict[int, int] = {}  # id(instr) -> _cost(instr)
         # per-sentence overlay of alternative picks: the shared collector
         # only advances after a sentence is parsed, so without this a
         # "least-exercised" tie would re-pick the same recursive
@@ -97,6 +100,11 @@ class CoverageGuidedGenerator:
         if start is None:
             raise ValueError(
                 f"program {self.program.grammar_name!r} has no start rule"
+            )
+        if self._rule_cost[start] >= _INF:
+            raise ValueError(
+                f"start rule {self.program.rule_names[start]!r} of "
+                f"{self.program.grammar_name!r} derives no finite sentence"
             )
         out: list[str] = []
         self._out = out
@@ -150,6 +158,15 @@ class CoverageGuidedGenerator:
                     costs[rule_id] = cost
                     changed = True
         return costs
+
+    def _cost(self, instr) -> int:
+        """Minimum terminals ``instr`` derives (``>= _INF``: none), memoised."""
+        cost = self._costs.get(id(instr))
+        if cost is None:
+            cost = self._costs[id(instr)] = self._instr_cost(
+                instr, self._rule_cost
+            )
+        return cost
 
     def _instr_cost(self, instr, costs: list[int]) -> int:
         op = instr[0]
@@ -216,12 +233,12 @@ class CoverageGuidedGenerator:
         return depth > self.max_depth or len(self._out) >= self.max_tokens
 
     def _pick_block(self, instr, depth: int):
-        blocks = instr[4]
+        blocks = [b for b in instr[4] if self._cost(b) < _INF]
         if len(blocks) == 1:
             return blocks[0]
         slot_of_block = self.collector.map.slot_of_block
         if self._exhausted(depth):
-            costs = [self._instr_cost(b, self._rule_cost) for b in blocks]
+            costs = [self._cost(b) for b in blocks]
             cheapest = min(costs)
             pool = [b for b, c in zip(blocks, costs, strict=True) if c == cheapest]
             return self.rng.choice(pool)
@@ -250,7 +267,7 @@ class CoverageGuidedGenerator:
         )
 
     def _want_optional(self, instr, depth: int) -> bool:
-        if self._exhausted(depth):
+        if self._exhausted(depth) or self._cost(instr[1]) >= _INF:
             return False
         taken, skipped = self._decision(instr)
         if not taken:
@@ -261,6 +278,13 @@ class CoverageGuidedGenerator:
 
     def _repeat_count(self, instr, minimum: int, depth: int) -> int:
         if self._exhausted(depth):
+            return minimum
+        if self._cost(instr[1]) >= _INF or (
+            instr[0] == OP_SEPLOOP and self._cost(instr[2]) >= _INF
+        ):
+            # a body or separator that derives no finite sentence: stop
+            # at the floor, which never runs it on a loop that a finite
+            # sentence can reach
             return minimum
         taken, skipped = self._decision(instr)
         if instr[0] == OP_SEPLOOP:

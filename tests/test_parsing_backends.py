@@ -16,11 +16,11 @@ from repro.parsing import (
     GENERATED,
     INTERPRETER,
     ClosureParser,
+    ClosureProgram,
     CompiledBackend,
     CoverageMap,
     ParseBackend,
     backend_names,
-    compile_closure_program,
     get_backend,
     register_backend,
 )
@@ -158,14 +158,6 @@ class TestCompiledCoverage:
 
 
 class TestClosureArtifactValidation:
-    def test_mismatched_source_is_rejected(self, product, program):
-        from repro.parsing import ClosureProgram, generate_closure_source
-
-        other = build_dialect("tinysql").program()
-        source = generate_closure_source(other)
-        with pytest.raises(ValueError, match="does not match"):
-            ClosureProgram(program, source)
-
     def test_compile_round_trip(self, program):
-        closure = compile_closure_program(program)
+        closure = ClosureProgram(program)
         assert len(closure.rule_fns) == len(program.code)

@@ -49,6 +49,15 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultPlan([FaultRule("no.such.site")])
 
+    @pytest.mark.parametrize(
+        "site", ["artifact.read.closures", "artifact.write.closures"]
+    )
+    def test_removed_closures_sites_are_unknown(self, site):
+        # no artifact kind is named closures: a plan naming these sites
+        # fails loudly instead of testing nothing
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultPlan([FaultRule(site)])
+
     def test_duplicate_site_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             FaultPlan([FaultRule("compose"), FaultRule("compose")])

@@ -1,18 +1,19 @@
-"""Closure-backend artifacts in the registry, and the compiled serving path.
+"""The compiled backend in the registry, and the compiled serving path.
 
-The closure artifact kind (``<digest>.closures.py``) must follow the
-same lifecycle contract as the other kinds: fingerprint validation on
-load, quarantine on corruption, rebuild on staleness, and safe
-coexistence with LRU eviction.  On top sits the serving path:
-``ParseService`` serves the compiled backend and degrades to the
-interpreter when the closure artifact cannot be produced.
+The closure-compiled program is lowered in memory from the parse
+program, which the ``ir`` artifact persists: no other file stands for
+it, and it coexists safely with LRU eviction.  On top sits the serving
+path: ``ParseService`` serves the compiled backend and degrades to the
+interpreter when the closure program cannot be built.
 """
 
+import re
 import threading
 
 from repro.core import GrammarProductLine
 from repro.resilience.faults import FaultPlan, FaultRule
 from repro.service import ParseService, ParserRegistry
+from repro.service.workers import WorkerTask, execute_batch, reset_worker_cache
 
 from tests.test_core_product_line import mini_model, mini_units
 
@@ -28,112 +29,8 @@ def make_registry(capacity=8, cache_dir=None, fault_plan=None):
 
 
 class TestClosureDiskCache:
-    def test_round_trip_across_registries(self, tmp_path):
-        first = make_registry(cache_dir=tmp_path)
-        entry = first.get(FEATURES)
-        closure = entry.closure_program()
-        assert first.metrics.counter("artifact.closures.build") == 1
-        assert first.metrics.counter("artifact.closures.miss") == 1
-        artifact = tmp_path / f"{entry.fingerprint.digest}.closures.py"
-        assert artifact.exists()
-
-        second = make_registry(cache_dir=tmp_path)
-        entry2 = second.get(FEATURES)
-        closure2 = entry2.closure_program()
-        assert second.metrics.counter("artifact.closures.hit") == 1
-        assert second.metrics.counter("artifact.closures.build") == 0
-        assert len(closure2.rule_fns) == len(closure.rule_fns)
-        # the revived artifact actually drives a parser
-        parser = entry2.compiled_parser()
-        assert parser.accepts(ACCEPTED)
-        assert not parser.accepts("SELECT a, b FROM t")
-
-    def test_stale_artifact_is_quarantined_and_rebuilt(self, tmp_path):
-        first = make_registry(cache_dir=tmp_path)
-        entry = first.get(FEATURES)
-        entry.closure_program()
-        artifact = tmp_path / f"{entry.fingerprint.digest}.closures.py"
-
-        # stale-file simulation: valid text, wrong embedded provenance
-        text = artifact.read_text()
-        assert entry.fingerprint.digest in text
-        artifact.write_text(
-            text.replace(entry.fingerprint.digest, "0" * 64, 1)
-        )
-
-        second = make_registry(cache_dir=tmp_path)
-        entry2 = second.get(FEATURES)
-        assert entry2.closure_program() is not None
-        assert second.metrics.counter("artifact.closures.stale") == 1
-        assert second.metrics.counter("artifact.closures.hit") == 0
-        assert second.metrics.counter("artifact.closures.build") == 1
-        # staleness is quarantined but NOT counted as corruption
-        assert second.metrics.counter("artifact.closures.corrupt") == 0
-        assert second.metrics.counter("quarantined") == 1
-        assert artifact.with_name(artifact.name + ".bad").exists()
-        # the clean slot holds a fresh artifact with correct provenance
-        assert entry.fingerprint.digest in artifact.read_text()
-
-    def test_unparseable_artifact_is_corrupt(self, tmp_path):
-        registry = make_registry(cache_dir=tmp_path)
-        entry = registry.get(FEATURES)
-        artifact = tmp_path / f"{entry.fingerprint.digest}.closures.py"
-        artifact.write_text("def broken(:\n")
-
-        assert entry.closure_program() is not None
-        assert registry.metrics.counter("artifact.closures.corrupt") == 1
-        assert registry.metrics.counter("quarantined") == 1
-        assert registry.metrics.counter("artifact.closures.build") == 1
-
-    def test_fingerprint_valid_but_unexecutable_artifact_is_corrupt(
-        self, tmp_path
-    ):
-        """A file that passes the fingerprint scan but does not exec into
-        this program's rule table is the dangerous case: it must be
-        quarantined, not served."""
-        registry = make_registry(cache_dir=tmp_path)
-        entry = registry.get(FEATURES)
-        entry.closure_program()
-        artifact = tmp_path / f"{entry.fingerprint.digest}.closures.py"
-
-        # torn write: keep the provenance header, lose the rule table
-        text = artifact.read_text()
-        cut = text.index("def _r")
-        artifact.write_text(text[:cut])
-
-        second = make_registry(cache_dir=tmp_path)
-        entry2 = second.get(FEATURES)
-        closure = entry2.closure_program()
-        assert closure is not None
-        assert second.metrics.counter("artifact.closures.corrupt") == 1
-        assert second.metrics.counter("quarantined") == 1
-        assert artifact.with_name(artifact.name + ".bad").exists()
-        assert entry2.compiled_parser().accepts(ACCEPTED)
-
-    def test_tampered_but_valid_python_artifact_is_corrupt(self, tmp_path):
-        """A file that still compiles and keeps its fingerprint line, but
-        no longer matches the program, is caught by regeneration: served,
-        it would reject a query the interpreter accepts."""
-        first = make_registry(cache_dir=tmp_path)
-        entry = first.get(FEATURES)
-        entry.closure_program()
-        artifact = tmp_path / f"{entry.fingerprint.digest}.closures.py"
-        text = artifact.read_text()
-        assert "'WHERE'" in text
-        tampered = text.replace("'WHERE'", "'FROM'")
-        compile(tampered, str(artifact), "exec")  # still valid Python
-        artifact.write_text(tampered)
-
-        second = make_registry(cache_dir=tmp_path)
-        entry2 = second.get(FEATURES)
-        entry2.closure_program()
-        assert second.metrics.counter("artifact.closures.corrupt") == 1
-        assert second.metrics.counter("artifact.closures.hit") == 0
-        assert second.metrics.counter("artifact.closures.build") == 1
-        assert artifact.with_name(artifact.name + ".bad").exists()
-        assert artifact.read_text() == text
-        assert entry2.compiled_parser().accepts(ACCEPTED)
-        assert entry2.parser().accepts(ACCEPTED)
+    """The compiled backend has no artifact of its own: it is lowered from
+    the ``ir`` artifact's program, and nothing else is persisted for it."""
 
     def test_artifact_inventory_lists_every_kind(self, tmp_path):
         registry = make_registry(cache_dir=tmp_path)
@@ -141,32 +38,58 @@ class TestClosureDiskCache:
         entry.closure_program()
 
         inventory = {item["kind"]: item for item in entry.artifacts()}
-        assert set(inventory) == {"ir", "closures", "lex"}
+        assert set(inventory) == {"ir", "lex"}
         assert inventory["ir"]["exists"] and not inventory["ir"]["stale"]
-        assert inventory["closures"]["exists"]
-        assert inventory["closures"]["size"] > 0
-        assert not inventory["closures"]["stale"]
+        assert inventory["ir"]["size"] > 0
         # only worker publication writes the lexicon
         assert not inventory["lex"]["exists"]
 
         # staleness and quarantine are both surfaced
-        path = tmp_path / f"{entry.fingerprint.digest}.closures.py"
+        path = tmp_path / f"{entry.fingerprint.digest}.ir.json"
         path.write_text(
             path.read_text().replace(entry.fingerprint.digest, "0" * 64, 1)
         )
         path.with_name(path.name + ".bad").write_text("post-mortem")
         inventory = {item["kind"]: item for item in entry.artifacts()}
-        assert inventory["closures"]["stale"]
-        assert inventory["closures"]["quarantined"]
+        assert inventory["ir"]["stale"]
+        assert inventory["ir"]["quarantined"]
 
     def test_inventory_without_cache_dir_names_the_kinds(self):
         registry = make_registry()
         entry = registry.get(FEATURES)
         inventory = entry.artifacts()
-        assert [item["kind"] for item in inventory] == [
-            "ir", "closures", "lex",
-        ]
+        assert [item["kind"] for item in inventory] == ["ir", "lex"]
         assert all(item["path"] is None for item in inventory)
+
+    def test_a_closures_file_is_never_opened(self, tmp_path):
+        """A ``<digest>.closures.py`` left in the cache directory (an old
+        artifact, or garbage) is neither read, quarantined nor listed:
+        the registry and a worker both serve from the IR alone."""
+        first = make_registry(cache_dir=tmp_path)
+        entry = first.get(FEATURES)
+        entry.publish_worker_artifacts(tmp_path)
+        digest = entry.fingerprint.digest
+        garbage = tmp_path / f"{digest}.closures.py"
+        garbage.write_bytes(b"def broken(:\n\x00 not python")
+
+        second = make_registry(cache_dir=tmp_path)
+        entry2 = second.get(FEATURES)
+        assert entry2.compiled_parser().accepts(ACCEPTED)
+        assert second.metrics.counter("artifact.ir.hit") == 1
+        reset_worker_cache()
+        reply = execute_batch(
+            WorkerTask(
+                digest=digest, cache_dir=str(tmp_path), backend="compiled",
+                text=ACCEPTED,
+            )
+        )[0]
+        assert not reply.bootstrap_failed and not reply.internal_error
+        assert reply.tree == entry2.parser().parse(ACCEPTED)
+
+        assert garbage.read_bytes() == b"def broken(:\n\x00 not python"
+        assert not garbage.with_name(garbage.name + ".bad").exists()
+        assert second.metrics.counter("quarantined") == 0
+        assert [item["kind"] for item in entry2.artifacts()] == ["ir", "lex"]
 
 
 class TestConcurrentEviction:
@@ -212,7 +135,7 @@ class TestConcurrentEviction:
         assert errors == []
         assert registry.metrics.counter("evictions") > 0
         # rebuilt entries found the published artifact on disk
-        assert registry.metrics.counter("artifact.closures.hit") > 0
+        assert registry.metrics.counter("artifact.ir.hit") > 0
 
 
 class TestCompiledServing:
@@ -226,7 +149,8 @@ class TestCompiledServing:
         assert snap["backend"] == "compiled"
         assert snap["latency"]["parse_compiled"]["count"] == 1
         assert snap["latency"]["parse_interpreter"]["count"] == 0
-        assert snap["counters"]["artifact.closures.build"] == 1
+        assert snap["counters"]["artifact.ir.build"] == 1
+        assert not any("closures" in name for name in snap["counters"])
         assert service.health()["backend"] == "compiled"
         assert "backend: compiled" in service.render_health()
 
@@ -267,4 +191,5 @@ class TestCompiledServing:
         rendered = service.metrics.render()
         assert "backend: compiled" in rendered
         assert "parse_compiled" in rendered
-        assert "closures: 1 builds" in rendered
+        assert re.search(r"^  ir: +1 builds", rendered, re.M)
+        assert "closures" not in rendered

@@ -207,6 +207,14 @@ class TestProcessExecutor:
         with ParseService(line=make_line()) as reference:
             expected = reference.parse_many(list(CORPUS), FULL)
         results = process_service.parse_many(list(CORPUS), FULL)
+        # the workers bootstrapped from two published files, no more
+        digest = process_service.registry.fingerprint(FULL).digest
+        assert sorted(os.listdir(process_service.registry.cache_dir)) == [
+            f"{digest}.ir.json", f"{digest}.lex.json",
+        ]
+        counters = process_service.metrics.snapshot()["counters"]
+        assert counters["worker_tasks"] > 0
+        assert counters["worker_bootstrap_failures"] == 0
         assert len(results) == len(CORPUS)
         for result, thread in zip(results, expected):
             assert result.ok == thread.ok

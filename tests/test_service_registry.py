@@ -43,7 +43,6 @@ from repro.sql import (
 )
 from repro.workloads import generate_workload
 from repro.service.artifacts import (
-    CLOSURES,
     IR,
     KINDS,
     LEX,
@@ -162,12 +161,7 @@ def value_of(entry, kind):
             entry.fingerprint.digest, grammar.name, grammar.start,
             grammar.tokens,
         )
-    return entry.program() if kind is IR else entry.closure_program()
-
-
-def context_of(entry, kind):
-    """What decoding ``kind`` needs besides the text (closures: the IR)."""
-    return entry.program() if kind is CLOSURES else None
+    return entry.program()
 
 
 def count(registry, kind, event):
@@ -178,8 +172,8 @@ def count(registry, kind, event):
 class TestDiskCache:
     """Store behaviour, identical for every artifact kind: artifacts are
     written by worker publication and read back the way a worker reads
-    them (the IR and closure kinds also load through the entry, covered
-    by the per-kind classes below)."""
+    them (the IR kind also loads through the entry, covered by the
+    per-kind classes below)."""
 
     def test_artifact_round_trip_across_registries(self, tmp_path, kind):
         first = make_registry(cache_dir=tmp_path)
@@ -192,9 +186,7 @@ class TestDiskCache:
         # a fresh registry (fresh process, in spirit) reuses the artifact
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
-        value = second.store.read(
-            kind, entry2.fingerprint.digest, context_of(entry, kind)
-        )
+        value = second.store.read(kind, entry2.fingerprint.digest)
         assert count(second, kind, "hit") == 1
         assert count(second, kind, "build") == 0
         assert kind.encode(value) == artifact.read_text()
@@ -214,7 +206,7 @@ class TestDiskCache:
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
         with pytest.raises(ArtifactMiss) as miss:
-            second.store.read(kind, digest, context_of(entry, kind))
+            second.store.read(kind, digest)
         assert miss.value.quarantined == (str(artifact),)
         # stale provenance is quarantined but NOT counted as corruption
         assert count(second, kind, "stale") == 1
@@ -230,7 +222,7 @@ class TestDiskCache:
         digest = entry.fingerprint.digest
         registry.store.save(kind, digest, value_of(entry, kind))
         with pytest.raises(ArtifactMiss, match="no cache directory"):
-            registry.store.read(kind, digest, context_of(entry, kind))
+            registry.store.read(kind, digest)
         assert list(tmp_path.iterdir()) == []
         assert count(registry, kind, "miss") == 0
 
@@ -252,9 +244,7 @@ class TestArtifactStoreSafety:
         registry = make_registry(cache_dir=tmp_path)
         entry = registry.get(["Query"])
         with pytest.raises(ArtifactMiss, match="missing") as miss:
-            registry.store.read(
-                kind, entry.fingerprint.digest, context_of(entry, kind)
-            )
+            registry.store.read(kind, entry.fingerprint.digest)
         assert miss.value.quarantined == ()
         assert count(registry, kind, "miss") == 1
         assert count(registry, kind, "corrupt") == 0
@@ -277,7 +267,7 @@ class TestArtifactStoreSafety:
             return original(path, *args, **kwargs)
 
         monkeypatch.setattr(type(target), "read_text", flaky)
-        registry.store.read(kind, digest, context_of(entry, kind))
+        registry.store.read(kind, digest)
         assert len(failures) == 2
         assert registry.metrics.counter("retries") == 2
         assert count(registry, kind, "hit") == 1
@@ -516,7 +506,7 @@ class TestQuarantine:
         path.write_text("")
 
         with pytest.raises(ArtifactMiss, match="corrupt"):
-            registry.store.read(kind, digest, context_of(entry, kind))
+            registry.store.read(kind, digest)
         assert count(registry, kind, "corrupt") == 1
         assert count(registry, kind, "stale") == 0
         assert registry.metrics.counter("quarantined") == 1

@@ -1,11 +1,18 @@
 """Every generated workload query must parse in its own dialect."""
 
+import hashlib
+
 import pytest
 
+from repro.core.product_line import ComposedProduct
+from repro.grammar import read_grammar
+from repro.lexer import standard_skip_tokens
+from repro.lexer.spec import TokenSet, literal
 from repro.parsing.coverage import CoverageMap
-from repro.sql import build_dialect
+from repro.sql import build_dialect, build_sql_product_line, dialect_names
 from repro.workloads import (
     CoverageGuidedGenerator,
+    coverage_guided_workload,
     generate_workload,
     workload_dialects,
 )
@@ -107,3 +114,52 @@ class TestCoverageGuidedMode:
         generator.generate(5)
         assert generator.collector is collector
         assert collector.score() >= seeded
+
+
+def hand_built(text):
+    """A product over ``text``, a grammar with the tokens A and B."""
+    tokens = TokenSet(
+        "t", standard_skip_tokens() + [literal("A", "a"), literal("B", "b")]
+    )
+    return ComposedProduct(
+        name="hand-built", configuration=None, sequence=(),
+        grammar=read_grammar(text, tokens=tokens), trace=None,
+    )
+
+
+class TestNonProductiveRules:
+    """A rule that derives no finite sentence never sends the coverage
+    generator into endless recursion."""
+
+    def test_empty_language_is_refused_by_name(self):
+        # a valid selection whose only statement needs a statement
+        line = build_sql_product_line()
+        product = line.compose_product(
+            line.resolve_configuration(["TriggerOn.Update"])
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"start rule 'sql_script' of 'sql2003@[0-9a-f]{12}' "
+            r"derives no finite sentence",
+        ):
+            coverage_guided_workload(product, 3, seed=1)
+
+    def test_dead_bodies_are_never_entered(self):
+        # w derives nothing: x must take A, and y? and z* must stay empty
+        product = hand_built("s : x y? z* ; x : A | w ; y : w ; z : w ; w : B w ;")
+        assert coverage_guided_workload(product, 10, seed=1) == ["a"] * 10
+
+    def test_preset_coverage_workloads_are_pinned(self):
+        """No preset reaches a body of infinite cost, so the guard draws
+        nothing from the generator's RNG there: seeds 1-3 of every preset
+        keep these exact coverage-mode workloads."""
+        digest = hashlib.sha256()
+        for dialect in dialect_names():
+            for seed in (1, 2, 3):
+                for query in generate_workload(
+                    dialect, 40, seed=seed, mode="coverage"
+                ):
+                    digest.update(query.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "4a1f1951a34fde3fcf7e66ea0c539cc80afb03f26be75af9d5b0d9c55e2f6652"
+        )
