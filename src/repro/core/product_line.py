@@ -14,6 +14,7 @@ the composer did.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..errors import CompositionError
@@ -65,15 +66,33 @@ class ComposedProduct:
                       hint_provider=self.hint_provider() if hints else None,
                       program=program)
 
+    @cached_property
+    def analysis(self):
+        """The grammar's FIRST/FOLLOW analysis, computed on first use.
+
+        Kept on the product (outside equality and ``repr``; a
+        :func:`dataclasses.replace` copy starts without it), so
+        :meth:`program` and the lint passes share one analysis.
+        """
+        from ..parsing.first_follow import GrammarAnalysis
+
+        return GrammarAnalysis(self.grammar)
+
     def program(self, analysis=None):
         """Compile this product's parse-program IR.
 
         The program is the single compiled semantics source shared by the
         interpreting parser, the code generator, and the service cache;
         the product's fingerprint digest is embedded for cache validation.
+        Without ``analysis`` the grammar is validated first and compiled
+        with :attr:`analysis`.
         """
+        from ..grammar.validate import validate
         from ..parsing.program import compile_program
 
+        if analysis is None:
+            validate(self.grammar).raise_if_failed()
+            analysis = self.analysis
         digest = getattr(self.fingerprint, "digest", None)
         return compile_program(self.grammar, analysis=analysis,
                                fingerprint=digest)

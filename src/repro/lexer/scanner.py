@@ -6,11 +6,11 @@ approach): every composed dialect gets its own scanner whose keyword table
 contains exactly the keywords its features contributed.
 
 One class serves every parse backend.  :meth:`Scanner.scan` and
-:meth:`Scanner.scan_with_diagnostics` run a fast loop over the master
-pattern's ``finditer``; any input that loop cannot finish (an unmatchable
-character, a zero-width match) is rescanned by the precise
-:meth:`Scanner.tokens` generator, which owns every error message and the
-recovery path.
+:meth:`Scanner.scan_with_diagnostics` run a fast loop over the fast
+pattern's ``finditer``, one match per token; any input that loop cannot
+finish (an unmatchable character, a zero-width token) is rescanned by the
+precise :meth:`Scanner.tokens` generator over the master pattern, which
+owns every error message and the recovery path.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterator
 
 from ..diagnostics.model import SCAN_ERROR, Diagnostic, Severity, Span
 from ..errors import ScanError
-from .spec import TokenSet, compile_master_pattern
+from .spec import TokenSet, compile_fast_pattern, compile_master_pattern
 from .token import ERROR, Token, eof_token
 
 
@@ -42,6 +42,11 @@ class Scanner:
         self._master = compile_master_pattern(token_set)
         self._keywords = token_set.keywords
         self._skip_names = frozenset(d.name for d in token_set if d.skip)
+        self._fast, self._stray_skips = compile_fast_pattern(token_set)
+        # a stray skip match keeps its name, so dropping by type is exact
+        self._fast_id_rules = tuple(
+            r for r in identifier_rules if r not in self._stray_skips
+        )
 
     def tokens(self, text: str, recover: bool = False) -> Iterator[Token]:
         """Yield tokens for ``text``, ending with a single EOF token.
@@ -126,49 +131,44 @@ class Scanner:
     def _fast_scan(self, text: str) -> list[Token] | None:
         """The :meth:`tokens` loop for clean input, or ``None`` on any gap.
 
-        Iterates the master pattern's matches instead of anchoring one
-        ``match`` per position, and builds tokens with ``object.__new__``
-        plus direct slot stores instead of the frozen dataclass
-        constructor.  A match that does not start where the previous one
-        ended, a zero-width match, or an unmatched tail returns ``None``.
+        One match of the fast pattern per token: the skip run before a
+        token is the match's prefix, and the sentinels make each match
+        start where the previous one ended.  A text without ``"\\n"``
+        puts every token on line 1 at column ``offset + 1``; otherwise
+        the newlines since the previous token's start are counted with
+        one ``str.count``.  An unmatchable character or a zero-width
+        token returns ``None``.
         """
         kw_get = self._keywords.get
-        skip = self._skip_names
-        id_rules = self.identifier_rules
-        new = object.__new__
-        store = object.__setattr__
+        id_rules = self._fast_id_rules
+        n = len(text)
+        multiline = "\n" in text
+        line = 1
+        line_start = 0  # offset of the first character of ``line``
+        counted = 0  # the newlines before this offset are in ``line``
+        start = -1
         out: list[Token] = []
         append = out.append
-        pos = 0
-        line = 1
-        col = 1
-        for m in self._master.finditer(text):
-            end = m.end()
-            if m.start() != pos or end == pos:
-                return None
+        for m in self._fast.finditer(text):
             name = m.lastgroup or ""
-            lexeme = text[pos:end]
-            if name not in skip:
-                if name in id_rules:
-                    ttype = kw_get(lexeme.upper(), name)
-                else:
-                    ttype = name
-                token = new(Token)
-                store(token, "type", ttype)
-                store(token, "text", lexeme)
-                store(token, "line", line)
-                store(token, "column", col)
-                store(token, "offset", pos)
-                append(token)
-            if "\n" in lexeme:
-                line += lexeme.count("\n")
-                col = len(lexeme) - lexeme.rfind("\n")
-            else:
-                col += end - pos
-            pos = end
-        if pos != len(text):
+            start, end = m.span(name)
+            if multiline:
+                newlines = text.count("\n", counted, start)
+                if newlines:
+                    line += newlines
+                    line_start = text.rfind("\n", counted, start) + 1
+                counted = start
+            if start == end:  # a sentinel, or a zero-width token
+                break
+            lexeme = text[start:end]
+            if name in id_rules:
+                name = kw_get(lexeme.upper(), name)
+            append(Token(name, lexeme, line, start - line_start + 1, start))
+        if start != n:
             return None
-        append(eof_token(line, col, pos))
+        append(eof_token(line, n - line_start + 1, n))
+        if self._stray_skips:
+            return [t for t in out if t.type not in self._stray_skips]
         return out
 
 

@@ -20,6 +20,7 @@ Three kinds of token definitions exist:
 from __future__ import annotations
 
 import re
+import re._parser as _regex_parser  # type: ignore  # private; no stub
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -244,3 +245,61 @@ def compile_master_pattern(token_set: TokenSet) -> "re.Pattern[str]":
         # A grammar with keywords only still needs *something* to match.
         parts.append(r"(?P<_NOTHING_>(?!))")
     return re.compile("|".join(parts))
+
+
+def compile_fast_pattern(
+    token_set: TokenSet,
+) -> "tuple[re.Pattern[str], frozenset[str]]":
+    """Compile the scanner's fast pattern, where one match is one token.
+
+    The alternatives are :func:`compile_master_pattern`'s, in its order,
+    with two changes (DESIGN §4.8, "One scanner"):
+
+    * The leading run of skip tokens becomes a possessive prefix
+      ``(?:…|…)*+`` of every match, so each token absorbs the whitespace
+      and comments before it.  Possessive, so the prefix never gives
+      characters back: a greedy one would retry every way to split the
+      run whenever what follows failed, exponential in its length.  A
+      skip pattern that can match the empty string, or one that ranks
+      after a non-skip pattern, ends the run and stays an ordinary
+      alternative: absorbing it would change what scans.
+    * Two sentinels come last: end of text, and any one character, whose
+      group is empty.  Some alternative matches at every position, so
+      ``finditer`` never retries the positions of a skip run that ends
+      the text or precedes an unmatchable character (quadratic), and
+      each match starts where the previous one ended.  Every way out of
+      the scan is a zero-width group: a sentinel or a zero-width token.
+
+    Returns the pattern and the names of the skip tokens left as
+    ordinary alternatives, whose matches the scanner drops.
+    """
+    patterns = token_set.patterns
+    run = 0
+    while (
+        run < len(patterns)
+        and patterns[run].skip
+        and not _can_match_empty(patterns[run].pattern)
+    ):
+        run += 1
+    parts = [f"(?P<{d.name}>{d.pattern})" for d in patterns[run:]]
+    parts += [f"(?P<{d.name}>{re.escape(d.pattern)})" for d in token_set.literals]
+    taken = token_set.names()
+    parts.append(rf"(?P<{_fresh_name('_END', taken)}>\Z)")
+    parts.append(rf"(?P<{_fresh_name('_ANY', taken)}>)[\s\S]")
+    prefix = ""
+    if run:
+        prefix = "(?:" + "|".join(d.pattern for d in patterns[:run]) + ")*+"
+    stray = frozenset(d.name for d in patterns[run:] if d.skip)
+    return re.compile(f"{prefix}(?:{'|'.join(parts)})"), stray
+
+
+def _can_match_empty(regex: str) -> bool:
+    """Whether ``regex`` matches the empty string anywhere (its minimum
+    width is zero, lookarounds and anchors included)."""
+    return _regex_parser.parse(regex).getwidth()[0] == 0
+
+
+def _fresh_name(base: str, taken: frozenset[str]) -> str:
+    while base in taken:
+        base += "_"
+    return base

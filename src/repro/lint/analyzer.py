@@ -82,9 +82,13 @@ def analyze_product(
     program: ParseProgram | None = None,
     analysis: GrammarAnalysis | None = None,
 ) -> TargetReport:
-    """All program-level passes over one composed product."""
+    """All program-level passes over one composed product.
+
+    Without ``analysis`` the product's own (:attr:`ComposedProduct.analysis`)
+    is used, the one :meth:`ComposedProduct.program` compiles with.
+    """
     if analysis is None:
-        analysis = GrammarAnalysis(product.grammar)
+        analysis = product.analysis
     if program is None:
         program = product.program(analysis=analysis)
     findings = run_program_passes(

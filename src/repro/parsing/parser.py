@@ -420,9 +420,11 @@ class Parser:
         tokens, scan_diagnostics = self.scanner.scan_with_diagnostics(text)
         bag = DiagnosticBag(max_errors=max_errors)
         bag.extend(scan_diagnostics)
-        # ERROR tokens are already diagnosed; drop them so the parser sees
-        # the best-effort remainder of the stream.
-        tokens = [t for t in tokens if t.type != ERROR]
+        if scan_diagnostics:
+            # ERROR tokens are already diagnosed; drop them so the parser
+            # sees the best-effort remainder of the stream.  A clean scan
+            # has none and is handed over as it is.
+            tokens = [t for t in tokens if t.type != ERROR]
 
         start_rule = start if start is not None else self.grammar.start
         if start_rule is None:

@@ -3,9 +3,11 @@
 Covers the program-level passes (L0101–L0107) over a synthetic defective
 grammar, rule/feature origin provenance on composed products, the
 pairwise feature-interaction pass (L0120/L0121), report JSON round-trip,
-baseline matching (including bracket-literal keys), and the registry
-lint gate.
+baseline matching (including bracket-literal keys), the registry
+lint gate, and the one FIRST/FOLLOW analysis lint and compile share.
 """
+
+import dataclasses
 
 import pytest
 
@@ -36,6 +38,7 @@ from repro.lint import (
     lint_products,
     render_baseline,
 )
+from repro.parsing import GrammarAnalysis
 from repro.service import ParserRegistry
 
 IDENT = pattern("IDENTIFIER", "[A-Za-z_][A-Za-z0-9_]*", priority=1)
@@ -419,6 +422,50 @@ class TestRegistryLintGate:
         entry = registry.get(["Root", "Loopy"])
         assert entry is not None
         assert registry.metrics.counter("lint_checks") == 0
+
+
+class TestSharedAnalysis:
+    """A product computes its FIRST/FOLLOW analysis once: compiling its
+    program and linting it (the registry's lint gate, E12) share it."""
+
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        built = []
+        init = GrammarAnalysis.__init__
+
+        def counting_init(self, grammar):
+            built.append(grammar)
+            init(self, grammar)
+
+        monkeypatch.setattr(GrammarAnalysis, "__init__", counting_init)
+        return built
+
+    def test_lint_gate_and_program_share_one_analysis(self, analyses):
+        registry = ParserRegistry(
+            TestRegistryLintGate().gate_line(), lint_gate=True
+        )
+        entry = registry.get(["Root"])
+        entry.program()
+        assert registry.metrics.counter("lint_checks") == 1
+        assert analyses == [entry.product.grammar]
+
+    def test_lint_reuses_the_analysis_program_computed(self, analyses):
+        product = TestRegistryLintGate().gate_line().configure(["Root"])
+        program = product.program()
+        report = analyze_product(product, program=program)
+        assert report.target == product.name
+        assert analyses == [product.grammar]
+        assert product.program().rule_names == program.rule_names
+        assert len(analyses) == 1
+
+    def test_a_replaced_copy_starts_without_the_analysis(self, analyses):
+        product = TestRegistryLintGate().gate_line().configure(["Root"])
+        product.program()
+        clone = dataclasses.replace(product)
+        assert clone == product and repr(clone) == repr(product)
+        assert "analysis" not in vars(clone)
+        clone.program()
+        assert len(analyses) == 2 and clone.analysis is not product.analysis
 
 
 class TestPresetDialects:
