@@ -10,8 +10,8 @@ once per fingerprint — and adds:
   diagnostic, exactly like the resilient
   :meth:`~repro.parsing.parser.Parser.parse_with_diagnostics` pipeline
   it reuses, including its input-scaled fuel budget.
-* :meth:`ParseService.parse_many`: a homogeneous batch over a worker
-  pool, with an optional per-request wall-clock timeout.
+* :meth:`ParseService.parse_many`: a homogeneous batch, results in
+  input order, with an optional per-request wall-clock timeout.
 * :meth:`ParseService.batch`: heterogeneous :class:`ParseRequest`\\ s —
   different selections compose concurrently, each exactly once.
 
@@ -254,14 +254,21 @@ class ParseService:
         capacity: LRU capacity when a fresh registry is built.
         cache_dir: On-disk artifact cache directory (IR and lexicon);
             applied to the shared registry too when serving it.
-        max_workers: Worker-pool width for the batch APIs.
+        max_workers: Worker-pool width for the batch APIs.  With 1, a
+            :meth:`parse_many` batch parses serially on the calling
+            thread.
         max_queue: Admission-control bound: maximum requests in flight
             (queued + executing) before new ones are shed with an E0204
             result.  Defaults to ``max(256, max_workers * 32)``.
-        executor: ``"thread"`` (default) fans batches out over a
-            :class:`~concurrent.futures.ThreadPoolExecutor` — fine for
-            latency hiding, GIL-bound for throughput.  ``"process"``
-            fans homogeneous batches out over a spawned
+        executor: ``"thread"`` (default): a :meth:`parse_many` batch
+            without a timeout parses on the calling thread, in input
+            order (the GIL runs one thread's Python at a time, so pool
+            threads would add handoffs, not throughput); with a timeout
+            it gets one
+            :class:`~concurrent.futures.ThreadPoolExecutor` future per
+            text, so a stalled text can be abandoned, and :meth:`batch`
+            always fans out over that pool.  ``"process"`` splits
+            homogeneous batches into chunks over a spawned
             :class:`~concurrent.futures.ProcessPoolExecutor` whose
             workers bootstrap parsers from the on-disk artifacts (see
             :mod:`repro.service.workers`); requires an artifact cache
@@ -481,19 +488,32 @@ class ParseService:
         timeout: float | None = None,
         coverage=None,
     ) -> list[ParseServiceResult]:
-        """Parse many texts against one selection, concurrently, in order.
+        """Parse many texts against one selection; results in input order.
 
-        The selection is composed (at most) once up front, then the texts
-        fan out over the worker pool.  ``timeout`` is a per-request
-        wall-clock deadline: a request that misses it yields a
-        ``timed_out`` result carrying an ``E0203`` diagnostic instead of
-        blocking the batch forever (its worker still winds down on the
-        parser's own fuel budget).
+        The selection is composed (at most) once up front.  Where the
+        texts then run:
 
-        With a ``coverage`` collector, every worker counts into a
-        private per-parse collector and merges it in — the batch's
-        aggregate coverage accumulates correctly no matter how the texts
-        were spread over threads.
+        * one text or ``max_workers == 1``: serially on the calling
+          thread, each admitted just before it parses;
+        * the process executor (no ``coverage``): in
+          ``max_workers × CHUNKS_PER_WORKER`` chunks over the process
+          pool;
+        * otherwise, without a ``timeout``: every text is admitted up
+          front, then all parse in order on the calling thread;
+        * otherwise, with a ``timeout``: one thread-pool future per text.
+
+        ``timeout`` is a per-request wall-clock deadline: a request that
+        misses it yields a ``timed_out`` result carrying an ``E0203``
+        diagnostic instead of blocking the batch forever (a pooled
+        worker still winds down on the parser's own fuel budget).
+
+        With a ``coverage`` collector, every parse counts into a private
+        per-parse collector and merges it in — the batch's aggregate
+        coverage accumulates correctly wherever the texts ran.
+
+        Only the first result's ``warm`` says whether the *batch* found
+        its product composed, whatever path ran: every later text
+        parses on a product the batch already holds.
         """
         texts = list(texts)
         if not texts:
@@ -510,15 +530,16 @@ class ParseService:
                 )
                 for text in texts
             ]
+        results: list[ParseServiceResult] | None = None
         if len(texts) == 1 or self.max_workers == 1:
-            serial: list[ParseServiceResult] = []
+            results = []
             for text in texts:
                 if not self._admit():
-                    serial.append(self._shed_result(text))
+                    results.append(self._shed_result(text))
                     continue
                 try:
-                    serial.append(self._parse_entry(
-                        entry, text, warm, start=start,
+                    results.append(self._parse_entry(
+                        entry, text, True, start=start,
                         max_errors=max_errors, max_steps=max_steps,
                         coverage=coverage,
                         deadline=(
@@ -527,15 +548,70 @@ class ParseService:
                     ))
                 finally:
                     self._release_admission()
-            return serial
-        if self._executor_effective == "process" and coverage is None:
+        elif self._executor_effective == "process" and coverage is None:
             # coverage collectors cannot cross the pipe: those batches
             # stay on the thread path below
-            proc_results = self._parse_many_process(
-                entry, texts, warm, start, max_errors, max_steps, timeout
+            results = self._parse_many_process(
+                entry, texts, start, max_errors, max_steps, timeout
             )
-            if proc_results is not None:
-                return proc_results
+        if results is None:
+            results = (
+                self._parse_many_caller(
+                    entry, texts, start, max_errors, max_steps, coverage
+                ) if timeout is None
+                else self._parse_many_pooled(
+                    entry, texts, start, max_errors, max_steps, timeout,
+                    coverage,
+                )
+            )
+        # the batch's first result reports whether the *batch* was warm
+        results[0].warm = warm
+        return results
+
+    def _parse_many_caller(
+        self, entry, texts, start, max_errors, max_steps, coverage
+    ) -> list[ParseServiceResult]:
+        """Parse a batch without a timeout on the calling thread, in order.
+
+        Every text is admitted up front, as the pooled path admits at
+        submission, so a batch larger than ``max_queue`` sheds its
+        excess; each text's slot is released as soon as it finishes.
+        The GIL runs one thread's Python at a time and neither the
+        scanner nor the parser releases it, so pool futures would buy
+        no parallelism here, only a handoff per text.
+        """
+        results: list[ParseServiceResult | None] = [None] * len(texts)
+        admitted = []
+        for i, text in enumerate(texts):
+            if not self._admit():
+                results[i] = self._shed_result(text)
+                continue
+            self.metrics.observe_depth("thread", self.in_flight)
+            admitted.append((i, time.perf_counter()))
+        unreleased = len(admitted)
+        try:
+            for i, t0 in admitted:
+                results[i] = self._parse_entry(
+                    entry, texts[i], True, start, max_errors, max_steps,
+                    coverage,
+                )
+                unreleased -= 1
+                self._release_admission()
+                self.metrics.observe("executor_thread", time.perf_counter() - t0)
+        finally:
+            # only an interrupt escapes _parse_entry's guard: free the
+            # slots of the texts it left unparsed
+            self._release_many(unreleased)
+        return results
+
+    def _parse_many_pooled(
+        self, entry, texts, start, max_errors, max_steps, timeout, coverage
+    ) -> list[ParseServiceResult]:
+        """Fan a batch with a timeout out one pool future per text.
+
+        Only a future lets :meth:`_collect`'s hard backstop abandon a
+        stalled text without holding its batch-mates.
+        """
         pool = self._ensure_pool()
         results: list[ParseServiceResult | None] = [None] * len(texts)
         submitted = []
@@ -545,7 +621,7 @@ class ParseService:
                 continue
             self.metrics.observe_depth("thread", self.in_flight)
             # the deadline starts at submission: queueing time counts
-            deadline = Deadline.after(timeout) if timeout is not None else None
+            deadline = Deadline.after(timeout)
             future = pool.submit(
                 self._parse_entry, entry, text, True, start,
                 max_errors, max_steps, coverage, deadline,
@@ -557,8 +633,6 @@ class ParseService:
                 future, text, entry.fingerprint, timeout, True, deadline
             )
             self.metrics.observe("executor_thread", time.perf_counter() - t0)
-        # the batch's first result reports whether the *batch* was warm
-        results[0].warm = warm
         return results
 
     def batch(
@@ -1034,7 +1108,7 @@ class ParseService:
                 self.metrics.incr("executor_degraded")
 
     def _parse_many_process(
-        self, entry, texts, warm, start, max_errors, max_steps, timeout
+        self, entry, texts, start, max_errors, max_steps, timeout
     ) -> list[ParseServiceResult] | None:
         """Fan one homogeneous batch out over the process pool.
 
@@ -1112,9 +1186,6 @@ class ParseService:
             for i, result in zip(indices, chunk_results):
                 results[i] = result
             self.metrics.observe("executor_process", time.perf_counter() - t0)
-        if results and results[0] is not None:
-            # the batch's first result reports whether the *batch* was warm
-            results[0].warm = warm
         return results
 
     def _release_many(self, n: int) -> None:

@@ -216,6 +216,15 @@ class TestParseMany:
         assert not results[1].ok
         assert results[2].ok
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_only_the_first_result_reports_a_cold_batch(self, workers):
+        texts = ["SELECT a FROM t", "SELECT b FROM t", "SELECT c FROM t"]
+        with make_service(max_workers=workers) as service:
+            cold = service.parse_many(texts, FULL)
+            warm = service.parse_many(texts, FULL)
+        assert [r.warm for r in cold] == [False, True, True]
+        assert [r.warm for r in warm] == [True, True, True]
+
     def test_empty_batch(self, service):
         assert service.parse_many([], ["Query"]) == []
 
@@ -249,6 +258,76 @@ class TestParseMany:
         # of silently bypassing the histograms
         snapshot = service.metrics.snapshot()
         assert snapshot["latency"]["timeouts"]["count"] == 1
+
+
+class TestPooledParseManyThreads:
+    """Two or more texts on two or more workers: without a timeout the
+    caller parses them all; with one, each text gets a pool future."""
+
+    TEXTS = [f"SELECT c{i} FROM t{i} WHERE a = b" for i in range(6)]
+
+    @staticmethod
+    def record(monkeypatch, service):
+        """(thread id, in_flight) as each ``_parse_entry`` call starts."""
+        seen = []
+        original = service._parse_entry
+
+        def recording(*args, **kwargs):
+            seen.append((threading.get_ident(), service.in_flight))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(service, "_parse_entry", recording)
+        return seen
+
+    def test_no_timeout_parses_on_the_calling_thread(self, monkeypatch):
+        with make_service(max_workers=2) as service:
+            seen = self.record(monkeypatch, service)
+            results = service.parse_many(self.TEXTS, FULL)
+        assert all(r.ok for r in results)
+        caller = threading.get_ident()
+        assert [ident for ident, _ in seen] == [caller] * len(self.TEXTS)
+
+    def test_no_timeout_trees_equal_the_serial_paths(self):
+        with make_service(max_workers=1) as serial, \
+                make_service(max_workers=2) as pooled:
+            expected = serial.parse_many(self.TEXTS, FULL)
+            results = pooled.parse_many(self.TEXTS, FULL)
+        assert [r.text for r in results] == self.TEXTS
+        assert all(r.tree is not None for r in results)
+        assert [r.tree for r in results] == [r.tree for r in expected]
+
+    def test_timeout_parses_on_pool_threads(self, monkeypatch):
+        with make_service(max_workers=2) as service:
+            seen = self.record(monkeypatch, service)
+            results = service.parse_many(self.TEXTS, FULL, timeout=30.0)
+        assert all(r.ok for r in results)
+        assert len(seen) == len(self.TEXTS)
+        assert threading.get_ident() not in {ident for ident, _ in seen}
+
+    def test_each_text_releases_its_slot_as_it_finishes(self, monkeypatch):
+        with make_service(max_workers=2) as service:
+            seen = self.record(monkeypatch, service)
+            service.parse_many(self.TEXTS, FULL)
+            n = len(self.TEXTS)
+            assert [depth for _, depth in seen] == [n - k for k in range(n)]
+            assert service.in_flight == 0
+
+    def test_an_interrupt_frees_the_unparsed_texts_slots(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        with make_service(max_workers=2) as service:
+            original = service._parse_entry
+
+            def interrupted(entry, text, *args, **kwargs):
+                if text == self.TEXTS[2]:
+                    raise Interrupt
+                return original(entry, text, *args, **kwargs)
+
+            monkeypatch.setattr(service, "_parse_entry", interrupted)
+            with pytest.raises(Interrupt):
+                service.parse_many(self.TEXTS, FULL)
+            assert service.in_flight == 0
 
 
 class TestBatch:
