@@ -22,9 +22,9 @@ composing these features."  This CLI is that interface, terminal-flavoured::
 
 Products are resolved through the process-wide fingerprint-keyed
 registry (:mod:`repro.service`): repeated commands against the same
-selection reuse the composed parser, and ``--cache DIR`` persists the
-compiled parser artifacts (the IR and the lexicon) across processes;
-the compiled backend is lowered from the IR in memory.
+selection reuse the composed parser, and ``--cache DIR`` persists each
+product's one artifact (the IR with its token definitions) across
+processes; the compiled backend is lowered from the IR in memory.
 """
 
 from __future__ import annotations
@@ -185,20 +185,18 @@ def _cmd_ir(args: argparse.Namespace) -> int:
             print(f"fingerprint: {entry.fingerprint.digest}")
             if service.registry.cache_dir is None:
                 print("artifact cache: disabled (pass --cache DIR)")
-            for item in entry.artifacts():
-                if item["path"] is None:
-                    print(f"  {item['kind']:8} (no cache directory)")
-                    continue
-                if not item["exists"]:
-                    state = "missing"
-                elif item["stale"]:
-                    state = "stale"
-                else:
-                    state = "fresh"
-                if item["quarantined"]:
-                    state += ", quarantined copy present"
-                size = f"{item['size']:>8} B" if item["exists"] else " " * 10
-                print(f"  {item['kind']:8} {size}  {state}  {item['path']}")
+            item = entry.artifact()
+            if item["path"] is None:
+                print("  ir       (no cache directory)")
+                return 0
+            state = item["state"]
+            if item["quarantined"]:
+                state += ", quarantined copy present"
+            size = (
+                " " * 10 if item["state"] == "missing"
+                else f"{item['size']:>8} B"
+            )
+            print(f"  ir       {size}  {state}  {item['path']}")
             return 0
         if args.rule:
             rule_id = program.rule_id(args.rule)
@@ -528,9 +526,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="on-disk artifact cache directory (stores the "
                          "program as <digest>.ir.json)")
     ir.add_argument("--artifacts", action="store_true",
-                    help="list every artifact kind for the selection's "
-                         "fingerprint (ir/lex) with size and "
-                         "staleness instead of the IR listing")
+                    help="show the selection's artifact (size and "
+                         "fresh/stale/corrupt/missing state) instead "
+                         "of the IR listing")
     ir.set_defaults(fn=_cmd_ir)
 
     sample = sub.add_parser("sample", help="random sentences of a dialect")

@@ -25,9 +25,10 @@ instead of re-deriving structure from the grammar:
   parallel maintenance;
 * the diagnostics machinery takes sync/expected sets straight from the
   program;
-* the :mod:`repro.service` disk cache serializes programs as the
-  ``ir`` artifact kind (``<digest>.ir.json``), and the served backend
-  is lowered from the loaded program.
+* the :mod:`repro.service` disk cache serializes programs, token
+  definitions included, as the one artifact of a product
+  (``<digest>.ir.json``): a process-pool worker builds its scanner and
+  lowers its compiled backend from the loaded program.
 
 Instruction set (opcode, operands...):
 
@@ -56,12 +57,13 @@ import json
 from ..grammar.expr import Choice, Element, Opt, Ref, Rep, Seq, Tok
 from ..grammar.grammar import Grammar
 from ..grammar.validate import validate
+from ..lexer.spec import TokenDef, TokenSet
 from ..lexer.token import EOF
 from .first_follow import GrammarAnalysis
 
 #: Serialization format version; bumped on incompatible layout changes so
 #: stale on-disk IR artifacts from older builds never load.
-IR_VERSION = 1
+IR_VERSION = 2
 
 # -- opcodes -----------------------------------------------------------------
 
@@ -97,6 +99,10 @@ class ParseProgram:
             consumable statement boundaries plus EOF.
         consumable: The :data:`CONSUMABLE_SYNC` terminals present in this
             grammar's token set.
+        token_set: The grammar's token definitions, in definition order
+            (the order the scanner breaks priority and length ties in):
+            the composed grammar's own set, or one rebuilt by
+            :meth:`from_json`.
     """
 
     __slots__ = (
@@ -111,6 +117,7 @@ class ParseProgram:
         "follow",
         "sync",
         "consumable",
+        "token_set",
     )
 
     def __init__(
@@ -123,6 +130,7 @@ class ParseProgram:
         follow: tuple,
         sync: tuple,
         consumable: tuple[str, ...],
+        token_set: TokenSet,
         fingerprint: str | None = None,
     ) -> None:
         self.grammar_name = grammar_name
@@ -136,6 +144,7 @@ class ParseProgram:
         self.follow = follow
         self.sync = sync
         self.consumable = consumable
+        self.token_set = token_set
 
     # -- queries -----------------------------------------------------------
 
@@ -210,6 +219,10 @@ class ParseProgram:
             "follow": [self._encode_set(s) for s in self.follow],
             "sync": [self._encode_set(s) for s in self.sync],
             "consumable": list(self.consumable),
+            "token_defs": [
+                [d.name, d.pattern, d.kind, d.priority, d.skip]
+                for d in self.token_set
+            ],
         }
         return json.dumps(payload, separators=(",", ":"))
 
@@ -303,6 +316,10 @@ class ParseProgram:
                 follow=tuple(decode_set(s) for s in payload["follow"]),
                 sync=tuple(decode_set(s) for s in payload["sync"]),
                 consumable=tuple(payload["consumable"]),
+                token_set=TokenSet(
+                    payload["grammar"],
+                    (TokenDef(*d) for d in payload["token_defs"]),
+                ),
                 fingerprint=payload.get("fingerprint"),
             )
         except (KeyError, IndexError, TypeError) as error:
@@ -407,6 +424,7 @@ class _Compiler:
             follow=follow,
             sync=sync,
             consumable=consumable,
+            token_set=grammar.tokens,
             fingerprint=fingerprint,
         )
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 #: nothing.
 SITES = (
     "artifact.read.ir",       # parse-program IR artifact read (registry)
-    "artifact.write.ir",      # parse-program IR artifact publish (registry)
-    "artifact.write.lex",     # lexicon artifact publish (worker publication)
+    "artifact.write.ir",      # parse-program IR artifact publish
     "compose",                # grammar composition (registry build lock)
     "program.compile",        # ParseProgram compilation (registry entry)
     "closure.compile",        # closure-backend compilation (registry entry)

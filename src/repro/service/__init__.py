@@ -18,8 +18,9 @@ Layers:
   sparse selections hash to the same :class:`Fingerprint`.
 * :mod:`repro.service.registry` — thread-safe LRU of composed products
   with single-flight composition.
-* :mod:`repro.service.artifacts` — the one on-disk artifact store (IR
-  and lexicon) shared by registry entries and workers.
+* :mod:`repro.service.artifacts` — the on-disk artifact store (one
+  parse program per product, token definitions included) shared by
+  registry entries and workers.
 * :mod:`repro.service.service` — :class:`ParseService`:
   ``parse``/``parse_many``/``batch`` over a worker pool (thread- or
   process-backed via ``executor=``), per-request timeout and fuel

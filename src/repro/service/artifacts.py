@@ -1,34 +1,27 @@
 """The on-disk artifact store shared by registry entries and workers.
 
-A composed product persists two artifact kinds under a cache
-directory, each named ``<digest><suffix>`` and each embedding the
-fingerprint it was built for:
+A composed product persists one artifact under a cache directory,
+``<digest>.ir.json``: its compiled parse program together with the
+token definitions a scanner is built from
+(:meth:`~repro.parsing.program.ParseProgram.to_json`).  The file embeds
+the fingerprint it was built for, and the compiled backend is lowered
+from the loaded program in memory.
 
-* ``ir`` (``.ir.json``) — the compiled parse program, which the
-  compiled backend is lowered from in memory;
-* ``lex`` (``.lex.json``) — token definitions + start rule, so a
-  process-pool worker can build a scanner without the composed grammar.
-
-:data:`KINDS` describes each kind declaratively (suffix, fingerprint
-peek, encode, decode), and :class:`ArtifactStore` is the one code path
-that touches the files: a retried read where ``FileNotFoundError`` is
-a plain miss, a fingerprint check that keeps *stale* (another digest)
-apart from *corrupt* (no digest, or undecodable), a ``.bad``
-quarantine, an atomic best-effort publish, a freshness check, and an
-inventory.  Every outcome lands in an ``artifact.<kind>.<event>``
-counter (:data:`EVENTS`).
+:class:`ArtifactStore` is the one code path that touches the files: a
+retried read where ``FileNotFoundError`` is a plain miss, a fingerprint
+check that keeps *stale* (another digest) apart from *corrupt* (no
+digest, or undecodable), a ``.bad`` quarantine, an atomic best-effort
+publish, a freshness check, and an inventory.  Every outcome lands in
+an ``artifact.ir.<event>`` counter (:data:`EVENTS`).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..lexer.spec import TokenDef, TokenSet
 from ..parsing.program import ParseProgram, program_fingerprint
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_call
@@ -39,118 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Suffix appended to a quarantined (corrupt or stale) artifact.
 QUARANTINE_SUFFIX = ".bad"
 
-#: Version tag embedded in the lexicon artifact.
-LEXICON_VERSION = 1
-
-
-# -- the lexicon artifact ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Lexicon:
-    """What a worker needs besides the IR: token definitions + start rule."""
-
-    fingerprint: str
-    grammar: str
-    start: str | None
-    tokens: Any
-
-
-def render_lexicon(lexicon: Lexicon) -> str:
-    """Serialize a lexicon as the ``<digest>.lex.json`` artifact text."""
-    payload = {
-        "kind": "repro-lexicon",
-        "version": LEXICON_VERSION,
-        "fingerprint": lexicon.fingerprint,
-        "grammar": lexicon.grammar,
-        "start": lexicon.start,
-        "tokens": [
-            {
-                "name": d.name,
-                "pattern": d.pattern,
-                "kind": d.kind,
-                "priority": d.priority,
-                "skip": d.skip,
-            }
-            for d in lexicon.tokens
-        ],
-    }
-    return json.dumps(payload, indent=None, sort_keys=True)
-
-
-def lexicon_fingerprint(text: str) -> str | None:
-    """The fingerprint embedded in a lexicon artifact (None when unreadable)."""
-    try:
-        payload = json.loads(text)
-    except ValueError:
-        return None
-    if not isinstance(payload, dict) or payload.get("kind") != "repro-lexicon":
-        return None
-    digest = payload.get("fingerprint")
-    return digest if isinstance(digest, str) else None
-
-
-def load_lexicon(text: str) -> Lexicon:
-    """Rebuild a :class:`Lexicon` from artifact text."""
-    payload = json.loads(text)
-    if payload.get("version") != LEXICON_VERSION:
-        raise ValueError(
-            f"unsupported lexicon artifact version {payload.get('version')!r}"
-        )
-    tokens = TokenSet(name=payload.get("grammar") or "")
-    for entry in payload["tokens"]:
-        tokens.add(
-            TokenDef(
-                name=entry["name"],
-                pattern=entry["pattern"],
-                kind=entry["kind"],
-                priority=entry["priority"],
-                skip=entry["skip"],
-            )
-        )
-    return Lexicon(
-        payload["fingerprint"],
-        payload.get("grammar") or "",
-        payload.get("start"),
-        tokens,
-    )
-
-
-# -- the kind table ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ArtifactKind:
-    """One persisted artifact kind.
-
-    ``peek`` reads the embedded fingerprint without a full decode
-    (``None`` when the text carries none); ``encode`` turns the
-    in-memory value into file text; ``decode`` rebuilds the value from
-    the text and raises on a bad artifact.
-    """
-
-    name: str
-    suffix: str
-    peek: Callable[[str], str | None]
-    encode: Callable[[Any], str]
-    decode: Callable[[str], Any]
-
-
-IR = ArtifactKind(
-    "ir", ".ir.json", program_fingerprint,
-    lambda program: program.to_json(),
-    ParseProgram.from_json,
-)
-LEX = ArtifactKind(
-    "lex", ".lex.json", lexicon_fingerprint, render_lexicon, load_lexicon
-)
-
-#: Every artifact kind, in inventory order.
-KINDS: tuple[ArtifactKind, ...] = (IR, LEX)
-
-#: Per-kind counter events: served from disk, not served from disk (any
-#: reason), found with another digest, found unreadable/undecodable, and
-#: built from the grammar instead.
+#: Counter events: served from disk, not served from disk (any reason),
+#: found with another digest, found unreadable/undecodable, and built
+#: from the grammar instead.
 EVENTS = ("hit", "miss", "stale", "corrupt", "build")
 
 
@@ -166,16 +50,16 @@ class ArtifactMiss(Exception):
 
 
 class ArtifactStore:
-    """Reads, validates, quarantines and publishes artifacts of every kind.
+    """Reads, validates, quarantines and publishes parse-program artifacts.
 
     Args:
         directory: Where artifacts live; ``None`` disables the disk
             (reads miss silently, writes are skipped).  Mutable, so the
             entries sharing a registry's store follow its directory.
-        metrics: Sink for ``artifact.<kind>.<event>``, ``retries`` and
+        metrics: Sink for ``artifact.ir.<event>``, ``retries`` and
             ``quarantined``.
-        faults: Optional fault plan checked at ``artifact.read.<kind>``
-            and ``artifact.write.<kind>``.
+        faults: Optional fault plan checked at ``artifact.read.ir`` and
+            ``artifact.write.ir``.
         retry_policy: Backoff for transient I/O errors on both paths.
     """
 
@@ -199,79 +83,73 @@ class ArtifactStore:
             directory, self.metrics, self.faults, self.retry_policy
         )
 
-    def path(self, kind: ArtifactKind, digest: str) -> Path | None:
+    def path(self, digest: str) -> Path | None:
         if self.directory is None:
             return None
-        return self.directory / f"{digest}{kind.suffix}"
+        return self.directory / f"{digest}.ir.json"
 
-    def count(self, kind: ArtifactKind, event: str) -> None:
-        self.metrics.incr(f"artifact.{kind.name}.{event}")
+    def count(self, event: str) -> None:
+        self.metrics.incr(f"artifact.ir.{event}")
 
     # -- reading -------------------------------------------------------------
 
-    def read(self, kind: ArtifactKind, digest: str) -> Any:
-        """The decoded artifact, or :class:`ArtifactMiss` saying why not.
+    def read(self, digest: str) -> ParseProgram:
+        """The decoded program, or :class:`ArtifactMiss` saying why not.
 
         A missing file is a plain miss.  An unreadable file (after
         retries), a foreign digest (stale) or a missing digest or failed
         decode (corrupt) is counted and quarantined before the miss is
         raised.
         """
-        path = self.path(kind, digest)
+        path = self.path(digest)
         if path is None:
-            raise ArtifactMiss(f"{kind.name} artifact: no cache directory")
+            raise ArtifactMiss("ir artifact: no cache directory")
 
         def attempt() -> str:
-            self._check(f"artifact.read.{kind.name}")
+            self._check("artifact.read.ir")
             return path.read_text()
 
         try:
             text = self._retry(attempt)
         except FileNotFoundError:
-            self.count(kind, "miss")
-            raise ArtifactMiss(f"{kind.name} artifact missing: {path}") from None
+            self.count("miss")
+            raise ArtifactMiss(f"ir artifact missing: {path}") from None
         except Exception as error:
-            raise self._reject(
-                kind, path, "corrupt", f"unreadable ({error})"
-            ) from None
-        embedded = kind.peek(text)
+            raise self._reject(path, "corrupt", f"unreadable ({error})") from None
+        embedded = program_fingerprint(text)
         if embedded != digest:
             raise self._reject(
-                kind, path,
+                path,
                 "corrupt" if embedded is None else "stale",
                 f"embedded fingerprint {embedded!r}",
             )
         try:
-            value = kind.decode(text)
+            program = ParseProgram.from_json(text)
         except Exception as error:
             raise self._reject(
-                kind, path, "corrupt", f"does not decode ({error})"
+                path, "corrupt", f"does not decode ({error})"
             ) from None
-        self.count(kind, "hit")
-        return value
+        self.count("hit")
+        return program
 
     def obtain(
-        self, kind: ArtifactKind, digest: str, build: Callable[[], Any]
-    ) -> Any:
-        """Load the artifact, or build it and publish the result."""
+        self, digest: str, build: Callable[[], ParseProgram]
+    ) -> ParseProgram:
+        """Load the program, or build it and publish the result."""
         try:
-            return self.read(kind, digest)
+            return self.read(digest)
         except ArtifactMiss:
             pass
-        self.count(kind, "build")
-        value = build()
-        self.save(kind, digest, value)
-        return value
+        self.count("build")
+        program = build()
+        self.save(digest, program)
+        return program
 
-    def _reject(
-        self, kind: ArtifactKind, path: Path, event: str, detail: str
-    ) -> ArtifactMiss:
-        self.count(kind, "miss")
-        self.count(kind, event)
+    def _reject(self, path: Path, event: str, detail: str) -> ArtifactMiss:
+        self.count("miss")
+        self.count(event)
         quarantined = (str(path),) if self._quarantine(path) else ()
-        return ArtifactMiss(
-            f"{kind.name} artifact {event}: {detail}", quarantined
-        )
+        return ArtifactMiss(f"ir artifact {event}: {detail}", quarantined)
 
     def _quarantine(self, path: Path) -> bool:
         """Move a bad artifact aside so the rebuild starts from a clean slot.
@@ -289,23 +167,28 @@ class ArtifactStore:
 
     # -- writing -------------------------------------------------------------
 
-    def save(self, kind: ArtifactKind, digest: str, value: Any) -> None:
+    def save(self, digest: str, program: ParseProgram) -> None:
         """Publish atomically (tmp + ``os.replace``); never raises.
 
         The artifact cache is an optimization: a write that still fails
         after retries is dropped, and readers never see a partial file.
+        An attempt that fails removes its temporary file.
         """
-        path = self.path(kind, digest)
+        path = self.path(digest)
         if path is None:
             return
-        text = kind.encode(value)
+        text = program.to_json()
 
         def attempt() -> None:
-            self._check(f"artifact.write.{kind.name}")
+            self._check("artifact.write.ir")
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-            tmp.write_text(text)
-            os.replace(tmp, path)
+            try:
+                tmp.write_text(text)
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
 
         try:
             self._retry(attempt)
@@ -314,48 +197,53 @@ class ArtifactStore:
 
     # -- inspection ----------------------------------------------------------
 
-    def fresh(self, kind: ArtifactKind, digest: str) -> bool:
+    def fresh(self, digest: str) -> bool:
         """Does the slot hold an artifact embedding ``digest``?"""
-        path = self.path(kind, digest)
+        path = self.path(digest)
         if path is None:
             return False
         try:
-            return kind.peek(path.read_text()) == digest
+            return program_fingerprint(path.read_text()) == digest
         except OSError:
             return False
 
-    def inventory(self, digest: str) -> list[dict]:
-        """One dict per kind: path, existence, size, staleness, quarantine.
+    def inventory(self, digest: str) -> dict:
+        """The artifact's path, size, state and quarantine flag.
 
-        With no directory the listing still names every kind (``path``
-        is None) so callers can render a uniform table.
+        ``state`` is ``"missing"``, ``"fresh"``, ``"stale"`` (it embeds
+        another digest) or ``"corrupt"`` (no readable digest: the file
+        is unreadable, not a parse program, or of another format
+        version).  With no directory, ``path`` is None and the state is
+        ``"missing"``.
         """
-        listing = []
-        for kind in KINDS:
-            info: dict = {
-                "kind": kind.name,
-                "path": None,
-                "exists": False,
-                "size": 0,
-                "stale": False,
-                "quarantined": False,
-            }
-            path = self.path(kind, digest)
-            if path is not None:
-                info["path"] = str(path)
-                info["quarantined"] = path.with_name(
-                    path.name + QUARANTINE_SUFFIX
-                ).exists()
-                try:
-                    text = path.read_text()
-                except OSError:
-                    pass
-                else:
-                    info["exists"] = True
-                    info["size"] = len(text.encode())
-                    info["stale"] = kind.peek(text) != digest
-            listing.append(info)
-        return listing
+        info: dict = {
+            "path": None,
+            "size": 0,
+            "state": "missing",
+            "quarantined": False,
+        }
+        path = self.path(digest)
+        if path is None:
+            return info
+        info["path"] = str(path)
+        info["quarantined"] = path.with_name(
+            path.name + QUARANTINE_SUFFIX
+        ).exists()
+        try:
+            text = path.read_text()
+        except FileNotFoundError:
+            return info
+        except OSError:
+            info["state"] = "corrupt"
+            return info
+        embedded = program_fingerprint(text)
+        info["size"] = len(text.encode())
+        info["state"] = (
+            "fresh" if embedded == digest
+            else "corrupt" if embedded is None
+            else "stale"
+        )
+        return info
 
     # -- internals -----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 
-from .artifacts import EVENTS, KINDS
+from .artifacts import EVENTS
 
 #: Histogram bucket upper bounds in milliseconds (log-ish scale); the
 #: final implicit bucket is +inf.
@@ -127,11 +127,8 @@ class ServiceMetrics:
         "misses",          # registry had to compose
         "evictions",       # LRU pushed an entry out
         "composes",        # grammar compositions performed
-        # artifact.<kind>.<event> for every artifact kind (see .artifacts)
-        *(
-            f"artifact.{kind.name}.{event}"
-            for kind in KINDS for event in EVENTS
-        ),
+        # artifact.ir.<event>: the parse-program artifact (see .artifacts)
+        *(f"artifact.ir.{event}" for event in EVENTS),
         "parses",          # parse requests served
         "parse_errors",    # parses whose outcome carried error diagnostics
         "timeouts",        # batch requests that exceeded their deadline
@@ -254,16 +251,12 @@ class ServiceMetrics:
             f"  cache: {counters['hits']} hits / {counters['misses']} misses "
             f"(hit rate {snap['hit_rate']:.0%}), {counters['evictions']} evicted"
         )
-        for kind in KINDS:
-            n = {
-                event: counters[f"artifact.{kind.name}.{event}"]
-                for event in EVENTS
-            }
-            lines.append(
-                f"  {kind.name + ':':9} {n['build']} builds, {n['hit']} disk "
-                f"hits / {n['miss']} misses, {n['stale']} stale, "
-                f"{n['corrupt']} corrupt"
-            )
+        n = {event: counters[f"artifact.ir.{event}"] for event in EVENTS}
+        lines.append(
+            f"  ir:       {n['build']} builds, {n['hit']} disk "
+            f"hits / {n['miss']} misses, {n['stale']} stale, "
+            f"{n['corrupt']} corrupt"
+        )
         lines.append(
             f"  work:  {counters['composes']} composes, "
             f"{counters['parses']} parses "

@@ -26,11 +26,11 @@ Four cache layers, cheapest first:
    of them.
 4. **On-disk artifact cache** (optional): one
    :class:`~repro.service.artifacts.ArtifactStore`, shared by every
-   entry of the registry, persists the parse program
-   (``<digest>.ir.json``) and the lexicon (``<digest>.lex.json``, for
-   process-pool worker bootstrap) under ``cache_dir``.  Both embed
-   their fingerprint; a stale or corrupt artifact is quarantined and
-   rebuilt, and a changed selection or sub-grammar changes the digest —
+   entry of the registry, persists the parse program with its token
+   definitions (``<digest>.ir.json``, from which a process-pool worker
+   also bootstraps) under ``cache_dir``.  The file embeds its
+   fingerprint; a stale or corrupt artifact is quarantined and rebuilt,
+   and a changed selection or sub-grammar changes the digest —
    automatic invalidation.  The closure-compiled code is never
    persisted: it is lowered from the program in memory.
 """
@@ -51,7 +51,7 @@ from ..resilience.breaker import (
 )
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from .artifacts import IR, KINDS, LEX, ArtifactStore, Lexicon
+from .artifacts import ArtifactStore
 from .fingerprint import Fingerprint, configuration_fingerprint
 from .metrics import ServiceMetrics
 
@@ -171,7 +171,7 @@ class RegistryEntry:
         otherwise.
         """
         return self._once("_program", lambda: self._store.obtain(
-            IR, self.fingerprint.digest, self._compile_program
+            self.fingerprint.digest, self._compile_program
         ))
 
     def _compile_program(self):
@@ -269,42 +269,30 @@ class RegistryEntry:
 
     # -- worker publication and inventory -----------------------------------
 
-    def _lexicon(self) -> Lexicon:
-        grammar = self.product.grammar
-        self._store.count(LEX, "build")
-        return Lexicon(
-            self.fingerprint.digest, grammar.name, grammar.start, grammar.tokens
-        )
-
     def publish_worker_artifacts(
         self, cache_dir: str | os.PathLike, force: bool = False
     ) -> None:
-        """Ensure every artifact a process-pool worker bootstraps from is fresh.
+        """Ensure the artifact a process-pool worker bootstraps from is fresh.
 
         Called by the parent before shipping
-        :class:`~repro.service.workers.WorkerTask`\\ s: the IR program
-        and the lexicon are written to ``cache_dir`` — idempotently,
-        skipping files whose embedded fingerprint already matches — so
-        workers never recompose.  ``force=True`` rewrites
-        unconditionally; it is the parent's answer to a worker-reported
-        corrupt/quarantined artifact (the "rebuild request" of the
-        bootstrap protocol).
+        :class:`~repro.service.workers.WorkerTask`\\ s: the parse
+        program, token definitions included, is written to
+        ``cache_dir`` — idempotently, skipped when the file's embedded
+        fingerprint already matches — so workers never recompose.
+        ``force=True`` rewrites unconditionally; it is the parent's
+        answer to a worker-reported corrupt/quarantined artifact (the
+        "rebuild request" of the bootstrap protocol).
         """
         store = self._store.at(cache_dir)
         digest = self.fingerprint.digest
-        values = {IR: self.program, LEX: self._lexicon}
-        for kind in KINDS:
-            if force or not store.fresh(kind, digest):
-                store.save(kind, digest, values[kind]())
+        if force or not store.fresh(digest):
+            store.save(digest, self.program())
 
-    def artifacts(self) -> list[dict]:
-        """Inventory of every artifact kind for this fingerprint.
-
-        One dict per kind (see :data:`~repro.service.artifacts.KINDS`)
-        with the path, whether it exists, its size, whether its embedded
-        fingerprint is stale, and whether a quarantined ``.bad`` sibling
-        is lying next to it.
-        """
+    def artifact(self) -> dict:
+        """Inventory of this fingerprint's artifact: its path, size,
+        state (``missing``, ``fresh``, ``stale`` or ``corrupt``) and
+        whether a quarantined ``.bad`` sibling is lying next to it (see
+        :meth:`~repro.service.artifacts.ArtifactStore.inventory`)."""
         return self._store.inventory(self.fingerprint.digest)
 
     def __repr__(self) -> str:

@@ -45,7 +45,6 @@ from ..diagnostics.model import (
 )
 from ..resilience.deadline import Deadline
 from ..resilience.faults import FaultPlan
-from .artifacts import KINDS
 from .fingerprint import Fingerprint
 from .metrics import ServiceMetrics
 from .registry import DEFAULT_CAPACITY, ParserRegistry, RegistryEntry
@@ -252,8 +251,9 @@ class ParseService:
             preset dialects, and the CLI all reuse one cache.
         registry: Explicit registry to serve (overrides ``line``).
         capacity: LRU capacity when a fresh registry is built.
-        cache_dir: On-disk artifact cache directory (IR and lexicon);
-            applied to the shared registry too when serving it.
+        cache_dir: On-disk artifact cache directory (one parse-program
+            artifact per product, token definitions included); applied
+            to the shared registry too when serving it.
         max_workers: Worker-pool width for the batch APIs.  With 1, a
             :meth:`parse_many` batch parses serially on the calling
             thread.
@@ -740,7 +740,7 @@ class ParseService:
             name: counters[name]
             for name in (
                 "quarantined",
-                *(f"artifact.{kind.name}.corrupt" for kind in KINDS),
+                "artifact.ir.corrupt",
                 "degraded_backend", "degraded_hints",
                 "internal_errors", "shed", "breaker_fast_fails", "retries",
                 "worker_bootstrap_failures", "worker_crashes",
@@ -828,8 +828,9 @@ class ParseService:
 
         Drains the thread pool and the process pool (cancelling queued
         work), then removes the service-owned temporary artifact
-        directory, if one was created.  Safe to call repeatedly; any
-        batch API raises ``RuntimeError`` afterwards.
+        directory, if one was created, and turns the registry's disk
+        cache off if it still points there.  Safe to call repeatedly;
+        any batch API raises ``RuntimeError`` afterwards.
         """
         with self._pool_lock:
             self._closed = True
@@ -840,6 +841,10 @@ class ParseService:
                 self._proc_pool.shutdown(wait=True, cancel_futures=True)
                 self._proc_pool = None
         if self._owned_cache_dir is not None:
+            # the registry may be shared: unpoint it first, or its next
+            # compose recreates the directory
+            if str(self.registry.cache_dir) == self._owned_cache_dir.name:
+                self.registry.set_cache_dir(None)
             self._owned_cache_dir.cleanup()
             self._owned_cache_dir = None
 

@@ -6,14 +6,14 @@ The GIL caps a thread pool's batch throughput at roughly one core, so
 pipe thin and the workers stateless:
 
 * the **parent** composes (at most once, via the registry), publishes
-  the two artifacts a worker needs under the cache directory —
-  ``<digest>.ir.json`` (the parse program, which the worker lowers to
-  the compiled backend) and ``<digest>.lex.json`` (the lexicon, so
-  workers can build a scanner) — and ships only a :class:`WorkerTask`
-  (fingerprint digest + texts) across the pipe.  **No grammar
-  composition ever happens in a worker.**
+  the one artifact a worker needs under the cache directory —
+  ``<digest>.ir.json``, the parse program with its token definitions,
+  from which the worker builds its scanner and lowers the compiled
+  backend — and ships only a :class:`WorkerTask` (fingerprint digest +
+  texts) across the pipe.  **No grammar composition ever happens in a
+  worker.**
 * each **worker** keeps a small per-process cache of bootstrapped
-  parsers keyed by digest; a miss reads the artifacts through the same
+  parsers keyed by digest; a miss reads the artifact through the same
   :class:`~repro.service.artifacts.ArtifactStore` the registry uses.  A
   missing, stale or corrupt artifact comes back as a *bootstrap
   failure* reply listing what was quarantined (renamed ``.bad``) —
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .artifacts import IR, LEX, ArtifactMiss, ArtifactStore
+from .artifacts import ArtifactMiss, ArtifactStore
 from .metrics import ServiceMetrics
 
 #: Parsers cached per worker process (small: workers are many).
@@ -51,7 +51,7 @@ WORKER_CACHE_CAPACITY = 8
 class WorkerTask:
     """One parse request shipped to a worker process.
 
-    Everything here pickles in a few hundred bytes: the artifacts stay
+    Everything here pickles in a few hundred bytes: the artifact stays
     on disk, keyed by ``digest``.  ``deadline_remaining`` is relative
     seconds (monotonic clocks are per-process).
     """
@@ -81,9 +81,9 @@ class WorkerReply:
         seconds: Worker-side parse time (bootstrap excluded).
         bootstrapped: True when this task built a fresh parser in the
             worker (first request for the fingerprint in this process).
-        bootstrap_failed: True when the artifacts could not be loaded;
-            ``error`` says why and ``quarantined`` lists artifacts the
-            worker renamed aside.  The parent republishes and retries.
+        bootstrap_failed: True when the artifact could not be loaded;
+            ``error`` says why and ``quarantined`` lists what the worker
+            renamed aside.  The parent republishes and retries.
         internal_error: True when the parse itself raised unexpectedly
             (the parent degrades to an in-process parse).
     """
@@ -132,27 +132,25 @@ _PARSERS: "OrderedDict[str, Any]" = OrderedDict()
 
 
 def _bootstrap_parser(task: WorkerTask):
-    """Build a compiled parser for ``task`` purely from on-disk artifacts.
+    """Build a compiled parser for ``task`` purely from its on-disk artifact.
 
-    The lexicon and the IR come from disk; the IR is lowered in memory,
-    and each rule compiles on its first call in this worker.
+    One validated read yields the program and its token definitions; the
+    program is lowered in memory, and each rule compiles on its first
+    call in this worker.
 
     Raises :class:`~repro.service.artifacts.ArtifactMiss` (with the
     store's quarantine bookkeeping) on any missing/stale/corrupt
     artifact — the *only* exception the caller sees.
     """
-    from ..lexer.scanner import Scanner
     from ..parsing.closures import ClosureParser, ClosureProgram
 
     store = ArtifactStore(Path(task.cache_dir), ServiceMetrics())
-    lexicon = store.read(LEX, task.digest)
-    program = store.read(IR, task.digest)
+    program = store.read(task.digest)
     grammar = _ArtifactGrammar(
-        lexicon.grammar, lexicon.start or program.start_name(), lexicon.tokens
+        program.grammar_name, program.start_name(), program.token_set
     )
-    return ClosureParser(
-        grammar, ClosureProgram(program), scanner=Scanner(lexicon.tokens)
-    )
+    # the parser builds its scanner from grammar.tokens
+    return ClosureParser(grammar, ClosureProgram(program))
 
 
 def _parser_for(task: WorkerTask):

@@ -97,9 +97,9 @@ def assert_never_crashes_never_lies(service, clean_trees, rounds=2):
                 )
 
 
-#: Sites only the process executor's worker publication and pool spawn
-#: reach; their per-site case adds a 2-worker process batch.
-PROCESS_SITES = ("artifact.write.lex", "worker.spawn")
+#: Sites the process executor's worker publication (an IR write) and
+#: pool spawn reach; their per-site case adds a 2-worker process batch.
+PROCESS_SITES = ("artifact.write.ir", "worker.spawn")
 
 
 def assert_process_batch_never_lies(service, clean_trees):

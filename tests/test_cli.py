@@ -92,6 +92,32 @@ class TestCli:
                 assert parser.accepts(line), line[:120]
 
 
+class TestIrArtifactsCli:
+    def test_listing_tells_corrupt_from_stale(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.sql import dialect_features, sql_parser_registry
+
+        registry = sql_parser_registry()
+        # --cache repoints the shared registry; restore it afterwards
+        monkeypatch.setattr(registry.store, "directory", None)
+        entry = registry.get(dialect_features("scql"))
+        entry.program()  # in memory, so the command reads no file
+        path = tmp_path / f"{entry.fingerprint.digest}.ir.json"
+        argv = ("ir", "--dialect", "scql", "--cache", str(tmp_path),
+                "--artifacts")
+        path.write_text("{not json")
+        code, out, __ = run(capsys, *argv)
+        assert code == 0
+        assert f"corrupt  {path}" in out
+        entry.publish_worker_artifacts(tmp_path)
+        path.write_text(
+            path.read_text().replace(entry.fingerprint.digest, "0" * 64, 1)
+        )
+        __, out, __ = run(capsys, *argv)
+        assert f"stale  {path}" in out
+
+
 class TestConformanceCli:
     def test_conformance_single_dialect(self, capsys):
         code, out, __ = run(capsys, "conformance", "--dialect", "scql")

@@ -12,6 +12,7 @@ import pytest
 
 from repro.grammar import read_grammar
 from repro.lexer import TokenSet, literal, standard_skip_tokens
+from repro.lexer.scanner import Scanner
 from repro.parsing import (
     IR_VERSION,
     ParseProgram,
@@ -26,6 +27,8 @@ from repro.parsing.program import (
     OP_SEPLOOP,
     OP_SEQ,
 )
+from repro.sql import build_dialect, dialect_names
+from repro.workloads import generate_workload
 
 from tests.test_parsing_parser import TINY_SQL, tiny_tokens
 
@@ -143,6 +146,22 @@ class TestSerialization:
         assert reloaded.sync == program.sync
         assert reloaded.consumable == program.consumable
         assert reloaded.code == program.code
+
+    @pytest.mark.parametrize("dialect", dialect_names())
+    def test_round_trip_preserves_the_token_set(self, dialect):
+        # the program carries its grammar's token definitions: the same
+        # object in memory, and an equal set, in the same order, on disk
+        product = build_dialect(dialect)
+        program = product.program()
+        assert program.token_set is product.grammar.tokens
+        reloaded = ParseProgram.from_json(program.to_json())
+        assert reloaded.token_set == product.grammar.tokens
+        assert list(reloaded.token_set) == list(product.grammar.tokens)
+        # so a scanner built from the loaded program is the product's
+        loaded = Scanner(reloaded.token_set)
+        served = Scanner(product.grammar.tokens)
+        for text in generate_workload(dialect, 20, seed=7):
+            assert loaded.scan(text) == served.scan(text)
 
     def test_fingerprint_survives_round_trip(self):
         grammar = read_grammar(TINY_SQL, tokens=tiny_tokens())

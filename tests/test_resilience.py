@@ -50,11 +50,13 @@ class TestFaultPlan:
             FaultPlan([FaultRule("no.such.site")])
 
     @pytest.mark.parametrize(
-        "site", ["artifact.read.closures", "artifact.write.closures"]
+        "site",
+        ["artifact.read.closures", "artifact.write.closures",
+         "artifact.write.lex"],
     )
     def test_removed_closures_sites_are_unknown(self, site):
-        # no artifact kind is named closures: a plan naming these sites
-        # fails loudly instead of testing nothing
+        # no artifact is named closures or lex any more: a plan naming
+        # these sites fails loudly instead of testing nothing
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultPlan([FaultRule(site)])
 

@@ -37,12 +37,12 @@ class TestClosureDiskCache:
         entry = registry.get(FEATURES)
         entry.closure_program()
 
-        inventory = {item["kind"]: item for item in entry.artifacts()}
-        assert set(inventory) == {"ir", "lex"}
-        assert inventory["ir"]["exists"] and not inventory["ir"]["stale"]
-        assert inventory["ir"]["size"] > 0
-        # only worker publication writes the lexicon
-        assert not inventory["lex"]["exists"]
+        item = entry.artifact()
+        assert item["state"] == "fresh" and item["size"] > 0
+        # the program is the only file: no other kind is written
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f"{entry.fingerprint.digest}.ir.json"
+        ]
 
         # staleness and quarantine are both surfaced
         path = tmp_path / f"{entry.fingerprint.digest}.ir.json"
@@ -50,27 +50,45 @@ class TestClosureDiskCache:
             path.read_text().replace(entry.fingerprint.digest, "0" * 64, 1)
         )
         path.with_name(path.name + ".bad").write_text("post-mortem")
-        inventory = {item["kind"]: item for item in entry.artifacts()}
-        assert inventory["ir"]["stale"]
-        assert inventory["ir"]["quarantined"]
+        item = entry.artifact()
+        assert item["state"] == "stale"
+        assert item["quarantined"]
+
+    def test_inventory_tells_corrupt_from_stale(self, tmp_path):
+        # no readable digest is corrupt (as a read counts it), another
+        # digest is stale
+        registry = make_registry(cache_dir=tmp_path)
+        entry = registry.get(FEATURES)
+        entry.program()
+        path = tmp_path / f"{entry.fingerprint.digest}.ir.json"
+        text = path.read_text()
+        path.write_text("{not json")
+        assert entry.artifact()["state"] == "corrupt"
+        path.write_text(text.replace('"version":2', '"version":1', 1))
+        assert entry.artifact()["state"] == "corrupt"
+        path.write_text(text.replace(entry.fingerprint.digest, "0" * 64, 1))
+        assert entry.artifact()["state"] == "stale"
 
     def test_inventory_without_cache_dir_names_the_kinds(self):
         registry = make_registry()
         entry = registry.get(FEATURES)
-        inventory = entry.artifacts()
-        assert [item["kind"] for item in inventory] == ["ir", "lex"]
-        assert all(item["path"] is None for item in inventory)
+        item = entry.artifact()
+        assert item["path"] is None and item["state"] == "missing"
 
     def test_a_closures_file_is_never_opened(self, tmp_path):
-        """A ``<digest>.closures.py`` left in the cache directory (an old
-        artifact, or garbage) is neither read, quarantined nor listed:
-        the registry and a worker both serve from the IR alone."""
+        """A ``<digest>.closures.py`` or ``<digest>.lex.json`` left in
+        the cache directory (an old layout's artifact, or garbage) is
+        neither read, quarantined nor listed: the registry and a worker
+        both serve from the IR alone."""
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(FEATURES)
         entry.publish_worker_artifacts(tmp_path)
         digest = entry.fingerprint.digest
-        garbage = tmp_path / f"{digest}.closures.py"
-        garbage.write_bytes(b"def broken(:\n\x00 not python")
+        junk = b"def broken(:\n\x00 not python"
+        garbage = [tmp_path / f"{digest}{suffix}"
+                   for suffix in (".closures.py", ".lex.json")]
+        for path in garbage:
+            path.write_bytes(junk)
 
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(FEATURES)
@@ -86,10 +104,13 @@ class TestClosureDiskCache:
         assert not reply.bootstrap_failed and not reply.internal_error
         assert reply.tree == entry2.parser().parse(ACCEPTED)
 
-        assert garbage.read_bytes() == b"def broken(:\n\x00 not python"
-        assert not garbage.with_name(garbage.name + ".bad").exists()
+        for path in garbage:
+            assert path.read_bytes() == junk
+            assert not path.with_name(path.name + ".bad").exists()
         assert second.metrics.counter("quarantined") == 0
-        assert [item["kind"] for item in entry2.artifacts()] == ["ir", "lex"]
+        assert entry2.artifact()["path"] == str(
+            tmp_path / f"{digest}.ir.json"
+        )
 
 
 class TestConcurrentEviction:

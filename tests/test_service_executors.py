@@ -3,8 +3,7 @@
 Covers the parent/worker artifact-bootstrap protocol of
 :mod:`repro.service.workers` at three levels:
 
-* pure-unit: the lexicon artifact round-trip and direct
-  :func:`execute_batch` calls (no process pool);
+* pure-unit: direct :func:`execute_batch` calls (no process pool);
 * worker-side failure handling: corrupt/missing artifacts must
   quarantine and report — never raise, never deadlock — and the parent
   must force-republish and retry;
@@ -22,13 +21,6 @@ from repro.diagnostics.model import SERVICE_OVERLOADED
 from repro.parsing.tree import Node
 from repro.resilience import FaultPlan, FaultRule
 from repro.service import ParseService, ParserRegistry
-from repro.service.artifacts import (
-    KINDS,
-    Lexicon,
-    lexicon_fingerprint,
-    load_lexicon,
-    render_lexicon,
-)
 from repro.service.registry import RegistryEntry
 from repro.service.workers import WorkerTask, execute_batch, reset_worker_cache
 
@@ -73,30 +65,6 @@ def execute_one(task):
     """One text through the worker entry point; its single reply."""
     (reply,) = execute_batch(task)
     return reply
-
-
-class TestLexiconArtifact:
-    def test_round_trip_preserves_every_token(self, tmp_path):
-        registry, entry = published_entry(tmp_path)
-        grammar = entry.product.grammar
-        tokens = grammar.tokens
-        text = render_lexicon(
-            Lexicon(entry.fingerprint.digest, grammar.name, grammar.start,
-                    tokens)
-        )
-        assert lexicon_fingerprint(text) == entry.fingerprint.digest
-        rebuilt = load_lexicon(text)
-        assert rebuilt.grammar == grammar.name
-        assert rebuilt.start == grammar.start
-        assert {d.name for d in rebuilt.tokens} == {d.name for d in tokens}
-        by_name = {d.name: d for d in rebuilt.tokens}
-        for d in tokens:
-            assert by_name[d.name].pattern == d.pattern
-            assert by_name[d.name].skip == d.skip
-
-    def test_fingerprint_of_garbage_is_none(self):
-        assert lexicon_fingerprint("not json at all") is None
-        assert lexicon_fingerprint('{"kind": "something-else"}') is None
 
 
 class TestWorkerEntryPoints:
@@ -162,16 +130,15 @@ class TestWorkerEntryPoints:
         assert not ir_path.exists()
         assert ir_path.with_name(ir_path.name + ".bad").exists()
 
-
-    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+    @pytest.mark.parametrize("kind", ["ir"])
     def test_zero_byte_artifact_reply_lists_the_quarantine(self, tmp_path, kind):
         registry, entry = published_entry(tmp_path)
         reset_worker_cache()
-        path = tmp_path / f"{entry.fingerprint.digest}{kind.suffix}"
+        path = tmp_path / f"{entry.fingerprint.digest}.{kind}.json"
         path.write_text("")
         reply = execute_one(task_for(entry, tmp_path, "SELECT a FROM t"))
         assert reply.bootstrap_failed
-        assert f"{kind.name} artifact corrupt" in reply.error
+        assert f"{kind} artifact corrupt" in reply.error
         assert reply.quarantined == (str(path),)
         assert path.with_name(path.name + ".bad").exists()
 
@@ -196,21 +163,27 @@ class TestProcessExecutor:
         service = ParseService(
             line=make_line(), executor="process", max_workers=2
         )
+        registry = service.registry
         try:
-            owned = service.registry.cache_dir
+            owned = registry.cache_dir
             assert owned is not None and os.path.isdir(owned)
         finally:
             service.close()
         assert not os.path.isdir(owned)  # close() removed the owned dir
+        # ...and pointed the registry, which may be shared, away from it:
+        # a later compose writes nothing and recreates no directory
+        assert registry.cache_dir is None
+        registry.get(FULL).program()
+        assert not os.path.exists(owned)
 
     def test_parity_with_thread_results(self, process_service):
         with ParseService(line=make_line()) as reference:
             expected = reference.parse_many(list(CORPUS), FULL)
         results = process_service.parse_many(list(CORPUS), FULL)
-        # the workers bootstrapped from two published files, no more
+        # the workers bootstrapped from one published file, no more
         digest = process_service.registry.fingerprint(FULL).digest
-        assert sorted(os.listdir(process_service.registry.cache_dir)) == [
-            f"{digest}.ir.json", f"{digest}.lex.json",
+        assert os.listdir(process_service.registry.cache_dir) == [
+            f"{digest}.ir.json"
         ]
         counters = process_service.metrics.snapshot()["counters"]
         assert counters["worker_tasks"] > 0

@@ -3,6 +3,7 @@ the selection memo and the completeness gate."""
 
 import asyncio
 import itertools
+import json
 import os
 import random
 import re
@@ -42,13 +43,7 @@ from repro.sql import (
     dialect_names,
 )
 from repro.workloads import generate_workload
-from repro.service.artifacts import (
-    IR,
-    KINDS,
-    LEX,
-    ArtifactMiss,
-    Lexicon,
-)
+from repro.service.artifacts import ArtifactMiss
 
 from tests.test_core_product_line import mini_model, mini_units
 
@@ -153,50 +148,38 @@ class TestLRU:
         assert len(registry) == 0
 
 
-def value_of(entry, kind):
-    """The in-memory artifact of ``kind`` for ``entry``."""
-    if kind is LEX:
-        grammar = entry.product.grammar
-        return Lexicon(
-            entry.fingerprint.digest, grammar.name, grammar.start,
-            grammar.tokens,
-        )
-    return entry.program()
-
-
 def count(registry, kind, event):
-    return registry.metrics.counter(f"artifact.{kind.name}.{event}")
+    return registry.metrics.counter(f"artifact.{kind}.{event}")
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+@pytest.mark.parametrize("kind", ["ir"])
 class TestDiskCache:
-    """Store behaviour, identical for every artifact kind: artifacts are
-    written by worker publication and read back the way a worker reads
-    them (the IR kind also loads through the entry, covered by the
-    per-kind classes below)."""
+    """Store behaviour: the artifact is written by worker publication
+    and read back the way a worker reads it (loading it through the
+    entry is covered by TestProgramDiskCache below)."""
 
     def test_artifact_round_trip_across_registries(self, tmp_path, kind):
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(["Query", "Where"])
         entry.publish_worker_artifacts(tmp_path)
         assert count(first, kind, "build") == 1
-        artifact = tmp_path / f"{entry.fingerprint.digest}{kind.suffix}"
+        artifact = tmp_path / f"{entry.fingerprint.digest}.{kind}.json"
         assert artifact.exists()
 
         # a fresh registry (fresh process, in spirit) reuses the artifact
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
-        value = second.store.read(kind, entry2.fingerprint.digest)
+        program = second.store.read(entry2.fingerprint.digest)
         assert count(second, kind, "hit") == 1
         assert count(second, kind, "build") == 0
-        assert kind.encode(value) == artifact.read_text()
+        assert program.to_json() == artifact.read_text()
 
     def test_tampered_artifact_is_invalidated(self, tmp_path, kind):
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(["Query", "Where"])
         entry.publish_worker_artifacts(tmp_path)
         digest = entry.fingerprint.digest
-        artifact = tmp_path / f"{digest}{kind.suffix}"
+        artifact = tmp_path / f"{digest}.{kind}.json"
 
         # corrupt the embedded provenance: stale-file simulation
         text = artifact.read_text()
@@ -206,7 +189,7 @@ class TestDiskCache:
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
         with pytest.raises(ArtifactMiss) as miss:
-            second.store.read(kind, digest)
+            second.store.read(digest)
         assert miss.value.quarantined == (str(artifact),)
         # stale provenance is quarantined but NOT counted as corruption
         assert count(second, kind, "stale") == 1
@@ -220,31 +203,31 @@ class TestDiskCache:
     def test_no_cache_dir_means_no_files(self, registry, tmp_path, kind):
         entry = registry.get(["Query"])
         digest = entry.fingerprint.digest
-        registry.store.save(kind, digest, value_of(entry, kind))
+        registry.store.save(digest, entry.program())
         with pytest.raises(ArtifactMiss, match="no cache directory"):
-            registry.store.read(kind, digest)
+            registry.store.read(digest)
         assert list(tmp_path.iterdir()) == []
         assert count(registry, kind, "miss") == 0
 
     def test_set_cache_dir_toggles(self, registry, tmp_path, kind):
         registry.set_cache_dir(tmp_path)
         entry = registry.get(["Query"])
-        registry.store.save(kind, entry.fingerprint.digest, value_of(entry, kind))
-        assert (tmp_path / f"{entry.fingerprint.digest}{kind.suffix}").exists()
+        registry.store.save(entry.fingerprint.digest, entry.program())
+        assert (tmp_path / f"{entry.fingerprint.digest}.{kind}.json").exists()
         registry.set_cache_dir(None)
         assert registry.cache_dir is None
-        assert not registry.store.fresh(kind, entry.fingerprint.digest)
+        assert not registry.store.fresh(entry.fingerprint.digest)
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+@pytest.mark.parametrize("kind", ["ir"])
 class TestArtifactStoreSafety:
-    """The I/O safety properties of the one store, for every kind."""
+    """The I/O safety properties of the one store."""
 
     def test_missing_file_is_a_plain_miss(self, tmp_path, kind):
         registry = make_registry(cache_dir=tmp_path)
         entry = registry.get(["Query"])
         with pytest.raises(ArtifactMiss, match="missing") as miss:
-            registry.store.read(kind, entry.fingerprint.digest)
+            registry.store.read(entry.fingerprint.digest)
         assert miss.value.quarantined == ()
         assert count(registry, kind, "miss") == 1
         assert count(registry, kind, "corrupt") == 0
@@ -256,7 +239,7 @@ class TestArtifactStoreSafety:
         entry = registry.get(["Query"])
         entry.publish_worker_artifacts(tmp_path)
         digest = entry.fingerprint.digest
-        target = registry.store.path(kind, digest)
+        target = registry.store.path(digest)
         original = type(target).read_text
         failures = []
 
@@ -267,7 +250,7 @@ class TestArtifactStoreSafety:
             return original(path, *args, **kwargs)
 
         monkeypatch.setattr(type(target), "read_text", flaky)
-        registry.store.read(kind, digest)
+        registry.store.read(digest)
         assert len(failures) == 2
         assert registry.metrics.counter("retries") == 2
         assert count(registry, kind, "hit") == 1
@@ -277,7 +260,7 @@ class TestArtifactStoreSafety:
         registry = make_registry(cache_dir=tmp_path)
         entry = registry.get(["Query"])
         digest = entry.fingerprint.digest
-        value = value_of(entry, kind)
+        program = entry.program()
         for path in tmp_path.iterdir():
             path.unlink()
 
@@ -285,14 +268,34 @@ class TestArtifactStoreSafety:
             raise OSError("disk full")
 
         monkeypatch.setattr("repro.service.artifacts.os.replace", refuse)
-        registry.store.save(kind, digest, value)  # dropped, never raised
-        assert not registry.store.fresh(kind, digest)
+        registry.store.save(digest, program)  # dropped, never raised
+        assert not registry.store.fresh(digest)
         assert registry.metrics.counter("retries") == 2
+        # every failed attempt removed its temporary file
+        assert list(tmp_path.iterdir()) == []
         monkeypatch.undo()
-        registry.store.save(kind, digest, value)
+        registry.store.save(digest, program)
         # the artifact name only ever holds a complete file
-        path = registry.store.path(kind, digest)
-        assert path.read_text() == kind.encode(value)
+        path = registry.store.path(digest)
+        assert path.read_text() == program.to_json()
+
+
+def test_torn_write_removes_its_temp_file(tmp_path, monkeypatch):
+    registry = make_registry(cache_dir=tmp_path)
+    entry = registry.get(["Query"])
+    program = entry.program()
+    for path in tmp_path.iterdir():
+        path.unlink()
+    write_text = type(tmp_path).write_text
+
+    def torn(path, text, *args, **kwargs):
+        write_text(path, text[: len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(type(tmp_path), "write_text", torn)
+    registry.store.save(entry.fingerprint.digest, program)
+    assert registry.metrics.counter("retries") == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestEntriesFollowTheRegistryDirectory:
@@ -308,9 +311,9 @@ class TestEntriesFollowTheRegistryDirectory:
         registry.set_cache_dir(new)
         entry.thread_parser()
         assert list(old.iterdir()) == []
-        inventory = {item["kind"]: item for item in entry.artifacts()}
-        assert inventory["ir"]["exists"]
-        assert inventory["ir"]["path"].startswith(str(new))
+        item = entry.artifact()
+        assert item["state"] == "fresh"
+        assert item["path"].startswith(str(new))
 
 
 class TestConcurrency:
@@ -401,8 +404,8 @@ class TestProgramDiskCache:
         first = make_registry(cache_dir=tmp_path)
         entry = first.get(["Query", "Where"])
         program = entry.program()
-        assert count(first, IR, "build") == 1
-        assert count(first, IR, "miss") == 1
+        assert count(first, "ir", "build") == 1
+        assert count(first, "ir", "miss") == 1
         artifact = tmp_path / f"{entry.fingerprint.digest}.ir.json"
         assert artifact.exists()
 
@@ -410,8 +413,8 @@ class TestProgramDiskCache:
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
         program2 = entry2.program()
-        assert count(second, IR, "hit") == 1
-        assert count(second, IR, "build") == 0
+        assert count(second, "ir", "hit") == 1
+        assert count(second, "ir", "build") == 0
         assert program2.fingerprint == program.fingerprint
         assert program2.code == program.code
         assert program2.sync == program.sync
@@ -438,9 +441,9 @@ class TestProgramDiskCache:
         second = make_registry(cache_dir=tmp_path)
         entry2 = second.get(["Query", "Where"])
         program = entry2.program()
-        assert count(second, IR, "stale") == 1
-        assert count(second, IR, "hit") == 0
-        assert count(second, IR, "build") == 1
+        assert count(second, "ir", "stale") == 1
+        assert count(second, "ir", "hit") == 0
+        assert count(second, "ir", "build") == 1
         # the rebuilt artifact replaces the stale one and carries the
         # correct provenance again
         assert entry.fingerprint.digest in artifact.read_text()
@@ -452,8 +455,8 @@ class TestProgramDiskCache:
         artifact = tmp_path / f"{entry.fingerprint.digest}.ir.json"
         artifact.write_text("{not json")
         assert entry.program() is not None
-        assert count(first, IR, "corrupt") == 1
-        assert count(first, IR, "build") == 1
+        assert count(first, "ir", "corrupt") == 1
+        assert count(first, "ir", "build") == 1
 
     def test_thread_parsers_share_one_program(self, registry):
         entry = registry.get(["Query"])
@@ -467,7 +470,7 @@ class TestProgramDiskCache:
         t.join()
         assert seen[0] is entry.compiled_parser()
         assert seen[0].program is entry.parser().program
-        assert count(registry, IR, "build") == 1
+        assert count(registry, "ir", "build") == 1
 
 class TestQuarantine:
     """Corrupt disk artifacts are renamed aside (``.bad``), counted as
@@ -486,7 +489,7 @@ class TestQuarantine:
         entry2 = second.get(["Query", "Where"])
         program = entry2.program()
         assert program is not None
-        assert count(second, IR, "corrupt") == 1
+        assert count(second, "ir", "corrupt") == 1
         assert second.metrics.counter("quarantined") == 1
         # the bad bytes are kept aside for post-mortems...
         bad = tmp_path / f"{entry.fingerprint.digest}.ir.json.bad"
@@ -495,25 +498,55 @@ class TestQuarantine:
         # ...and a valid artifact is rebuilt in the clean slot
         assert entry.fingerprint.digest in artifact.read_text()
 
-    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+    @pytest.mark.parametrize("kind", ["ir"])
     def test_zero_byte_artifacts_are_quarantined_and_rebuilt(
         self, tmp_path, kind
     ):
         registry = make_registry(cache_dir=tmp_path)
         entry = registry.get(["Query"])
         digest = entry.fingerprint.digest
-        path = tmp_path / f"{digest}{kind.suffix}"
+        path = tmp_path / f"{digest}.{kind}.json"
         path.write_text("")
 
         with pytest.raises(ArtifactMiss, match="corrupt"):
-            registry.store.read(kind, digest)
+            registry.store.read(digest)
         assert count(registry, kind, "corrupt") == 1
         assert count(registry, kind, "stale") == 0
         assert registry.metrics.counter("quarantined") == 1
         assert path.with_name(path.name + ".bad").read_text() == ""
         # republishing fills the slot with a fresh, valid artifact again
         entry.publish_worker_artifacts(tmp_path)
-        assert registry.store.fresh(kind, digest)
+        assert registry.store.fresh(digest)
+
+    def test_previous_format_version_is_rebuilt_once(self, tmp_path):
+        """An ``.ir.json`` of the previous format (version 1, no token
+        definitions) is corrupt once: quarantined, rebuilt, and served
+        from disk afterwards.  A leftover ``.lex.json`` is never touched."""
+        first = make_registry(cache_dir=tmp_path)
+        entry = first.get(["Query", "Where"])
+        digest = entry.fingerprint.digest
+        payload = json.loads(entry.program().to_json())
+        del payload["token_defs"]
+        payload["version"] = 1
+        artifact = tmp_path / f"{digest}.ir.json"
+        artifact.write_text(json.dumps(payload))
+        leftover = tmp_path / f"{digest}.lex.json"
+        leftover.write_text('{"kind": "repro-lexicon"}')
+
+        second = make_registry(cache_dir=tmp_path)
+        second.get(["Query", "Where"]).program()
+        assert count(second, "ir", "corrupt") == 1
+        assert count(second, "ir", "build") == 1
+        assert second.metrics.counter("quarantined") == 1
+        third = make_registry(cache_dir=tmp_path)
+        third.get(["Query", "Where"]).compiled_parser()
+        assert count(third, "ir", "hit") == 1
+        assert count(third, "ir", "build") == 0
+        assert third.metrics.counter("quarantined") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{digest}.ir.json", f"{digest}.ir.json.bad", f"{digest}.lex.json",
+        ]
+        assert leftover.read_text() == '{"kind": "repro-lexicon"}'
 
     def test_mismatched_fingerprint_is_stale_not_corrupt(self, tmp_path):
         first = make_registry(cache_dir=tmp_path)
@@ -528,8 +561,8 @@ class TestQuarantine:
         entry2 = second.get(["Query", "Where"])
         assert entry2.program() is not None
         # stale provenance is quarantined but NOT counted as corruption
-        assert count(second, IR, "stale") == 1
-        assert count(second, IR, "corrupt") == 0
+        assert count(second, "ir", "stale") == 1
+        assert count(second, "ir", "corrupt") == 0
         assert second.metrics.counter("quarantined") == 1
         assert (tmp_path / f"{entry.fingerprint.digest}.ir.json.bad").exists()
 
@@ -551,7 +584,7 @@ class TestQuarantine:
 
         assert entry.program() is not None
         assert registry.metrics.counter("retries") == 2  # attempts - 1
-        assert count(registry, IR, "corrupt") == 1
+        assert count(registry, "ir", "corrupt") == 1
         assert registry.metrics.counter("quarantined") == 1
         # the squatter was moved aside and a real file rebuilt in place
         assert (tmp_path / f"{entry.fingerprint.digest}.ir.json.bad").is_dir()
