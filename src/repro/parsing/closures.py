@@ -13,7 +13,9 @@ on rejects, identical budget/deadline/depth diagnostics.  The one
 documented delta is fuel granularity: the interpreter ticks the step
 budget per *instruction*, compiled code per *rule call*, so an E0202
 trip fires at a slightly different step count (never a different
-verdict for well-formed budgets, which are input-scaled).
+verdict for well-formed budgets, which are input-scaled).  A
+coverage-counting call runs the interpreter, so it ticks per
+instruction.
 
 Layers:
 
@@ -26,15 +28,15 @@ Layers:
   (:func:`~repro.parsing.codegen.generate_parser_source`) also prints,
   behind an inline runtime;
 * :class:`ClosureProgram` — the lowering of a program held in memory,
-  bound to per-rule functions that compile on first call, plus an
-  *instrumented* twin, loaded the same way, whose emitted counter bumps
-  mirror the interpreter's ``_exec_cov`` point for point.  It is never
+  bound to per-rule functions that compile on first call.  It is never
   persisted: the service lowers the program it loads from the ``ir``
   artifact;
 * :class:`ClosureParser` — a :class:`~repro.parsing.parser.Parser`
   subclass overriding only ``_call_rule``, so the whole public surface
-  (diagnostics, panic-mode recovery, hints, coverage) is inherited
-  while rule execution runs compiled.
+  (diagnostics, panic-mode recovery, hints) is inherited while rule
+  execution runs compiled.  A coverage-counting call runs the
+  interpreter's ``_exec_cov`` walk instead: coverage is counted in one
+  place, :mod:`repro.parsing.parser`.
 """
 
 from __future__ import annotations
@@ -86,11 +88,8 @@ def _literal(value: Any) -> str:
 class _SourceBuilder:
     """Lower a ParseProgram's instruction tuples to Python statements.
 
-    With ``coverage_map`` set, counter bumps are compiled in at exactly
-    the points where the interpreter's ``_exec_cov`` commits to a
-    decision, using compile-time slot indices (the map's numbering is
-    deterministic for a given program, so instrumented lowerings from
-    any map over the same program agree).
+    The lowered code counts no coverage; a counting call runs the
+    interpreter instead (see :class:`ClosureParser`).
 
     Two code-size pressure valves keep CPython happy ("too many
     statically nested blocks" trips at 20): deeply indented non-trivial
@@ -99,19 +98,16 @@ class _SourceBuilder:
     instead of a nested try-chain.
     """
 
-    def __init__(
-        self, program: ParseProgram, coverage_map: Any = None
-    ) -> None:
+    def __init__(self, program: ParseProgram) -> None:
         self.program = program
-        self.cov = coverage_map
         self.lines: list[str] = []
         self.consts: dict[Any, str] = {}
         self.const_defs: list[tuple[str, Any]] = []
         self.tmp = 0
         self.helpers: list[tuple[str, Any]] = []
         self._hn = 0
-        #: (tuple name, candidate fn names, alt slots or None)
-        self.fn_tuples: list[tuple[str, tuple[str, ...], tuple[int, ...] | None]] = []
+        #: (tuple name, candidate fn names)
+        self.fn_tuples: list[tuple[str, tuple[str, ...]]] = []
 
     def const(self, prefix: str, value: Any, key: Any = None) -> str:
         key = (prefix, key if key is not None else value)
@@ -214,12 +210,8 @@ class _SourceBuilder:
     def emit_candidates(self, cands: tuple, ind: int) -> None:
         """Backtracking candidate list, restoring state between tries."""
         w = self.w
-        cov = self.cov
         if len(cands) == 1:
             self.emit(cands[0], ind)
-            if cov is not None:
-                slot = cov.slot_of_block[id(cands[0])]
-                w(ind, f"s.cov.alts[{slot}] += 1")
             return
         self.tmp += 1
         iv, nv = f"_i{self.tmp}", f"_n{self.tmp}"
@@ -229,15 +221,9 @@ class _SourceBuilder:
             def rec(k: int, ind: int) -> None:
                 if k == len(cands) - 1:
                     self.emit(cands[k], ind)
-                    if cov is not None:
-                        slot = cov.slot_of_block[id(cands[k])]
-                        w(ind, f"s.cov.alts[{slot}] += 1")
                     return
                 w(ind, "try:")
                 self.emit(cands[k], ind + 1)
-                if cov is not None:
-                    slot = cov.slot_of_block[id(cands[k])]
-                    w(ind + 1, f"s.cov.alts[{slot}] += 1")
                 w(ind, "except _Fail:")
                 w(ind + 1, f"s.i = {iv}")
                 w(ind + 1, f"del ch[{nv}:]")
@@ -246,34 +232,18 @@ class _SourceBuilder:
             rec(0, ind)
         else:
             names = tuple(self.instr_fn(cand) for cand in cands)
-            slots = None
-            if cov is not None:
-                slots = tuple(cov.slot_of_block[id(cand)] for cand in cands)
             tname = f"_t{len(self.fn_tuples)}"
-            self.fn_tuples.append((tname, names, slots))
+            self.fn_tuples.append((tname, names))
             fv, lv = f"_fn{self.tmp}", f"_lf{self.tmp}"
             w(ind, f"{lv} = None")
-            if cov is None:
-                w(ind, f"for {fv} in {tname}:")
-                w(ind + 1, "try:")
-                w(ind + 2, f"{fv}(s, ch)")
-                w(ind + 2, "break")
-                w(ind + 1, "except _Fail as _f:")
-                w(ind + 2, f"{lv} = _f")
-                w(ind + 2, f"s.i = {iv}")
-                w(ind + 2, f"del ch[{nv}:]")
-            else:
-                sv = f"_sl{self.tmp}"
-                w(ind, f"for {fv}, {sv} in {tname}:")
-                w(ind + 1, "try:")
-                w(ind + 2, f"{fv}(s, ch)")
-                w(ind + 1, "except _Fail as _f:")
-                w(ind + 2, f"{lv} = _f")
-                w(ind + 2, f"s.i = {iv}")
-                w(ind + 2, f"del ch[{nv}:]")
-                w(ind + 1, "else:")
-                w(ind + 2, f"s.cov.alts[{sv}] += 1")
-                w(ind + 2, "break")
+            w(ind, f"for {fv} in {tname}:")
+            w(ind + 1, "try:")
+            w(ind + 2, f"{fv}(s, ch)")
+            w(ind + 2, "break")
+            w(ind + 1, "except _Fail as _f:")
+            w(ind + 2, f"{lv} = _f")
+            w(ind + 2, f"s.i = {iv}")
+            w(ind + 2, f"del ch[{nv}:]")
             w(ind, "else:")
             w(ind + 1, f"raise {lv}")
         self.tmp -= 1
@@ -296,7 +266,6 @@ class _SourceBuilder:
             self.helpers.append((name, instr))
             return
         w = self.w
-        cov = self.cov
         op = instr[0]
         if op == OP_MATCH:
             self.emit_match_run([(instr[1], instr[2])], ind)
@@ -308,17 +277,12 @@ class _SourceBuilder:
             self.emit_choice(instr, ind)
         elif op == OP_OPT:
             inner, first = instr[1], instr[2]
-            point = None if cov is None else cov.decision_of_instr[id(instr)]
             if inner[0] == OP_MATCH and len(first) == 1:
                 # optional single token: no backtracking state needed
                 w(ind, "t = tk[s.i]")
                 w(ind, f"if t.type == {inner[1]!r}:")
                 w(ind + 1, "ch.append(t)")
                 w(ind + 1, "s.i += 1")
-                if point is not None:
-                    w(ind + 1, f"s.cov.taken[{point}] += 1")
-                    w(ind, "else:")
-                    w(ind + 1, f"s.cov.skipped[{point}] += 1")
                 return
             f = self.const("f", first)
             w(ind, f"if tk[s.i].type in {f}:")
@@ -331,21 +295,13 @@ class _SourceBuilder:
             w(ind + 1, "except _Fail:")
             w(ind + 2, f"s.i = {iv}")
             w(ind + 2, f"del ch[{nv}:]")
-            if point is not None:
-                w(ind + 2, f"s.cov.skipped[{point}] += 1")
-                w(ind + 1, "else:")
-                w(ind + 2, f"s.cov.taken[{point}] += 1")
-                w(ind, "else:")
-                w(ind + 1, f"s.cov.skipped[{point}] += 1")
             self.tmp -= 1
         elif op == OP_LOOP:
             inner, first, minimum = instr[1], instr[2], instr[3]
-            point = None if cov is None else cov.decision_of_instr[id(instr)]
             f = self.const("f", first)
             self.tmp += 1
             iv, nv, cv = f"_i{self.tmp}", f"_n{self.tmp}", f"_c{self.tmp}"
-            counted = bool(minimum) or point is not None
-            if counted:
+            if minimum:
                 w(ind, f"{cv} = 0")
             w(ind, f"while tk[s.i].type in {f}:")
             w(ind + 1, f"{iv} = s.i")
@@ -358,20 +314,13 @@ class _SourceBuilder:
             w(ind + 2, "break")
             w(ind + 1, f"if s.i == {iv}:")
             w(ind + 2, "break")
-            if counted:
-                w(ind + 1, f"{cv} += 1")
             if minimum:
+                w(ind + 1, f"{cv} += 1")
                 w(ind, f"if {cv} < {minimum}:")
                 w(ind + 1, f"_fail(s, {f})")
-            if point is not None:
-                w(ind, f"if {cv} > {minimum}:")
-                w(ind + 1, f"s.cov.taken[{point}] += 1")
-                w(ind, "else:")
-                w(ind + 1, f"s.cov.skipped[{point}] += 1")
             self.tmp -= 1
         else:  # OP_SEPLOOP: (op, inner, sep, first, sep_first, min)
             inner, sep, first, sep_first, minimum = instr[1:6]
-            point = None if cov is None else cov.decision_of_instr[id(instr)]
             body_ind = ind
             if minimum == 0:
                 f = self.const("f", first)
@@ -379,9 +328,7 @@ class _SourceBuilder:
                 body_ind = ind + 1
             self.emit(inner, body_ind)
             self.tmp += 1
-            iv, nv, cv = f"_i{self.tmp}", f"_n{self.tmp}", f"_c{self.tmp}"
-            if point is not None:
-                w(body_ind, f"{cv} = 1")
+            iv, nv = f"_i{self.tmp}", f"_n{self.tmp}"
             single_sep = sep[0] == OP_MATCH and len(sep_first) == 1
             if single_sep:
                 w(body_ind, f"while tk[s.i].type == {sep[1]!r}:")
@@ -401,15 +348,6 @@ class _SourceBuilder:
             w(body_ind + 2, f"s.i = {iv}")
             w(body_ind + 2, f"del ch[{nv}:]")
             w(body_ind + 2, "break")
-            if point is not None:
-                w(body_ind + 1, f"{cv} += 1")
-                w(body_ind, f"if {cv} >= 2:")
-                w(body_ind + 1, f"s.cov.taken[{point}] += 1")
-                w(body_ind, "else:")
-                w(body_ind + 1, f"s.cov.skipped[{point}] += 1")
-                if minimum == 0:
-                    w(ind, "else:")
-                    w(ind + 1, f"s.cov.skipped[{point}] += 1")
             self.tmp -= 1
 
     def emit_rule(self, rid: int) -> None:
@@ -423,9 +361,6 @@ class _SourceBuilder:
             w(1, "s.steps = st")
             w(1, "if st >= s.limit:")
             w(2, "_check(s, st)")
-        if self.cov is not None:
-            # mirrors Parser._call_rule: entry counted before the depth check
-            w(1, f"s.cov.rules[{rid}] += 1")
         if leaf:
             # leaf rule (no nested CALLs): nothing below can observe the
             # depth register, and fuel keeps ticking at every enclosing
@@ -483,15 +418,13 @@ class _Lowering:
 
     ``consts`` are ``(name, value)`` pairs, ``functions`` ``(name, def
     text)`` pairs (rules in id order, then helpers), ``tuples`` the
-    helper-function tuples as ``(name, function names, alt slots or
-    None)``.  :meth:`body` joins them into the ``--emit`` export's
-    module text; :func:`_load` binds them without it.
+    helper-function tuples as ``(name, function names)``.  :meth:`body`
+    joins them into the ``--emit`` export's module text; :func:`_load`
+    binds them without it.
     """
 
-    __slots__ = ("consts", "functions", "tuples", "n_rules")
-
-    def __init__(self, program: ParseProgram, coverage_map: Any = None) -> None:
-        builder = _SourceBuilder(program, coverage_map)
+    def __init__(self, program: ParseProgram) -> None:
+        builder = _SourceBuilder(program)
         self.functions = builder.build()
         self.consts = builder.const_defs
         self.tuples = builder.fn_tuples
@@ -503,18 +436,13 @@ class _Lowering:
         Constants, one function per rule, the helper-function tuples and
         ``RULES`` (rule functions by rule id).  The text needs ``_Fail``,
         ``_fail``, ``_check``, ``_depth_fail``, ``_Node`` and ``_new`` in
-        scope, and a state object with the :class:`RunState` slots it
-        reads.
+        scope, and a state object with the :class:`RunState` attributes
+        it reads.
         """
         lines = [f"{name} = {_literal(value)}" for name, value in self.consts]
         lines += ["", "\n".join(text for _name, text in self.functions)]
-        for tname, names, slots in self.tuples:
-            if slots is None:
-                items = ", ".join(names)
-            else:
-                items = ", ".join(
-                    f"({name}, {slot})" for name, slot in zip(names, slots)
-                )
+        for tname, names in self.tuples:
+            items = ", ".join(names)
             if len(names) == 1:
                 items += ","
             lines.append(f"{tname} = ({items})")
@@ -545,21 +473,22 @@ def _stub(s: RunState, out: list, _first_call: Any = None) -> None:
 
 
 def _load(
-    lowering: _Lowering, filename: str, lock: threading.Lock
+    lowering: _Lowering, filename: str
 ) -> tuple[Callable[[RunState, list], None], ...]:
     """Bind a lowering into a fresh namespace, compiling each function lazily.
 
     The constants go in as values, and every function name is bound to
     a stub made from :func:`_stub`'s one code object, with the call that
     compiles that function in its defaults.  The first call compiles
-    the function's own text under ``lock``, swaps the compiled
-    ``__code__`` into the stub and clears its defaults, then runs it.
-    ``RULES``, the helper tuples and every global reference hold the
-    stub objects themselves, so from then on they run the real code,
-    with no trampoline left.  A compile that raises leaves the function
-    pending, and its next call retries.  Returns ``RULES``.
+    the function's own text under the namespace's lock, swaps the
+    compiled ``__code__`` into the stub and clears its defaults, then
+    runs it.  ``RULES``, the helper tuples and every global reference
+    hold the stub objects themselves, so from then on they run the real
+    code, with no trampoline left.  A compile that raises leaves the
+    function pending, and its next call retries.  Returns ``RULES``.
     """
     pending = dict(lowering.functions)
+    lock = threading.Lock()
     namespace = dict(_RUNTIME)
     namespace.update(lowering.consts)
 
@@ -582,9 +511,8 @@ def _load(
         namespace[name] = FunctionType(
             _stub.__code__, namespace, name, (partial(first_call, name),)
         )
-    for tname, names, slots in lowering.tuples:
-        fns = [namespace[name] for name in names]
-        namespace[tname] = tuple(fns) if slots is None else tuple(zip(fns, slots))
+    for tname, names in lowering.tuples:
+        namespace[tname] = tuple(namespace[name] for name in names)
     return tuple(namespace[f"_r{rid}"] for rid in range(lowering.n_rules))
 
 
@@ -595,35 +523,14 @@ class ClosureProgram:
     each function compiles on its first call (see :func:`_load`), so a
     cold program pays for the rules its workload reaches.  Safe to share
     across threads: the rule functions close over nothing, and all parse
-    state rides on the :class:`RunState` argument.  ``instrumented()``
-    lowers and loads the coverage-counting twin the same way on first
-    use, keyed to the program's deterministic
-    :class:`~repro.parsing.coverage.CoverageMap` layout.
+    state rides on the :class:`RunState` argument.
     """
-
-    __slots__ = ("program", "rule_fns", "_lock", "_instrumented")
 
     def __init__(self, program: ParseProgram) -> None:
         self.program = program
-        self._lock = threading.Lock()
         self.rule_fns = _load(
-            _Lowering(program), f"<closures:{program.grammar_name}>", self._lock
+            _Lowering(program), f"<closures:{program.grammar_name}>"
         )
-        self._instrumented: tuple | None = None
-
-    def instrumented(self, coverage_map: Any) -> tuple:
-        """Rule functions with coverage bumps compiled in (lazy, shared)."""
-        fns = self._instrumented
-        if fns is None:
-            with self._lock:
-                if self._instrumented is None:
-                    self._instrumented = _load(
-                        _Lowering(self.program, coverage_map),
-                        f"<closures-cov:{self.program.grammar_name}>",
-                        self._lock,
-                    )
-                fns = self._instrumented
-        return fns
 
     def __repr__(self) -> str:
         return (
@@ -644,9 +551,10 @@ class ClosureParser(Parser):
     ``parse_with_diagnostics`` interprets just the top-level start-rule
     body — a handful of instructions per recovery segment — and enters
     compiled code at every nested rule call, keeping panic-mode
-    recovery, diagnostics, and hint semantics literally inherited.  An
-    instrumented call (``coverage=``) runs the instrumented twin, whose
-    rule prologues count entries themselves.
+    recovery, diagnostics, and hint semantics literally inherited.  A
+    coverage-counting call (``coverage=``, so ``s.cov`` is set) runs
+    the inherited ``_call_rule`` instead, so the whole parse walks the
+    interpreter's ``_exec_cov``, the one place coverage is counted.
     """
 
     def __init__(
@@ -675,11 +583,10 @@ class ClosureParser(Parser):
             program=closure_program.program,
             **kwargs,
         )
-        self.closure = closure_program
         self._rule_fns = closure_program.rule_fns
 
     def _call_rule(self, s: RunState, rule_id: int, out: list) -> None:
         if s.cov is None:
             self._rule_fns[rule_id](s, out)
         else:
-            self.closure.instrumented(s.cov.map)[rule_id](s, out)
+            super()._call_rule(s, rule_id, out)

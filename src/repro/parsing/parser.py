@@ -58,13 +58,11 @@ from ..lexer.token import EOF, ERROR, Token
 from .first_follow import GrammarAnalysis
 from .ll1 import LLTable
 from .program import (
-    CONSUMABLE_SYNC,
     OP_CALL,
     OP_CHOICE,
     OP_LOOP,
     OP_MATCH,
     OP_OPT,
-    OP_SEPLOOP,
     OP_SEQ,
     ParseProgram,
     compile_program,
@@ -78,9 +76,6 @@ DEFAULT_STEPS_PER_TOKEN = 4000
 
 #: Budget floor so tiny inputs still get room to fail informatively.
 DEFAULT_STEP_FLOOR = 20_000
-
-#: Backwards-compatible alias; the canonical definition lives with the IR.
-_CONSUMABLE_SYNC = CONSUMABLE_SYNC
 
 #: How often (in steps) the driver consults a propagated wall-clock
 #: deadline.  Checks piggyback on the fuel counter: ``RunState.limit``
@@ -548,14 +543,6 @@ class Parser:
             raise ParseError(f"grammar has no rule {start_rule!r}")
         return rule_id
 
-    def _sync_set(self, start_rule: str) -> frozenset[str]:
-        """Panic-mode synchronization terminals for a rule (from the program)."""
-        rule_id = self.program.rule_ids.get(start_rule)
-        if rule_id is None:
-            self.grammar.rule(start_rule)  # canonical GrammarError
-            return frozenset((EOF,))
-        return self.program.sync[rule_id]
-
     def _build_error(self, s: RunState) -> ParseError:
         """The syntax error at the call's furthest failure point."""
         tokens = s.tokens
@@ -591,8 +578,10 @@ class Parser:
 
         The backend hook: :class:`~repro.parsing.closures.ClosureParser`
         overrides it with a direct call into compiled code on the same
-        state.  An instrumented call (``s.cov`` set) counts the entry
-        before the depth check and runs the body through ``_exec_cov``.
+        state, and hands a counting call back here.  A counting call
+        (``s.cov`` set) counts the entry before the depth check and runs
+        the body through ``_exec_cov``, the one coverage implementation
+        of both backends.
         """
         cov = s.cov
         if cov is not None:
@@ -710,7 +699,9 @@ class Parser:
     # of ``_exec``.  MATCH and CALL have no decision to record and nothing
     # nested, so they delegate to the canonical ``_exec`` — a CALL lands
     # in ``_call_rule``, which keeps the callee's body instrumented while
-    # ``s.cov`` is set — keeping one source of truth for their semantics.
+    # ``s.cov`` is set (on either backend: the compiled parser hands
+    # counting calls back to it) — keeping one source of truth for their
+    # semantics.
     # SEQ/CHOICE/OPT/LOOP/SEPLOOP are mirrored with counter bumps at the
     # points where the uninstrumented code commits to a decision; control
     # flow is otherwise identical instruction for instruction (guarded by

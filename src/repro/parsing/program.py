@@ -331,8 +331,12 @@ class ParseProgram:
 def program_fingerprint(text: str) -> str | None:
     """Extract the embedded fingerprint from a serialized program.
 
-    The disk cache uses this to validate an ``.ir.json`` artifact without
-    fully decoding it; any malformed artifact reads as ``None``.
+    The disk cache uses this to tell a fresh ``.ir.json`` artifact from
+    a stale or corrupt one without building the program.  It still runs
+    ``json.loads`` on the whole text, so a caller that needs the
+    program should decode it once with :meth:`ParseProgram.from_json`
+    and read its ``fingerprint``.  Any malformed artifact reads as
+    ``None``.
     """
     try:
         payload = json.loads(text)

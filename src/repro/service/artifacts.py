@@ -97,9 +97,10 @@ class ArtifactStore:
         """The decoded program, or :class:`ArtifactMiss` saying why not.
 
         A missing file is a plain miss.  An unreadable file (after
-        retries), a foreign digest (stale) or a missing digest or failed
-        decode (corrupt) is counted and quarantined before the miss is
-        raised.
+        retries), a failed decode or a missing digest (corrupt) or a
+        foreign digest (stale) is counted and quarantined before the
+        miss is raised.  The text is decoded once: a file that fails
+        to decode is corrupt whatever digest it embeds.
         """
         path = self.path(digest)
         if path is None:
@@ -116,19 +117,19 @@ class ArtifactStore:
             raise ArtifactMiss(f"ir artifact missing: {path}") from None
         except Exception as error:
             raise self._reject(path, "corrupt", f"unreadable ({error})") from None
-        embedded = program_fingerprint(text)
-        if embedded != digest:
-            raise self._reject(
-                path,
-                "corrupt" if embedded is None else "stale",
-                f"embedded fingerprint {embedded!r}",
-            )
         try:
             program = ParseProgram.from_json(text)
         except Exception as error:
             raise self._reject(
                 path, "corrupt", f"does not decode ({error})"
             ) from None
+        embedded = program.fingerprint
+        if embedded != digest:
+            raise self._reject(
+                path,
+                "stale" if isinstance(embedded, str) else "corrupt",
+                f"embedded fingerprint {embedded!r}",
+            )
         self.count("hit")
         return program
 

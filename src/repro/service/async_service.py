@@ -51,8 +51,6 @@ class AsyncParseService:
             ``**service_kwargs`` (and owns it: :meth:`close` closes it).
         max_pending: Admission bound across pending + executing requests;
             defaults to the wrapped service's ``max_queue``.
-        coalesce: Disable to give every request its own parse (the
-            coalescing map is then never consulted).
     """
 
     def __init__(
@@ -60,7 +58,6 @@ class AsyncParseService:
         service: ParseService | None = None,
         *,
         max_pending: int | None = None,
-        coalesce: bool = True,
         **service_kwargs,
     ) -> None:
         self._service = (
@@ -72,7 +69,6 @@ class AsyncParseService:
         )
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        self.coalesce = coalesce
         self.metrics = self._service.metrics
         self._pending: dict[tuple, asyncio.Task] = {}
         self._admitted = 0
@@ -114,17 +110,15 @@ class AsyncParseService:
             raise RuntimeError("AsyncParseService is closed")
         self.metrics.incr("async_parses")
         features = tuple(features)
-        key = None
-        if self.coalesce:
-            key = self._coalesce_key(
-                text, features, counts, start, max_errors, max_steps
-            )
-            shared = self._pending.get(key) if key is not None else None
-            if shared is not None and not shared.done():
-                self.metrics.incr("coalesced")
-                # shield: cancelling this awaiter must not cancel the
-                # parse the other awaiters share
-                return await asyncio.shield(shared)
+        key = self._coalesce_key(
+            text, features, counts, start, max_errors, max_steps
+        )
+        shared = self._pending.get(key) if key is not None else None
+        if shared is not None and not shared.done():
+            self.metrics.incr("coalesced")
+            # shield: cancelling this awaiter must not cancel the
+            # parse the other awaiters share
+            return await asyncio.shield(shared)
         if self._admitted >= self.max_pending:
             self.metrics.incr("shed")
             return self._service._shed_result(text)

@@ -34,6 +34,7 @@ from concurrent.futures import (
     TimeoutError as _FutureTimeout,
 )
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ..diagnostics.model import (
@@ -219,6 +220,25 @@ def _error_result(text: str, error) -> ParseServiceResult:
     return ParseServiceResult(text=text, diagnostics=bag)
 
 
+def _check_collector(entry: RegistryEntry, coverage) -> None:
+    """Refuse, before any text parses, a collector over another program.
+
+    The ``ValueError`` is :meth:`~repro.parsing.parser.Parser.parse`'s;
+    unchecked, the collector's ``merge`` would raise it inside the
+    never-crash guard and turn a good parse into an E0000 result.  The
+    entry's digest is the fingerprint its program embeds, so this is
+    ``merge``'s own test, and it builds nothing.
+    """
+    if coverage is None:
+        return
+    program = coverage.map.program
+    if program.fingerprint != entry.fingerprint.digest:
+        raise ValueError(
+            "coverage collector is keyed to a different parse program "
+            f"({program.grammar_name!r})"
+        )
+
+
 def _internal_error_result(
     text: str, fp: Fingerprint | None = None, warm: bool = False
 ) -> ParseServiceResult:
@@ -253,7 +273,8 @@ class ParseService:
         capacity: LRU capacity when a fresh registry is built.
         cache_dir: On-disk artifact cache directory (one parse-program
             artifact per product, token definitions included); applied
-            to the shared registry too when serving it.
+            to the shared registry too when serving it, until
+            :meth:`close`.
         max_workers: Worker-pool width for the batch APIs.  With 1, a
             :meth:`parse_many` batch parses serially on the calling
             thread.
@@ -313,8 +334,6 @@ class ParseService:
             from ..sql.product_line import sql_parser_registry
 
             self.registry = sql_parser_registry()
-        if cache_dir is not None:
-            self.registry.set_cache_dir(cache_dir)
         self.metrics: ServiceMetrics = self.registry.metrics
         self.max_workers = max(1, max_workers)
         self.metrics.backend = self.backend
@@ -337,13 +356,22 @@ class ParseService:
         self._proc_pool: ProcessPoolExecutor | None = None
         self._proc_crashes = 0
         self._owned_cache_dir: tempfile.TemporaryDirectory | None = None
-        if executor == "process" and self.registry.cache_dir is None:
+        if (
+            cache_dir is None and executor == "process"
+            and self.registry.cache_dir is None
+        ):
             # workers bootstrap purely from disk artifacts, so a process
             # service without a cache directory gets a private one
             self._owned_cache_dir = tempfile.TemporaryDirectory(
                 prefix="repro-artifacts-", ignore_cleanup_errors=True
             )
-            self.registry.set_cache_dir(self._owned_cache_dir.name)
+            cache_dir = self._owned_cache_dir.name
+        #: ``(the registry's directory before, the one set here)``;
+        #: :meth:`close` points the registry back
+        self._repointed: tuple[Path | None, Path] | None = None
+        if cache_dir is not None:
+            self._repointed = (self.registry.cache_dir, Path(cache_dir))
+            self.registry.set_cache_dir(cache_dir)
 
     # -- single requests ----------------------------------------------------
 
@@ -376,7 +404,9 @@ class ParseService:
         :class:`~repro.parsing.coverage.CoverageCollector` from the
         entry's :meth:`~repro.service.registry.RegistryEntry.coverage_collector`;
         what this parse exercised is merged into it.  Parsing without a
-        collector stays on the uninstrumented fast path.
+        collector stays on the uninstrumented fast path.  A collector
+        keyed to another product's program raises ``ValueError`` before
+        the text parses.
 
         ``timeout`` (seconds) becomes a cooperative deadline propagated
         into the parse driver: expiry surfaces as a ``timed_out`` result
@@ -389,6 +419,7 @@ class ParseService:
             entry, warm, failure = self._acquire_entry(text, features, counts)
             if failure is not None:
                 return failure
+            _check_collector(entry, coverage)
             return self._parse_entry(
                 entry, text, warm, start=start,
                 max_errors=max_errors, max_steps=max_steps,
@@ -509,7 +540,9 @@ class ParseService:
 
         With a ``coverage`` collector, every parse counts into a private
         per-parse collector and merges it in — the batch's aggregate
-        coverage accumulates correctly wherever the texts ran.
+        coverage accumulates correctly wherever the texts ran.  A
+        collector keyed to another product's program raises
+        ``ValueError`` before any text is admitted.
 
         Only the first result's ``warm`` says whether the *batch* found
         its product composed, whatever path ran: every later text
@@ -530,6 +563,7 @@ class ParseService:
                 )
                 for text in texts
             ]
+        _check_collector(entry, coverage)
         results: list[ParseServiceResult] | None = None
         if len(texts) == 1 or self.max_workers == 1:
             results = []
@@ -827,10 +861,12 @@ class ParseService:
         """Shut down both executor kinds and owned resources (idempotent).
 
         Drains the thread pool and the process pool (cancelling queued
-        work), then removes the service-owned temporary artifact
-        directory, if one was created, and turns the registry's disk
-        cache off if it still points there.  Safe to call repeatedly;
-        any batch API raises ``RuntimeError`` afterwards.
+        work).  If the service pointed the registry at a cache directory
+        (``cache_dir``, or its own temporary one) and the registry still
+        points there, it gets back the directory it had before; then
+        the service-owned temporary directory, if any, is removed.  Safe
+        to call repeatedly; any batch API raises ``RuntimeError``
+        afterwards.
         """
         with self._pool_lock:
             self._closed = True
@@ -840,11 +876,14 @@ class ParseService:
             if self._proc_pool is not None:
                 self._proc_pool.shutdown(wait=True, cancel_futures=True)
                 self._proc_pool = None
+        if self._repointed is not None:
+            # the registry may be shared: point it back, or its next
+            # compose writes into (or recreates) this service's directory
+            before, ours = self._repointed
+            if self.registry.cache_dir == ours:
+                self.registry.set_cache_dir(before)
+            self._repointed = None
         if self._owned_cache_dir is not None:
-            # the registry may be shared: unpoint it first, or its next
-            # compose recreates the directory
-            if str(self.registry.cache_dir) == self._owned_cache_dir.name:
-                self.registry.set_cache_dir(None)
             self._owned_cache_dir.cleanup()
             self._owned_cache_dir = None
 
@@ -960,9 +999,10 @@ class ParseService:
         if coverage is not None:
             # count into a per-call private collector and merge at the
             # end: the caller's collector may be shared across workers.
-            # Coverage runs on the serving backend (the CI gate must
-            # cover what production executes), degrading to the
-            # interpreter if the compiled artifact fails.
+            # The compiled parser runs a counting call through the
+            # interpreter's ``_exec_cov`` walk, so either rung counts
+            # the same points; the call degrades to the shared
+            # interpreter only if the compiled parser cannot be built.
             try:
                 parser = entry.compiled_parser()
                 series = "parse_compiled"

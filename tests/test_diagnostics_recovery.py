@@ -131,7 +131,8 @@ class TestParserRecovery:
         ) or len(outcome.tree.children_named("statement")) >= 1
 
     def test_sync_set_is_follow_derived(self, parser):
-        sync = parser._sync_set("script")
+        program = parser.program
+        sync = program.sync[program.rule_ids["script"]]
         assert "SEMICOLON" in sync
         assert "RPAREN" in sync
         assert "EOF" in sync

@@ -74,23 +74,6 @@ class TestCoalescing:
         assert all(r.ok for r in results)
         assert coalesced == 0
 
-    def test_coalesce_can_be_disabled(self):
-        async def scenario():
-            async with AsyncParseService(
-                line=make_line(), coalesce=False
-            ) as service:
-                await asyncio.gather(
-                    *(
-                        service.parse("SELECT a FROM t", FULL)
-                        for _ in range(4)
-                    )
-                )
-                return service.metrics.snapshot()["counters"]
-
-        counters = run(scenario())
-        assert counters["coalesced"] == 0
-        assert counters["parses"] == 4
-
     def test_invalid_selection_is_uncoalesced_diagnostic(self):
         async def scenario():
             async with AsyncParseService(line=make_line()) as service:
@@ -107,7 +90,7 @@ class TestBackpressure:
     def test_excess_requests_shed_with_e0204(self):
         async def scenario():
             async with AsyncParseService(
-                line=make_line(), max_pending=1, coalesce=False
+                line=make_line(), max_pending=1
             ) as service:
                 return await asyncio.gather(
                     *(

@@ -1,5 +1,6 @@
 """ParseService: resilient results, batch concurrency, timeouts, stats."""
 
+import shutil
 import threading
 import time
 
@@ -14,6 +15,7 @@ from repro.diagnostics.model import (
 )
 from repro.parsing.parser import Parser
 from repro.service import ParseRequest, ParseService, ParserRegistry
+from repro.sql import sql_parser_registry
 
 from tests.test_core_product_line import mini_model, mini_units
 
@@ -358,6 +360,24 @@ class TestBatch:
         assert service.batch([]) == []
 
 
+class TestForeignCoverageCollector:
+    def test_collector_of_another_selection_is_refused(self, service):
+        """A collector keyed to another product's program is refused with
+        the parser's own ValueError before anything parses, not merged
+        inside the never-crash guard into an E0000 result."""
+        foreign = service.registry.get(["Query"]).coverage_collector()
+        texts = ["SELECT a FROM t", "SELECT b FROM u WHERE x = y"]
+        with pytest.raises(ValueError, match="different parse program"):
+            service.parse(texts[0], FULL, coverage=foreign)
+        with pytest.raises(ValueError, match="different parse program"):
+            service.parse_many(texts, FULL, coverage=foreign)
+        assert service.metrics.counter("internal_errors") == 0
+        assert service.metrics.counter("parses") == 0
+        assert service.health()["status"] == "ok"
+        assert service.in_flight == 0
+        assert sum(foreign.rules) == 0
+
+
 class TestLifecycleAndStats:
     def test_stats_snapshot_shape(self, service):
         service.parse("SELECT a FROM t", ["Query"])
@@ -403,3 +423,31 @@ class TestLifecycleAndStats:
     def test_cache_dir_reaches_registry(self, tmp_path):
         service = make_service(cache_dir=tmp_path)
         assert service.registry.cache_dir == tmp_path
+
+    @pytest.mark.parametrize("before", [None, "before"])
+    def test_close_points_the_registry_back(self, tmp_path, before):
+        """A service that set the registry's cache directory gives the
+        registry back the directory it had: a later compose on that
+        registry (possibly the shared one) writes nothing into, and
+        recreates nothing at, the service's directory."""
+        line = GrammarProductLine(mini_model(), mini_units(), name="mini-sql")
+        previous = tmp_path / before if before else None
+        registry = ParserRegistry(line, cache_dir=previous)
+        ours = tmp_path / "ours"
+        with ParseService(registry=registry, cache_dir=ours) as service:
+            assert service.parse("SELECT a FROM t", ["Query"]).ok
+        assert list(ours.iterdir())  # the service's compose published here
+        shutil.rmtree(ours)
+        assert registry.cache_dir == previous
+        later = ParseService(registry=registry).parse(
+            "SELECT a FROM t WHERE x = y", ["Query", "Where"]
+        )
+        assert later.ok
+        assert not ours.exists()
+
+    def test_close_points_the_shared_registry_back(self, tmp_path):
+        shared = sql_parser_registry()
+        before = shared.cache_dir
+        with ParseService(cache_dir=tmp_path):
+            assert shared.cache_dir == tmp_path
+        assert shared.cache_dir == before
