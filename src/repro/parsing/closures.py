@@ -8,7 +8,10 @@ repetition, pre-grouped dispatch dictionaries for CHOICE — and
 compiling each function on its first call (threaded code).
 
 Semantics are interpreter-exact and enforced by the differential suite:
-identical parse trees on accepts, identical line/column/expected sets
+identical parse trees on accepts (an activation whose children are
+exactly one node passes it through: :func:`~repro.parsing.program.passage`
+decides per rule whether that is never, always or input-dependent, so
+only the last kind pays a check), identical line/column/expected sets
 on rejects, identical budget/deadline/depth diagnostics.  The one
 documented delta is fuel granularity: the interpreter ticks the step
 budget per *instruction*, compiled code per *rule call*, so an E0202
@@ -55,14 +58,19 @@ from .parser import Parser, RunState
 # holds only constants and other functions, shareable across threads.
 from .parser import _check, _depth_fail, _Fail, _fail
 from .program import (
+    MAY_PASS,
+    MAY_PASS_TOKEN,
     OP_CALL,
     OP_CHOICE,
     OP_LOOP,
     OP_MATCH,
     OP_OPT,
     OP_SEQ,
+    PASSES,
+    WRAPS,
     ParseProgram,
     called_rules,
+    passage,
 )
 from .tree import Node
 
@@ -355,7 +363,14 @@ class _SourceBuilder:
         body = self.program.code[rid]
         rname = self.program.rule_names[rid]
         leaf = not called_rules(body)
-        w(0, f"def _r{rid}(s, out):")
+        kind = passage(body)
+        if kind == PASSES:
+            # every success appends exactly one node, and a failure
+            # nothing: the body appends straight to the parent's list,
+            # so the activation passes its child through with no node
+            w(0, f"def _r{rid}(s, ch):")
+        else:
+            w(0, f"def _r{rid}(s, out):")
         if not leaf:
             w(1, "st = s.steps + 1")
             w(1, "s.steps = st")
@@ -382,14 +397,23 @@ class _SourceBuilder:
         w(1, "if d >= s.max_depth:")
         w(2, "_depth_fail(s)")
         w(1, "s.depth = d + 1")
+        tk_line = len(self.lines)
         w(1, "tk = s.tokens")
-        w(1, "ch = _new(_Node)")
-        w(1, f"ch.name = {rname!r}")
+        if kind != PASSES:
+            w(1, "ch = _new(_Node)")
+            w(1, f"ch.name = {rname!r}")
         w(1, "try:")
         self.emit(body, 2)
         w(1, "finally:")
         w(2, "s.depth = d")
-        w(1, "out.append(ch)")
+        if not any("tk[" in line for line in self.lines[tk_line + 1:]):
+            del self.lines[tk_line]  # a body of calls reads no token
+        if kind == MAY_PASS:
+            w(1, "out.append(ch[0] if len(ch) == 1 else ch)")
+        elif kind == MAY_PASS_TOKEN:
+            w(1, "out.append(ch[0] if len(ch) == 1 and type(ch[0]) is _Node else ch)")
+        elif kind == WRAPS:
+            w(1, "out.append(ch)")
         w(0, "")
 
     def build(self) -> list[tuple[str, str]]:

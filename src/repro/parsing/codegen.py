@@ -30,7 +30,7 @@ from __future__ import annotations
 import types
 
 from ..grammar.grammar import Grammar
-from ..lexer.spec import compile_master_pattern
+from ..lexer.spec import compile_fast_pattern, compile_master_pattern
 from .closures import _Lowering
 from .first_follow import GrammarAnalysis
 from .parser import DEFAULT_MAX_DEPTH
@@ -167,6 +167,43 @@ def _depth_fail(s):
 
 
 def _scan(text):
+    """One fast-pattern match per token, positions taken from offsets."""
+    tokens = []
+    append = tokens.append
+    n = len(text)
+    multiline = "\\n" in text
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    counted = 0  # the newlines before this offset are in ``line``
+    start = -1
+    for m in _FAST.finditer(text):
+        name = m.lastgroup
+        start, end = m.span(name)
+        if multiline:
+            newlines = text.count("\\n", counted, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\\n", counted, start) + 1
+            counted = start
+        if start == end:  # a sentinel, or a zero-width token
+            break
+        lexeme = text[start:end]
+        if name in _IDENT_RULES:
+            name = _KEYWORDS.get(lexeme.upper(), name)
+        append(Token(name, lexeme, line, start - line_start + 1, start))
+    if start != n:
+        # an unmatchable character or a zero-width token: the precise
+        # loop owns the error
+        return _scan_precise(text)
+    append(Token(EOF, "", line, n - line_start + 1, n))
+    if _STRAY:
+        return [t for t in tokens if t.type not in _STRAY]
+    return tokens
+
+
+def _scan_precise(text):
+    """The master-pattern loop for text ``_scan`` cannot finish: it raises
+    the ScanError at the exact line and column."""
     tokens = []
     pos, line, col = 0, 1, 1
     n = len(text)
@@ -194,9 +231,10 @@ def _scan(text):
 
 def parse(text, start=None):
     s = _State(_scan(text))
+    name = start or _START
     out = []
     try:
-        RULES[_RULE_IDS[start or _START]](s, out)
+        RULES[_RULE_IDS[name]](s, out)
         if s.tokens[s.i].type != EOF:
             _fail(s, frozenset((EOF,)))
     except _Fail:
@@ -209,6 +247,12 @@ def parse(text, start=None):
             t.column,
             frozenset(s.fexp),
         ) from None
+    if out[0].name != name:
+        # the root stays the start rule's node even when its activation
+        # passed its only child through
+        root = Node(out)
+        root.name = name
+        return root
     return out[0]
 
 
@@ -244,6 +288,7 @@ def generate_parser_source(
     if fingerprint is None:
         fingerprint = program.fingerprint
     tokens = grammar.tokens
+    fast, stray = compile_fast_pattern(tokens)
     rule_ids = ", ".join(
         f"{name!r}: {rid}" for rid, name in enumerate(program.rule_names)
     )
@@ -258,10 +303,13 @@ def generate_parser_source(
         head += ["", f'{FINGERPRINT_CONSTANT} = "{fingerprint}"']
     head += [
         _RUNTIME,
+        f"_FAST = re.compile({fast.pattern!r})",
+        f"_STRAY = frozenset({sorted(stray)!r})",
         f"_MASTER = re.compile({compile_master_pattern(tokens).pattern!r})",
         f"_SKIP = frozenset({sorted(d.name for d in tokens if d.skip)!r})",
         f"_KEYWORDS = {tokens.keywords!r}",
-        "_IDENT_RULES = ('IDENTIFIER',)",
+        # a stray skip match keeps its name, so it is never promoted
+        f"_IDENT_RULES = {tuple(r for r in ('IDENTIFIER',) if r not in stray)!r}",
         f"_MAX_DEPTH = {DEFAULT_MAX_DEPTH}",
         f"_START = {program.start_name()!r}",
         f"_RULE_IDS = {{{rule_ids}}}",

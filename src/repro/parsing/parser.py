@@ -316,6 +316,10 @@ class Parser:
     ) -> Node:
         """Parse source text into a parse tree rooted at the start rule.
 
+        The root is the start rule's node even when its activation
+        passes its only child through, as every other activation with
+        exactly one node child does (see :mod:`repro.parsing.tree`).
+
         ``coverage`` is an optional
         :class:`~repro.parsing.coverage.CoverageCollector` over this
         parser's program; the call then runs instrumented and counts
@@ -369,6 +373,11 @@ class Parser:
                 _fail(s, _EOF_SET)
         except _Fail:
             raise self._build_error(s) from None
+        name = self._rule_names[rule_id]
+        if out[0].name != name:
+            # the root stays the start rule's node even when its
+            # activation passed its only child through
+            return Node(name, out)
         return out[0]
 
     def parse_with_diagnostics(
@@ -576,6 +585,9 @@ class Parser:
     def _call_rule(self, s: RunState, rule_id: int, out: list) -> None:
         """Run one rule and append its node to ``out``.
 
+        A node whose children are exactly one node is not kept: that
+        child is appended in its place (the activation passes through).
+
         The backend hook: :class:`~repro.parsing.closures.ClosureParser`
         overrides it with a direct call into compiled code on the same
         state, and hands a counting call back here.  A counting call
@@ -598,7 +610,10 @@ class Parser:
                 self._exec_cov(s, self._code[rule_id], node)
         finally:
             s.depth = d
-        out.append(node)
+        if len(node) == 1 and type(node[0]) is Node:
+            out.append(node[0])
+        else:
+            out.append(node)
 
     def _exec(self, s: RunState, instr, children: list) -> None:
         """Execute one tuple-encoded instruction against the token stream."""

@@ -35,7 +35,9 @@ Instruction set (opcode, operands...):
 ``MATCH tok``
     Consume one terminal or fail with the expected set.
 ``CALL rule``
-    Push a new tree node and run the callee's block.
+    Run the callee's block under a new tree node; a node whose children
+    are exactly one node is left out, that child taking its place
+    (:func:`passage`).
 ``SEQ (i1, i2, ...)``
     Run instructions in order.
 ``CHOICE dispatch``
@@ -527,6 +529,92 @@ def called_rules(instr) -> frozenset[int]:
         for nested in walk_instructions(instr)
         if nested[0] == OP_CALL
     )
+
+
+#: How a rule activation leaves its result in the parent (:func:`passage`).
+#: A node whose children are exactly one node is replaced by that child.
+WRAPS = 0  # never exactly one node child: the rule always leaves its node
+PASSES = 1  # always exactly one node child and no token: it always passes
+MAY_PASS = 2  # sometimes; a lone child is always a node
+MAY_PASS_TOKEN = 3  # sometimes; a lone child may be a token
+
+
+def _shapes(instr) -> frozenset[tuple[bool, int]]:
+    """What one successful run of ``instr`` can append to its node.
+
+    Each shape is ``(appended a token, nodes appended capped at 2)``;
+    the set holds every shape some path can produce, and may hold more
+    (a loop's minimum beyond one is not tracked).
+    """
+    op = instr[0]
+    if op == OP_MATCH:
+        return frozenset(((True, 0),))
+    if op == OP_CALL:  # a call always leaves exactly one node
+        return frozenset(((False, 1),))
+    if op == OP_SEQ:
+        shapes = frozenset(((False, 0),))
+        for item in instr[1]:
+            shapes = _then(shapes, _shapes(item))
+        return shapes
+    if op == OP_CHOICE:
+        return frozenset().union(*(_shapes(block) for block in instr[4]))
+    if op == OP_OPT:
+        return _shapes(instr[1]) | {(False, 0)}
+    if op == OP_LOOP:  # (op, inner, first, min)
+        shapes, optional = _repeated(_shapes(instr[1])), instr[3] == 0
+    else:  # OP_SEPLOOP: item (sep item)*
+        item = _shapes(instr[1])
+        shapes = item | _then(item, _repeated(_then(_shapes(instr[2]), item)))
+        optional = instr[5] == 0
+    return shapes | {(False, 0)} if optional else shapes
+
+
+def _then(left, right) -> frozenset[tuple[bool, int]]:
+    return frozenset(
+        (t1 or t2, min(n1 + n2, 2)) for t1, n1 in left for t2, n2 in right
+    )
+
+
+def _repeated(inner) -> frozenset[tuple[bool, int]]:
+    """The shapes of one or more runs of a block with shapes ``inner``."""
+    shapes = inner
+    while True:
+        more = shapes | _then(shapes, inner)
+        if more == shapes:
+            return shapes
+        shapes = more
+
+
+def _passes(instr) -> bool:
+    """Every successful run appends exactly one node, last, and nothing else.
+
+    Structural (a call, alone or behind a choice of such blocks), so a
+    run that fails has appended nothing: the lowering may let such a
+    rule append straight into its parent.
+    """
+    op = instr[0]
+    if op == OP_CALL:
+        return True
+    if op == OP_SEQ:
+        return len(instr[1]) == 1 and _passes(instr[1][0])
+    if op == OP_CHOICE:
+        return all(_passes(block) for block in instr[4])
+    return False
+
+
+def passage(instr) -> int:
+    """How an activation of a rule with body ``instr`` leaves its result.
+
+    One of :data:`WRAPS`, :data:`PASSES`, :data:`MAY_PASS` and
+    :data:`MAY_PASS_TOKEN`; the closure lowering emits the pass-through
+    check only where the answer depends on the input.
+    """
+    if _passes(instr):
+        return PASSES
+    shapes = _shapes(instr)
+    if (False, 1) not in shapes:
+        return WRAPS
+    return MAY_PASS_TOKEN if (True, 0) in shapes else MAY_PASS
 
 
 def reachable_rules(program: "ParseProgram") -> frozenset[int]:

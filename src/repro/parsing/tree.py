@@ -6,6 +6,18 @@ source order.  The SQL AST builder (:mod:`repro.sql.ast_builder`) consumes
 these trees, mirroring the paper's separation between generated syntax and
 separately-implemented semantic actions.
 
+A tree keeps only nodes that carry information.  A rule activation whose
+children are exactly one node leaves that node in its parent instead of
+wrapping it, so ``SELECT a FROM t`` parses to ``(sql_script
+(query_specification SELECT (identifier a) (from_clause FROM (identifier
+t))))``, not to a chain of single-child nodes above each ``identifier``.
+Every producer (both backends, the recovery driver, the ``--emit``
+export) applies the same rule, with two fixed points: the root is always
+the start rule's node (or the ``start=`` rule's), and a node whose only
+child is a token is kept.  Rule activations themselves are unchanged:
+fuel, the depth limit, coverage counts, hints and diagnostics count
+activations, not nodes.
+
 A node *is* the list of its children, the way the standard library's
 ``xml.etree.ElementTree.Element`` is the list of its subelements: ``len``,
 iteration and indexing reach the children directly, and ``children`` is a

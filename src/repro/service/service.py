@@ -985,7 +985,9 @@ class ParseService:
     ) -> ParseServiceResult:
         """One parse through the degradation ladder.
 
-        The compiled backend runs first; if it *raises* — as opposed to
+        A coverage-counting call runs on the interpreter, which counts
+        coverage for both backends.  Otherwise the compiled backend runs
+        first; if it *raises* — as opposed to
         returning a result with diagnostics — the shared interpreter
         answers, and if that also raises, the clean-room fallback
         interpreter does.  Every rung taken marks the result
@@ -999,23 +1001,15 @@ class ParseService:
         if coverage is not None:
             # count into a per-call private collector and merge at the
             # end: the caller's collector may be shared across workers.
-            # The compiled parser runs a counting call through the
-            # interpreter's ``_exec_cov`` walk, so either rung counts
-            # the same points; the call degrades to the shared
-            # interpreter only if the compiled parser cannot be built.
-            try:
-                parser = entry.compiled_parser()
-                series = "parse_compiled"
-            except Exception:
-                degraded.append("backend")
-                self.metrics.incr("degraded_backend")
-                parser = entry.parser()
-                series = "parse_interpreter"
+            # Coverage is counted by the interpreter's ``_exec_cov`` walk
+            # on either backend, so a counting call runs on the
+            # interpreter itself and times into its series; if that
+            # parser cannot be built, the never-crash guard answers.
             private = entry.coverage_collector()
             try:
                 outcome, seconds = self._interpret(
-                    parser, text, start, max_errors, max_steps, deadline,
-                    series=series, coverage=private,
+                    entry.parser(), text, start, max_errors, max_steps,
+                    deadline, coverage=private,
                 )
             finally:
                 coverage.merge(private)

@@ -7,6 +7,15 @@ name, so a tailored dialect — which only ever produces the parse-tree
 nodes of its selected features — automatically gets exactly the semantic
 actions it needs.
 
+A parse tree keeps no node for a rule activation whose only child is a
+node (:mod:`repro.parsing.tree`): a column reference in a ``WHERE``
+clause arrives as the ``identifier`` under ``where_clause``, not fifteen
+nodes below it.  So a builder takes a child by its *role* (the only
+node of ``where_clause``, the second node of ``set_clause``), and a
+rule that can pass through is looked up by name only where its own node
+is the one that survives (a ``case_result`` node is the ``NULL``
+alternative; a value arrives as its expression).
+
 Use::
 
     from repro.sql import build_ast
@@ -31,6 +40,49 @@ def _token_texts(node: Node) -> list[str]:
     return [c.type for c in node.children if isinstance(c, Token)]
 
 
+def _items(node: Node, list_rule: str) -> list[Node]:
+    """The items of a ``list_rule : item (COMMA item)*`` position.
+
+    A list of one item passes through, so the position holds the item.
+    """
+    return node.node_children() if node.name == list_rule else [node]
+
+
+def _others(node: Node, *names: str) -> list[Node]:
+    """The node children of ``node`` not named any of ``names``."""
+    return [c for c in node if isinstance(c, Node) and c.name not in names]
+
+
+def _name(node: Node) -> str:
+    """The identifier text of a name position (``identifier``, or
+    ``AS? identifier`` when the ``AS`` keeps its node)."""
+    if node.name != "identifier":
+        node = node.node_children()[0]
+    return node.text()
+
+
+def _identifier(node: Node) -> str:
+    """One ``identifier`` node's name, a delimited one unquoted."""
+    token = next(iter(node.tokens()))
+    if token.type == "QUOTED_IDENTIFIER":
+        return token.text[1:-1].replace('""', '"')
+    return token.text
+
+
+#: The rules a query statement can arrive as: ``query_expression`` and the
+#: rules it passes through to.
+_QUERY_RULES = frozenset(
+    {
+        "query_expression",
+        "query_expression_body",
+        "query_term",
+        "query_primary",
+        "query_specification",
+        "table_value_constructor",
+    }
+)
+
+
 class AstBuilder:
     """Stateless recursive builder: one method per interesting rule."""
 
@@ -40,7 +92,8 @@ class AstBuilder:
         method = _BUILDERS.get(node.name)
         if method is not None:
             return method(self, node)
-        # chain rules (single node child, no meaningful tokens) pass through
+        # a rule without a builder whose one node child carries the
+        # meaning (a start-rule root such as value_expression, RETURN x)
         kids = node.node_children()
         if len(kids) == 1:
             return self.build(kids[0])
@@ -52,22 +105,23 @@ class AstBuilder:
     # -- script / statements --------------------------------------------------
 
     def _build_sql_script(self, node: Node) -> ast.Script:
-        return ast.Script(
-            tuple(self.build(s) for s in node.children_named("sql_statement"))
-        )
+        # sql_statement always passes through: the children are statements
+        return ast.Script(tuple(self._statement(s) for s in node.node_children()))
 
-    def _build_sql_statement(self, node: Node) -> ast.Statement:
-        child = node.node_children()[0]
+    def _statement(self, node: Node) -> ast.Statement:
+        query = node.name in _QUERY_RULES
+        # a query statement is sql_statement's query_expression alternative
+        kind = "query_expression" if query else node.name
         try:
-            built = self.build(child)
+            built = self._query(node) if query else self.build(node)
         except NotImplementedError:
             # parsed but not executable: GRANT, SET SCHEMA, ALTER, ...
-            return ast.GenericStatement(child.name, child.text())
+            return ast.GenericStatement(kind, node.text())
         if isinstance(built, ast.Query):
             return ast.QueryStatement(built)
         if isinstance(built, ast.Statement):
             return built
-        return ast.GenericStatement(child.name, child.text())
+        return ast.GenericStatement(kind, node.text())
 
     # -- queries ------------------------------------------------------------------
 
@@ -78,13 +132,12 @@ class AstBuilder:
         if with_node is not None:
             # only this clause's direct elements: find_all would descend
             # into nested WITH clauses inside the CTE bodies
-            with_list = with_node.child("with_list") or with_node
             ctes = tuple(
                 self._build_with_element(e)
-                for e in with_list.children_named("with_list_element")
+                for e in _items(with_node.node_children()[0], "with_list")
             )
             recursive = with_node.has_token("RECURSIVE")
-        body = self.build(node.child("query_expression_body"))
+        body = self.build(_others(node, "with_clause")[0])
         order_by: tuple[ast.SortSpec, ...] = ()
         ob = node.child("order_by_clause")
         if ob is not None:
@@ -117,7 +170,7 @@ class AstBuilder:
         return ast.CommonTableExpr(
             name=name,
             columns=columns,
-            query=self.build(node.child("query_expression")),
+            query=self._query(node.node_children()[-1]),
         )
 
     def _build_query_expression_body(self, node: Node) -> ast.QueryBody:
@@ -166,7 +219,7 @@ class AstBuilder:
 
     def _build_query_primary(self, node: Node) -> ast.QueryBody:
         if node.has_token("TABLE"):
-            return ast.ExplicitTable(self._chain(node.child("table_name")))
+            return ast.ExplicitTable(self._chain(node.node_children()[0]))
         kids = node.node_children()
         built = self.build(kids[0])
         if isinstance(built, ast.Query):
@@ -178,25 +231,26 @@ class AstBuilder:
         quant_node = node.child("set_quantifier")
         if quant_node is not None:
             quantifier = quant_node.text().upper()
-        items = self._build_select_list(node.child("select_list"))
-        te = node.child("table_expression")
+        items = self._build_select_list(_others(node, "set_quantifier")[0])
         from_tables: tuple = ()
         where = having = None
         group_by: tuple = ()
         grouping_kind = None
         grouping: tuple = ()
         windows: tuple = ()
-        if te is not None:
+        # table_expression passes through to a lone from_clause
+        te = node.child("table_expression") or node
+        if te.child("from_clause") is not None:
             from_tables = self._build_from(te.child("from_clause"))
             wc = te.child("where_clause")
             if wc is not None:
-                where = self.build(wc.child("search_condition"))
+                where = self.build(wc.node_children()[0])
             gb = te.child("group_by_clause")
             if gb is not None:
                 group_by, grouping_kind, grouping = self._build_group_by(gb)
             hv = te.child("having_clause")
             if hv is not None:
-                having = self.build(hv.child("search_condition"))
+                having = self.build(hv.node_children()[0])
             wd = te.child("window_clause")
             if wd is not None:
                 windows = tuple(
@@ -239,51 +293,50 @@ class AstBuilder:
         )
 
     def _build_select_list(self, node: Node) -> tuple:
-        if node.has_token("ASTERISK"):
+        if node.name == "select_list" and node.has_token("ASTERISK"):
             return (ast.Star(),)
         items = []
-        for sub in node.children_named("select_sublist"):
-            qa = sub.child("qualified_asterisk")
-            if qa is not None:
-                items.append(ast.Star(table=".".join(self._chain(qa.child("identifier_chain")))))
+        for sub in _items(node, "select_list"):
+            if sub.name == "qualified_asterisk":
+                items.append(ast.Star(table=".".join(self._chain(sub.node_children()[0]))))
                 continue
-            dc = sub.child("derived_column")
-            expr = self.build(dc.child("value_expression"))
             alias = None
-            ac = dc.child("as_clause")
-            if ac is not None:
-                alias = ac.child("column_name").text()
-            items.append(ast.SelectItem(expr, alias))
+            if sub.name == "derived_column":  # the alias keeps its node
+                sub, as_clause = sub.node_children()
+                alias = _name(as_clause)
+            items.append(ast.SelectItem(self.build(sub), alias))
         return tuple(items)
 
-    def _build_from(self, node: Node | None) -> tuple:
-        if node is None:
-            return ()
-        trl = node.child("table_reference_list")
+    def _build_from(self, node: Node) -> tuple:
         return tuple(
             self._build_table_reference(tr)
-            for tr in trl.children_named("table_reference")
+            for tr in _items(node.node_children()[0], "table_reference_list")
         )
 
     def _build_table_reference(self, node: Node) -> ast.TableRef:
-        result = self._build_table_primary(node.child("table_primary"))
-        for suffix in node.children_named("join_suffix"):
+        """A table reference: a ``table_reference`` node when it has joins,
+        else its table primary."""
+        if node.name != "table_reference":
+            return self._build_table_primary(node)
+        primary, *suffixes = node.node_children()
+        result = self._build_table_primary(primary)
+        for suffix in suffixes:
             result = self._apply_join(result, suffix)
         return result
 
     def _build_table_primary(self, node: Node) -> ast.TableRef:
-        alias = None
-        corr = node.child("correlation_spec")
-        if corr is not None:
-            alias = corr.child("identifier").text()
-        sub = node.child("table_subquery")
-        if sub is not None:
+        """A ``table_primary`` node (an alias or a subquery), else a table name."""
+        if node.name != "table_primary":
+            return ast.NamedTable(self._chain(node))
+        source, *correlation = node.node_children()
+        alias = _name(correlation[0]) if correlation else None
+        if source.name == "table_subquery":
             return ast.DerivedTable(
-                query=self.build(sub.child("query_expression")),
+                query=self._subquery(source),
                 alias=alias or "?",
                 lateral=node.has_token("LATERAL"),
             )
-        return ast.NamedTable(self._chain(node.child("table_name")), alias=alias)
+        return ast.NamedTable(self._chain(source), alias=alias)
 
     def _apply_join(self, left: ast.TableRef, suffix: Node) -> ast.Join:
         tokens = _token_texts(suffix)
@@ -296,23 +349,24 @@ class AstBuilder:
         else:
             ojt = suffix.child("outer_join_type")
             kind = ojt.text().lower() if ojt is not None else "inner"
-        right = self._build_table_primary(suffix.child("table_primary"))
+        right = self._build_table_primary(
+            _others(suffix, "outer_join_type", "join_specification")[0]
+        )
         on = None
         using: tuple[str, ...] = ()
         spec = suffix.child("join_specification")
         if spec is not None:
             if spec.has_token("ON"):
-                on = self.build(spec.child("search_condition"))
+                on = self.build(spec.node_children()[0])
             else:
                 using = self._column_list(spec.child("column_list"))
         return ast.Join(kind=kind, left=left, right=right, on=on, using=using)
 
     def _build_group_by(self, node: Node) -> tuple[tuple, str | None, tuple]:
-        gel = node.child("grouping_element_list")
         exprs: list = []
         kind = None
         structured = []
-        for element in gel.children_named("grouping_element"):
+        for element in _items(node.node_children()[0], "grouping_element_list"):
             built = self._build_grouping_element(element)
             structured.append(built)
             if isinstance(built, ast.GroupingElement):
@@ -325,13 +379,13 @@ class AstBuilder:
         return tuple(exprs), kind, tuple(structured)
 
     def _build_grouping_element(self, element: Node):
+        if element.name != "grouping_element":  # a column reference
+            return self.build(element)
         tokens = _token_texts(element)
         if "ROLLUP" in tokens or "CUBE" in tokens:
             cols = tuple(
                 self.build(c)
-                for c in element.child("column_reference_list").children_named(
-                    "column_reference"
-                )
+                for c in _items(element.node_children()[0], "column_reference_list")
             )
             return ast.GroupingElement(
                 "rollup" if "ROLLUP" in tokens else "cube", cols
@@ -339,14 +393,9 @@ class AstBuilder:
         if "GROUPING" in tokens:
             inner = tuple(
                 self._build_grouping_element(e)
-                for e in element.child("grouping_element_list").children_named(
-                    "grouping_element"
-                )
+                for e in _items(element.node_children()[0], "grouping_element_list")
             )
             return ast.GroupingElement("grouping sets", inner)
-        cr = element.child("column_reference")
-        if cr is not None:
-            return self.build(cr)
         return ast.GroupingElement("empty")
 
     def _flatten_grouping(self, element: ast.GroupingElement) -> list:
@@ -362,8 +411,10 @@ class AstBuilder:
         specs = []
         # only this clause's direct sort keys: find_all would descend into
         # subqueries inside the key expressions and collect their ORDER BYs
-        spec_list = node.child("sort_specification_list") or node
-        for spec in spec_list.children_named("sort_specification"):
+        for spec in _items(node.node_children()[0], "sort_specification_list"):
+            if spec.name != "sort_specification":  # a bare key expression
+                specs.append(ast.SortSpec(expression=self.build(spec)))
+                continue
             descending = False
             direction = spec.child("ordering_specification")
             if direction is not None:
@@ -375,10 +426,10 @@ class AstBuilder:
             collation: tuple[str, ...] = ()
             collate = spec.child("collate_clause")
             if collate is not None:
-                collation = self._chain(collate.child("identifier_chain"))
+                collation = self._chain(collate.node_children()[0])
             specs.append(
                 ast.SortSpec(
-                    expression=self.build(spec.child("value_expression")),
+                    expression=self.build(spec.node_children()[0]),
                     descending=descending,
                     nulls_last=nulls_last,
                     collation=collation,
@@ -392,9 +443,7 @@ class AstBuilder:
         if pc is not None:
             partition = tuple(
                 self.build(c)
-                for c in pc.child("column_reference_list").children_named(
-                    "column_reference"
-                )
+                for c in _items(pc.node_children()[0], "column_reference_list")
             )
         order_by: tuple = ()
         ob = node.child("order_by_clause")
@@ -405,7 +454,7 @@ class AstBuilder:
         if fc is not None:
             frame = fc.text()
         existing = None
-        ewn = node.child("existing_window_name")
+        ewn = node.child("identifier")  # existing_window_name passes through
         if ewn is not None:
             existing = ewn.text()
         return ast.WindowSpec(
@@ -416,23 +465,17 @@ class AstBuilder:
         rows = []
         for rvc in node.children_named("row_value_constructor"):
             row = []
-            for element in rvc.children_named("row_value_element"):
-                if element.has_token("NULL"):
+            for element in rvc.node_children():
+                if element.name != "row_value_element":  # a value
+                    row.append(self.build(element))
+                elif element.has_token("NULL"):
                     row.append(ast.NULL)
-                elif element.has_token("DEFAULT"):
-                    row.append(ast.Default())
                 else:
-                    row.append(self.build(element.node_children()[0]))
+                    row.append(ast.Default())
             rows.append(tuple(row))
         return ast.Values(tuple(rows))
 
     # -- expressions ----------------------------------------------------------------
-
-    def _build_search_condition(self, node: Node):
-        return self.build(node.node_children()[0])
-
-    def _build_value_expression(self, node: Node):
-        return self.build(node.node_children()[0])
 
     def _build_boolean_value_expression(self, node: Node):
         return self._fold_binary(node, {"OR": "OR"})
@@ -475,35 +518,30 @@ class AstBuilder:
         negated = "NOT" in tokens
         if "BETWEEN" in tokens:
             low, high = [
-                self.build(c) for c in suffix.children_named("common_value_expression")
+                self.build(c) for c in _others(suffix, "between_symmetry")
             ]
             return ast.Between(operand, low, high, negated=negated)
         if "IN" in tokens:
-            value = suffix.child("in_predicate_value")
-            sub = value.child("table_subquery")
-            if sub is not None:
-                return ast.InSubquery(operand, self._subquery(sub), negated=negated)
-            items = tuple(
-                self.build(c) for c in value.children_named("common_value_expression")
-            )
+            value = suffix.node_children()[0]
+            if value.name == "table_subquery":  # in_predicate_value passed
+                return ast.InSubquery(operand, self._subquery(value), negated=negated)
+            items = tuple(self.build(c) for c in value.node_children())
             return ast.InList(operand, items, negated=negated)
         if "LIKE" in tokens:
-            exprs = [
-                self.build(c) for c in suffix.children_named("common_value_expression")
-            ]
+            exprs = [self.build(c) for c in suffix.node_children()]
             pattern = exprs[0]
             escape = exprs[1] if len(exprs) > 1 else None
             return ast.Like(operand, pattern, escape=escape, negated=negated)
         if "NULL" in tokens:
             return ast.IsNull(operand, negated=negated)
         if "DISTINCT" in tokens and "FROM" in tokens:
-            right = self.build(suffix.child("common_value_expression"))
+            right = self.build(suffix.node_children()[0])
             return ast.IsDistinctFrom(operand, right, negated=negated)
         if "OVERLAPS" in tokens:
-            right = self.build(suffix.child("common_value_expression"))
+            right = self.build(suffix.node_children()[0])
             return ast.BinaryOp("OVERLAPS", operand, right)
         if "SIMILAR" in tokens:
-            pattern = self.build(suffix.child("common_value_expression"))
+            pattern = self.build(suffix.node_children()[0])
             return ast.Like(operand, pattern, negated=negated, similar=True)
         if "MATCH" in tokens:
             option_node = suffix.child("match_option")
@@ -526,7 +564,7 @@ class AstBuilder:
                 operand=operand,
                 query=self._subquery(suffix.child("table_subquery")),
             )
-        right = self.build(suffix.child("common_value_expression"))
+        right = self.build(suffix.node_children()[-1])
         return ast.BinaryOp(op, operand, right)
 
     def _build_common_value_expression(self, node: Node):
@@ -542,10 +580,8 @@ class AstBuilder:
         inner = self.build(node.node_children()[0])
         tz = node.child("at_time_zone")
         if tz is not None:
-            zone = tz.child("value_expression_primary")
-            inner = ast.AtTimeZone(
-                inner, self.build(zone) if zone is not None else None
-            )
+            zone = tz.node_children()  # none for AT LOCAL
+            inner = ast.AtTimeZone(inner, self.build(zone[0]) if zone else None)
         if node.has_token("MINUS"):
             return ast.UnaryOp("-", inner)
         if node.has_token("PLUS"):
@@ -572,26 +608,25 @@ class AstBuilder:
         tokens = _token_texts(node)
         head = tokens[0] if tokens else None
         if head == "LPAREN":
-            return self.build(node.child("value_expression"))
+            return self.build(node.node_children()[0])
         if head == "CAST":
-            operand_node = node.child("cast_operand")
-            if operand_node.has_token("NULL"):
+            operand_node, type_node = node.node_children()
+            # a cast_operand node survives only as its NULL alternative
+            if operand_node.name == "cast_operand":
                 operand = ast.NULL
             else:
-                operand = self.build(operand_node.node_children()[0])
-            type_spec = self._build_data_type(node.child("data_type"))
+                operand = self.build(operand_node)
+            type_spec = self._build_data_type(type_node)
             return ast.Cast(operand, type_spec.name, type_spec=type_spec)
         if head in _FUNCTION_HEADS:
             return self._build_head_function(node, tokens)
         if head == "NEXT":
             return ast.FunctionCall(
                 "NEXT VALUE FOR",
-                (ast.ColumnRef(self._chain(node.child("identifier_chain"))),),
+                (ast.ColumnRef(self._chain(node.node_children()[0])),),
             )
-        kids = node.node_children()
-        if kids and head is None:
-            return self.build(kids[0])
-        # keyword-headed form nobody claimed: refuse loudly instead of
+        # the node-only alternatives pass through, so a primary node here
+        # is keyword-headed; a form nobody claimed: refuse loudly instead of
         # silently returning the first operand (the statement degrades to
         # a GenericStatement upstream).
         raise NotImplementedError(f"primary with tokens {tokens!r}")
@@ -608,53 +643,49 @@ class AstBuilder:
         if head in _ZERO_ARG_HEADS:
             return ast.FunctionCall(head)
         if head == "EXTRACT":
-            field = node.child("extract_field").text().upper()
+            field, value = node.node_children()
             return ast.FunctionCall(
                 "EXTRACT",
-                (ast.Literal(field, "field"), self.build(node.child("value_expression"))),
+                (ast.Literal(field.text().upper(), "field"), self.build(value)),
             )
         if head == "TRIM":
-            operands = node.child("trim_operands")
+            operands = node.node_children()[0]
+            if operands.name != "trim_operands":  # TRIM(x) passes through
+                return ast.FunctionCall("TRIM", (self.build(operands),))
             exprs: tuple[ast.Expression, ...] = tuple(
-                self.build(c) for c in operands.children_named("value_expression")
+                self.build(c) for c in _others(operands, "trim_specification")
             )
             spec = operands.child("trim_specification")
             if spec is not None:
                 exprs = (ast.Literal(spec.text().upper(), "trim_spec"), *exprs)
             return ast.FunctionCall("TRIM", exprs)
         if head in ("TRANSLATE", "CONVERT"):
+            value, name = node.node_children()
             return ast.FunctionCall(
-                head,
-                (
-                    self.build(node.child("value_expression")),
-                    ast.ColumnRef(self._chain(node.child("identifier_chain"))),
-                ),
-            )
-        if head == "GROUPING":
-            return ast.FunctionCall(
-                "GROUPING", (self.build(node.child("column_reference")),)
+                head, (self.build(value), ast.ColumnRef(self._chain(name)))
             )
         if head in ("CEILING", "CEIL"):
             head = "CEILING"
         if head in ("CHAR_LENGTH", "CHARACTER_LENGTH"):
             head = "CHAR_LENGTH"
-        exprs = tuple(
-            self.build(c) for c in node.children_named("value_expression")
-        )
+        # every node child is an argument (GROUPING's is a column reference)
+        exprs = tuple(self.build(c) for c in node.node_children())
         return ast.FunctionCall(head, exprs)
 
     def _build_general_value_expression(self, node: Node):
-        ref = ast.ColumnRef(self._chain(node.child("column_reference").child("identifier_chain")))
-        args_node = node.child("routine_args")
-        if args_node is None:
-            return ref
-        args = tuple(
-            self.build(c) for c in args_node.children_named("value_expression")
-        )
-        return ast.FunctionCall(".".join(ref.parts).upper(), args)
+        # without routine_args the node passes through to its reference
+        name, args_node = node.node_children()
+        args = tuple(self.build(c) for c in args_node.node_children())
+        return ast.FunctionCall(".".join(self._chain(name)).upper(), args)
 
-    def _build_column_reference(self, node: Node):
-        return ast.ColumnRef(self._chain(node.child("identifier_chain")))
+    # column_reference and general_value_expression pass through: a
+    # column reference arrives as its identifier or identifier chain
+
+    def _build_identifier(self, node: Node):
+        return ast.ColumnRef((_identifier(node),))
+
+    def _build_identifier_chain(self, node: Node):
+        return ast.ColumnRef(self._chain(node))
 
     def _build_unsigned_literal(self, node: Node):
         token = next(iter(node.tokens()))
@@ -681,47 +712,47 @@ class AstBuilder:
             return ast.Literal(value, kind.lower())
         if kind == "INTERVAL":
             value = node.token("STRING_LITERAL").text[1:-1].replace("''", "'")
-            qualifier = node.child("interval_qualifier").text().upper()
+            qualifier = node.node_children()[0].text().upper()
             return ast.Literal(f"{value} {qualifier}", "interval")
         raise NotImplementedError(f"literal token {kind!r}")
 
     def _build_case_expression(self, node: Node):
         tokens = _token_texts(node)
         if "NULLIF" in tokens:
-            a, b = [self.build(c) for c in node.children_named("value_expression")]
+            a, b = [self.build(c) for c in node.node_children()]
             return ast.FunctionCall("NULLIF", (a, b))
         if "COALESCE" in tokens:
             return ast.FunctionCall(
-                "COALESCE",
-                tuple(self.build(c) for c in node.children_named("value_expression")),
+                "COALESCE", tuple(self.build(c) for c in node.node_children())
             )
         operand = None
         whens = []
-        cve = node.child("common_value_expression")
-        if cve is not None:
-            operand = self.build(cve)
+        first = node.node_children()[0]
+        if first.name not in ("simple_when_clause", "searched_when_clause"):
+            operand = self.build(first)
         for when in node.children_named("simple_when_clause"):
-            condition = self.build(when.child("common_value_expression"))
-            whens.append((condition, self._case_result(when.child("case_result"))))
+            condition, result = when.node_children()
+            whens.append((self.build(condition), self._case_result(result)))
         for when in node.children_named("searched_when_clause"):
-            condition = self.build(when.child("search_condition"))
-            whens.append((condition, self._case_result(when.child("case_result"))))
+            condition, result = when.node_children()
+            whens.append((self.build(condition), self._case_result(result)))
         else_result = None
         else_node = node.child("else_clause")
         if else_node is not None:
-            else_result = self._case_result(else_node.child("case_result"))
+            else_result = self._case_result(else_node.node_children()[0])
         return ast.CaseExpr(operand, tuple(whens), else_result)
 
     def _case_result(self, node: Node):
-        if node.has_token("NULL"):
+        # a case_result node survives only as its NULL alternative
+        if node.name == "case_result":
             return ast.NULL
-        return self.build(node.node_children()[0])
+        return self.build(node)
 
     def _build_aggregate_function(self, node: Node):
         filter_condition = None
         fc = node.child("filter_clause")
         if fc is not None:
-            filter_condition = self.build(fc.child("search_condition"))
+            filter_condition = self.build(fc.node_children()[0])
         if node.has_token("ASTERISK"):
             return ast.AggregateCall(
                 "COUNT", None, filter_condition=filter_condition
@@ -731,27 +762,29 @@ class AstBuilder:
         quant_node = node.child("aggregate_quantifier")
         if quant_node is not None:
             quantifier = quant_node.text().upper()
+        value = _others(
+            node, "set_function_type", "aggregate_quantifier", "filter_clause"
+        )[0]
         return ast.AggregateCall(
             function,
-            self.build(node.child("value_expression")),
+            self.build(value),
             quantifier=quantifier,
             filter_condition=filter_condition,
         )
 
     def _build_window_function(self, node: Node):
-        wft = node.child("window_function_type")
-        if wft.child("aggregate_function") is not None:
-            function = self.build(wft.child("aggregate_function"))
+        wft, target = node.node_children()
+        if wft.name == "aggregate_function":  # window_function_type passed
+            function = self.build(wft)
         else:
-            args = wft.children_named("value_expression")  # NTILE's bucket count
+            args = wft.node_children()  # NTILE's bucket count
             function = ast.FunctionCall(
                 _token_texts(wft)[0], tuple(self.build(a) for a in args)
             )
-        target = node.child("window_name_or_spec")
-        spec_node = target.child("window_specification")
+        # window_name_or_spec passes through to a name or a specification
         window: str | ast.WindowSpec
-        if spec_node is not None:
-            window = self._build_window_spec(spec_node)
+        if target.name == "window_specification":
+            window = self._build_window_spec(target)
         else:
             window = target.text()
         return ast.WindowCall(function=function, window=window)
@@ -762,38 +795,38 @@ class AstBuilder:
     # -- DML --------------------------------------------------------------------
 
     def _build_insert_statement(self, node: Node) -> ast.Insert:
-        table = self._chain(node.child("table_name"))
-        source_node = node.child("insert_columns_and_source")
-        columns = self._column_list(source_node.child("column_list"))
+        name, source_node = node.node_children()
+        table = self._chain(name)
+        columns: tuple[str, ...] = ()
         overriding = None
-        oc = source_node.child("overriding_clause")
-        if oc is not None:
-            overriding = "USER" if oc.has_token("USER") else "SYSTEM"
-        if source_node.has_token("DEFAULT"):
-            return ast.Insert(table, columns, None, overriding=overriding)
-        tvc = source_node.child("table_value_constructor")
-        if tvc is not None:
+        source = source_node
+        if source_node.name == "insert_columns_and_source":
+            # else it passed through to its table value constructor or query
+            columns = self._column_list(source_node.child("column_list"))
+            oc = source_node.child("overriding_clause")
+            if oc is not None:
+                overriding = "USER" if oc.has_token("USER") else "SYSTEM"
+            if source_node.has_token("DEFAULT"):
+                return ast.Insert(table, columns, None, overriding=overriding)
+            source = source_node.node_children()[-1]
+        if source.name == "table_value_constructor":
             return ast.Insert(
                 table,
                 columns,
-                self._build_table_value_constructor(tvc),
+                self._build_table_value_constructor(source),
                 overriding=overriding,
             )
-        return ast.Insert(
-            table,
-            columns,
-            self.build(source_node.child("query_expression")),
-            overriding=overriding,
-        )
+        return ast.Insert(table, columns, self._query(source), overriding=overriding)
 
     def _build_update_statement(self, node: Node) -> ast.Update:
         where = None
         wc = node.child("where_clause")
         if wc is not None:
-            where = self.build(wc.child("search_condition"))
+            where = self.build(wc.node_children()[0])
+        name, clauses = node.node_children()[:2]
         return ast.Update(
-            table=self._chain(node.child("table_name")),
-            assignments=self._assignments(node.child("set_clause_list")),
+            table=self._chain(name),
+            assignments=self._assignments(clauses),
             where=where,
             current_of=self._current_of(node),
         )
@@ -806,49 +839,48 @@ class AstBuilder:
 
     def _assignments(self, node: Node) -> tuple:
         result = []
-        for clause in node.children_named("set_clause"):
-            column = clause.child("column_name").text()
-            source = clause.child("update_source")
-            if source.has_token("DEFAULT"):
-                result.append((column, ast.Default()))
-            elif source.has_token("NULL"):
-                result.append((column, ast.NULL))
+        for clause in _items(node, "set_clause_list"):
+            column, source = clause.node_children()
+            # an update_source node survives only as DEFAULT or NULL
+            if source.name != "update_source":
+                result.append((column.text(), self.build(source)))
+            elif source.has_token("DEFAULT"):
+                result.append((column.text(), ast.Default()))
             else:
-                result.append((column, self.build(source.node_children()[0])))
+                result.append((column.text(), ast.NULL))
         return tuple(result)
 
     def _build_delete_statement(self, node: Node) -> ast.Delete:
         where = None
         wc = node.child("where_clause")
         if wc is not None:
-            where = self.build(wc.child("search_condition"))
+            where = self.build(wc.node_children()[0])
         return ast.Delete(
-            self._chain(node.child("table_name")),
+            self._chain(node.node_children()[0]),
             where,
             current_of=self._current_of(node),
         )
 
     def _build_merge_statement(self, node: Node) -> ast.Merge:
-        alias = None
-        corr = node.child("merge_correlation")
-        if corr is not None:
-            alias = corr.child("identifier").text()
+        # table name, merge_correlation?, table reference, condition
+        head = _others(node, "merge_operation")
+        alias = _name(head[1]) if len(head) == 4 else None
         matched: tuple = ()
         nm_columns: tuple[str, ...] = ()
         nm_values = None
         for op in node.children_named("merge_operation"):
-            if op.child("set_clause_list") is not None:
-                matched = self._assignments(op.child("set_clause_list"))
+            if op.has_token("UPDATE"):
+                matched = self._assignments(op.node_children()[0])
             else:
                 nm_columns = self._column_list(op.child("column_list"))
                 nm_values = self._build_table_value_constructor(
                     op.child("table_value_constructor")
                 )
         return ast.Merge(
-            target=self._chain(node.child("table_name")),
+            target=self._chain(head[0]),
             target_alias=alias,
-            source=self._build_table_reference(node.child("table_reference")),
-            condition=self.build(node.child("search_condition")),
+            source=self._build_table_reference(head[-2]),
+            condition=self.build(head[-1]),
             matched_assignments=matched,
             not_matched_columns=nm_columns,
             not_matched_values=nm_values,
@@ -859,14 +891,13 @@ class AstBuilder:
     def _build_table_definition(self, node: Node) -> ast.CreateTable:
         columns = []
         constraints = []
-        for element in node.child("table_element_list").children_named("table_element"):
-            cd = element.child("column_definition")
-            if cd is not None:
-                columns.append(self._build_column_definition(cd))
+        name, elements = _others(node, "table_scope", "on_commit_clause")
+        # table_element passes through to a column or constraint definition
+        for element in _items(elements, "table_element_list"):
+            if element.name == "column_definition":
+                columns.append(self._build_column_definition(element))
             else:
-                constraints.append(
-                    self._build_table_constraint(element.child("table_constraint"))
-                )
+                constraints.append(self._build_table_constraint(element))
         scope = None
         scope_node = node.child("table_scope")
         if scope_node is not None:
@@ -876,7 +907,7 @@ class AstBuilder:
         if oc is not None:
             on_commit = "preserve" if oc.has_token("PRESERVE") else "delete"
         return ast.CreateTable(
-            name=self._chain(node.child("table_name")),
+            name=self._chain(name),
             columns=tuple(columns),
             constraints=tuple(constraints),
             scope=scope,
@@ -887,11 +918,12 @@ class AstBuilder:
         default = None
         dc = node.child("default_clause")
         if dc is not None:
-            option = dc.child("default_option")
-            if option.has_token("NULL"):
+            option = dc.node_children()[0]
+            # a default_option node survives only as its NULL alternative
+            if option.name == "default_option":
                 default = ast.NULL
             else:
-                default = self.build(option.node_children()[0])
+                default = self.build(option)
         not_null = primary = unique = False
         references = None
         check = None
@@ -904,15 +936,15 @@ class AstBuilder:
             elif "UNIQUE" in tokens:
                 unique = True
             elif "REFERENCES" in tokens:
-                references = self._chain(constraint.child("table_name"))
+                references = self._chain(constraint.node_children()[0])
             elif "CHECK" in tokens:
-                check = self.build(constraint.child("search_condition"))
+                check = self.build(constraint.node_children()[0])
         identity = None
         id_node = node.child("identity_spec")
         if id_node is not None:
             identity = "always" if id_node.has_token("ALWAYS") else "by default"
         return ast.ColumnDef(
-            name=node.child("column_name").text(),
+            name=node.node_children()[0].text(),
             type=self._build_data_type(node.child("data_type")),
             default=default,
             not_null=not_null,
@@ -938,7 +970,7 @@ class AstBuilder:
             return ast.TableConstraint(
                 kind="foreign key",
                 columns=self._column_list(column_lists[0]),
-                references_table=self._chain(node.child("table_name")),
+                references_table=self._chain(node.node_children()[1]),
                 references_columns=(
                     self._column_list(column_lists[1])
                     if len(column_lists) > 1
@@ -949,7 +981,7 @@ class AstBuilder:
             )
         if "CHECK" in tokens:
             return ast.TableConstraint(
-                kind="check", check=self.build(node.child("search_condition"))
+                kind="check", check=self.build(node.node_children()[0])
             )
         kind = "primary key" if "PRIMARY" in tokens else "unique"
         return ast.TableConstraint(
@@ -993,10 +1025,11 @@ class AstBuilder:
         return ast.TypeSpec(name=name, parameters=params, text=node.text())
 
     def _build_view_definition(self, node: Node) -> ast.CreateView:
+        name, query = _others(node, "column_list", "check_option")
         return ast.CreateView(
-            name=self._chain(node.child("table_name")),
+            name=self._chain(name),
             columns=self._column_list(node.child("column_list")),
-            query=self.build(node.child("query_expression")),
+            query=self._query(query),
             recursive=node.has_token("RECURSIVE"),
             check_option=node.child("check_option") is not None,
         )
@@ -1022,7 +1055,7 @@ class AstBuilder:
         if bh is not None:
             behavior = bh.text().lower()
         return ast.DropStatement(
-            kind=kind, name=self._chain(node.child("table_name")), behavior=behavior
+            kind=kind, name=self._chain(node.node_children()[0]), behavior=behavior
         )
 
     # -- transactions ---------------------------------------------------------------
@@ -1046,28 +1079,27 @@ class AstBuilder:
     # -- helpers ---------------------------------------------------------------------
 
     def _subquery(self, table_subquery: Node) -> ast.Query:
-        return self.build(table_subquery.child("query_expression"))
+        return self._query(table_subquery.node_children()[0])
+
+    def _query(self, node: Node) -> ast.Query:
+        """A query position: ``query_expression``, or the body it passed to."""
+        built = self.build(node)
+        if isinstance(built, ast.Query):
+            return built
+        return ast.Query(body=built)
 
     def _chain(self, name_node: Node) -> tuple[str, ...]:
-        chain = name_node
-        if chain.name != "identifier_chain":
-            chain = name_node.child("identifier_chain") or name_node
-        parts = []
-        for ident in chain.children_named("identifier"):
-            token = next(iter(ident.tokens()))
-            text = token.text
-            if token.type == "QUOTED_IDENTIFIER":
-                parts.append(text[1:-1].replace('""', '"'))
-            else:
-                parts.append(text)
-        if not parts:  # bare identifier node (e.g. column_name)
-            parts = [name_node.text()]
-        return tuple(parts)
+        """The parts of a name position: an ``identifier_chain``, or the
+        one ``identifier`` it passed through to."""
+        if name_node.name == "identifier":
+            return (_identifier(name_node),)
+        return tuple(_identifier(i) for i in name_node.children_named("identifier"))
 
     def _column_list(self, node: Node | None) -> tuple[str, ...]:
         if node is None:
             return ()
-        return tuple(c.text() for c in node.children_named("column_name"))
+        # column_name passes through: the items are identifiers
+        return tuple(c.text() for c in node.node_children())
 
 
 #: Rule name -> builder, collected once from the ``_build_*`` methods so

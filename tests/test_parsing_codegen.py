@@ -25,6 +25,10 @@ from repro.parsing import (
     load_generated_parser,
 )
 
+from repro.errors import ScanError
+from repro.sql import build_dialect, dialect_names
+from repro.workloads import generate_workload
+
 from tests.test_parsing_parser import TINY_SQL, tiny_tokens
 
 
@@ -142,6 +146,56 @@ class TestGeneratedEdgeCases:
         mod = load_generated_parser(generate_parser_source(g))
         with pytest.raises(mod.ParseError):
             mod.parse("@")
+
+
+class TestExportScanner:
+    """The export's inline scanner reads text as the served scanner does.
+
+    It embeds the fast pattern (one match per token, positions from
+    offsets) and keeps the master-pattern loop for the precise error.
+    """
+
+    SCRIPT = (
+        "SELECT a, -- the first key\n"
+        "  b /* a comment\n  over two lines */ FROM t\n"
+        "\n"
+        "WHERE a = 'x'; -- trailing\n"
+        "SELECT c FROM u /* last */"
+    )
+
+    @pytest.fixture(scope="class", params=dialect_names())
+    def pair(self, request):
+        product = build_dialect(request.param)
+        source = generate_parser_source(product.grammar, program=product.program())
+        return request.param, product.parser().scanner, load_generated_parser(source)
+
+    @staticmethod
+    def fields(tokens):
+        return [(t.type, t.text, t.line, t.column, t.offset) for t in tokens]
+
+    def test_tokens_match_the_served_scanner(self, pair):
+        dialect, scanner, module = pair
+        texts = generate_workload(dialect, 40, seed=3) + generate_workload(
+            dialect, 20, seed=3, mode="coverage"
+        )
+        for text in texts + [self.SCRIPT, "", " \n\t "]:
+            assert self.fields(module._scan(text)) == self.fields(
+                scanner.scan(text)
+            ), text
+
+    @pytest.mark.parametrize(
+        "text", ["SELECT a\n  FROM t WHERE @ = 1", "SELECT a /* x\n */ `", "\n\n  #"]
+    )
+    def test_unmatchable_character_raises_at_the_same_place(self, pair, text):
+        _, scanner, module = pair
+        with pytest.raises(ScanError) as served:
+            scanner.scan(text)
+        with pytest.raises(module.ScanError) as exported:
+            module.parse(text)
+        assert (exported.value.line, exported.value.column) == (
+            served.value.line,
+            served.value.column,
+        )
 
 
 # the directory holding the repro package under test

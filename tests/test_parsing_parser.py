@@ -59,7 +59,8 @@ class TestBasicParsing:
     def test_minimal_query(self, parser):
         tree = parser.parse("SELECT a FROM t")
         assert tree.name == "query"
-        assert tree.child("select_list") is not None
+        # a select list of one column passes through to the column
+        assert tree.child("column").text() == "a"
         assert tree.child("table_name").text() == "t"
 
     def test_star_select(self, parser):

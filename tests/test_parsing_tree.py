@@ -6,6 +6,11 @@ child list.  These tests pin what that must not change: every backend
 builds such nodes, equality is between nodes only, an empty node is
 truthy, nodes are unhashable, the constructor copies, and pickle/copy
 give back nodes at every level.
+
+A rule activation whose children are exactly one node leaves that node
+in its parent instead of wrapping it; the root is always the start
+rule's node, and a node over a lone token is kept.  ``TestPassThrough``
+pins that for every producer.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import pytest
 
 from repro.lexer.token import Token
 from repro.parsing import (
+    CoverageMap,
     backend_names,
     generate_parser_source,
     get_backend,
@@ -200,7 +206,9 @@ class TestConstruction:
         assert select_list[1] is comma
         assert comma == Token("COMMA", ",", 1, 9, 8)
         assert select_list.node_children() == [first, second]
-        assert select_list.children_named("select_sublist") == [first, second]
+        # select_sublist passes through: the items are their expressions
+        assert select_list.children_named("identifier") == [first]
+        assert select_list.children_named("additive_expression") == [second]
 
 
 def _pickled(protocol):
@@ -237,3 +245,84 @@ class TestRoundTrips:
         assert all(a is b for a, b in zip(shallow, full_tree))
         deep = copy.deepcopy(full_tree)
         assert all(a is not b for a, b in zip(deep, full_tree))
+
+
+def _wrappers(tree):
+    """The nodes below the root whose children are exactly one node."""
+    node_class = type(tree)
+    return [
+        node
+        for node in _nodes(tree)
+        if node is not tree and len(node) == 1 and isinstance(node[0], node_class)
+    ]
+
+
+def _broken(sql: str) -> str:
+    """``sql`` with a stray ``)`` after its first word: a syntax error."""
+    head, _, tail = sql.partition(" ")
+    return f"{head} ) {tail}"
+
+
+class TestPassThrough:
+    """No producer keeps a node that only wraps another node."""
+
+    @pytest.fixture(scope="class")
+    def guided(self, preset):
+        dialect = preset[0]
+        return generate_workload(dialect, SAMPLE_SIZE, seed=SAMPLE_SEED, mode="coverage")
+
+    def test_every_backend_and_entry_point(self, preset, guided):
+        dialect, parsers, sample = preset
+        start = parsers["interpreter"].grammar.start
+        program = parsers["interpreter"].program
+        for sql in sample + guided:
+            reference = parsers["interpreter"].parse(sql)
+            for name, parser in parsers.items():
+                tree = parser.parse(sql)
+                assert tree.name == start, (dialect, name, sql)
+                assert not _wrappers(tree), (dialect, name, sql)
+                assert tree.to_sexpr() == reference.to_sexpr(), (dialect, name, sql)
+                if name == "generated":
+                    continue
+                tokens = parser.scanner.scan(sql)
+                assert parser.parse_tokens(tokens) == reference
+                counted = parser.parse(sql, coverage=CoverageMap(program).collector())
+                assert counted == reference, (dialect, name, sql)
+                outcome = parser.parse_with_diagnostics(sql)
+                assert outcome.ok and outcome.tree == reference, (dialect, name, sql)
+
+    def test_recovery_partial_trees(self, preset, guided):
+        dialect, parsers, sample = preset
+        start = parsers["interpreter"].grammar.start
+        program = parsers["interpreter"].program
+        for sql in sample + guided:
+            text = _broken(sql)
+            reference = parsers["interpreter"].parse_with_diagnostics(text).tree
+            for name in ("compiled", "interpreter"):
+                parser = parsers[name]
+                for coverage in (None, CoverageMap(program).collector()):
+                    outcome = parser.parse_with_diagnostics(text, coverage=coverage)
+                    assert not outcome.ok
+                    tree = outcome.tree
+                    assert tree.name == start, (dialect, name, text)
+                    assert not _wrappers(tree), (dialect, name, text)
+                    assert tree == reference, (dialect, name, text)
+
+    def test_a_start_override_keeps_its_root(self, preset):
+        dialect, parsers, _ = preset
+        for name, parser in parsers.items():
+            tree = parser.parse("a = 1", start="search_condition")
+            # search_condition always passes through: the root re-wraps
+            assert tree.name == "search_condition", (dialect, name)
+            assert [c.name for c in tree] == ["predicate"]
+            assert not _wrappers(tree)
+
+    def test_the_shape_of_a_minimal_query(self, preset):
+        dialect, parsers, _ = preset
+        for name, parser in parsers.items():
+            # a lone token keeps its node; a lone node is left in place
+            assert parser.parse("SELECT a FROM t").to_sexpr() == (
+                "(sql_script (query_specification SELECT (identifier a)"
+                " (from_clause FROM (identifier t))))"
+            ), (dialect, name)
+

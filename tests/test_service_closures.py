@@ -194,16 +194,20 @@ class TestCompiledServing:
         snap = service.metrics.snapshot()
         assert snap["latency"]["parse_compiled"]["count"] == 1
 
-    def test_coverage_runs_on_the_compiled_backend(self):
+    def test_coverage_runs_on_the_interpreter(self):
+        # the interpreter counts coverage for both backends, so a
+        # counting call runs there and times into its series
         registry = make_registry()
         service = ParseService(registry=registry)
         entry = registry.get(FEATURES)
         collector = entry.coverage_collector()
         result = service.parse(ACCEPTED, FEATURES, coverage=collector)
-        assert result.ok
+        assert result.ok and result.degraded == ()
         assert sum(collector.rules) > 0
         snap = service.metrics.snapshot()
-        assert snap["latency"]["parse_compiled"]["count"] == 1
+        assert snap["latency"]["parse_interpreter"]["count"] == 1
+        assert snap["latency"]["parse_compiled"]["count"] == 0
+        assert service.metrics.counter("degraded_backend") == 0
 
     def test_stats_render_shows_backend_and_series(self):
         registry = make_registry()

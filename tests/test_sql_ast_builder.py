@@ -9,11 +9,14 @@ class in the test name.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.lexer import Token
 from repro.parsing import Node
 from repro.sql import ast, build_ast, build_dialect
+from repro.workloads import generate_workload
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +281,33 @@ class TestDispatch:
         for _ in range(2):
             with pytest.raises(NotImplementedError, match="'mystery_rule'"):
                 build_ast(tree)
+
+
+class TestAstPins:
+    """The AST of every preset workload, pinned by digest.
+
+    60 template and 60 coverage-guided queries per preset, built from
+    the interpreter's trees.  A change to the parse-tree shape or to the
+    builder must leave every AST as it was; a digest that moves means
+    some query now builds a different AST (diff two checkouts'
+    ``repr(build_ast(...))`` per query to find it).
+    """
+
+    DIGESTS = {
+        "scql": "106e0d338dc02585c180db3475361642",
+        "tinysql": "33a6adb7dec83131c3b89e543c9f74f7",
+        "core": "f604369a903c972a7577f02a43ccd753",
+        "analytics": "a731d9233b4cb040cd35ea0af6f00204",
+        "full": "3b9ddf25e03087c6ef166e3c2c7ebd89",
+    }
+
+    @pytest.mark.parametrize("dialect", ["scql", "tinysql", "core", "analytics", "full"])
+    def test_preset_asts_are_pinned(self, dialect):
+        parser = build_dialect(dialect).parser()
+        queries = generate_workload(dialect, 60, seed=7) + generate_workload(
+            dialect, 60, seed=7, mode="coverage"
+        )
+        digest = hashlib.blake2b(digest_size=16)
+        for sql in queries:
+            digest.update(repr(build_ast(parser.parse(sql))).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGESTS[dialect]
