@@ -12,7 +12,7 @@ composing these features."  This CLI is that interface, terminal-flavoured::
     python -m repro.cli compose Where GroupBy -q "SELECT a FROM t WHERE b = 1"
     python -m repro.cli compose --dialect core --emit core_parser.py
     python -m repro.cli shell core               # interactive SQL shell
-    python -m repro.cli sample tinysql -n 5      # random sentences
+    python -m repro.cli sample tinysql -n 5      # coverage-guided sentences
     python -m repro.cli ir --dialect tinysql     # compiled parse-program IR
     python -m repro.cli stats --warm core        # parse-service cache metrics
     python -m repro.cli conformance --json       # corpus, every backend
@@ -37,7 +37,7 @@ from .diagnostics import render_diagnostic, render_diagnostics
 from .engine import Database
 from .errors import InvalidConfigurationError, ReproError
 from .features import render_feature
-from .parsing import SentenceGenerator, backend_names, generate_parser_source
+from .parsing import backend_names, generate_parser_source
 from .service import ParseService
 from .sql import (
     build_dialect,
@@ -46,6 +46,7 @@ from .sql import (
     dialect_names,
     sql_registry,
 )
+from .workloads import CoverageGuidedGenerator
 
 _WORKED_EXAMPLE_BASE = ["QuerySpecification", "SelectSublist"]
 
@@ -222,8 +223,8 @@ def _cmd_ir(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     product = _resolve_product(args)
-    generator = SentenceGenerator(product.grammar, seed=args.seed)
-    for sentence in generator.sentences(args.count):
+    generator = CoverageGuidedGenerator(product, seed=args.seed)
+    for sentence in generator.generate(args.count):
         print(sentence)
     return 0
 
@@ -295,7 +296,6 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         load_corpus,
     )
     from .conformance.runner import INTERPRETER
-    from .workloads.guided import CoverageGuidedGenerator
 
     corpus = load_corpus(args.corpus)
     runner = ConformanceRunner(
@@ -313,10 +313,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         inputs = len(corpus.for_dialect(dialect))
         if not args.no_generate:
             generator = CoverageGuidedGenerator(
-                product,
-                program=runner.programs[dialect],
-                collector=collector,
-                seed=args.seed,
+                product, collector=collector, seed=args.seed
             )
             inputs += len(generator.generate_until_dry())
         reports.append(CoverageReport.of(product, collector, inputs=inputs))
@@ -531,7 +528,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          "of the IR listing")
     ir.set_defaults(fn=_cmd_ir)
 
-    sample = sub.add_parser("sample", help="random sentences of a dialect")
+    sample = sub.add_parser("sample", help="coverage-guided sentences")
     sample.add_argument("dialect", choices=dialect_names())
     sample.add_argument("-n", "--count", type=int, default=10)
     sample.add_argument("--seed", type=int, default=0)

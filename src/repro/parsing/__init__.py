@@ -11,6 +11,8 @@ Public API::
         ParseBackend, get_backend, backend_names,
         ClosureParser, ClosureProgram,
     )
+
+Sentences of a product come from :mod:`repro.workloads.guided`.
 """
 
 from .backends import (
@@ -41,7 +43,6 @@ from .program import (
     compile_program,
     program_fingerprint,
 )
-from .sentences import SentenceGenerator, generate_sentences
 from .tree import Node
 
 __all__ = [
@@ -64,11 +65,9 @@ __all__ = [
     "ParseOutcome",
     "ParseProgram",
     "Parser",
-    "SentenceGenerator",
     "backend_names",
     "compile_program",
     "generate_parser_source",
-    "generate_sentences",
     "get_backend",
     "load_generated_parser",
     "program_fingerprint",

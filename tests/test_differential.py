@@ -3,8 +3,9 @@
 All backends in the :mod:`repro.parsing.backends` registry —
 interpreter, closure-compiled, generated source — execute the *same*
 compiled :class:`~repro.parsing.program.ParseProgram`, so for every
-preset dialect, over a grammar-guided fuzz corpus (valid sentences,
-workload queries, and mutated/invalid inputs) they must agree exactly:
+preset dialect, over a grammar-guided fuzz corpus (valid sentences and
+one long script of them, workload queries, and mutated/invalid inputs)
+they must agree exactly:
 
 * on accepted inputs, identical s-expression parse trees;
 * on rejected inputs, identical error line/column and identical
@@ -19,11 +20,11 @@ import random
 
 import pytest
 
-from repro.parsing import SentenceGenerator, backend_names, get_backend
+from repro.parsing import backend_names, get_backend
 from repro.sql import build_dialect, dialect_names
 from repro.workloads.generator import generate_workload
 
-from tests.test_fuzz_recovery import GARBAGE, mutate
+from tests.test_fuzz_recovery import GARBAGE, as_script, mutate, valid_sentences
 
 SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
 ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "40"))
@@ -55,10 +56,11 @@ def backends(request):
     }
     rng = random.Random(SEED)
     corpus = list(generate_workload(dialect, 25, seed=11))
-    corpus += SentenceGenerator(product.grammar, seed=SEED).sentences(
-        ITERATIONS
-    )
+    valid = valid_sentences(product, SEED, ITERATIONS)
+    corpus += valid
     corpus += [mutate(s, rng) for s in corpus[:ITERATIONS]]
+    script = as_script(valid)  # one long input
+    corpus += [script, mutate(script, rng)]
     corpus += REJECTED_FIXED + GARBAGE
     return dialect, parsers, corpus
 

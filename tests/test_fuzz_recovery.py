@@ -1,14 +1,17 @@
 """Grammar-guided fuzzing of the diagnostics pipeline.
 
-Valid sentences are drawn from :class:`SentenceGenerator` and then
-mutated — tokens deleted, swapped, duplicated, the tail truncated,
-garbage injected — before being fed to ``parse_with_diagnostics``.  The
-pipeline's contract under fire:
+Valid sentences are drawn from the coverage-guided generator (until its
+coverage runs dry, and at least ``REPRO_FUZZ_ITERATIONS`` of them), and
+joined into one long script as well; then they are mutated — tokens
+deleted, swapped, duplicated, the tail truncated, garbage injected —
+before being fed to ``parse_with_diagnostics``.  The pipeline's contract
+under fire:
 
 * no uncaught exception, ever (crash-free pipeline);
 * termination within the fuel budget (no hangs);
 * every reported span lies inside the input;
-* valid (unmutated) sentences still parse clean.
+* valid (unmutated) sentences still parse clean, and the product
+  accepted every sentence the generator derived.
 
 The run is deterministic: set ``REPRO_FUZZ_SEED`` to explore another
 region of the input space, ``REPRO_FUZZ_ITERATIONS`` to scale the run
@@ -17,11 +20,12 @@ region of the input space, ``REPRO_FUZZ_ITERATIONS`` to scale the run
 
 import os
 import random
+import re
 
 import pytest
 
-from repro.parsing import SentenceGenerator
 from repro.sql import build_dialect
+from repro.workloads import CoverageGuidedGenerator
 
 SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
 ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "150"))
@@ -63,11 +67,43 @@ def check_outcome(parser, source: str) -> None:
         assert diag.span.end_line >= diag.span.line, (source, diag)
 
 
+#: The one known way a product rejects what its grammar derives (ROADMAP,
+#: "An alternative shadowed by ordered choice"): ``full``'s
+#: ``insert_columns_and_source`` commits to its VALUES alternative, so an
+#: INSERT whose source is a query expression that opens with VALUES and
+#: goes on with a set operator is rejected.
+SHADOWED_INSERT = re.compile(
+    r"\bINSERT INTO [^;]*?\bVALUES\b[^;]*?\b(UNION|EXCEPT|INTERSECT)\b"
+)
+
+
+def assert_accepted(generator) -> None:
+    """The product accepted every sentence the generator derived.  The
+    generator drops a rejected sentence, so this is where one shows."""
+    unexplained = [s for s in generator.rejected if not SHADOWED_INSERT.search(s)]
+    assert unexplained == [], f"{len(unexplained)} rejected, e.g. {unexplained[:2]}"
+
+
+def valid_sentences(product, seed: int, count: int) -> list[str]:
+    """Guided sentences of ``product``: until its coverage runs dry, and
+    at least ``count`` of them."""
+    generator = CoverageGuidedGenerator(product, seed=seed)
+    sentences = generator.generate_until_dry()
+    sentences += generator.generate(count - len(sentences))
+    assert_accepted(generator)
+    return sentences
+
+
+def as_script(sentences: list[str]) -> str:
+    """One long input: the sentences as the statements of one script."""
+    return " ; ".join(s.removesuffix(" ;") for s in sentences)
+
+
 def fuzz_corpus(dialect: str, count: int, seed: int):
     product = build_dialect(dialect)
-    generator = SentenceGenerator(product.grammar, seed=seed)
     rng = random.Random(seed * 7919 + 13)
-    sentences = generator.sentences(count)
+    sentences = valid_sentences(product, seed, count)
+    sentences.append(as_script(sentences))
     return product.parser(), [mutate(s, rng) for s in sentences]
 
 
@@ -82,11 +118,11 @@ class TestFuzzSmoke:
 
     def test_valid_sentences_parse_clean(self):
         product = build_dialect("core")
-        generator = SentenceGenerator(product.grammar, seed=SEED)
         parser = product.parser()
-        for sentence in generator.sentences(25):
+        sentences = valid_sentences(product, SEED, 25)
+        for sentence in sentences + [as_script(sentences)]:
             outcome = parser.parse_with_diagnostics(sentence)
-            assert outcome.ok, sentence
+            assert outcome.ok, sentence[:160]
 
     def test_pathological_inputs_never_crash(self):
         parser = build_dialect("core").parser()

@@ -1,16 +1,20 @@
-"""Sentence-generator round trips: the strongest whole-pipeline check.
+"""Sentence round trips: the strongest whole-pipeline check.
 
-For every preset dialect, random sentences derived from the composed
-grammar must be accepted by (a) the interpreting parser and (b) the
-generated standalone parser — and both must produce identical trees.
+For every preset dialect, the sentences the coverage-guided generator
+derives from the composed product, until its coverage runs dry, must be
+accepted by (a) the product itself (the generator keeps what its parse
+rejected in ``rejected``), (b) a freshly built interpreting parser and
+(c) the generated standalone parser — and (b) and (c) must produce
+identical trees.
 """
 
 import pytest
 
-from repro.parsing import SentenceGenerator, load_generated_parser
+from repro.parsing import load_generated_parser
 from repro.sql import build_dialect, dialect_names
+from repro.workloads import CoverageGuidedGenerator
 
-SENTENCES_PER_DIALECT = 40
+from tests.test_fuzz_recovery import assert_accepted
 
 
 @pytest.fixture(scope="module")
@@ -21,46 +25,32 @@ def products():
 @pytest.mark.parametrize("dialect", dialect_names())
 def test_generated_sentences_parse(products, dialect):
     product = products[dialect]
-    generator = SentenceGenerator(product.grammar, seed=17)
+    generator = CoverageGuidedGenerator(product, seed=17)
     parser = product.parser()
-    for sentence in generator.sentences(SENTENCES_PER_DIALECT):
+    for sentence in generator.generate_until_dry():
         assert parser.accepts(sentence), sentence[:160]
+    assert_accepted(generator)
 
 
 @pytest.mark.parametrize("dialect", ["scql", "tinysql", "core"])
 def test_interpreter_and_generated_parser_agree(products, dialect):
     product = products[dialect]
-    generator = SentenceGenerator(product.grammar, seed=23)
+    generator = CoverageGuidedGenerator(product, seed=23)
     parser = product.parser()
     module = load_generated_parser(product.generate_source(), f"agree_{dialect}")
-    for sentence in generator.sentences(SENTENCES_PER_DIALECT):
+    for sentence in generator.generate_until_dry():
         tree_a = parser.parse(sentence)
         tree_b = module.parse(sentence)
         assert tree_a.to_sexpr() == tree_b.to_sexpr(), sentence[:160]
-
-
-def test_generator_is_deterministic(products):
-    grammar = products["core"].grammar
-    first = SentenceGenerator(grammar, seed=5).sentences(10)
-    second = SentenceGenerator(grammar, seed=5).sentences(10)
-    assert first == second
-    assert SentenceGenerator(grammar, seed=6).sentences(10) != first
+    assert_accepted(generator)
 
 
 def test_generator_terminates_on_recursive_grammars(products):
     # the FULL grammar is deeply recursive (expressions, subqueries)
-    generator = SentenceGenerator(products["full"].grammar, seed=1, max_depth=25)
-    sentences = generator.sentences(10)
+    generator = CoverageGuidedGenerator(products["full"], seed=1)
+    sentences = generator.generate_until_dry()
     assert all(len(s) < 50_000 for s in sentences)
-
-
-def test_start_override():
-    product = build_dialect("core")
-    generator = SentenceGenerator(product.grammar, seed=2)
-    parser = product.parser()
-    for _ in range(10):
-        sentence = generator.sentence(start="search_condition")
-        assert parser.accepts(sentence, start="search_condition"), sentence[:120]
+    assert_accepted(generator)
 
 
 def test_full_dialect_generated_parser_smoke(products):

@@ -294,11 +294,11 @@ class TestAstPins:
     """
 
     DIGESTS = {
-        "scql": "106e0d338dc02585c180db3475361642",
-        "tinysql": "33a6adb7dec83131c3b89e543c9f74f7",
-        "core": "f604369a903c972a7577f02a43ccd753",
-        "analytics": "a731d9233b4cb040cd35ea0af6f00204",
-        "full": "3b9ddf25e03087c6ef166e3c2c7ebd89",
+        "scql": "9b0197877b6755f4bf6cbb635b9e9c85",
+        "tinysql": "47477aa8f881175b784079984d0c05d8",
+        "core": "f0b2d5575bd632f44178d2fd87ee7926",
+        "analytics": "ffd7e4e6cb4085a22f4c60b4c917e868",
+        "full": "6e8f796046e53b9784c83bae18cb8856",
     }
 
     @pytest.mark.parametrize("dialect", ["scql", "tinysql", "core", "analytics", "full"])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.product_line import ComposedProduct
 from repro.grammar import read_grammar
+from repro.grammar.validate import validate
 from repro.lexer import standard_skip_tokens
 from repro.lexer.spec import TokenSet, literal
 from repro.parsing.coverage import CoverageMap
@@ -16,6 +17,7 @@ from repro.workloads import (
     generate_workload,
     workload_dialects,
 )
+from repro.workloads.guided import MAX_SENTENCES
 
 
 @pytest.mark.parametrize("dialect", workload_dialects())
@@ -53,9 +55,13 @@ def test_unknown_mode_rejected():
 
 class TestCoverageGuidedMode:
     def test_coverage_workload_parses_in_own_dialect(self):
+        # the walk drops what its product rejects: the check is that it
+        # derived nothing to drop
+        generator = CoverageGuidedGenerator(build_dialect("core"), seed=7)
+        queries = generator.generate(60)
+        assert generator.rejected == []
+        assert queries == generate_workload("core", count=60, seed=7, mode="coverage")
         parser = build_dialect("core").parser()
-        queries = generate_workload("core", count=60, seed=7, mode="coverage")
-        assert len(queries) == 60
         rejected = [q for q in queries if not parser.accepts(q)]
         assert not rejected, f"{len(rejected)} rejected, e.g. {rejected[:3]}"
 
@@ -91,10 +97,8 @@ class TestCoverageGuidedMode:
     def test_generate_until_dry_converges(self):
         product = build_dialect("scql")
         generator = CoverageGuidedGenerator(product, seed=3)
-        sentences = generator.generate_until_dry(
-            batch=10, dry_batches=2, max_sentences=400
-        )
-        assert 0 < len(sentences) <= 400
+        sentences = generator.generate_until_dry()
+        assert 0 < len(sentences) < MAX_SENTENCES
         # the loop only stops once a window of batches stops paying off,
         # and by then the biased walk has entered every scql rule
         counts = generator.collector.counts()
@@ -108,12 +112,36 @@ class TestCoverageGuidedMode:
         parser = product.parser(program=program)
         parser.accepts("SELECT a FROM t", coverage=collector)
         seeded = collector.score()
-        generator = CoverageGuidedGenerator(
-            product, program=program, collector=collector, seed=1
-        )
+        generator = CoverageGuidedGenerator(product, collector=collector, seed=1)
         generator.generate(5)
         assert generator.collector is collector
         assert collector.score() >= seeded
+
+    def test_collector_over_an_equal_program(self):
+        # product.program() compiles a fresh, equal program on every call
+        product = build_dialect("core")
+        collector = CoverageMap(product.program()).collector()
+        generator = CoverageGuidedGenerator(product, collector=collector)
+        assert generator.program is collector.map.program
+        assert len(generator.generate(3)) == 3
+        assert collector.score() > 0
+
+
+@pytest.mark.parametrize("dialect", dialect_names())
+def test_until_dry_covers_every_reachable_point(dialect):
+    """At seed 0 the walk enters every rule the start rule reaches and
+    takes every alternative and every edge.  (A point it cannot reach
+    would be listed here by its CoverageMap label, with the reason; no
+    preset has one.)"""
+    product = build_dialect(dialect)
+    generator = CoverageGuidedGenerator(product, seed=0)
+    generator.generate_until_dry()
+    collector = generator.collector
+    assert collector.uncovered_rules() == validate(product.grammar).unreachable_rules
+    assert [
+        f"{point.label}#{offset}"
+        for point, offset in collector.uncovered_alternatives()
+    ] + [f"{point.label}:{edge}" for point, edge in collector.uncovered_edges()] == []
 
 
 def hand_built(text):
@@ -161,5 +189,37 @@ class TestNonProductiveRules:
                 ):
                     digest.update(query.encode() + b"\n")
         assert digest.hexdigest() == (
-            "4a1f1951a34fde3fcf7e66ea0c539cc80afb03f26be75af9d5b0d9c55e2f6652"
+            "1f4f21a25edf8364a70a2e649dc85eab8c3e6c20c62207c6f8493efd241c29ef"
         )
+
+
+class TestRejectedSentences:
+    """The product's verdict is final: a sentence it rejects is never
+    returned and counts nothing."""
+
+    SHADOWED = "s : x | x B ; x : A ;"
+
+    def test_shadowed_alternative_is_never_returned(self):
+        # alternative 0 captures "a", so "a b" is rejected and
+        # alternative 1 never counts
+        product = hand_built(self.SHADOWED)
+        assert coverage_guided_workload(product, 10, seed=1) == ["a"] * 10
+
+    def test_until_dry_stops_aiming_at_a_shadowed_alternative(self):
+        generator = CoverageGuidedGenerator(hand_built(self.SHADOWED), seed=1)
+        sentences = generator.generate_until_dry()
+        assert set(sentences) == {"a"}
+        assert len(sentences) < MAX_SENTENCES
+        assert generator.collector.alts == [len(sentences), 0]
+        assert set(generator.rejected) == {"a b"}
+
+    def test_a_point_past_the_failure_is_still_aimed_at(self):
+        # "a b a" aims at x's shadowed alternative, then at y's taken
+        # edge; its parse fails at "b", so the edge was never tested:
+        # the alternative is struck, the edge is aimed at again
+        generator = CoverageGuidedGenerator(
+            hand_built("s : x y? ; x : A | A B ; y : A ;"), seed=0
+        )
+        assert generator.generate(1) == ["a a"]
+        assert generator.rejected == ["a b a"]
+        assert generator.collector.taken == [1]
