@@ -1,14 +1,14 @@
-"""Coverage instrumentation overhead on the interpreting parser.
+"""Coverage counting overhead on the interpreting parser.
 
-The design claim: instrumentation is pay-for-use.  Coverage is a
-per-call argument (``coverage=``): an instrumented call runs
-``_exec_cov`` on that call's own state, and a call without a collector
-runs the plain ``_exec`` path, with no per-instruction coverage branch.
-So heavy instrumented use must leave no cost behind on the *same*
-shared parser — the default path must stay within noise of the
-pre-coverage baseline (< 3% on the E11 service benchmarks) — and
-opting in must keep parsing the dominant term.  This module measures
-both.
+The design claim: counting is pay-for-use.  Coverage is a per-call
+argument (``coverage=``) that rides on the call's own state, and plain
+and counting calls walk the same ``_exec``: a counting call counts each
+decision where the walk commits to it, and a plain call pays one
+``s.cov`` test per such decision and nothing per instruction.  So heavy
+counting use must leave no cost behind on the *same* shared parser —
+the default path must stay within noise of the pre-coverage baseline
+(< 3% on the E11 service benchmarks) — and opting in must keep parsing
+the dominant term.  This module measures both.
 """
 
 import gc

@@ -42,10 +42,10 @@ def test_lint_overhead_vs_cold_compose():
     compose_seconds = _timed(cold_compose)
 
     product = build_sql_product_line().configure(features)
-    program = product.program()  # compiled once; lint reuses it via cache
+    product.program()  # compiled once; lint reuses the product's program
 
     def lint():
-        return analyze_product(product, program=program)
+        return analyze_product(product)
 
     lint_seconds = _timed(lint)
 
@@ -62,8 +62,8 @@ def test_lint_overhead_vs_cold_compose():
 
 def test_bench_analyze_product(benchmark):
     product = build_sql_product_line().configure(dialect_features("full"))
-    program = product.program()
-    report = benchmark(lambda: analyze_product(product, program=program))
+    product.program()
+    report = benchmark(lambda: analyze_product(product))
     assert report.target == product.name
 
 

@@ -63,7 +63,7 @@ def test_warm_parse_overhead_under_five_percent():
             assert result.ok
 
         def baseline():
-            # what _serve_request did before the hardening: registry
+            # what serving a request did before the hardening: registry
             # hit, per-thread parser, timed interpreter parse, error
             # accounting, result construction — and nothing else
             entry, warm = service.registry.acquire(features)

@@ -44,7 +44,6 @@ from .grammar import Grammar, read_grammar, write_grammar
 from .parsing import Parser, generate_parser_source, load_generated_parser
 from .service import (
     Fingerprint,
-    ParseRequest,
     ParseService,
     ParseServiceResult,
     ParserRegistry,
@@ -74,7 +73,6 @@ __all__ = [
     "Grammar",
     "GrammarComposer",
     "GrammarProductLine",
-    "ParseRequest",
     "ParseService",
     "ParseServiceResult",
     "Parser",

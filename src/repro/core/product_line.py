@@ -56,15 +56,17 @@ class ComposedProduct:
         is a keyword of an unselected feature's sub-grammar, the
         diagnostic says "enable feature 'X'".
 
-        ``program`` lets a caller that already compiled this product's
-        parse program (the service registry) share it instead of
-        recompiling.
+        The parser runs :meth:`program`, and shares :attr:`analysis` for
+        its LL(1) table, unless ``program`` hands it another compiled
+        program of this grammar (one loaded from an artifact, say).
         """
         from ..parsing.parser import Parser
 
+        own = program is None
         return Parser(self.grammar, strict=strict,
                       hint_provider=self.hint_provider() if hints else None,
-                      program=program)
+                      program=self.program() if own else program,
+                      analysis=self.analysis if own else None)
 
     @cached_property
     def analysis(self):
@@ -78,24 +80,34 @@ class ComposedProduct:
 
         return GrammarAnalysis(self.grammar)
 
-    def program(self, analysis=None):
-        """Compile this product's parse-program IR.
+    def program(self):
+        """This product's parse-program IR, compiled on the first call.
 
         The program is the single compiled semantics source shared by the
         interpreting parser, the code generator, and the service cache;
         the product's fingerprint digest is embedded for cache validation.
-        Without ``analysis`` the grammar is validated first and compiled
-        with :attr:`analysis`.
-        """
-        from ..grammar.validate import validate
-        from ..parsing.program import compile_program
+        The grammar is validated first and compiled with :attr:`analysis`.
 
-        if analysis is None:
+        Every call returns the same object, also when threads race on
+        the first one, so a :class:`~repro.parsing.coverage.CoverageMap`
+        built over it fits every parser this product builds
+        (:meth:`parser`, ``get_backend(name).build(product)``).  Like
+        :attr:`analysis` it is kept outside equality and ``repr``, and a
+        :func:`dataclasses.replace` copy compiles its own.
+        """
+        program = self.__dict__.get("_program")
+        if program is None:
+            from ..grammar.validate import validate
+            from ..parsing.program import compile_program
+
             validate(self.grammar).raise_if_failed()
-            analysis = self.analysis
-        digest = getattr(self.fingerprint, "digest", None)
-        return compile_program(self.grammar, analysis=analysis,
-                               fingerprint=digest)
+            digest = getattr(self.fingerprint, "digest", None)
+            # frozen: store past __setattr__, as cached_property does;
+            # racing first calls all return the program stored first
+            program = self.__dict__.setdefault("_program", compile_program(
+                self.grammar, analysis=self.analysis, fingerprint=digest,
+            ))
+        return program
 
     def hint_provider(self):
         """Feature-hint callback over the line's unselected units."""
@@ -120,31 +132,20 @@ class ComposedProduct:
             if self.grammar.has_rule(name)
         }
 
-    def coverage_map(self, program=None):
-        """Instrumentation-point numbering for this product's parse program.
-
-        ``program`` reuses an already-compiled program (coverage point
-        ids are keyed by instruction identity, so the map must be built
-        over the *same* program object the instrumented parser drives).
-        """
-        from ..parsing.coverage import CoverageMap
-
-        return CoverageMap(program if program is not None else self.program())
-
-    def generate_source(self, program=None) -> str:
+    def generate_source(self) -> str:
         """Emit standalone Python parser source for this product.
 
-        When the product carries a fingerprint, its digest is embedded in
-        the source (``_FINGERPRINT``, read back by
+        The source is the lowering of :meth:`program`.  When the product
+        carries a fingerprint, its digest is embedded in the source
+        (``_FINGERPRINT``, read back by
         :func:`~repro.parsing.codegen.source_fingerprint`), so an export
-        names the product it was generated for.  ``program`` reuses an
-        already-compiled parse program instead of recompiling.
+        names the product it was generated for.
         """
         from ..parsing.codegen import generate_parser_source
 
         digest = getattr(self.fingerprint, "digest", None)
         return generate_parser_source(self.grammar, fingerprint=digest,
-                                      program=program)
+                                      program=self.program())
 
     def size(self) -> dict[str, int]:
         """Grammar size metrics (experiment E6)."""

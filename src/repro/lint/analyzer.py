@@ -77,25 +77,17 @@ def token_origins(product: ComposedProduct) -> dict[str, str]:
     return origins
 
 
-def analyze_product(
-    product: ComposedProduct,
-    program: ParseProgram | None = None,
-    analysis: GrammarAnalysis | None = None,
-) -> TargetReport:
+def analyze_product(product: ComposedProduct) -> TargetReport:
     """All program-level passes over one composed product.
 
-    Without ``analysis`` the product's own (:attr:`ComposedProduct.analysis`)
-    is used, the one :meth:`ComposedProduct.program` compiles with.
+    The passes read the product's own program (:meth:`ComposedProduct.program`)
+    and the analysis it was compiled with (:attr:`ComposedProduct.analysis`).
     """
-    if analysis is None:
-        analysis = product.analysis
-    if program is None:
-        program = product.program(analysis=analysis)
     findings = run_program_passes(
         product.name,
         product.grammar,
-        program,
-        analysis=analysis,
+        product.program(),
+        analysis=product.analysis,
         origins=product.rule_origins(),
         token_origins=token_origins(product),
     )

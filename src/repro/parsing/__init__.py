@@ -25,7 +25,6 @@ from .backends import (
     ParseBackend,
     backend_names,
     get_backend,
-    register_backend,
 )
 from .closures import ClosureParser, ClosureProgram
 from .codegen import (
@@ -71,6 +70,5 @@ __all__ = [
     "get_backend",
     "load_generated_parser",
     "program_fingerprint",
-    "register_backend",
     "source_fingerprint",
 ]

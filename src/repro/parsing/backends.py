@@ -3,10 +3,9 @@
 Every execution strategy for a compiled
 :class:`~repro.parsing.program.ParseProgram` — the IR interpreter, the
 closure-compiled threaded code, and the generated standalone module
-(the same lowering behind an inline runtime) — registers here as a
-:class:`ParseBackend`.  The conformance and differential suites iterate
-:func:`backend_names` instead of hardcoding backends, and any new
-strategy joins the same safety net by calling :func:`register_backend`.
+(the same lowering behind an inline runtime) — is a
+:class:`ParseBackend` listed here.  The conformance and differential
+suites iterate :func:`backend_names` instead of hardcoding backends.
 The parse service serves the compiled backend (degrading to the
 interpreter); the generated module is an offline export — ``repro
 compose --emit`` writes it — checked here for parity but never served.
@@ -40,10 +39,10 @@ class ParseBackend:
 
     Subclasses set :attr:`name` and implement :meth:`build`.  One
     instance serves every product (builders take the product as an
-    argument), so registration is process-global.
+    argument), so the three instances are process-global.
     """
 
-    #: registry key (``repro conformance --backend``)
+    #: lookup key (``repro conformance --backend``)
     name: str = ""
 
     def build(
@@ -122,34 +121,23 @@ class GeneratedBackend(ParseBackend):
             return ("error", (error.line, error.column, error.expected))
 
 
-_REGISTRY: dict[str, ParseBackend] = {}
-
-
-def register_backend(backend: ParseBackend, replace: bool = False) -> None:
-    """Add ``backend`` to the process-global registry."""
-    if not backend.name:
-        raise ValueError("a parse backend needs a non-empty name")
-    if backend.name in _REGISTRY and not replace:
-        raise ValueError(f"parse backend {backend.name!r} already registered")
-    _REGISTRY[backend.name] = backend
+_BACKENDS: dict[str, ParseBackend] = {
+    backend.name: backend
+    for backend in (CompiledBackend(), InterpreterBackend(), GeneratedBackend())
+}
 
 
 def get_backend(name: str) -> ParseBackend:
-    """Look up a registered backend (KeyError lists what exists)."""
+    """Look up a backend by name (KeyError lists what exists)."""
     try:
-        return _REGISTRY[name]
+        return _BACKENDS[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(_BACKENDS))
         raise KeyError(
             f"unknown parse backend {name!r} (registered: {known})"
         ) from None
 
 
 def backend_names() -> tuple[str, ...]:
-    """Registered backend names, fastest serving order first."""
-    return tuple(_REGISTRY)
-
-
-register_backend(CompiledBackend())
-register_backend(InterpreterBackend())
-register_backend(GeneratedBackend())
+    """Backend names, fastest serving order first."""
+    return tuple(_BACKENDS)

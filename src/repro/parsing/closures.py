@@ -38,8 +38,8 @@ Layers:
   subclass overriding only ``_call_rule``, so the whole public surface
   (diagnostics, panic-mode recovery, hints) is inherited while rule
   execution runs compiled.  A coverage-counting call runs the
-  interpreter's ``_exec_cov`` walk instead: coverage is counted in one
-  place, :mod:`repro.parsing.parser`.
+  interpreter's walk instead, which counts as it goes: coverage is
+  counted in one place, :mod:`repro.parsing.parser`.
 """
 
 from __future__ import annotations
@@ -578,7 +578,11 @@ class ClosureParser(Parser):
     recovery, diagnostics, and hint semantics literally inherited.  A
     coverage-counting call (``coverage=``, so ``s.cov`` is set) runs
     the inherited ``_call_rule`` instead, so the whole parse walks the
-    interpreter's ``_exec_cov``, the one place coverage is counted.
+    interpreter's ``_exec``, the one place coverage is counted.
+
+    The parser runs with the interpreter's defaults: no fuel budget
+    unless a call passes ``max_steps``, and
+    :data:`~repro.parsing.parser.DEFAULT_MAX_DEPTH`.
     """
 
     def __init__(
@@ -586,26 +590,13 @@ class ClosureParser(Parser):
         grammar: Any,
         closure_program: ClosureProgram,
         scanner: Any = None,
-        strict: bool = False,
-        max_steps: int | None = None,
         hint_provider: Any = None,
-        max_depth: int | None = None,
-        analysis: Any = None,
-        table: Any = None,
     ) -> None:
-        kwargs: dict[str, Any] = {}
-        if max_depth is not None:
-            kwargs["max_depth"] = max_depth
         super().__init__(
             grammar,
             scanner=scanner,
-            strict=strict,
-            max_steps=max_steps,
             hint_provider=hint_provider,
-            analysis=analysis,
-            table=table,
             program=closure_program.program,
-            **kwargs,
         )
         self._rule_fns = closure_program.rule_fns
 

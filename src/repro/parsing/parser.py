@@ -112,7 +112,7 @@ class RunState:
 
     ``i`` is the cursor into ``tokens``; ``fi``/``fexp`` the furthest
     failure index and the terminals expected there; ``depth`` the active
-    rule calls; ``cov`` the coverage collector of an instrumented call.
+    rule calls; ``cov`` the coverage collector of a counting call.
     ``limit`` is the next step count at which :func:`_check` must run:
     with no budget and no deadline it is never reached; otherwise it is
     re-armed every :data:`DEADLINE_CHECK_INTERVAL` steps (and clamped to
@@ -322,8 +322,8 @@ class Parser:
 
         ``coverage`` is an optional
         :class:`~repro.parsing.coverage.CoverageCollector` over this
-        parser's program; the call then runs instrumented and counts
-        into it (see :meth:`parse_tokens`).
+        parser's program; the call then counts into it (see
+        :meth:`parse_tokens`).
 
         Raises:
             ParseError: with position and expected-terminal information.
@@ -351,10 +351,11 @@ class Parser:
         :class:`~repro.errors.ParseDeadlineExceeded` (E0203) once expired,
         so a timed-out service request releases its worker promptly.
 
-        ``coverage`` selects the instrumented path for this call only:
-        rule entries, CHOICE-alternative selections, and OPT/LOOP
-        taken/skipped edges are counted into the collector, which must
-        be keyed to this parser's program (``ValueError`` otherwise).
+        ``coverage`` makes this call count: the walk a plain call takes
+        also counts rule entries, CHOICE-alternative selections and
+        OPT/LOOP/SEPLOOP taken/skipped edges into the collector, which
+        must be keyed to this parser's program (``ValueError``
+        otherwise).
         Counting is not synchronized: give each thread its own collector
         and fold them with
         :meth:`~repro.parsing.coverage.CoverageCollector.merge`.
@@ -443,7 +444,6 @@ class Parser:
             max_steps = DEFAULT_STEPS_PER_TOKEN * len(tokens) + DEFAULT_STEP_FLOOR
         s = self._state(tokens, max_steps, deadline, coverage)
         cov = s.cov
-        run = self._exec if cov is None else self._exec_cov
 
         root = Node(start_rule)
         try:
@@ -460,7 +460,7 @@ class Parser:
                     # execute the start rule's body directly into the
                     # root (no depth frame) so a partially parsed
                     # single-alternative rule keeps its children
-                    run(s, body, root)
+                    self._exec(s, body, root)
                 except _Fail:
                     failed = True
                 if not failed and tokens[s.i].is_eof:
@@ -591,9 +591,7 @@ class Parser:
         The backend hook: :class:`~repro.parsing.closures.ClosureParser`
         overrides it with a direct call into compiled code on the same
         state, and hands a counting call back here.  A counting call
-        (``s.cov`` set) counts the entry before the depth check and runs
-        the body through ``_exec_cov``, the one coverage implementation
-        of both backends.
+        (``s.cov`` set) counts the entry before the depth check.
         """
         cov = s.cov
         if cov is not None:
@@ -604,10 +602,7 @@ class Parser:
         s.depth = d + 1
         node = Node(self._rule_names[rule_id])  # its own child list
         try:
-            if cov is None:
-                self._exec(s, self._code[rule_id], node)
-            else:
-                self._exec_cov(s, self._code[rule_id], node)
+            self._exec(s, self._code[rule_id], node)
         finally:
             s.depth = d
         if len(node) == 1 and type(node[0]) is Node:
@@ -616,7 +611,15 @@ class Parser:
             out.append(node)
 
     def _exec(self, s: RunState, instr, children: list) -> None:
-        """Execute one tuple-encoded instruction against the token stream."""
+        """Execute one tuple-encoded instruction against the token stream.
+
+        The one walk of both plain and counting calls: with ``s.cov``
+        set, CHOICE counts the alternative it commits to and
+        OPT/LOOP/SEPLOOP count their taken or skipped edge (see
+        :mod:`repro.parsing.coverage`), each once the decision is final.
+        The counts are bumped inline: a helper call per count made a
+        counting call ~4% slower (EXPERIMENTS E22).
+        """
         if s.budget is not None:
             st = s.steps + 1
             s.steps = st
@@ -642,7 +645,10 @@ class Parser:
             if not candidates:
                 _fail(s, instr[3])
             if len(candidates) == 1:
-                self._exec(s, candidates[0], children)
+                block = candidates[0]
+                self._exec(s, block, children)
+                if s.cov is not None:
+                    s.cov.alts[s.cov.map.slot_of_block[id(block)]] += 1
                 return
             saved_index = s.i
             saved_len = len(children)
@@ -650,16 +656,21 @@ class Parser:
             for block in candidates:
                 try:
                     self._exec(s, block, children)
-                    return
                 except _Fail as failure:
                     last_failure = failure
                     s.i = saved_index
                     del children[saved_len:]
+                else:
+                    if s.cov is not None:
+                        s.cov.alts[s.cov.map.slot_of_block[id(block)]] += 1
+                    return
             assert last_failure is not None
             raise last_failure
         elif op == OP_OPT:
             # (op, inner, first)
             if s.tokens[s.i].type not in instr[2]:
+                if s.cov is not None:
+                    s.cov.skipped[s.cov.map.decision_of_instr[id(instr)]] += 1
                 return
             saved_index = s.i
             saved_len = len(children)
@@ -670,6 +681,11 @@ class Parser:
                 # treat as absent and let the continuation decide
                 s.i = saved_index
                 del children[saved_len:]
+                if s.cov is not None:
+                    s.cov.skipped[s.cov.map.decision_of_instr[id(instr)]] += 1
+            else:
+                if s.cov is not None:
+                    s.cov.taken[s.cov.map.decision_of_instr[id(instr)]] += 1
         elif op == OP_LOOP:
             # (op, inner, first, min)
             inner = instr[1]
@@ -690,12 +706,20 @@ class Parser:
                 count += 1
             if count < instr[3]:
                 _fail(s, first)
+            if s.cov is not None:
+                cov = s.cov
+                (cov.taken if count > instr[3] else cov.skipped)[
+                    cov.map.decision_of_instr[id(instr)]
+                ] += 1
         else:  # OP_SEPLOOP: (op, inner, sep, first, sep_first, min)
             tokens = s.tokens
             if instr[5] == 0 and tokens[s.i].type not in instr[3]:
+                if s.cov is not None:
+                    s.cov.skipped[s.cov.map.decision_of_instr[id(instr)]] += 1
                 return
             self._exec(s, instr[1], children)
             sep_first = instr[4]
+            more = False  # a separator and a further item parsed
             while tokens[s.i].type in sep_first:
                 saved_index = s.i
                 saved_len = len(children)
@@ -707,120 +731,9 @@ class Parser:
                     s.i = saved_index
                     del children[saved_len:]
                     break
-
-    # -- instrumented parse machinery -------------------------------------------
-    #
-    # An instrumented call (``coverage=``) runs the methods below instead
-    # of ``_exec``.  MATCH and CALL have no decision to record and nothing
-    # nested, so they delegate to the canonical ``_exec`` — a CALL lands
-    # in ``_call_rule``, which keeps the callee's body instrumented while
-    # ``s.cov`` is set (on either backend: the compiled parser hands
-    # counting calls back to it) — keeping one source of truth for their
-    # semantics.
-    # SEQ/CHOICE/OPT/LOOP/SEPLOOP are mirrored with counter bumps at the
-    # points where the uninstrumented code commits to a decision; control
-    # flow is otherwise identical instruction for instruction (guarded by
-    # the parity tests in ``tests/test_parsing_coverage.py``).
-
-    def _exec_cov(self, s: RunState, instr, children: list) -> None:
-        op = instr[0]
-        if op < OP_SEQ:  # OP_MATCH, OP_CALL: no decision here
-            return self._exec(s, instr, children)
-        if s.budget is not None:
-            st = s.steps + 1
-            s.steps = st
-            if st >= s.limit:
-                _check(s, st)
-        if op == OP_SEQ:
-            for item in instr[1]:
-                self._exec_cov(s, item, children)
-            return
-        tokens = s.tokens
-        cov = s.cov
-        if op == OP_CHOICE:
-            slot_of_block = cov.map.slot_of_block
-            alts = cov.alts
-            candidates = instr[1].get(tokens[s.i].type)
-            if candidates is None:
-                candidates = instr[2]
-            if not candidates:
-                _fail(s, instr[3])
-            if len(candidates) == 1:
-                block = candidates[0]
-                self._exec_cov(s, block, children)
-                alts[slot_of_block[id(block)]] += 1
-                return
-            saved_index = s.i
-            saved_len = len(children)
-            last_failure: _Fail | None = None
-            for block in candidates:
-                try:
-                    self._exec_cov(s, block, children)
-                except _Fail as failure:
-                    last_failure = failure
-                    s.i = saved_index
-                    del children[saved_len:]
-                else:
-                    alts[slot_of_block[id(block)]] += 1
-                    return
-            assert last_failure is not None
-            raise last_failure
-        point = cov.map.decision_of_instr[id(instr)]
-        if op == OP_OPT:
-            if tokens[s.i].type not in instr[2]:
-                cov.skipped[point] += 1
-                return
-            saved_index = s.i
-            saved_len = len(children)
-            try:
-                self._exec_cov(s, instr[1], children)
-            except _Fail:
-                s.i = saved_index
-                del children[saved_len:]
-                cov.skipped[point] += 1
-            else:
-                cov.taken[point] += 1
-        elif op == OP_LOOP:
-            inner = instr[1]
-            first = instr[2]
-            count = 0
-            while tokens[s.i].type in first:
-                saved_index = s.i
-                saved_len = len(children)
-                try:
-                    self._exec_cov(s, inner, children)
-                except _Fail:
-                    s.i = saved_index
-                    del children[saved_len:]
-                    break
-                if s.i == saved_index:
-                    break
-                count += 1
-            if count < instr[3]:
-                _fail(s, first)
-            if count > instr[3]:
-                cov.taken[point] += 1
-            else:
-                cov.skipped[point] += 1
-        else:  # OP_SEPLOOP
-            if instr[5] == 0 and tokens[s.i].type not in instr[3]:
-                cov.skipped[point] += 1
-                return
-            self._exec_cov(s, instr[1], children)
-            items = 1
-            sep_first = instr[4]
-            while tokens[s.i].type in sep_first:
-                saved_index = s.i
-                saved_len = len(children)
-                try:
-                    self._exec_cov(s, instr[2], children)
-                    self._exec_cov(s, instr[1], children)
-                except _Fail:
-                    s.i = saved_index
-                    del children[saved_len:]
-                    break
-                items += 1
-            if items >= 2:
-                cov.taken[point] += 1
-            else:
-                cov.skipped[point] += 1
+                more = True
+            if s.cov is not None:
+                cov = s.cov
+                (cov.taken if more else cov.skipped)[
+                    cov.map.decision_of_instr[id(instr)]
+                ] += 1

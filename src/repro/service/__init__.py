@@ -22,7 +22,7 @@ Layers:
   parse program per product, token definitions included) shared by
   registry entries and workers.
 * :mod:`repro.service.service` — :class:`ParseService`:
-  ``parse``/``parse_many``/``batch`` over a worker pool (thread- or
+  ``parse``/``parse_many`` over a worker pool (thread- or
   process-backed via ``executor=``), per-request timeout and fuel
   budgets, diagnostics instead of exceptions.
 * :mod:`repro.service.workers` — the process-pool protocol: workers
@@ -42,7 +42,6 @@ from .fingerprint import (
 from .metrics import LatencyHistogram, ServiceMetrics
 from .registry import ParserRegistry, RegistryEntry
 from .service import (
-    ParseRequest,
     ParseService,
     ParseServiceResult,
     TranslateServiceResult,
@@ -53,7 +52,6 @@ __all__ = [
     "AsyncParseService",
     "Fingerprint",
     "LatencyHistogram",
-    "ParseRequest",
     "ParseService",
     "ParseServiceResult",
     "ParserRegistry",

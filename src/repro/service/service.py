@@ -12,8 +12,6 @@ once per fingerprint — and adds:
   it reuses, including its input-scaled fuel budget.
 * :meth:`ParseService.parse_many`: a homogeneous batch, results in
   input order, with an optional per-request wall-clock timeout.
-* :meth:`ParseService.batch`: heterogeneous :class:`ParseRequest`\\ s —
-  different selections compose concurrently, each exactly once.
 
 Every operation is recorded in the shared
 :class:`~repro.service.metrics.ServiceMetrics`; :meth:`ParseService.stats`
@@ -70,32 +68,6 @@ CHUNKS_PER_WORKER = 2
 #: inside the parse driver normally aborts the worker within ~1 ms of
 #: expiry, so the grace only matters for non-cooperative stalls.
 COLLECT_GRACE = 0.1
-
-
-@dataclass(frozen=True)
-class ParseRequest:
-    """One unit of work for :meth:`ParseService.batch`.
-
-    Attributes:
-        text: The SQL text to parse.
-        features: Feature selection (sparse is fine; it is expanded and
-            fingerprinted like everywhere else).
-        counts: Clone counts for cardinality features.
-        start: Start-rule override.
-        max_errors: Diagnostic cap for error recovery.
-        max_steps: Fuel budget override (defaults to the input-scaled
-            budget of the diagnostics pipeline).
-        timeout: Per-request wall-clock deadline in seconds (``None`` =
-            no deadline).
-    """
-
-    text: str
-    features: tuple[str, ...]
-    counts: Mapping[str, int] | None = None
-    start: str | None = None
-    max_errors: int | None = 25
-    max_steps: int | None = None
-    timeout: float | None = None
 
 
 @dataclass
@@ -403,10 +375,11 @@ class ParseService:
         ``coverage`` accepts a
         :class:`~repro.parsing.coverage.CoverageCollector` from the
         entry's :meth:`~repro.service.registry.RegistryEntry.coverage_collector`;
-        what this parse exercised is merged into it.  Parsing without a
-        collector stays on the uninstrumented fast path.  A collector
-        keyed to another product's program raises ``ValueError`` before
-        the text parses.
+        what this parse exercised is merged into it.  A counting parse
+        runs on the interpreter; without a collector the compiled
+        backend parses, as for any request.  A collector keyed to
+        another product's program raises ``ValueError`` before the text
+        parses.
 
         ``timeout`` (seconds) becomes a cooperative deadline propagated
         into the parse driver: expiry surfaces as a ``timed_out`` result
@@ -664,43 +637,9 @@ class ParseService:
             submitted.append((i, text, future, deadline, time.perf_counter()))
         for i, text, future, deadline, t0 in submitted:
             results[i] = self._collect(
-                future, text, entry.fingerprint, timeout, True, deadline
+                future, text, entry.fingerprint, timeout, deadline
             )
             self.metrics.observe("executor_thread", time.perf_counter() - t0)
-        return results
-
-    def batch(
-        self, requests: Iterable[ParseRequest], timeout: float | None = None
-    ) -> list[ParseServiceResult]:
-        """Serve heterogeneous requests concurrently, results in order.
-
-        Requests with different selections compose concurrently; requests
-        sharing a fingerprint rendezvous on the registry's build locks so
-        each distinct product is still composed exactly once.  A request's
-        own ``timeout`` takes precedence over the batch-level one.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        pool = self._ensure_pool()
-        results: list[ParseServiceResult | None] = [None] * len(requests)
-        submitted = []
-        for i, req in enumerate(requests):
-            if not self._admit():
-                results[i] = self._shed_result(req.text)
-                continue
-            self.metrics.observe_depth("thread", self.in_flight)
-            effective = req.timeout if req.timeout is not None else timeout
-            deadline = (
-                Deadline.after(effective) if effective is not None else None
-            )
-            future = pool.submit(self._serve_request, req, deadline)
-            future.add_done_callback(lambda _f: self._release_admission())
-            submitted.append((i, req, future, effective, deadline))
-        for i, req, future, effective, deadline in submitted:
-            results[i] = self._collect(
-                future, req.text, None, effective, False, deadline
-            )
         return results
 
     # -- metrics ------------------------------------------------------------
@@ -937,20 +876,6 @@ class ParseService:
     def _shed_result(self, text: str) -> ParseServiceResult:
         return _error_result(text, self._overloaded())
 
-    def _serve_request(
-        self, request: ParseRequest, deadline: Deadline | None = None
-    ) -> ParseServiceResult:
-        entry, warm, failure = self._acquire_entry(
-            request.text, request.features, request.counts
-        )
-        if failure is not None:
-            return failure
-        return self._parse_entry(
-            entry, request.text, warm, start=request.start,
-            max_errors=request.max_errors, max_steps=request.max_steps,
-            deadline=deadline,
-        )
-
     def _parse_entry(
         self,
         entry: RegistryEntry,
@@ -1001,10 +926,10 @@ class ParseService:
         if coverage is not None:
             # count into a per-call private collector and merge at the
             # end: the caller's collector may be shared across workers.
-            # Coverage is counted by the interpreter's ``_exec_cov`` walk
-            # on either backend, so a counting call runs on the
-            # interpreter itself and times into its series; if that
-            # parser cannot be built, the never-crash guard answers.
+            # Coverage is counted by the interpreter's walk on either
+            # backend, so a counting call runs on the interpreter itself
+            # and times into its series; if that parser cannot be built,
+            # the never-crash guard answers.
             private = entry.coverage_collector()
             try:
                 outcome, seconds = self._interpret(
@@ -1074,10 +999,9 @@ class ParseService:
         self,
         future: "Future[ParseServiceResult]",
         text: str,
-        fp: Fingerprint | None,
-        timeout: float | None,
-        warm: bool,
-        deadline: Deadline | None = None,
+        fp: Fingerprint,
+        timeout: float,
+        deadline: Deadline,
     ) -> ParseServiceResult:
         """Await one worker, with a hard backstop past the deadline.
 
@@ -1086,19 +1010,14 @@ class ParseService:
         non-cooperative stalls (native hangs, pathological scanners),
         and those workers are abandoned exactly as before.
         """
-        if timeout is None:
-            return future.result()
-        wait = (
-            deadline.remaining() + COLLECT_GRACE
-            if deadline is not None
-            else timeout + COLLECT_GRACE
-        )
         try:
-            return future.result(timeout=max(0.0, wait))
+            return future.result(
+                timeout=max(0.0, deadline.remaining() + COLLECT_GRACE)
+            )
         except _FutureTimeout:
             future.cancel()
             _count_timeout(self.metrics, timeout)
-            return _timeout_result(text, fp, timeout, warm)
+            return _timeout_result(text, fp, timeout, True)
 
     # -- process executor ----------------------------------------------------
 

@@ -5,7 +5,10 @@ Uses a miniature SELECT product line mirroring the paper's worked example
 multi-column select list.
 """
 
+import dataclasses
 import random
+import threading
+import time
 
 import pytest
 
@@ -33,8 +36,15 @@ from repro.features import (
 )
 from repro.grammar import Grammar
 from repro.lexer import keyword, literal, pattern, standard_skip_tokens
+from repro.parsing import CoverageMap
+from repro.parsing import program as program_module
 from repro.service.fingerprint import configuration_fingerprint
-from repro.sql import build_sql_product_line, dialect_features, dialect_names
+from repro.sql import (
+    build_dialect,
+    build_sql_product_line,
+    dialect_features,
+    dialect_names,
+)
 
 
 def mini_model():
@@ -211,6 +221,71 @@ class TestProductLine:
         module = load_generated_parser(product.generate_source())
         assert module.accepts("SELECT a FROM t WHERE x = y")
         assert not module.accepts("SELECT a, b FROM t")
+
+
+class TestOneProgram:
+    """A product compiles its parse program once; its parsers, its
+    generated source and any coverage collector over it share that one
+    object."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """The grammars ``compile_program`` was called on from now."""
+        seen, compile_program = [], program_module.compile_program
+
+        def counting(grammar, *args, **kwargs):
+            seen.append(grammar)
+            time.sleep(0.05)  # widen the window racing first calls share
+            return compile_program(grammar, *args, **kwargs)
+
+        monkeypatch.setattr(program_module, "compile_program", counting)
+        return seen
+
+    def test_every_call_returns_one_program(self, line, compiles):
+        product = line.configure(["Query", "Where"])
+        assert product.program() is product.program()
+        assert product.parser().program is product.program()
+        product.generate_source()
+        assert compiles == [product.grammar]
+
+    def test_racing_first_calls_share_one_program(self, line, compiles):
+        product = line.configure(["Query", "Where"])
+        threads = 4
+        barrier, programs = threading.Barrier(threads), [None] * threads
+
+        def first_call(slot):
+            barrier.wait(timeout=30)
+            programs[slot] = product.program()
+
+        racers = [
+            threading.Thread(target=first_call, args=(slot,))
+            for slot in range(threads)
+        ]
+        for racer in racers:
+            racer.start()
+        for racer in racers:
+            racer.join(timeout=30)
+            assert not racer.is_alive()
+        assert programs[0] is not None
+        assert all(program is programs[0] for program in programs)
+        assert product.program() is programs[0]
+
+    def test_collector_over_program_fits_parser(self):
+        product = build_dialect("full")
+        collector = CoverageMap(product.program()).collector()
+        assert product.parser().accepts("SELECT a FROM t", coverage=collector)
+        assert collector.score() > 0
+
+    def test_replaced_copy_compiles_its_own(self, line):
+        small = line.configure(["Query"])
+        large = line.configure(["Query", "Where", "MultiColumn"])
+        program = small.program()
+        copy = dataclasses.replace(small, grammar=large.grammar)
+        assert copy.program() is not program
+        assert copy.program() is copy.program()
+        assert copy.program().rule_names == large.program().rule_names
+        assert copy.parser().accepts("SELECT a, b FROM t WHERE x = y")
+        assert small.program() is program
 
 
 class TestParserBuilder:

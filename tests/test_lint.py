@@ -426,7 +426,8 @@ class TestRegistryLintGate:
 
 class TestSharedAnalysis:
     """A product computes its FIRST/FOLLOW analysis once: compiling its
-    program and linting it (the registry's lint gate, E12) share it."""
+    program, linting it (the registry's lint gate, E12) and its parsers'
+    LL(1) tables share it."""
 
     @pytest.fixture
     def analyses(self, monkeypatch):
@@ -452,11 +453,19 @@ class TestSharedAnalysis:
     def test_lint_reuses_the_analysis_program_computed(self, analyses):
         product = TestRegistryLintGate().gate_line().configure(["Root"])
         program = product.program()
-        report = analyze_product(product, program=program)
+        report = analyze_product(product)
         assert report.target == product.name
         assert analyses == [product.grammar]
-        assert product.program().rule_names == program.rule_names
+        assert product.program() is program
         assert len(analyses) == 1
+
+    def test_parser_table_reuses_the_product_analysis(self, analyses):
+        product = TestRegistryLintGate().gate_line().configure(["Root"])
+        parser = product.parser()
+        assert parser.table.metrics()
+        assert parser.analysis is product.analysis
+        assert product.parser(strict=True).table is not None
+        assert analyses == [product.grammar]
 
     def test_a_replaced_copy_starts_without_the_analysis(self, analyses):
         product = TestRegistryLintGate().gate_line().configure(["Root"])

@@ -1,8 +1,8 @@
-"""The parse-backend registry and the closure-compiled backend's surface.
+"""The parse-backend table and the closure-compiled backend's surface.
 
-The registry is the tentpole contract: every execution strategy for a
-compiled ParseProgram registers under a name, exposes capability flags,
-and normalizes parse attempts into comparable verdicts.  The closure
+The table is the contract: every execution strategy for a compiled
+ParseProgram has a name, exposes capability flags, and normalizes parse
+attempts into comparable verdicts.  The closure
 backend additionally claims the *full* parser surface — diagnostics,
 coverage, fuel — so those claims are checked against the interpreter
 here, case by case, not just accept/reject.
@@ -17,12 +17,9 @@ from repro.parsing import (
     INTERPRETER,
     ClosureParser,
     ClosureProgram,
-    CompiledBackend,
     CoverageMap,
-    ParseBackend,
     backend_names,
     get_backend,
-    register_backend,
 )
 from repro.resilience.deadline import Deadline
 from repro.sql import build_dialect
@@ -62,28 +59,12 @@ def compiled(product, program):
 
 class TestRegistry:
     def test_all_three_backends_registered(self):
-        names = backend_names()
-        assert set(names) == {INTERPRETER, GENERATED, COMPILED}
         # serving-preference order: the fast path leads
-        assert names[0] == COMPILED
+        assert backend_names() == (COMPILED, INTERPRETER, GENERATED)
 
     def test_get_backend_unknown_name_lists_registered(self):
         with pytest.raises(KeyError, match="compiled"):
             get_backend("jit")
-
-    def test_register_rejects_duplicates_and_blank_names(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(CompiledBackend())
-        with pytest.raises(ValueError, match="non-empty name"):
-            register_backend(ParseBackend())
-
-    def test_replace_swaps_an_implementation(self):
-        original = get_backend(COMPILED)
-        try:
-            register_backend(CompiledBackend(), replace=True)
-            assert get_backend(COMPILED) is not original
-        finally:
-            register_backend(original, replace=True)
 
     def test_build_returns_a_closure_parser_for_compiled(self, compiled):
         assert isinstance(compiled, ClosureParser)

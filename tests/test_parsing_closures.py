@@ -193,7 +193,7 @@ class TestFirstCallCompilation:
         assert {code.co_name for code in entered} & compiled
 
     def test_counting_call_compiles_nothing(self, core, compiles):
-        """A coverage-counting call walks the interpreter's ``_exec_cov``
+        """A coverage-counting call walks the interpreter's ``_exec``
         from start to end: no lowered function compiles, and the counts
         are the interpreter's own."""
         product, program = core

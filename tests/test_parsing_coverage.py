@@ -7,11 +7,23 @@ CHOICE-alternative selections, and OPT/LOOP/SEPLOOP edges; collectors
 merge across parsers (and threads) but never across programs.
 """
 
+import hashlib
+import sys
+
 import pytest
 
+from repro.errors import ParseBudgetExceeded
 from repro.parsing.coverage import CoverageMap
+from repro.parsing.parser import Parser
 from repro.service import ParseService, ParserRegistry
-from repro.sql import build_dialect, build_sql_product_line, dialect_features
+from repro.sql import (
+    build_dialect,
+    build_sql_product_line,
+    dialect_features,
+    dialect_names,
+    sql_parser_registry,
+)
+from repro.workloads import generate_workload
 
 ACCEPTED = [
     "SELECT a FROM t",
@@ -41,6 +53,12 @@ def instrumented(product, **kwargs):
     """A parser plus a fresh collector keyed to its program."""
     parser = product.parser(**kwargs)
     return parser, CoverageMap(parser.program).collector()
+
+
+def snapshot(collector):
+    """The collector's four count arrays, copied."""
+    return (list(collector.rules), list(collector.alts),
+            list(collector.taken), list(collector.skipped))
 
 
 class TestCoverageMap:
@@ -155,17 +173,23 @@ class TestEnableDisable:
     disabled by leaving it out; the parser itself never changes."""
 
     def test_disable_restores_plain_path(self, scql, monkeypatch):
-        """A call without ``coverage=`` runs the plain ``_exec``, even
-        right after an instrumented call on the same parser."""
+        """A call without ``coverage=`` walks with ``RunState.cov`` unset
+        and counts nothing, even right after a counting call on the
+        same parser."""
         parser, collector = instrumented(scql)
         parser.accepts("SELECT a FROM t", coverage=collector)
+        counted = snapshot(collector)
+        walk, seen = Parser._exec, []
 
-        def instrumented_path(*args):
-            raise AssertionError("a plain call ran the instrumented path")
+        def recording(self, s, instr, children):
+            seen.append(s.cov)
+            return walk(self, s, instr, children)
 
-        monkeypatch.setattr(type(parser), "_exec_cov", instrumented_path)
+        monkeypatch.setattr(Parser, "_exec", recording)
         assert parser.accepts("SELECT a, b FROM t WHERE a = 1")
         assert parser.parse_with_diagnostics("SELECT a FROM t").ok
+        assert seen and all(cov is None for cov in seen)
+        assert snapshot(collector) == counted
 
     def test_call_without_coverage_counts_nothing(self, scql):
         parser, collector = instrumented(scql)
@@ -274,3 +298,120 @@ class TestServiceCoverage:
             shared = entry.coverage_collector()
             svc.parse("SELECT a FROM t", features)  # no coverage= argument
             assert shared.score() == 0
+
+
+class TestCountPins:
+    """What a counting call counts, pinned by digest per preset.
+
+    The corpus is ``TestAstPins``'s (60 template and 60 coverage-guided
+    seed-7 queries, counted through ``parse``) plus rejected inputs
+    counted through the recovering ``parse_with_diagnostics``: each
+    query with its middle word dropped, when that makes it a rejection,
+    and a few fixed ones, one of them nested twelve parentheses deep.
+    Both backends count with the same walk, so both must give the same
+    digest.  A digest that moves means a count moved: diff the four
+    arrays of two checkouts to find the point.
+    """
+
+    DIGESTS = {
+        "scql": "3c4843de6c997e0298d3b0a4fa79794e",
+        "tinysql": "4bdc6c504a32f0271170b5eaee1ba6ee",
+        "core": "0a81bea2e122dfbafc20208a8d1aaf41",
+        "analytics": "77898bfe10053d8dd699393f3ceee372",
+        "full": "9cbf0b266289160405da748e565d8ac7",
+    }
+
+    FIXED = [
+        "SELECT FROM t",
+        "SELECT a FROM t WHERE ; SELECT b FROM",
+        "SELECT a,, b FROM t ; DELETE FROM t WHERE a = 1",
+        "SELECT " + "(" * 12 + "a + " + ")" * 12 + " FROM t",
+    ]
+
+    @pytest.mark.parametrize("dialect", dialect_names())
+    def test_counts_are_pinned(self, dialect):
+        entry = sql_parser_registry().get(dialect_features(dialect))
+        queries = generate_workload(dialect, 60, seed=7) + generate_workload(
+            dialect, 60, seed=7, mode="coverage"
+        )
+        mutated = []
+        for sql in queries:
+            words = sql.split()
+            del words[len(words) // 2]
+            mutated.append(" ".join(words))
+        rejected = [
+            text for text in mutated + self.FIXED
+            if not entry.parser().accepts(text)
+        ]
+        digests = []
+        for parser in (entry.parser(), entry.compiled_parser()):
+            collector = entry.coverage_collector()
+            for sql in queries:
+                parser.parse(sql, coverage=collector)
+            for text in rejected:
+                parser.parse_with_diagnostics(text, coverage=collector)
+            digests.append(hashlib.blake2b(
+                repr(snapshot(collector)).encode(), digest_size=16
+            ).hexdigest())
+        assert digests == [self.DIGESTS[dialect]] * 2
+
+
+class TestStackParity:
+    """A counting call holds as many frames as a plain one, so input
+    nested past the depth limit answers E0202 from under as deep a
+    caller stack either way, instead of letting RecursionError out."""
+
+    NESTED = "SELECT " + "(" * 40 + "a" + ")" * 40 + " FROM t"
+
+    @staticmethod
+    def deepest_caller(parse) -> int:
+        """The most frames a caller may hold for ``parse()`` to still
+        raise ParseBudgetExceeded (bisected)."""
+
+        def descend(frames):
+            if frames:
+                return descend(frames - 1)
+            try:
+                parse()
+            except ParseBudgetExceeded:
+                return True
+            raise AssertionError("the nested input parsed")
+
+        def answers(frames):
+            try:
+                return descend(frames)
+            except RecursionError:
+                return False
+
+        low, high = 0, sys.getrecursionlimit()
+        assert answers(low)
+        while high - low > 1:
+            middle = (low + high) // 2
+            if answers(middle):
+                low = middle
+            else:
+                high = middle
+        return low
+
+    def test_counting_parse_has_the_plain_headroom(self):
+        parser = build_dialect("full").parser()
+        tokens = parser.scanner.scan(self.NESTED)
+        collector = CoverageMap(parser.program).collector()
+        plain = self.deepest_caller(lambda: parser.parse_tokens(tokens))
+        counting = self.deepest_caller(
+            lambda: parser.parse_tokens(tokens, coverage=collector)
+        )
+        assert plain > 0
+        assert counting == plain
+
+    def test_compiled_counting_parse_answers_e0202(self):
+        """The compiled parser hands a counting call to the interpreter's
+        walk, one frame more per rule activation, and still answers."""
+        entry = sql_parser_registry().get(dialect_features("full"))
+        parser, collector = entry.compiled_parser(), entry.coverage_collector()
+        tokens = parser.scanner.scan(self.NESTED)
+        assert self.deepest_caller(
+            lambda: parser.parse_tokens(tokens, coverage=collector)
+        ) >= 0
+        outcome = parser.parse_with_diagnostics(self.NESTED, coverage=collector)
+        assert [d.code for d in outcome.diagnostics] == ["E0202"]

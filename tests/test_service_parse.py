@@ -14,7 +14,7 @@ from repro.diagnostics.model import (
     SERVICE_OVERLOADED,
 )
 from repro.parsing.parser import Parser
-from repro.service import ParseRequest, ParseService, ParserRegistry
+from repro.service import ParseService, ParserRegistry
 from repro.sql import sql_parser_registry
 
 from tests.test_core_product_line import mini_model, mini_units
@@ -330,34 +330,6 @@ class TestPooledParseManyThreads:
             with pytest.raises(Interrupt):
                 service.parse_many(self.TEXTS, FULL)
             assert service.in_flight == 0
-
-
-class TestBatch:
-    def test_heterogeneous_selections(self, service):
-        requests = [
-            ParseRequest("SELECT a FROM t", ("Query",)),
-            ParseRequest("SELECT a FROM t WHERE x = y", ("Query", "Where")),
-            ParseRequest("SELECT a, b FROM t", ("Query", "MultiColumn")),
-            ParseRequest("SELECT a FROM t", ("Query",)),
-        ]
-        results = service.batch(requests)
-        assert all(r.ok for r in results)
-        fingerprints = {r.fingerprint.digest for r in results}
-        assert len(fingerprints) == 3  # requests 0 and 3 share a product
-        assert results[0].fingerprint == results[3].fingerprint
-        assert service.metrics.counter("composes") == 3
-
-    def test_request_level_knobs(self, service):
-        requests = [
-            ParseRequest("SELECT a FROM t", ("Query",), max_steps=1),
-            ParseRequest("SELECT a FROM t", ("Query",)),
-        ]
-        results = service.batch(requests)
-        assert not results[0].ok
-        assert results[1].ok
-
-    def test_empty(self, service):
-        assert service.batch([]) == []
 
 
 class TestForeignCoverageCollector:

@@ -28,7 +28,6 @@ from repro.lexer import keyword, pattern, standard_skip_tokens
 from repro.resilience import BreakerPolicy
 from repro.service import (
     AsyncParseService,
-    ParseRequest,
     ParserRegistry,
     ParseService,
     product_fingerprint,
@@ -847,13 +846,6 @@ class TestSelectionMemo:
             ) == []
             assert resolved_on_second_call(
                 lambda: all(r.ok for r in service.parse_many(texts, selection))
-            ) == []
-            assert resolved_on_second_call(
-                lambda: all(
-                    r.ok for r in service.batch(
-                        [ParseRequest(text, tuple(selection)) for text in texts]
-                    )
-                )
             ) == []
             assert resolved_on_second_call(
                 lambda: asyncio.run(through_async(service)).ok

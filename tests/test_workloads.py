@@ -118,7 +118,7 @@ class TestCoverageGuidedMode:
         assert collector.score() >= seeded
 
     def test_collector_over_an_equal_program(self):
-        # product.program() compiles a fresh, equal program on every call
+        # the generator parses with the collector's program
         product = build_dialect("core")
         collector = CoverageMap(product.program()).collector()
         generator = CoverageGuidedGenerator(product, collector=collector)
