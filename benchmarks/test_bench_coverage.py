@@ -116,22 +116,26 @@ def test_instrumentation_leaves_the_shared_parser_untouched():
 
 
 def test_instrumented_overhead_is_bounded():
-    """Opting in costs something, but parsing must stay the dominant term."""
+    """Opting in costs something, but parsing must stay the dominant term.
+
+    The counting and the plain call take turns query by query
+    (:func:`paired_ratios`), so a host slowdown reaches both sides
+    alike; the gate reads the median round.
+    """
     product = build_dialect("core")
     queries = generate_workload("core", count=N_QUERIES, seed=11)
     parser = product.parser()
     collector = CoverageMap(parser.program).collector()
 
-    plain_best = instrumented_best = float("inf")
-    for _ in range(ROUNDS):
-        plain_best = min(plain_best, batch_seconds(parser, queries))
-        instrumented_best = min(
-            instrumented_best,
-            batch_seconds(parser, queries, coverage=collector),
-        )
-    ratio = instrumented_best / plain_best
+    ratios = paired_ratios(
+        lambda query: parser.accepts(query, coverage=collector),
+        parser.accepts,
+        queries,
+    )
+    ratio = ratios[ROUNDS // 2]
+    assert collector.score() > 0
     print(
-        f"\n[coverage] instrumented {instrumented_best * 1000:.2f}ms vs "
-        f"{plain_best * 1000:.2f}ms plain (overhead {ratio:.2f}x)"
+        f"\n[coverage] counting over plain {ratio:.2f}x "
+        f"(rounds {ratios[0]:.2f}-{ratios[-1]:.2f})"
     )
     assert ratio < 2.0, f"instrumented parse {ratio:.2f}x plain"

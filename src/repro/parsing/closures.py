@@ -7,6 +7,20 @@ rule — straight-line token matches, native ``while`` loops for
 repetition, pre-grouped dispatch dictionaries for CHOICE — and
 compiling each function on its first call (threaded code).
 
+A rule function is ``_rN(s, ch, d)``: the call's state, the parent's
+child list and the activation's depth, passed down as an argument
+instead of kept in ``RunState.depth``.  Only a rule that never passes
+its child through builds a node up front.  One that may (every level of
+SQL:2003's expression cascade, ``value_expression`` down to ``factor``)
+appends straight into its parent's list and wraps what it appended only
+when that is not exactly one node.  A rule that heads a *chain* of such
+levels, each reaching the next through one head CALL with only
+lookahead-guarded optionals around it, skips the levels on a terminal
+that every level would send straight to its head: it adds their fuel
+ticks at once and calls the deepest rule at the depth they would have,
+then runs the levels' tails if the next token can start one (see
+:meth:`_SourceBuilder.emit_chain` for why this is exact).
+
 Semantics are interpreter-exact and enforced by the differential suite:
 identical parse trees on accepts (an activation whose children are
 exactly one node passes it through: :func:`~repro.parsing.program.passage`
@@ -26,8 +40,9 @@ Layers:
   (:class:`~repro.parsing.parser.RunState`, ``_Fail``, ``_fail`` /
   ``_check`` / ``_depth_fail``) — the interpreter's own, so both
   backends run a parse on one per-call state object;
-* the lowering — constants, per-rule functions, helper tuples and
-  ``RULES`` — which the ``repro compose --emit`` export
+* the lowering — constants, per-rule functions, the levels' tail
+  functions, helper tuples and ``RULES`` — which the ``repro compose
+  --emit`` export
   (:func:`~repro.parsing.codegen.generate_parser_source`) also prints,
   behind an inline runtime;
 * :class:`ClosureProgram` — the lowering of a program held in memory,
@@ -48,23 +63,23 @@ import builtins
 import threading
 from functools import partial
 from types import CodeType, FunctionType
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .parser import Parser, RunState
 
 # The runtime the lowered code calls.  Compiled rule functions take
-# ``s`` (the call's RunState) and ``out`` (the parent node, which is its
-# own child list), so they close over nothing: a lowered namespace
-# holds only constants and other functions, shareable across threads.
+# ``s`` (the call's RunState), the parent's child list and their own
+# depth, so they close over nothing: a lowered namespace holds only
+# constants and other functions, shareable across threads.
 from .parser import _check, _depth_fail, _Fail, _fail
 from .program import (
     MAY_PASS,
-    MAY_PASS_TOKEN,
     OP_CALL,
     OP_CHOICE,
     OP_LOOP,
     OP_MATCH,
     OP_OPT,
+    OP_SEPLOOP,
     OP_SEQ,
     PASSES,
     WRAPS,
@@ -93,6 +108,135 @@ def _literal(value: Any) -> str:
     raise TypeError(f"unsupported constant: {value!r}")
 
 
+# -- chains of node-free levels ----------------------------------------------
+
+#: A SEPLOOP's repetition alone, ``(op, sep, inner, sep_first)``: what
+#: runs after its first item, which a chain runs as that level's tail.
+_OP_REPEAT = -1
+
+
+class _Level(NamedTuple):
+    """A node-free rule that reaches one rule through a head CALL.
+
+    ``route`` is the set of terminals the rule's CHOICE sends to the
+    head's block alone (``None`` when the body is no CHOICE); ``leads``
+    the union of the guards of the optionals before the head call;
+    ``tails`` the lookahead-guarded optionals after it, in order, and
+    ``tail_first`` the union of their guards.
+    """
+
+    head: int
+    route: frozenset[str] | None
+    leads: frozenset[str]
+    tails: tuple
+    tail_first: frozenset[str]
+
+
+def _guard(instr) -> frozenset[str] | None:
+    """The lookahead set that guards an optional instruction, else None."""
+    op = instr[0]
+    if op == OP_OPT or (op == OP_LOOP and instr[3] == 0):
+        return instr[2]
+    if op == OP_SEPLOOP and instr[5] == 0:
+        return instr[3]
+    if op == _OP_REPEAT:
+        return instr[3]
+    return None
+
+
+def _split(block) -> tuple[tuple, int, tuple] | None:
+    """``(leads, head rule id, tails)`` when ``block`` reaches one rule
+    through a head CALL with only guarded optionals around it."""
+    op = block[0]
+    if op == OP_CALL:
+        return (), block[1], ()
+    if op == OP_SEPLOOP and block[5] and block[1][0] == OP_CALL:
+        return (), block[1][1], ((_OP_REPEAT, block[2], block[1], block[4]),)
+    if op == OP_SEQ:
+        items = block[1]
+        for k, item in enumerate(items):
+            if _guard(item) is None:
+                rest = items[:k] + items[k + 1:]
+                if item[0] == OP_CALL and all(
+                    _guard(other) is not None for other in rest
+                ):
+                    return items[:k], item[1], items[k + 1:]
+                return None
+    return None
+
+
+def _level(body, kind: int) -> _Level | None:
+    """The level a rule with body ``body`` forms in a chain, if any.
+
+    A CHOICE is a level when exactly one of its blocks has the shape
+    :func:`_split` takes and some terminals route to it alone; with two
+    such blocks the chain ends at the rule instead of picking one.
+    """
+    if kind == WRAPS:
+        return None
+    route = None
+    if body[0] == OP_CHOICE:
+        # a terminal in a block's FIRST set is dispatched to that block
+        # among others, so it routes to the block alone when it routes
+        # to one block
+        dispatch, found = body[1], None
+        for block, first in zip(body[4], body[5]):
+            split = _split(block)
+            if split is not None:
+                alone = frozenset(
+                    term for term in first if len(dispatch[term]) == 1
+                )
+                if alone:
+                    if found is not None:
+                        return None
+                    found = split, alone
+        if found is None:
+            return None
+        split, route = found
+    else:
+        split = _split(body)
+        if split is None:
+            return None
+    leads, head, tails = split
+    return _Level(
+        head,
+        route,
+        frozenset().union(*map(_guard, leads)),
+        tails,
+        frozenset().union(*map(_guard, tails)),
+    )
+
+
+class _Chain(NamedTuple):
+    """A rule heading K ≥ 2 nested levels (itself first), the rule the
+    deepest level calls, and the terminals that may skip the levels
+    (``direct``; ``None`` means every terminal outside ``leads``)."""
+
+    levels: tuple[int, ...]
+    deepest: int
+    direct: frozenset[str] | None
+    leads: frozenset[str]
+
+
+def _chain(levels: list[_Level | None], rid: int) -> _Chain | None:
+    """The chain rule ``rid`` heads, if it heads one (it is a level)."""
+    chain = [rid]
+    head = levels[rid].head
+    while levels[head] is not None and head not in chain:
+        chain.append(head)
+        head = levels[head].head
+    if len(chain) < 2:
+        return None
+    leads = frozenset().union(*(levels[r].leads for r in chain))
+    routes = [levels[r].route for r in chain if levels[r].route is not None]
+    direct = None
+    if routes:
+        direct = frozenset.intersection(*routes) - leads
+        if not direct:
+            return None
+    return _Chain(tuple(chain), head, direct, leads)
+
+
 class _SourceBuilder:
     """Lower a ParseProgram's instruction tuples to Python statements.
 
@@ -104,6 +248,12 @@ class _SourceBuilder:
     instructions are outlined to helper functions, and long
     backtracking candidate lists become a loop over a function tuple
     instead of a nested try-chain.
+
+    Every function takes ``(s, list, depth)``: a rule function its own
+    depth, a helper or a level's tail function the depth of the rules it
+    calls (``e``), so a function tuple may mix rules and helpers.  Each
+    rule's passage and level are computed once, here, and its chain
+    (:func:`_chain`) once, when its function is lowered.
     """
 
     def __init__(self, program: ParseProgram) -> None:
@@ -116,6 +266,14 @@ class _SourceBuilder:
         self._hn = 0
         #: (tuple name, candidate fn names)
         self.fn_tuples: list[tuple[str, tuple[str, ...]]] = []
+        #: the depth a call emitted here passes
+        self.down = "d + 1"
+        self.kinds = [passage(body) for body in program.code]
+        self.levels = [
+            _level(body, kind) for body, kind in zip(program.code, self.kinds)
+        ]
+        #: the levels whose tail functions a fast path calls
+        self.tailed: set[int] = set()
 
     def const(self, prefix: str, value: Any, key: Any = None) -> str:
         key = (prefix, key if key is not None else value)
@@ -246,7 +404,7 @@ class _SourceBuilder:
             w(ind, f"{lv} = None")
             w(ind, f"for {fv} in {tname}:")
             w(ind + 1, "try:")
-            w(ind + 2, f"{fv}(s, ch)")
+            w(ind + 2, f"{fv}(s, ch, {self.down})")
             w(ind + 2, "break")
             w(ind + 1, "except _Fail as _f:")
             w(ind + 2, f"{lv} = _f")
@@ -270,7 +428,7 @@ class _SourceBuilder:
             # outline before CPython's 20-block nesting limit bites
             self._hn += 1
             name = f"_h{self._hn}"
-            self.w(ind, f"{name}(s, ch)")
+            self.w(ind, f"{name}(s, ch, {self.down})")
             self.helpers.append((name, instr))
             return
         w = self.w
@@ -278,7 +436,7 @@ class _SourceBuilder:
         if op == OP_MATCH:
             self.emit_match_run([(instr[1], instr[2])], ind)
         elif op == OP_CALL:
-            w(ind, f"_r{instr[1]}(s, ch)")
+            w(ind, f"_r{instr[1]}(s, ch, {self.down})")
         elif op == OP_SEQ:
             self.emit_seq(instr[1], ind)
         elif op == OP_CHOICE:
@@ -327,106 +485,196 @@ class _SourceBuilder:
                 w(ind, f"if {cv} < {minimum}:")
                 w(ind + 1, f"_fail(s, {f})")
             self.tmp -= 1
-        else:  # OP_SEPLOOP: (op, inner, sep, first, sep_first, min)
+        elif op == OP_SEPLOOP:  # (op, inner, sep, first, sep_first, min)
             inner, sep, first, sep_first, minimum = instr[1:6]
-            body_ind = ind
             if minimum == 0:
                 f = self.const("f", first)
                 w(ind, f"if tk[s.i].type in {f}:")
-                body_ind = ind + 1
-            self.emit(inner, body_ind)
-            self.tmp += 1
-            iv, nv = f"_i{self.tmp}", f"_n{self.tmp}"
-            single_sep = sep[0] == OP_MATCH and len(sep_first) == 1
-            if single_sep:
-                w(body_ind, f"while tk[s.i].type == {sep[1]!r}:")
-            else:
-                sf = self.const("f", sep_first)
-                w(body_ind, f"while tk[s.i].type in {sf}:")
-            w(body_ind + 1, f"{iv} = s.i")
-            w(body_ind + 1, f"{nv} = len(ch)")
-            w(body_ind + 1, "try:")
-            if single_sep:
-                w(body_ind + 2, f"ch.append(tk[{iv}])")
-                w(body_ind + 2, f"s.i = {iv} + 1")
-            else:
-                self.emit(sep, body_ind + 2)
-            self.emit(inner, body_ind + 2)
-            w(body_ind + 1, "except _Fail:")
-            w(body_ind + 2, f"s.i = {iv}")
-            w(body_ind + 2, f"del ch[{nv}:]")
-            w(body_ind + 2, "break")
-            self.tmp -= 1
+                ind += 1
+            self.emit(inner, ind)
+            self.emit_repeat(sep, inner, sep_first, ind)
+        else:  # _OP_REPEAT: (op, sep, inner, sep_first)
+            self.emit_repeat(instr[1], instr[2], instr[3], ind)
+
+    def emit_repeat(
+        self, sep: tuple, inner: tuple, sep_first: frozenset[str], ind: int
+    ) -> None:
+        """A SEPLOOP's ``(sep inner)*`` after its first item."""
+        w = self.w
+        self.tmp += 1
+        iv, nv = f"_i{self.tmp}", f"_n{self.tmp}"
+        single_sep = sep[0] == OP_MATCH and len(sep_first) == 1
+        if single_sep:
+            test = f"== {sep[1]!r}"
+        else:
+            test = f"in {self.const('f', sep_first)}"
+        w(ind, f"while tk[s.i].type {test}:")
+        w(ind + 1, f"{iv} = s.i")
+        w(ind + 1, f"{nv} = len(ch)")
+        w(ind + 1, "try:")
+        if single_sep:
+            w(ind + 2, f"ch.append(tk[{iv}])")
+            w(ind + 2, f"s.i = {iv} + 1")
+        else:
+            self.emit(sep, ind + 2)
+        self.emit(inner, ind + 2)
+        w(ind + 1, "except _Fail:")
+        w(ind + 2, f"s.i = {iv}")
+        w(ind + 2, f"del ch[{nv}:]")
+        w(ind + 2, "break")
+        self.tmp -= 1
 
     def emit_rule(self, rid: int) -> None:
         w = self.w
         body = self.program.code[rid]
         rname = self.program.rule_names[rid]
-        leaf = not called_rules(body)
-        kind = passage(body)
-        if kind == PASSES:
-            # every success appends exactly one node, and a failure
-            # nothing: the body appends straight to the parent's list,
-            # so the activation passes its child through with no node
-            w(0, f"def _r{rid}(s, ch):")
-        else:
-            w(0, f"def _r{rid}(s, out):")
-        if not leaf:
-            w(1, "st = s.steps + 1")
-            w(1, "s.steps = st")
-            w(1, "if st >= s.limit:")
-            w(2, "_check(s, st)")
-        if leaf:
-            # leaf rule (no nested CALLs): nothing below can observe the
-            # depth register, and fuel keeps ticking at every enclosing
-            # non-leaf call — pathological backtracking and runaway
-            # recursion always go through those — so both the depth
-            # bookkeeping and the step tick are dead weight on the
-            # hottest rules (identifiers, literals)
-            w(1, "if s.depth >= s.max_depth:")
+        kind = self.kinds[rid]
+        if not called_rules(body):
+            # leaf rule (no nested CALLs): fuel keeps ticking at every
+            # enclosing non-leaf call — pathological backtracking and
+            # runaway recursion always go through those — so the step
+            # tick is dead weight on the hottest rules (identifiers,
+            # literals); a leaf always leaves its node, which is its own
+            # child list (repro.parsing.tree.Node)
+            w(0, f"def _r{rid}(s, out, d):")
+            w(1, "if d >= s.max_depth:")
             w(2, "_depth_fail(s)")
             w(1, "tk = s.tokens")
-            # the node is its own child list (repro.parsing.tree.Node)
             w(1, "ch = _new(_Node)")
             w(1, f"ch.name = {rname!r}")
             self.emit(body, 1)
             w(1, "out.append(ch)")
             w(0, "")
             return
-        w(1, "d = s.depth")
+        # a rule that may pass its child through builds no node up
+        # front: it appends straight into its parent's list and wraps
+        # what it appended (``ch[n:]``) only when that is not one node
+        w(0, f"def _r{rid}(s, {'out' if kind == WRAPS else 'ch'}, d):")
+        w(1, "st = s.steps + 1")
+        w(1, "s.steps = st")
+        w(1, "if st >= s.limit:")
+        w(2, "_check(s, st)")
         w(1, "if d >= s.max_depth:")
         w(2, "_depth_fail(s)")
-        w(1, "s.depth = d + 1")
         tk_line = len(self.lines)
         w(1, "tk = s.tokens")
-        if kind != PASSES:
+        chain = self.levels[rid] and _chain(self.levels, rid)
+        if chain is not None:
+            self.emit_chain(chain)
+        if kind == WRAPS:
             w(1, "ch = _new(_Node)")
             w(1, f"ch.name = {rname!r}")
-        w(1, "try:")
-        self.emit(body, 2)
-        w(1, "finally:")
-        w(2, "s.depth = d")
+        elif kind != PASSES:
+            w(1, "n = len(ch)")
+        self.emit(body, 1)
         if not any("tk[" in line for line in self.lines[tk_line + 1:]):
             del self.lines[tk_line]  # a body of calls reads no token
-        if kind == MAY_PASS:
-            w(1, "out.append(ch[0] if len(ch) == 1 else ch)")
-        elif kind == MAY_PASS_TOKEN:
-            w(1, "out.append(ch[0] if len(ch) == 1 and type(ch[0]) is _Node else ch)")
-        elif kind == WRAPS:
+        if kind == WRAPS:
             w(1, "out.append(ch)")
+        else:
+            self.emit_wrap(rid)
         w(0, "")
 
+    def emit_wrap(self, rid: int) -> None:
+        """Leave ``ch[n:]`` as it is when it is one node, else wrap it."""
+        kind = self.kinds[rid]
+        if kind == PASSES:
+            return
+        if kind == MAY_PASS:
+            test = "len(ch) != n + 1"
+        else:  # MAY_PASS_TOKEN: a lone token keeps its node
+            test = "len(ch) != n + 1 or type(ch[n]) is not _Node"
+        w = self.w
+        w(1, f"if {test}:")
+        w(2, "node = _new(_Node)")
+        w(2, f"node.name = {self.program.rule_names[rid]!r}")
+        w(2, "node += ch[n:]")
+        w(2, "del ch[n:]")
+        w(2, "ch.append(node)")
+
+    def emit_chain(self, chain: _Chain) -> None:
+        """The fast path of a rule heading a chain of K node-free levels.
+
+        It runs when three tests hold, and then does what the K - 1
+        levels below this rule would have done, without calling them:
+
+        * the token is DIRECT: every CHOICE level routes it to its
+          head's block alone and no lead's guard holds it, so each level
+          would only test lookaheads, which record no failure, and take
+          its head call;
+        * ``d + K < s.max_depth``: no level's depth check would trip;
+        * ``st + K - 1 < s.limit``: no level's fuel tick would reach
+          ``s.limit``, so no ``_check`` is due and the ticks are added
+          at once.
+
+        The deepest rule is called at the depth the last level would
+        call it at, and leaves one node.  Then each level, innermost
+        first, would run its tails and wrap what they appended: that
+        happens through the level's tail function (:meth:`emit_tails`),
+        called at the level's own depth when the next token can start
+        one of its tails.  A level whose tails cannot start appends
+        nothing, so it would pass the one node it holds.
+        """
+        w = self.w
+        levels, deepest, direct, leads = chain
+        k = len(levels)
+        tests = [f"d + {k} < s.max_depth", f"st + {k - 1} < s.limit"]
+        if direct is not None:
+            tests.insert(0, f"tk[s.i].type in {self.const('f', direct)}")
+        elif leads:
+            tests.insert(0, f"tk[s.i].type not in {self.const('f', leads)}")
+        w(1, f"if {' and '.join(tests)}:")
+        w(2, f"s.steps = st + {k - 1}")
+        w(2, f"_r{deepest}(s, ch, d + {k})")
+        tailed = [j for j, level in enumerate(levels) if self.levels[level].tails]
+        ind = 2
+        if len(tailed) > 1:
+            # one test for the common case: no level's tail can start
+            first = frozenset().union(
+                *(self.levels[levels[j]].tail_first for j in tailed)
+            )
+            w(2, f"if tk[s.i].type in {self.const('f', first)}:")
+            ind = 3
+        for j in reversed(tailed):
+            level = levels[j]
+            self.tailed.add(level)
+            f = self.const("f", self.levels[level].tail_first)
+            w(ind, f"if tk[s.i].type in {f}:")
+            w(ind + 1, f"_u{level}(s, ch, d + {j + 1})")
+        w(2, "return")
+
+    def emit_tails(self, rid: int) -> None:
+        """A level's tail function: its tails, then its wrap check.
+
+        A fast path calls it with one node at the end of ``ch``, the
+        node the level's head call left, and with the depth the level's
+        own body calls rules at.
+        """
+        self.w(0, f"def _u{rid}(s, ch, e):")
+        self.w(1, "tk = s.tokens")
+        self.w(1, "n = len(ch) - 1")
+        for instr in self.levels[rid].tails:
+            self.emit(instr, 1)
+        self.emit_wrap(rid)
+        self.w(0, "")
+
     def build(self) -> list[tuple[str, str]]:
-        """``(name, def text)`` per function: rules in id order, then helpers."""
+        """``(name, def text)`` per function: rules in id order, then the
+        levels' tail functions, then helpers."""
         functions = []
         for rid in range(len(self.program.rule_names)):
             self.lines = []
             self.emit_rule(rid)
             functions.append((f"_r{rid}", "\n".join(self.lines)))
+        self.down = "e"
+        for rid in sorted(self.tailed):
+            self.lines = []
+            self.emit_tails(rid)
+            functions.append((f"_u{rid}", "\n".join(self.lines)))
         while self.helpers:
             name, instr = self.helpers.pop()
             self.lines = []
-            self.w(0, f"def {name}(s, ch):")
+            self.w(0, f"def {name}(s, ch, e):")
             self.w(1, "tk = s.tokens")
             saved = self.tmp
             self.tmp = 0
@@ -441,7 +689,8 @@ class _Lowering:
     """A program lowered to Python, in the pieces both consumers need.
 
     ``consts`` are ``(name, value)`` pairs, ``functions`` ``(name, def
-    text)`` pairs (rules in id order, then helpers), ``tuples`` the
+    text)`` pairs (rules in id order, then tail functions, then
+    helpers), ``tuples`` the
     helper-function tuples as ``(name, function names)``.  :meth:`body`
     joins them into the ``--emit`` export's module text; :func:`_load`
     binds them without it.
@@ -457,8 +706,9 @@ class _Lowering:
     def body(self) -> str:
         """The lowering as module text, for the export to print after its header.
 
-        Constants, one function per rule, the helper-function tuples and
-        ``RULES`` (rule functions by rule id).  The text needs ``_Fail``,
+        Constants, one function per rule, the tail and helper functions,
+        the helper-function tuples and ``RULES`` (rule functions by rule
+        id).  The text needs ``_Fail``,
         ``_fail``, ``_check``, ``_depth_fail``, ``_Node`` and ``_new`` in
         scope, and a state object with the :class:`RunState` attributes
         it reads.
@@ -491,14 +741,14 @@ _RUNTIME: dict[str, Any] = {
 }
 
 
-def _stub(s: RunState, out: list, _first_call: Any = None) -> None:
+def _stub(s: RunState, out: list, d: int, _first_call: Any = None) -> None:
     """The code every lowered function starts with (see :func:`_load`)."""
-    return _first_call(s, out)
+    return _first_call(s, out, d)
 
 
 def _load(
     lowering: _Lowering, filename: str
-) -> tuple[Callable[[RunState, list], None], ...]:
+) -> tuple[Callable[[RunState, list, int], None], ...]:
     """Bind a lowering into a fresh namespace, compiling each function lazily.
 
     The constants go in as values, and every function name is bound to
@@ -516,7 +766,7 @@ def _load(
     namespace = dict(_RUNTIME)
     namespace.update(lowering.consts)
 
-    def first_call(name: str, s: RunState, out: list) -> None:
+    def first_call(name: str, s: RunState, out: list, d: int) -> None:
         fn = namespace[name]
         with lock:
             text = pending.get(name)
@@ -529,7 +779,7 @@ def _load(
                 # defaults to the new code, never the stub to none
                 fn.__defaults__ = None
                 del pending[name]
-        return fn(s, out)
+        return fn(s, out, d)
 
     for name in pending:
         namespace[name] = FunctionType(
@@ -601,7 +851,15 @@ class ClosureParser(Parser):
         self._rule_fns = closure_program.rule_fns
 
     def _call_rule(self, s: RunState, rule_id: int, out: list) -> None:
-        if s.cov is None:
-            self._rule_fns[rule_id](s, out)
-        else:
+        if s.cov is not None:
             super()._call_rule(s, rule_id, out)
+            return
+        n = len(out)
+        try:
+            self._rule_fns[rule_id](s, out, s.depth)
+        except BaseException:
+            # a node-free activation appends into ``out`` as it goes;
+            # what a failed one left there is not the caller's (the
+            # recovering parse keeps ``out`` as its partial root)
+            del out[n:]
+            raise

@@ -126,9 +126,10 @@ class _Fail(Exception):
 
 
 class _State:
-    """The registers of one parse call (the ``s`` of every rule function)."""
+    """The registers of one parse call (the ``s`` of every rule function;
+    each rule function takes its depth as an argument)."""
 
-    __slots__ = ("tokens", "i", "fi", "fexp", "steps", "limit", "depth", "max_depth")
+    __slots__ = ("tokens", "i", "fi", "fexp", "steps", "limit", "max_depth")
 
     def __init__(self, tokens):
         self.tokens = tokens
@@ -137,7 +138,6 @@ class _State:
         self.fexp = set()
         self.steps = 0
         self.limit = 1 << 62
-        self.depth = 0
         self.max_depth = _MAX_DEPTH
 
 
@@ -234,7 +234,7 @@ def parse(text, start=None):
     name = start or _START
     out = []
     try:
-        RULES[_RULE_IDS[name]](s, out)
+        RULES[_RULE_IDS[name]](s, out, 0)
         if s.tokens[s.i].type != EOF:
             _fail(s, frozenset((EOF,)))
     except _Fail:

@@ -85,9 +85,14 @@ DEFAULT_STEP_FLOOR = 20_000
 DEADLINE_CHECK_INTERVAL = 1024
 
 #: Maximum simultaneous rule activations.  Kept well under Python's own
-#: recursion limit (each activation costs a handful of interpreter
-#: frames) so deeply nested input surfaces as ParseBudgetExceeded rather
-#: than RecursionError.
+#: recursion limit so deeply nested input surfaces as ParseBudgetExceeded
+#: rather than RecursionError.  The interpreter spends about three
+#: frames per activation (``full`` parses an expression nested 15
+#: parentheses deep, about 190 activations, at a recursion limit of
+#: 592); compiled code one frame per activation it enters, and none for
+#: the levels a chain skips (51 for the same input).  A caller already
+#: holding hundreds of frames can exhaust Python's limit first: the entry
+#: points report that as the same E0202 (:func:`_stack_exhausted`).
 DEFAULT_MAX_DEPTH = 200
 
 _MAXSTEPS = sys.maxsize
@@ -111,8 +116,10 @@ class RunState:
     """The mutable registers of one parse call.
 
     ``i`` is the cursor into ``tokens``; ``fi``/``fexp`` the furthest
-    failure index and the terminals expected there; ``depth`` the active
-    rule calls; ``cov`` the coverage collector of a counting call.
+    failure index and the terminals expected there; ``depth`` the
+    interpreter's active rule calls (a compiled rule function takes its
+    depth as an argument); ``cov`` the coverage collector of a counting
+    call.
     ``limit`` is the next step count at which :func:`_check` must run:
     with no budget and no deadline it is never reached; otherwise it is
     re-armed every :data:`DEADLINE_CHECK_INTERVAL` steps (and clamped to
@@ -194,6 +201,25 @@ def _depth_fail(s: RunState) -> None:
     token = s.tokens[s.i]
     raise ParseBudgetExceeded(
         f"parser recursion depth limit of {s.max_depth} exceeded "
+        f"(input nested too deeply near {token.type})",
+        line=token.line,
+        column=token.column,
+        steps=s.steps,
+    )
+
+
+def _stack_exhausted(s: RunState) -> ParseBudgetExceeded:
+    """Depth exhaustion of another kind: Python's stack ran out first.
+
+    :data:`DEFAULT_MAX_DEPTH` leaves room for a shallow caller; one that
+    already holds hundreds of frames can hit the interpreter's own
+    recursion limit before it.  The parse then ends as it would at the
+    depth limit, with a ParseBudgetExceeded at the cursor, instead of
+    letting RecursionError out.
+    """
+    token = s.tokens[min(s.i, len(s.tokens) - 1)]
+    return ParseBudgetExceeded(
+        f"parser stack exhausted before the depth limit of {s.max_depth} "
         f"(input nested too deeply near {token.type})",
         line=token.line,
         column=token.column,
@@ -344,7 +370,9 @@ class Parser:
         """Parse an already-scanned token list (must end with EOF).
 
         ``max_steps`` overrides the parser-level fuel budget for this
-        call; exceeding it raises :class:`~repro.errors.ParseBudgetExceeded`.
+        call; exceeding it raises :class:`~repro.errors.ParseBudgetExceeded`,
+        as does input nested past the depth limit, or past the room
+        Python's stack leaves under the caller.
         ``deadline`` is an optional
         :class:`~repro.resilience.deadline.Deadline`; the driver checks it
         every :data:`DEADLINE_CHECK_INTERVAL` steps and aborts with
@@ -374,6 +402,8 @@ class Parser:
                 _fail(s, _EOF_SET)
         except _Fail:
             raise self._build_error(s) from None
+        except RecursionError:
+            raise _stack_exhausted(s) from None
         name = self._rule_names[rule_id]
         if out[0].name != name:
             # the root stays the start rule's node even when its
@@ -403,7 +433,9 @@ class Parser:
            and parsing resumes, so later errors are found in the same
            pass;
         3. a fuel budget (input-scaled unless overridden) turns
-           pathological backtracking into a diagnostic instead of a hang.
+           pathological backtracking into a diagnostic instead of a hang,
+           and nesting past the depth limit, or past the room Python's
+           stack leaves under the caller, into an E0202 diagnostic.
 
         Args:
             text: Source text.
@@ -485,6 +517,8 @@ class Parser:
                     s.i += 1  # always make progress
         except ParseBudgetExceeded as exceeded:
             bag.add(exceeded.to_diagnostic())
+        except RecursionError:
+            bag.add(_stack_exhausted(s).to_diagnostic())
         current = tokens[s.i]
         if bag.full() and not current.is_eof:
             bag.truncated = True
@@ -509,9 +543,10 @@ class Parser:
         """True when the text parses; scan and parse errors both count as no.
 
         Resource-limit exhaustion — the fuel budget (``max_steps`` here or
-        the parser-level one) or the recursion-depth cap — also counts as
-        rejection: an input this parser refuses to spend more resources on
-        is an input it does not accept (E0202 never escapes as a crash).
+        the parser-level one), the recursion-depth cap, or Python's own
+        stack running out under a deep caller — also counts as rejection:
+        an input this parser refuses to spend more resources on is an
+        input it does not accept (E0202 never escapes as a crash).
         ``coverage`` counts the call into a collector (see
         :meth:`parse_tokens`).
         """

@@ -75,7 +75,7 @@ def functions(fns):
     namespace = fns[0].__globals__
     return {
         name: value for name, value in namespace.items()
-        if re.fullmatch(r"_[rh]\d+", name)
+        if re.fullmatch(r"_[rhu]\d+", name)
     }
 
 

@@ -15,6 +15,7 @@ import pytest
 from repro.errors import ParseBudgetExceeded
 from repro.parsing.coverage import CoverageMap
 from repro.parsing.parser import Parser
+from repro.resilience import FaultPlan, FaultRule
 from repro.service import ParseService, ParserRegistry
 from repro.sql import (
     build_dialect,
@@ -366,15 +367,18 @@ class TestStackParity:
     @staticmethod
     def deepest_caller(parse) -> int:
         """The most frames a caller may hold for ``parse()`` to still
-        raise ParseBudgetExceeded (bisected)."""
+        trip the depth limit itself (bisected).  Python's stack running
+        out first also ends in ParseBudgetExceeded (``TestDeepCallers``),
+        but that one does not count: the bisection measures where the
+        walk's own frames run out."""
 
         def descend(frames):
             if frames:
                 return descend(frames - 1)
             try:
                 parse()
-            except ParseBudgetExceeded:
-                return True
+            except ParseBudgetExceeded as error:
+                return str(error).startswith("parser recursion depth limit")
             raise AssertionError("the nested input parsed")
 
         def answers(frames):
@@ -415,3 +419,72 @@ class TestStackParity:
         ) >= 0
         outcome = parser.parse_with_diagnostics(self.NESTED, coverage=collector)
         assert [d.code for d in outcome.diagnostics] == ["E0202"]
+        assert [d.message for d in outcome.diagnostics][0].startswith(
+            "parser recursion depth limit"
+        )
+
+
+def under(frames, call):
+    """``call()``, made from ``frames`` frames deeper than here."""
+    if frames:
+        return under(frames - 1, call)
+    return call()
+
+
+class TestDeepCallers:
+    """Under a caller that already holds hundreds of frames, Python's
+    stack can run out before the 200-activation depth limit does.  The
+    safe entry points then answer as at the depth limit, on both
+    backends, plain or counting, and through the service (whose counting
+    requests and degraded requests run the interpreter): ``accepts`` is
+    False, ``parse_with_diagnostics`` reports E0202, and ``parse_tokens``
+    raises ParseBudgetExceeded.  RecursionError never gets out."""
+
+    NESTED = TestStackParity.NESTED
+
+    @pytest.fixture(scope="class")
+    def entry(self):
+        return sql_parser_registry().get(dialect_features("full"))
+
+    @pytest.mark.parametrize("frames", [400, 600])
+    @pytest.mark.parametrize("counting", [False, True], ids=["plain", "counting"])
+    @pytest.mark.parametrize("backend", ["interpreter", "compiled"])
+    def test_entry_points_answer_e0202(self, entry, backend, counting, frames):
+        parser = (
+            entry.parser() if backend == "interpreter" else entry.compiled_parser()
+        )
+        collector = entry.coverage_collector() if counting else None
+        tokens = parser.scanner.scan(self.NESTED)
+
+        def raises():
+            with pytest.raises(ParseBudgetExceeded) as excinfo:
+                parser.parse_tokens(tokens, coverage=collector)
+            return excinfo.value
+
+        assert under(frames, lambda: parser.accepts(
+            self.NESTED, coverage=collector
+        )) is False
+        outcome = under(frames, lambda: parser.parse_with_diagnostics(
+            self.NESTED, coverage=collector
+        ))
+        assert [d.code for d in outcome.diagnostics] == ["E0202"]
+        assert "nested too deeply" in under(frames, raises).args[0]
+
+    @pytest.mark.parametrize("frames", [400, 600])
+    @pytest.mark.parametrize("rung", ["counting", "degraded"])
+    def test_service_answers_e0202(self, entry, rung, frames):
+        plan = FaultPlan([FaultRule("backend.parse", times=None)])
+        with ParseService(
+            registry=ParserRegistry(build_sql_product_line(), capacity=2),
+            fault_plan=plan if rung == "degraded" else None,
+        ) as service:
+            features = dialect_features("full")
+            collector = (
+                service.registry.get(features).coverage_collector()
+                if rung == "counting" else None
+            )
+            result = under(frames, lambda: service.parse(
+                self.NESTED, features, coverage=collector
+            ))
+        assert [d.code for d in result.diagnostics] == ["E0202"]
+        assert result.degraded == (("backend",) if rung == "degraded" else ())
