@@ -15,15 +15,19 @@ from .configuration import Configuration, validate_configuration
 from .model import Feature, FeatureModel, GroupType
 
 
-def count_products(model: FeatureModel, exact_limit: int = 24) -> int:
+#: Largest constrained model :func:`count_products` counts by enumeration.
+EXACT_LIMIT = 24
+
+
+def count_products(model: FeatureModel) -> int:
     """Number of valid configurations of the model.
 
     Exact when the model has no cross-tree constraints.  With constraints,
     the count is computed by enumeration when the model has at most
-    ``exact_limit`` features, otherwise the unconstrained tree count is
+    :data:`EXACT_LIMIT` features, otherwise the unconstrained tree count is
     returned as an upper bound.
     """
-    if model.constraints and len(model) <= exact_limit:
+    if model.constraints and len(model) <= EXACT_LIMIT:
         return sum(1 for _ in enumerate_products(model))
     return _tree_count(model.root)
 

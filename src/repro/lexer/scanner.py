@@ -22,30 +22,27 @@ from ..errors import ScanError
 from .spec import TokenSet, compile_fast_pattern, compile_master_pattern
 from .token import ERROR, Token, eof_token
 
+#: Scanner rules whose matches are promoted to keyword terminals.
+IDENTIFIER_RULES = ("IDENTIFIER",)
+
 
 class Scanner:
     """Tokenizes source text according to one token set.
 
     Keywords are recognized case-insensitively: any token whose matching
-    rule is named ``IDENTIFIER`` (or any rule listed in
-    ``identifier_rules``) is promoted to its keyword terminal when its
-    upper-cased text is in the token set's keyword table.
+    rule is named ``IDENTIFIER`` is promoted to its keyword terminal when
+    its upper-cased text is in the token set's keyword table.
     """
 
-    def __init__(
-        self,
-        token_set: TokenSet,
-        identifier_rules: tuple[str, ...] = ("IDENTIFIER",),
-    ) -> None:
+    def __init__(self, token_set: TokenSet) -> None:
         self.token_set = token_set
-        self.identifier_rules = identifier_rules
         self._master = compile_master_pattern(token_set)
         self._keywords = token_set.keywords
         self._skip_names = frozenset(d.name for d in token_set if d.skip)
         self._fast, self._stray_skips = compile_fast_pattern(token_set)
         # a stray skip match keeps its name, so dropping by type is exact
         self._fast_id_rules = tuple(
-            r for r in identifier_rules if r not in self._stray_skips
+            r for r in IDENTIFIER_RULES if r not in self._stray_skips
         )
 
     def tokens(self, text: str, recover: bool = False) -> Iterator[Token]:
@@ -86,7 +83,7 @@ class Scanner:
             lexeme = match.group()
             if name not in self._skip_names:
                 token_type = name
-                if name in self.identifier_rules:
+                if name in IDENTIFIER_RULES:
                     token_type = self._keywords.get(lexeme.upper(), name)
                 yield Token(token_type, lexeme, line, col, pos)
             line, col = _advance(lexeme, line, col)

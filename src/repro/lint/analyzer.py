@@ -20,7 +20,6 @@ from ..parsing.program import ParseProgram, compile_program
 from .baseline import Baseline
 from .interactions import check_feature_interactions
 from .passes import (
-    IDENTIFIER_RULES,
     check_choices,
     check_first_follow,
     check_loops,
@@ -40,7 +39,6 @@ def run_program_passes(
     analysis: GrammarAnalysis | None = None,
     origins: Mapping[str, str] | None = None,
     token_origins: Mapping[str, str] | None = None,
-    identifier_rules: tuple[str, ...] = IDENTIFIER_RULES,
 ) -> list[Finding]:
     """Every program-level pass (L0101–L0107) over one compiled product."""
     if analysis is None:
@@ -51,9 +49,7 @@ def run_program_passes(
     findings += check_choices(target, program, origins)
     findings += check_loops(target, program, origins)
     findings += check_first_follow(target, program, analysis, origins)
-    findings += check_token_shadowing(
-        target, grammar, token_origins, identifier_rules
-    )
+    findings += check_token_shadowing(target, grammar, token_origins)
     findings += check_unused_tokens(target, grammar, token_origins)
     return findings
 

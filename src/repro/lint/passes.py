@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..grammar.grammar import Grammar
+from ..lexer.scanner import IDENTIFIER_RULES
 from ..lexer.spec import compile_master_pattern
 from ..lexer.token import EOF
 from ..parsing.first_follow import GrammarAnalysis
@@ -51,10 +52,6 @@ from .codes import (
     UNUSED_TOKEN,
 )
 from .report import Finding
-
-#: Identifier-shaped scanner rules keywords are promoted from (matches
-#: the :class:`repro.lexer.scanner.Scanner` default).
-IDENTIFIER_RULES = ("IDENTIFIER",)
 
 
 def _fmt_terms(terms, limit: int = 6) -> str:
@@ -254,7 +251,6 @@ def check_token_shadowing(
     target: str,
     grammar: Grammar,
     token_origins: Mapping[str, str] | None = None,
-    identifier_rules: tuple[str, ...] = IDENTIFIER_RULES,
 ) -> list[Finding]:
     """L0106 — terminals the composed scanner can never emit.
 
@@ -292,7 +288,7 @@ def check_token_shadowing(
             for variant in (text, text.lower(), text.capitalize()):
                 match = master.match(variant)
                 if match is not None and match.end() == len(variant):
-                    if match.lastgroup in identifier_rules:
+                    if match.lastgroup in IDENTIFIER_RULES:
                         break
                     hits.append(match.lastgroup)
             else:

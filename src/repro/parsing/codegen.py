@@ -247,6 +247,16 @@ def parse(text, start=None):
             t.column,
             frozenset(s.fexp),
         ) from None
+    except RecursionError:
+        # a deep caller: Python's stack ran out before the depth limit
+        t = s.tokens[min(s.i, len(s.tokens) - 1)]
+        raise ParseError(
+            "parser stack exhausted before the depth limit of %d "
+            "(input nested too deeply near %s)" % (s.max_depth, t.type),
+            t.line,
+            t.column,
+            frozenset(),
+        ) from None
     if out[0].name != name:
         # the root stays the start rule's node even when its activation
         # passed its only child through

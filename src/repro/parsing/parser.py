@@ -275,7 +275,7 @@ class Parser:
             consulted when a syntax error is built; returned hints (e.g.
             "enable feature 'Window'") are attached to the error and its
             diagnostic.
-        analysis / table / program: Let a registry share the immutable
+        analysis / program: Let a registry share the immutable
             compiled pieces it already holds; passing them asserts the
             grammar was already validated when they were built.  When
             ``program`` is omitted it is compiled here.
@@ -293,7 +293,6 @@ class Parser:
         hint_provider=None,
         max_depth: int = DEFAULT_MAX_DEPTH,
         analysis: GrammarAnalysis | None = None,
-        table: LLTable | None = None,
         program: ParseProgram | None = None,
     ) -> None:
         if program is None:
@@ -305,7 +304,7 @@ class Parser:
         self.scanner = scanner if scanner is not None else Scanner(grammar.tokens)
         self.program = program
         self._analysis = analysis
-        self._table = table
+        self._table: LLTable | None = None
         self.strict = strict
         if strict and self.table.conflicts:
             raise LLConflictError(

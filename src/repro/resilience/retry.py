@@ -4,8 +4,7 @@ Only *transient* failures are worth retrying: a file that momentarily
 fails to read (NFS hiccup, anti-virus lock) may succeed a few
 milliseconds later, while a missing file or a fingerprint mismatch will
 fail identically forever.  :func:`is_transient_io_error` encodes that
-split for the artifact-I/O paths; callers with other failure domains
-pass their own ``should_retry``.
+split for the artifact-I/O paths, the only callers.
 
 Jitter is multiplicative and drawn from an injectable RNG so tests can
 pin the schedule exactly.
@@ -53,14 +52,14 @@ def is_transient_io_error(error: BaseException) -> bool:
 def retry_call(
     fn: Callable,
     policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-    should_retry: Callable[[BaseException], bool] = is_transient_io_error,
     sleep: Callable[[float], None] = time.sleep,
     rng: random.Random | None = None,
     on_retry: Callable[[int, BaseException], None] | None = None,
 ):
     """Call ``fn`` with up to ``policy.attempts`` tries.
 
-    Non-retryable errors and the final attempt's error propagate
+    Only errors :func:`is_transient_io_error` accepts are retried;
+    other errors and the final attempt's error propagate
     unchanged.  ``on_retry(attempt, error)`` fires before each re-try,
     letting callers count retries in metrics.
     """
@@ -73,7 +72,7 @@ def retry_call(
             return fn()
         except BaseException as error:
             attempt += 1
-            if attempt >= policy.attempts or not should_retry(error):
+            if attempt >= policy.attempts or not is_transient_io_error(error):
                 raise
             delay = min(
                 policy.max_delay,

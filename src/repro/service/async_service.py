@@ -35,12 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Mapping, Sequence
 
 from ..resilience.deadline import Deadline
-from .service import (
-    ParseService,
-    ParseServiceResult,
-    _count_timeout,
-    _timeout_result,
-)
+from .service import ParseService, ParseServiceResult, _timeout_result
 
 
 class AsyncParseService:
@@ -217,8 +212,9 @@ class AsyncParseService:
         if deadline is not None:
             remaining = deadline.remaining()
             if remaining <= 0.0:
-                _count_timeout(self.metrics, timeout)
-                return _timeout_result(text, None, timeout, False)
+                result = _timeout_result(text, None, timeout, False)
+                self.metrics.record_parse(result, None)
+                return result
         return await asyncio.get_running_loop().run_in_executor(
             self._dispatch,
             functools.partial(

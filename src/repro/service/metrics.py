@@ -16,6 +16,7 @@ CLI renderer.
 from __future__ import annotations
 
 import threading
+import time
 from bisect import bisect_left
 
 from .artifacts import EVENTS
@@ -31,15 +32,14 @@ DEFAULT_BUCKETS_MS = (
 class LatencyHistogram:
     """Fixed-bucket latency histogram with count/sum/min/max and quantiles.
 
-    Not thread-safe on its own — callers (``ServiceMetrics``) serialize
-    access.
+    Buckets are :data:`DEFAULT_BUCKETS_MS`.  Not thread-safe on its own —
+    callers (``ServiceMetrics``) serialize access.
     """
 
-    __slots__ = ("bounds_ms", "counts", "count", "total_ms", "min_ms", "max_ms")
+    __slots__ = ("counts", "count", "total_ms", "min_ms", "max_ms")
 
-    def __init__(self, bounds_ms: tuple[float, ...] = DEFAULT_BUCKETS_MS) -> None:
-        self.bounds_ms = bounds_ms
-        self.counts = [0] * (len(bounds_ms) + 1)
+    def __init__(self) -> None:
+        self.counts = [0] * (len(DEFAULT_BUCKETS_MS) + 1)
         self.count = 0
         self.total_ms = 0.0
         self.min_ms = float("inf")
@@ -47,7 +47,7 @@ class LatencyHistogram:
 
     def observe(self, seconds: float) -> None:
         ms = seconds * 1000.0
-        self.counts[bisect_left(self.bounds_ms, ms)] += 1
+        self.counts[bisect_left(DEFAULT_BUCKETS_MS, ms)] += 1
         self.count += 1
         self.total_ms += ms
         if ms < self.min_ms:
@@ -64,8 +64,8 @@ class LatencyHistogram:
         for i, n in enumerate(self.counts):
             seen += n
             if seen >= target and n:
-                if i < len(self.bounds_ms):
-                    return self.bounds_ms[i]
+                if i < len(DEFAULT_BUCKETS_MS):
+                    return DEFAULT_BUCKETS_MS[i]
                 return self.max_ms
         return self.max_ms
 
@@ -129,9 +129,9 @@ class ServiceMetrics:
         "composes",        # grammar compositions performed
         # artifact.ir.<event>: the parse-program artifact (see .artifacts)
         *(f"artifact.ir.{event}" for event in EVENTS),
-        "parses",          # parse requests served
+        "parses",          # parse requests answered (see record_parse)
         "parse_errors",    # parses whose outcome carried error diagnostics
-        "timeouts",        # batch requests that exceeded their deadline
+        "timeouts",        # requests that exceeded their deadline
         "lint_checks",     # products analyzed by the registry lint gate
         "lint_rejections",  # products the lint gate refused to serve
         # -- resilience ----------------------------------------------------
@@ -178,9 +178,8 @@ class ServiceMetrics:
             # timed-out parses, recorded separately so the main parse
             # series is not polluted while p99 still reflects reality
             "timeouts": LatencyHistogram(),
-            "render": LatencyHistogram(),
             "translate": LatencyHistogram(),
-            # per-executor end-to-end series (submission -> collected),
+            # per-executor end-to-end series (admission -> answered),
             # so thread vs process scaling is visible side by side
             "executor_thread": LatencyHistogram(),
             "executor_process": LatencyHistogram(),
@@ -200,6 +199,38 @@ class ServiceMetrics:
     def observe(self, histogram: str, seconds: float) -> None:
         with self._lock:
             self._histograms[histogram].observe(seconds)
+
+    def record_parse(self, result, series: str | None, queued=None) -> None:
+        """Fold one answered parse request in, under one lock acquisition.
+
+        ``series`` is the rung that parsed ``result`` (``parse_compiled``
+        or ``parse_interpreter``), or ``None`` when none did: a timeout
+        answered without a parse moves only ``timeouts``, and a parse
+        every rung raised on only ``parses`` and ``parse``.  A negative
+        duration counts as 0.  ``queued`` is a caller-loop text's
+        ``(admitted_at, depth)``, for ``executor_thread`` and the
+        ``thread`` depth gauge.
+        """
+        seconds = max(0.0, result.seconds)
+        errors = series is not None and result.diagnostics.has_errors
+        if queued is not None:
+            admitted_at, depth = queued
+            waited = time.perf_counter() - admitted_at
+        with self._lock:
+            counters, histograms = self._counters, self._histograms
+            if series is not None or not result.timed_out:
+                counters["parses"] += 1
+                histograms["parse"].observe(seconds)
+            if series is not None:
+                histograms[series].observe(seconds)
+            if errors:
+                counters["parse_errors"] += 1
+            if result.timed_out:
+                counters["timeouts"] += 1
+                histograms["timeouts"].observe(seconds)
+            if queued is not None:
+                self._depths["thread"].observe(depth)
+                histograms["executor_thread"].observe(waited)
 
     def time(self, histogram: str):
         """Context manager: time a block into one histogram."""
@@ -342,13 +373,9 @@ class _Timer:
         self.seconds = 0.0
 
     def __enter__(self) -> "_Timer":
-        import time
-
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
-        import time
-
         self.seconds = time.perf_counter() - self._t0
         self._metrics.observe(self._histogram, self.seconds)

@@ -261,7 +261,7 @@ class RegistryEntry:
             "_fallback_parser", lambda: Parser(self.product.grammar)
         )
 
-    # the per-thread accessors' names, kept for callers written against them
+    # the per-thread accessors' old names, kept because perfbench calls them
     thread_parser = parser
 
     def thread_compiled_parser(self, cache_dir: Path | None = None):
@@ -308,7 +308,6 @@ class ParserRegistry:
             evicted first).
         cache_dir: Optional directory for the on-disk artifact cache
             (every entry shares one store over it); ``None`` disables it.
-        metrics: Shared metrics sink; a fresh one is created if omitted.
         lint_gate: Refuse to serve products the :mod:`repro.lint` program
             passes find error-grade defects in (nullable loops, shadowed
             tokens).  The check runs once per composition, inside the
@@ -334,7 +333,6 @@ class ParserRegistry:
         line: GrammarProductLine,
         capacity: int = DEFAULT_CAPACITY,
         cache_dir: str | os.PathLike | None = None,
-        metrics: ServiceMetrics | None = None,
         lint_gate: bool = False,
         breaker_policy: BreakerPolicy | None = DEFAULT_BREAKER_POLICY,
         retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
@@ -344,7 +342,7 @@ class ParserRegistry:
             raise ValueError("registry capacity must be >= 1")
         self.line = line
         self.capacity = capacity
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self.lint_gate = lint_gate
         self.breaker_policy = breaker_policy
         self.faults = fault_plan
@@ -384,7 +382,6 @@ class ParserRegistry:
         features: Iterable[str],
         counts: Mapping[str, int] | None = None,
         expand: bool = True,
-        strict_order: bool = True,
     ) -> RegistryEntry:
         """The entry for a selection, composing at most once per fingerprint.
 
@@ -392,16 +389,13 @@ class ParserRegistry:
         per-fingerprint build lock: the first composes, the rest block
         and then receive the cached entry.
         """
-        return self.acquire(
-            features, counts, expand=expand, strict_order=strict_order
-        )[0]
+        return self.acquire(features, counts, expand=expand)[0]
 
     def acquire(
         self,
         features: Iterable[str],
         counts: Mapping[str, int] | None = None,
         expand: bool = True,
-        strict_order: bool = True,
     ) -> tuple[RegistryEntry, bool]:
         """Like :meth:`get`, also reporting whether the entry was warm.
 
@@ -451,9 +445,7 @@ class ParserRegistry:
                 if self.faults is not None:
                     self.faults.check("compose")
                 with self.metrics.time("compose"):
-                    product = self.line.compose_product(
-                        config, strict_order=strict_order, fingerprint=fp
-                    )
+                    product = self.line.compose_product(config, fingerprint=fp)
                 self._check_complete(product)
                 if self.lint_gate:
                     self._check_lint_gate(product)

@@ -42,6 +42,7 @@ from ..diagnostics.model import (
     DiagnosticBag,
     Severity,
 )
+from ..errors import ReproError, ServiceOverloadedError
 from ..resilience.deadline import Deadline
 from ..resilience.faults import FaultPlan
 from .fingerprint import Fingerprint
@@ -173,16 +174,26 @@ def _timeout_result(text: str, fp: Fingerprint | None, timeout: float,
     )
 
 
-def _count_timeout(metrics: ServiceMetrics, seconds: float) -> None:
-    """Count one timed-out request and record its latency.
+def _answered(text, fp, tree, diagnostics, warm, seconds, degraded):
+    """The result of a parse a rung answered: timed out when its
+    deadline tripped inside the parse."""
+    return ParseServiceResult(
+        text=text, fingerprint=fp, tree=tree, diagnostics=diagnostics,
+        warm=warm, seconds=seconds,
+        timed_out=any(d.code == PARSE_TIMEOUT for d in diagnostics),
+        degraded=degraded,
+    )
 
-    The ``timeouts`` counter and latency series always move together;
-    the dedicated series keeps the main parse histogram clean while
-    still letting p99 reflect requests that hit the wall.  A negative
-    duration (a request given a negative timeout) records as zero.
-    """
-    metrics.incr("timeouts")
-    metrics.observe("timeouts", max(0.0, seconds))
+
+def _timed_parse(parser, text, start, max_errors, max_steps, deadline,
+                 coverage=None):
+    """One ``parse_with_diagnostics`` call and its wall-clock seconds."""
+    t0 = time.perf_counter()
+    outcome = parser.parse_with_diagnostics(
+        text, start=start, max_errors=max_errors, max_steps=max_steps,
+        deadline=deadline, coverage=coverage,
+    )
+    return outcome, time.perf_counter() - t0
 
 
 def _error_result(text: str, error) -> ParseServiceResult:
@@ -248,28 +259,27 @@ class ParseService:
             to the shared registry too when serving it, until
             :meth:`close`.
         max_workers: Worker-pool width for the batch APIs.  With 1, a
-            :meth:`parse_many` batch parses serially on the calling
-            thread.
+            :meth:`parse_many` batch parses on the calling thread.
         max_queue: Admission-control bound: maximum requests in flight
             (queued + executing) before new ones are shed with an E0204
             result.  Defaults to ``max(256, max_workers * 32)``.
         executor: ``"thread"`` (default): a :meth:`parse_many` batch
-            without a timeout parses on the calling thread, in input
-            order (the GIL runs one thread's Python at a time, so pool
-            threads would add handoffs, not throughput); with a timeout
-            it gets one
-            :class:`~concurrent.futures.ThreadPoolExecutor` future per
-            text, so a stalled text can be abandoned, and :meth:`batch`
-            always fans out over that pool.  ``"process"`` splits
-            homogeneous batches into chunks over a spawned
-            :class:`~concurrent.futures.ProcessPoolExecutor` whose
+            without a timeout, of one text or on one worker parses on
+            the calling thread, in input order (the GIL runs one
+            thread's Python at a time, so pool threads would add
+            handoffs, not throughput); any other batch (a timeout) gets
+            one :class:`~concurrent.futures.ThreadPoolExecutor` future
+            per text, so a stalled text can be abandoned.
+            ``"process"`` splits homogeneous batches into chunks over a
+            spawned :class:`~concurrent.futures.ProcessPoolExecutor` whose
             workers bootstrap parsers from the on-disk artifacts (see
             :mod:`repro.service.workers`); requires an artifact cache
             directory (a private temporary one is created when
             ``cache_dir`` is not given).  Repeated worker crashes
             degrade process back to thread permanently
-            (``executor_degraded``); single :meth:`parse` calls and
-            coverage-collecting batches always run in-parent/thread.
+            (``executor_degraded``); single :meth:`parse` calls,
+            one-text or one-worker batches and coverage-collecting
+            batches always run in-parent.
         fault_plan: Optional deterministic
             :class:`~repro.resilience.faults.FaultPlan` for chaos
             testing; threaded into a registry constructed here, and
@@ -410,8 +420,6 @@ class ParseService:
         diagnostic; anything else becomes an internal-error result rather
         than a crash.
         """
-        from ..errors import ReproError
-
         try:
             entry, warm = self.registry.acquire(features, counts)
         except ReproError as error:
@@ -436,7 +444,6 @@ class ParseService:
         requests in flight the call is shed with an ``E0204``
         diagnostic.
         """
-        from ..errors import ReproError
         from ..transpile import translate as _translate
 
         outcome = TranslateServiceResult(
@@ -494,17 +501,18 @@ class ParseService:
     ) -> list[ParseServiceResult]:
         """Parse many texts against one selection; results in input order.
 
-        The selection is composed (at most) once up front.  Where the
-        texts then run:
+        The selection is composed (at most) once up front.  A batch of
+        two or more texts on two or more workers fans out:
 
-        * one text or ``max_workers == 1``: serially on the calling
-          thread, each admitted just before it parses;
-        * the process executor (no ``coverage``): in
+        * on the process executor (no ``coverage``): in
           ``max_workers × CHUNKS_PER_WORKER`` chunks over the process
           pool;
-        * otherwise, without a ``timeout``: every text is admitted up
-          front, then all parse in order on the calling thread;
-        * otherwise, with a ``timeout``: one thread-pool future per text.
+        * on the thread executor with a ``timeout``: one thread-pool
+          future per text.
+
+        Every other batch (no ``timeout``, one text, or one worker) runs
+        the caller-thread loop: every text is admitted up front, then
+        all parse in order on the calling thread.
 
         ``timeout`` is a per-request wall-clock deadline: a request that
         misses it yields a ``timed_out`` result carrying an ``E0203``
@@ -537,36 +545,21 @@ class ParseService:
                 for text in texts
             ]
         _check_collector(entry, coverage)
+        fan_out = len(texts) > 1 and self.max_workers > 1
         results: list[ParseServiceResult] | None = None
-        if len(texts) == 1 or self.max_workers == 1:
-            results = []
-            for text in texts:
-                if not self._admit():
-                    results.append(self._shed_result(text))
-                    continue
-                try:
-                    results.append(self._parse_entry(
-                        entry, text, True, start=start,
-                        max_errors=max_errors, max_steps=max_steps,
-                        coverage=coverage,
-                        deadline=(
-                            Deadline.after(timeout) if timeout is not None else None
-                        ),
-                    ))
-                finally:
-                    self._release_admission()
-        elif self._executor_effective == "process" and coverage is None:
+        if fan_out and self._executor_effective == "process" and coverage is None:
             # coverage collectors cannot cross the pipe: those batches
-            # stay on the thread path below
+            # stay on the thread paths below
             results = self._parse_many_process(
                 entry, texts, start, max_errors, max_steps, timeout
             )
         if results is None:
             results = (
-                self._parse_many_caller(
-                    entry, texts, start, max_errors, max_steps, coverage
-                ) if timeout is None
-                else self._parse_many_pooled(
+                self._parse_many_pooled(
+                    entry, texts, start, max_errors, max_steps, timeout,
+                    coverage,
+                ) if fan_out and timeout is not None
+                else self._parse_many_caller(
                     entry, texts, start, max_errors, max_steps, timeout,
                     coverage,
                 )
@@ -576,35 +569,39 @@ class ParseService:
         return results
 
     def _parse_many_caller(
-        self, entry, texts, start, max_errors, max_steps, coverage
+        self, entry, texts, start, max_errors, max_steps, timeout, coverage
     ) -> list[ParseServiceResult]:
-        """Parse a batch without a timeout on the calling thread, in order.
+        """Parse a batch on the calling thread, in input order.
 
         Every text is admitted up front, as the pooled path admits at
         submission, so a batch larger than ``max_queue`` sheds its
         excess; each text's slot is released as soon as it finishes.
-        The GIL runs one thread's Python at a time and neither the
-        scanner nor the parser releases it, so pool futures would buy
-        no parallelism here, only a handoff per text.
+        With a ``timeout``, each text's deadline starts when its parse
+        starts.  Each text's queue depth and executor time fold into
+        the metrics with its parse.  The GIL runs one thread's Python
+        at a time and neither the scanner nor the parser releases it,
+        so pool futures would buy no parallelism here, only a handoff
+        per text.
         """
         results: list[ParseServiceResult | None] = [None] * len(texts)
         admitted = []
         for i, text in enumerate(texts):
-            if not self._admit():
+            depth = self._admit()
+            if depth:
+                admitted.append((i, (time.perf_counter(), depth)))
+            else:
                 results[i] = self._shed_result(text)
-                continue
-            self.metrics.observe_depth("thread", self.in_flight)
-            admitted.append((i, time.perf_counter()))
         unreleased = len(admitted)
         try:
-            for i, t0 in admitted:
+            for i, queued in admitted:
                 results[i] = self._parse_entry(
                     entry, texts[i], True, start, max_errors, max_steps,
                     coverage,
+                    Deadline.after(timeout) if timeout is not None else None,
+                    queued,
                 )
                 unreleased -= 1
                 self._release_admission()
-                self.metrics.observe("executor_thread", time.perf_counter() - t0)
         finally:
             # only an interrupt escapes _parse_entry's guard: free the
             # slots of the texts it left unparsed
@@ -623,10 +620,11 @@ class ParseService:
         results: list[ParseServiceResult | None] = [None] * len(texts)
         submitted = []
         for i, text in enumerate(texts):
-            if not self._admit():
+            depth = self._admit()
+            if not depth:
                 results[i] = self._shed_result(text)
                 continue
-            self.metrics.observe_depth("thread", self.in_flight)
+            self.metrics.observe_depth("thread", depth)
             # the deadline starts at submission: queueing time counts
             deadline = Deadline.after(timeout)
             future = pool.submit(
@@ -845,14 +843,17 @@ class ParseService:
                 )
             return self._pool
 
-    def _admit(self) -> bool:
-        """Admission control: reserve one in-flight slot or shed."""
+    def _admit(self) -> int:
+        """Admission control: reserve one in-flight slot or shed.
+
+        Returns the in-flight count this request makes, 0 when shed.
+        """
         with self._admission_lock:
             if self._in_flight >= self.max_queue:
                 self.metrics.incr("shed")
-                return False
+                return 0
             self._in_flight += 1
-            return True
+            return self._in_flight
 
     def _release_admission(self) -> None:
         with self._admission_lock:
@@ -864,8 +865,6 @@ class ParseService:
             return self._in_flight
 
     def _overloaded(self):
-        from ..errors import ServiceOverloadedError
-
         return ServiceOverloadedError(
             f"service overloaded: {self.max_queue} requests already "
             "in flight; request shed",
@@ -886,19 +885,21 @@ class ParseService:
         max_steps: int | None = None,
         coverage=None,
         deadline: Deadline | None = None,
+        queued: tuple[float, int] | None = None,
     ) -> ParseServiceResult:
         """Never-crash guard around one worker's parse.
 
         Whatever goes wrong below — an injected fault, a corrupt shared
         artifact, a bug in a backend — the caller gets a result, never an
-        exception.
+        exception.  ``queued`` is a caller-loop text's ``(admitted_at,
+        depth)``, folded into the metrics with its parse.
         """
         try:
             if self._faults is not None:
                 self._faults.check("worker.execute")
             return self._run_backend(
                 entry, text, warm, start, max_errors, max_steps,
-                coverage, deadline,
+                coverage, deadline, queued,
             )
         except Exception:
             self.metrics.incr("internal_errors")
@@ -906,94 +907,68 @@ class ParseService:
 
     def _run_backend(
         self, entry, text, warm, start, max_errors, max_steps,
-        coverage, deadline,
+        coverage, deadline, queued=None,
     ) -> ParseServiceResult:
-        """One parse through the degradation ladder.
+        """One parse through the degradation ladder, folded into the metrics.
 
         A coverage-counting call runs on the interpreter, which counts
         coverage for both backends.  Otherwise the compiled backend runs
         first; if it *raises* — as opposed to
         returning a result with diagnostics — the shared interpreter
         answers, and if that also raises, the clean-room fallback
-        interpreter does.  Every rung taken marks the result
-        ``degraded=("backend",)`` and bumps ``degraded_backend``, and
-        each backend times into its own ``parse_<backend>`` latency
-        series, so a fleet silently shifting from compiled to
-        interpreter is visible in ``repro stats``.
+        interpreter does; if that raises too, the answer is E0000.
+        Every rung taken marks the result ``degraded=("backend",)`` and
+        bumps ``degraded_backend``.  The answer is timed into the series
+        of the rung that served it, so a fleet silently shifting from
+        compiled to interpreter is visible in ``repro stats``.
         """
-        self.metrics.incr("parses")
-        degraded: list[str] = []
-        if coverage is not None:
-            # count into a per-call private collector and merge at the
-            # end: the caller's collector may be shared across workers.
-            # Coverage is counted by the interpreter's walk on either
-            # backend, so a counting call runs on the interpreter itself
-            # and times into its series; if that parser cannot be built,
-            # the never-crash guard answers.
-            private = entry.coverage_collector()
-            try:
-                outcome, seconds = self._interpret(
-                    entry.parser(), text, start, max_errors, max_steps,
-                    deadline, coverage=private,
-                )
-            finally:
-                coverage.merge(private)
-        else:
-            try:
-                if self._faults is not None:
-                    self._faults.check("backend.parse")
-                outcome, seconds = self._interpret(
-                    entry.compiled_parser(), text, start, max_errors,
-                    max_steps, deadline, series="parse_compiled",
-                )
-            except Exception:
-                degraded.append("backend")
-                self.metrics.incr("degraded_backend")
+        args = (text, start, max_errors, max_steps, deadline)
+        degraded: tuple[str, ...] = ()
+        series: str | None = "parse_interpreter"
+        try:
+            if coverage is not None:
+                # count into a per-call private collector and merge at
+                # the end: the caller's collector may be shared across
+                # workers.  Coverage is counted by the interpreter's walk
+                # on either backend, so a counting call runs on the
+                # interpreter itself
+                private = entry.coverage_collector()
                 try:
-                    outcome, seconds = self._interpret(
-                        entry.parser(), text, start, max_errors,
-                        max_steps, deadline,
+                    outcome, seconds = _timed_parse(
+                        entry.parser(), *args, coverage=private
                     )
+                finally:
+                    coverage.merge(private)
+            else:
+                try:
+                    if self._faults is not None:
+                        self._faults.check("backend.parse")
+                    outcome, seconds = _timed_parse(
+                        entry.compiled_parser(), *args
+                    )
+                    series = "parse_compiled"
                 except Exception:
-                    # shared-interpreter rung failed unexpectedly: last
-                    # rung before the never-crash guard — the clean-room
-                    # parser shares nothing with the cache
-                    outcome, seconds = self._interpret(
-                        entry.fallback_parser(), text, start,
-                        max_errors, max_steps, deadline,
-                    )
-
-        if outcome.diagnostics.has_errors:
-            self.metrics.incr("parse_errors")
-        timed_out = any(
-            d.code == PARSE_TIMEOUT for d in outcome.diagnostics
-        )
-        if timed_out:
-            _count_timeout(self.metrics, seconds)
-        return ParseServiceResult(
-            text=text,
-            fingerprint=entry.fingerprint,
-            tree=outcome.tree,
-            diagnostics=outcome.diagnostics,
-            warm=warm,
-            seconds=seconds,
-            timed_out=timed_out,
-            degraded=tuple(degraded),
-        )
-
-    def _interpret(
-        self, parser, text, start, max_errors, max_steps, deadline,
-        series: str = "parse_interpreter", coverage=None,
-    ):
-        with self.metrics.time("parse") as timer:
-            outcome = parser.parse_with_diagnostics(
-                text, start=start, max_errors=max_errors,
-                max_steps=max_steps, deadline=deadline, coverage=coverage,
+                    degraded = ("backend",)
+                    self.metrics.incr("degraded_backend")
+                    try:
+                        outcome, seconds = _timed_parse(entry.parser(), *args)
+                    except Exception:
+                        # last rung: the clean-room parser shares
+                        # nothing with the cache
+                        outcome, seconds = _timed_parse(
+                            entry.fallback_parser(), *args
+                        )
+        except Exception:
+            series = None
+            self.metrics.incr("internal_errors")
+            result = _internal_error_result(text, entry.fingerprint, warm)
+        else:
+            result = _answered(
+                text, entry.fingerprint, outcome.tree, outcome.diagnostics,
+                warm, seconds, degraded,
             )
-        # "parse" stays the aggregate; the per-backend series shows which
-        # rung of the ladder actually served
-        self.metrics.observe(series, timer.seconds)
-        return outcome, timer.seconds
+        self.metrics.record_parse(result, series, queued)
+        return result
 
     def _collect(
         self,
@@ -1016,8 +991,9 @@ class ParseService:
             )
         except _FutureTimeout:
             future.cancel()
-            _count_timeout(self.metrics, timeout)
-            return _timeout_result(text, fp, timeout, True)
+            result = _timeout_result(text, fp, timeout, True)
+            self.metrics.record_parse(result, None)
+            return result
 
     # -- process executor ----------------------------------------------------
 
@@ -1175,12 +1151,13 @@ class ParseService:
                 )
         except _FutureTimeout:
             future.cancel()
-            for _ in texts:
-                _count_timeout(self.metrics, timeout)
-            return [
+            results = [
                 _timeout_result(text, entry.fingerprint, timeout, True)
                 for text in texts
             ]
+            for result in results:
+                self.metrics.record_parse(result, None)
+            return results
         except Exception:
             # BrokenProcessPool and friends: the worker died mid-chunk
             self._note_worker_crash()
@@ -1269,29 +1246,17 @@ class ParseService:
         """Convert one healthy :class:`WorkerReply`, recording metrics.
 
         Workers do not share the parent's metrics object, so the parent
-        records parse counters/latency on collection — the ``repro
-        stats`` series stay complete whichever executor served.
+        folds each reply in on collection, as the compiled rung — the
+        ``repro stats`` series stay complete whichever executor served.
         """
-        self.metrics.incr("parses")
         if reply.bootstrapped:
             self.metrics.incr("worker_bootstraps")
-        self.metrics.observe("parse", reply.seconds)
-        self.metrics.observe("parse_compiled", reply.seconds)
         bag = (
             reply.diagnostics if reply.diagnostics is not None
             else DiagnosticBag()
         )
-        if bag.has_errors:
-            self.metrics.incr("parse_errors")
-        timed_out = any(d.code == PARSE_TIMEOUT for d in bag)
-        if timed_out:
-            _count_timeout(self.metrics, reply.seconds)
-        return ParseServiceResult(
-            text=text,
-            fingerprint=entry.fingerprint,
-            tree=reply.tree,
-            diagnostics=bag,
-            warm=True,
-            seconds=reply.seconds,
-            timed_out=timed_out,
+        result = _answered(
+            text, entry.fingerprint, reply.tree, bag, True, reply.seconds, ()
         )
+        self.metrics.record_parse(result, "parse_compiled")
+        return result

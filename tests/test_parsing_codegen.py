@@ -29,6 +29,7 @@ from repro.errors import ScanError
 from repro.sql import build_dialect, dialect_names
 from repro.workloads import generate_workload
 
+from tests.test_parsing_coverage import under
 from tests.test_parsing_parser import TINY_SQL, tiny_tokens
 
 
@@ -227,3 +228,51 @@ def test_generated_source_does_not_depend_on_the_hash_seed():
     first = digests("0")
     assert len(first) == 2
     assert first == digests("1")
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def at_depth(depth, call):
+    """``call()`` made with ``depth`` frames on the stack below it."""
+    return under(depth - _stack_depth() - 2, call)
+
+
+class TestExportUnderADeepCaller:
+    """Under a caller holding 960 frames, Python's stack runs out before
+    the export's 200-activation depth limit does: ``parse`` raises the
+    export's own ParseError at the cursor, worded as the served parsers
+    word it, and ``accepts`` answers False.  RecursionError never gets
+    out."""
+
+    NESTED = "SELECT " + "(" * 40 + "a" + ")" * 40 + " FROM t"
+
+    @pytest.fixture(scope="class")
+    def module(self):
+        product = build_dialect("full")
+        return load_generated_parser(
+            generate_parser_source(product.grammar, program=product.program())
+        )
+
+    def test_stack_exhaustion_is_a_parse_error(self, module):
+        assert sys.getrecursionlimit() == 1000
+
+        def parse():
+            with pytest.raises(module.ParseError) as excinfo:
+                module.parse(self.NESTED)
+            return excinfo.value
+
+        error = at_depth(960, parse)
+        assert str(error).startswith(
+            "parser stack exhausted before the depth limit of 200 "
+            "(input nested too deeply near"
+        )
+        assert at_depth(960, lambda: module.accepts(self.NESTED)) is False
+        # from a shallow caller the depth limit itself answers
+        with pytest.raises(module.ParseError, match="depth limit of 200 exceeded"):
+            module.parse(self.NESTED)

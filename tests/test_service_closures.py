@@ -127,7 +127,7 @@ class TestConcurrentEviction:
         def parse_forever():
             try:
                 while not stop.is_set():
-                    parser = entry.thread_compiled_parser()
+                    parser = entry.compiled_parser()
                     assert parser.accepts(ACCEPTED)
             except Exception as error:  # pragma: no cover - the assertion
                 errors.append(error)
@@ -139,7 +139,7 @@ class TestConcurrentEviction:
                     registry.get(["Query", "GroupBy"])
                     registry.get(["Query"])
                     revived = registry.get(FEATURES)
-                    parser = revived.thread_compiled_parser()
+                    parser = revived.compiled_parser()
                     assert parser.accepts(ACCEPTED)
             except Exception as error:  # pragma: no cover - the assertion
                 errors.append(error)

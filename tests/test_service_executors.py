@@ -232,6 +232,24 @@ class TestProcessExecutor:
         assert process_service.metrics.counter("worker_tasks") == before
         assert collector.rules_covered() > 0
 
+    def test_one_text_and_one_worker_batches_stay_in_parent(
+        self, process_service, tmp_path
+    ):
+        # nothing to fan out: the caller-thread loop parses them
+        before = process_service.metrics.counter("worker_tasks")
+        (result,) = process_service.parse_many(["SELECT a FROM t"], FULL)
+        assert result.ok
+        assert process_service.metrics.counter("worker_tasks") == before
+        with ParseService(
+            line=make_line(), cache_dir=tmp_path, executor="process",
+            max_workers=1,
+        ) as service:
+            results = service.parse_many(list(CORPUS), FULL)
+            assert [r.text for r in results] == list(CORPUS)
+            assert results[0].ok
+            assert service.metrics.counter("worker_tasks") == 0
+            assert service._proc_pool is None
+
 
 class TestWorkerRepublishProtocol:
     def test_corrupt_artifact_degrades_to_republish_and_retry(

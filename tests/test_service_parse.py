@@ -97,7 +97,9 @@ class TestParse:
 
 
 class TestSerialParseManyAdmission:
-    """One text or one worker: each text still takes an admission slot."""
+    """One text or one worker: the caller-thread loop admits every text
+    up front, frees each text's slot as it finishes, and records each
+    text's queue depth and executor time."""
 
     @pytest.mark.parametrize(
         "texts, workers",
@@ -118,8 +120,13 @@ class TestSerialParseManyAdmission:
             monkeypatch.setattr(service, "_parse_entry", recording)
             results = service.parse_many(texts, FULL)
             assert all(r.ok for r in results)
-            assert seen == [1] * len(texts)
+            n = len(texts)
+            assert seen == [n - k for k in range(n)]
             assert service.in_flight == 0
+            snap = service.metrics.snapshot()
+            assert snap["latency"]["executor_thread"]["count"] == n
+            depth = snap["queue_depth"]["thread"]
+            assert (depth["count"], depth["max"]) == (n, n)
 
     def test_sheds_while_another_caller_holds_the_only_slot(self, monkeypatch):
         with make_service(max_workers=1, max_queue=1) as service:

@@ -308,7 +308,7 @@ class TestEntriesFollowTheRegistryDirectory:
         registry = make_registry(cache_dir=old)
         entry = registry.get(["Query", "Where"])
         registry.set_cache_dir(new)
-        entry.thread_parser()
+        entry.parser()
         assert list(old.iterdir()) == []
         item = entry.artifact()
         assert item["state"] == "fresh"
@@ -354,7 +354,8 @@ class TestConcurrency:
 
         main = parsers()
         assert parsers() == main
-        # the per-thread accessors' old names are aliases now
+        # the per-thread accessors' old names are aliases, kept because
+        # perfbench calls them
         assert entry.thread_parser() is main[0]
         assert entry.thread_compiled_parser(None) is main[1]
 
@@ -603,7 +604,7 @@ class TestConcurrentEviction:
         def parse_forever():
             try:
                 while not stop.is_set():
-                    assert entry.thread_parser().accepts("SELECT a FROM t")
+                    assert entry.parser().accepts("SELECT a FROM t")
             except Exception as error:  # pragma: no cover - the assertion
                 errors.append(error)
 
@@ -614,7 +615,7 @@ class TestConcurrentEviction:
                     registry.get(["Query", "Where"])
                     registry.get(["Query", "GroupBy"])
                     revived = registry.get(["Query"])
-                    assert revived.thread_parser().accepts("SELECT a FROM t")
+                    assert revived.parser().accepts("SELECT a FROM t")
             except Exception as error:  # pragma: no cover - the assertion
                 errors.append(error)
 
