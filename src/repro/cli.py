@@ -30,7 +30,6 @@ processes; the compiled backend is lowered from the IR in memory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .diagnostics import render_diagnostic, render_diagnostics
@@ -131,8 +130,8 @@ def _resolve_product(args: argparse.Namespace, service: ParseService | None = No
             product = service.registry.get(features).product
     else:
         product = service.registry.get(features).product
-    if name is not None and product.name != name:
-        product = dataclasses.replace(product, name=name)
+    if name is not None:
+        product = product.renamed(name)
     return product
 
 
@@ -141,8 +140,8 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         features, name = _selection(args)
         entry = service.registry.get(features)
         product = entry.product
-        if name is not None and product.name != name:
-            product = dataclasses.replace(product, name=name)
+        if name is not None:
+            product = product.renamed(name)
         print(f"composed {product.name}: {product.size()}")
         print(f"fingerprint: {entry.fingerprint.digest}")
         print(f"sequence: {' -> '.join(product.sequence)}")

@@ -13,7 +13,7 @@ the composer did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -73,9 +73,13 @@ class ComposedProduct:
         """The grammar's FIRST/FOLLOW analysis, computed on first use.
 
         Kept on the product (outside equality and ``repr``; a
-        :func:`dataclasses.replace` copy starts without it), so
-        :meth:`program` and the lint passes share one analysis.
+        :func:`dataclasses.replace` copy starts without it, a
+        :meth:`renamed` one reads its original's), so :meth:`program`
+        and the lint passes share one analysis.
         """
+        origin = self.__dict__.get("_origin")
+        if origin is not None:
+            return origin.analysis
         from ..parsing.first_follow import GrammarAnalysis
 
         return GrammarAnalysis(self.grammar)
@@ -92,11 +96,15 @@ class ComposedProduct:
         the first one, so a :class:`~repro.parsing.coverage.CoverageMap`
         built over it fits every parser this product builds
         (:meth:`parser`, ``get_backend(name).build(product)``).  Like
-        :attr:`analysis` it is kept outside equality and ``repr``, and a
-        :func:`dataclasses.replace` copy compiles its own.
+        :attr:`analysis` it is kept outside equality and ``repr``: a
+        :func:`dataclasses.replace` copy compiles its own, a
+        :meth:`renamed` one returns its original's.
         """
         program = self.__dict__.get("_program")
         if program is None:
+            origin = self.__dict__.get("_origin")
+            if origin is not None:
+                return origin.program()
             from ..grammar.validate import validate
             from ..parsing.program import compile_program
 
@@ -108,6 +116,21 @@ class ComposedProduct:
                 self.grammar, analysis=self.analysis, fingerprint=digest,
             ))
         return program
+
+    def renamed(self, name: str) -> "ComposedProduct":
+        """This product under ``name``, sharing its analysis and program.
+
+        A :func:`dataclasses.replace` copy would start without them and
+        compile the same grammar again; this one asks ``self`` for them,
+        so a registry's product compiles once however often it is
+        renamed.  Returns ``self`` when the name is already ``name``.
+        """
+        if name == self.name:
+            return self
+        copy = replace(self, name=name)
+        # outside the fields, like the program and analysis it leads to
+        copy.__dict__["_origin"] = self.__dict__.get("_origin", self)
+        return copy
 
     def hint_provider(self):
         """Feature-hint callback over the line's unselected units."""

@@ -6,16 +6,21 @@ approach): every composed dialect gets its own scanner whose keyword table
 contains exactly the keywords its features contributed.
 
 One class serves every parse backend.  :meth:`Scanner.scan` and
-:meth:`Scanner.scan_with_diagnostics` run a fast loop over the fast
-pattern's ``finditer``, one match per token; any input that loop cannot
-finish (an unmatchable character, a zero-width token) is rescanned by the
-precise :meth:`Scanner.tokens` generator over the master pattern, which
-owns every error message and the recovery path.
+:meth:`Scanner.scan_with_diagnostics` run the fast loop
+(:func:`fast_scan`) over the fast pattern's ``finditer``, one match per
+token; any input that loop cannot finish (an unmatchable character, a
+zero-width token) is rescanned by the precise loop
+(:func:`precise_tokens`, behind :meth:`Scanner.tokens`) over the master
+pattern, which owns every error message and the recovery path.  The
+loops are module functions over the compiled patterns and the keyword
+table, so the ``compose --emit`` export writes their source and scans
+with the code the service runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
+from typing import Iterator, Mapping
 
 from ..diagnostics.model import SCAN_ERROR, Diagnostic, Severity, Span
 from ..errors import ScanError
@@ -48,49 +53,16 @@ class Scanner:
     def tokens(self, text: str, recover: bool = False) -> Iterator[Token]:
         """Yield tokens for ``text``, ending with a single EOF token.
 
-        This is the precise loop: :meth:`scan` and
-        :meth:`scan_with_diagnostics` fall back to it for input their fast
-        loop cannot finish.  With ``recover=True`` unmatchable input does
-        not raise: each maximal run of unmatchable characters is emitted
-        as a single :data:`~repro.lexer.token.ERROR` token and scanning
-        continues, so one bad character can no longer kill the whole scan.
+        This is the precise loop (:func:`precise_tokens`) over this
+        scanner's tables: :meth:`scan` and :meth:`scan_with_diagnostics`
+        fall back to it for input their fast loop cannot finish.
 
         Raises:
             ScanError: when no token matches and ``recover`` is False.
         """
-        pos = 0
-        line = 1
-        col = 1
-        n = len(text)
-        bad_start: int | None = None
-        bad_line = bad_col = 0
-        while pos < n:
-            match = self._master.match(text, pos)
-            if match is None or match.end() == pos:
-                if not recover:
-                    raise ScanError(
-                        f"unexpected character {text[pos]!r}", line=line, column=col
-                    )
-                if bad_start is None:
-                    bad_start, bad_line, bad_col = pos, line, col
-                line, col = _advance(text[pos], line, col)
-                pos += 1
-                continue
-            if bad_start is not None:
-                yield Token(ERROR, text[bad_start:pos], bad_line, bad_col, bad_start)
-                bad_start = None
-            name = match.lastgroup or ""
-            lexeme = match.group()
-            if name not in self._skip_names:
-                token_type = name
-                if name in IDENTIFIER_RULES:
-                    token_type = self._keywords.get(lexeme.upper(), name)
-                yield Token(token_type, lexeme, line, col, pos)
-            line, col = _advance(lexeme, line, col)
-            pos = match.end()
-        if bad_start is not None:
-            yield Token(ERROR, text[bad_start:pos], bad_line, bad_col, bad_start)
-        yield eof_token(line, col, pos)
+        return precise_tokens(
+            text, self._master, self._keywords, self._skip_names, recover
+        )
 
     def scan(self, text: str) -> list[Token]:
         """Tokenize the full input eagerly (EOF token included).
@@ -126,47 +98,112 @@ class Scanner:
         return tokens, diagnostics
 
     def _fast_scan(self, text: str) -> list[Token] | None:
-        """The :meth:`tokens` loop for clean input, or ``None`` on any gap.
+        """The fast loop (:func:`fast_scan`) over this scanner's tables."""
+        return fast_scan(
+            text, self._fast, self._keywords, self._fast_id_rules,
+            self._stray_skips,
+        )
 
-        One match of the fast pattern per token: the skip run before a
-        token is the match's prefix, and the sentinels make each match
-        start where the previous one ended.  A text without ``"\\n"``
-        puts every token on line 1 at column ``offset + 1``; otherwise
-        the newlines since the previous token's start are counted with
-        one ``str.count``.  An unmatchable character or a zero-width
-        token returns ``None``.
-        """
-        kw_get = self._keywords.get
-        id_rules = self._fast_id_rules
-        n = len(text)
-        multiline = "\n" in text
-        line = 1
-        line_start = 0  # offset of the first character of ``line``
-        counted = 0  # the newlines before this offset are in ``line``
-        start = -1
-        out: list[Token] = []
-        append = out.append
-        for m in self._fast.finditer(text):
-            name = m.lastgroup or ""
-            start, end = m.span(name)
-            if multiline:
-                newlines = text.count("\n", counted, start)
-                if newlines:
-                    line += newlines
-                    line_start = text.rfind("\n", counted, start) + 1
-                counted = start
-            if start == end:  # a sentinel, or a zero-width token
-                break
-            lexeme = text[start:end]
-            if name in id_rules:
-                name = kw_get(lexeme.upper(), name)
-            append(Token(name, lexeme, line, start - line_start + 1, start))
-        if start != n:
-            return None
-        append(eof_token(line, n - line_start + 1, n))
-        if self._stray_skips:
-            return [t for t in out if t.type not in self._stray_skips]
-        return out
+
+def fast_scan(
+    text: str,
+    pattern: re.Pattern[str],
+    keywords: Mapping[str, str],
+    id_rules: tuple[str, ...],
+    stray: frozenset[str],
+) -> list[Token] | None:
+    """The precise loop's tokens for clean input, or ``None`` on any gap.
+
+    One match of the fast ``pattern`` per token: the skip run before a
+    token is the match's prefix, and the sentinels make each match
+    start where the previous one ended.  A text without ``"\\n"`` puts
+    every token on line 1 at column ``offset + 1``; otherwise the
+    newlines since the previous token's start are counted with one
+    ``str.count``.  An ``id_rules`` match is promoted to its keyword,
+    and a match of a ``stray`` skip token is dropped.  An unmatchable
+    character or a zero-width token returns ``None``.
+    """
+    kw_get = keywords.get
+    n = len(text)
+    multiline = "\n" in text
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    counted = 0  # the newlines before this offset are in ``line``
+    start = -1
+    out: list[Token] = []
+    append = out.append
+    for m in pattern.finditer(text):
+        name = m.lastgroup or ""
+        start, end = m.span(name)
+        if multiline:
+            newlines = text.count("\n", counted, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", counted, start) + 1
+            counted = start
+        if start == end:  # a sentinel, or a zero-width token
+            break
+        lexeme = text[start:end]
+        if name in id_rules:
+            name = kw_get(lexeme.upper(), name)
+        append(Token(name, lexeme, line, start - line_start + 1, start))
+    if start != n:
+        return None
+    append(eof_token(line, n - line_start + 1, n))
+    if stray:
+        return [t for t in out if t.type not in stray]
+    return out
+
+
+def precise_tokens(
+    text: str,
+    pattern: re.Pattern[str],
+    keywords: Mapping[str, str],
+    skip: frozenset[str],
+    recover: bool = False,
+) -> Iterator[Token]:
+    """The precise loop: one match of the master ``pattern`` per token.
+
+    It drops the ``skip`` tokens and promotes an identifier to its
+    keyword.  Unmatchable input raises the ScanError at its exact line
+    and column, or with ``recover=True`` does not raise: each maximal
+    run of unmatchable characters is yielded as a single ERROR token
+    and scanning continues, so one bad character cannot kill the whole
+    scan.
+    """
+    pos = 0
+    line = 1
+    col = 1
+    n = len(text)
+    bad_start: int | None = None
+    bad_line = bad_col = 0
+    while pos < n:
+        match = pattern.match(text, pos)
+        if match is None or match.end() == pos:
+            if not recover:
+                raise ScanError(
+                    f"unexpected character {text[pos]!r}", line=line, column=col
+                )
+            if bad_start is None:
+                bad_start, bad_line, bad_col = pos, line, col
+            line, col = _advance(text[pos], line, col)
+            pos += 1
+            continue
+        if bad_start is not None:
+            yield Token(ERROR, text[bad_start:pos], bad_line, bad_col, bad_start)
+            bad_start = None
+        name = match.lastgroup or ""
+        lexeme = match.group()
+        if name not in skip:
+            token_type = name
+            if name in IDENTIFIER_RULES:
+                token_type = keywords.get(lexeme.upper(), name)
+            yield Token(token_type, lexeme, line, col, pos)
+        line, col = _advance(lexeme, line, col)
+        pos = match.end()
+    if bad_start is not None:
+        yield Token(ERROR, text[bad_start:pos], bad_line, bad_col, bad_start)
+    yield eof_token(line, col, pos)
 
 
 def _describe_bad_run(text: str) -> str:

@@ -3,7 +3,7 @@
 Every execution strategy for a compiled
 :class:`~repro.parsing.program.ParseProgram` — the IR interpreter, the
 closure-compiled threaded code, and the generated standalone module
-(the same lowering behind an inline runtime) — is a
+(the same lowering on the same runtime, written out as source) — is a
 :class:`ParseBackend` listed here.  The conformance and differential
 suites iterate :func:`backend_names` instead of hardcoding backends.
 The parse service serves the compiled backend (degrading to the
@@ -95,7 +95,7 @@ class CompiledBackend(ParseBackend):
 
 
 class GeneratedBackend(ParseBackend):
-    """The ``compose --emit`` export: the served lowering, standalone."""
+    """The ``compose --emit`` export: the served lowering and runtime, standalone."""
 
     name = GENERATED
 

@@ -39,12 +39,12 @@ Layers:
 * the runtime the lowered code runs on
   (:class:`~repro.parsing.parser.RunState`, ``_Fail``, ``_fail`` /
   ``_check`` / ``_depth_fail``) — the interpreter's own, so both
-  backends run a parse on one per-call state object;
+  backends run a parse on one per-call state object, and the export
+  writes the same objects' source;
 * the lowering — constants, per-rule functions, the levels' tail
   functions, helper tuples and ``RULES`` — which the ``repro compose
   --emit`` export
-  (:func:`~repro.parsing.codegen.generate_parser_source`) also prints,
-  behind an inline runtime;
+  (:func:`~repro.parsing.codegen.generate_parser_source`) also prints;
 * :class:`ClosureProgram` — the lowering of a program held in memory,
   bound to per-rule functions that compile on first call.  It is never
   persisted: the service lowers the program it loads from the ``ir``
@@ -730,8 +730,9 @@ class _Lowering:
 # -- the compiled program ----------------------------------------------------
 
 #: The runtime the lowering reads, bound straight into each namespace.
+#: The ``--emit`` export defines the same names from the same objects
+#: (``codegen._EMBEDDED`` includes this table).
 _RUNTIME: dict[str, Any] = {
-    "__builtins__": builtins.__dict__,
     "_Fail": _Fail,
     "_check": _check,
     "_depth_fail": _depth_fail,
@@ -763,7 +764,7 @@ def _load(
     """
     pending = dict(lowering.functions)
     lock = threading.Lock()
-    namespace = dict(_RUNTIME)
+    namespace = {"__builtins__": builtins.__dict__, **_RUNTIME}
     namespace.update(lowering.consts)
 
     def first_call(name: str, s: RunState, out: list, d: int) -> None:

@@ -9,14 +9,18 @@ service already runs: the module body is the closure lowering of
 is the code the differential and conformance suites check, not a second
 encoding of the LL decision procedure.
 
-Only the header differs.  Where the served backend binds its runtime
-from ``repro`` in memory, the export inlines one that needs nothing
-beyond ``re``: token and tree classes, ``ParseError``/``ScanError``, the
-parse-state registers the lowering reads, the scanner, and
-``parse``/``accepts``.
+The runtime is the served one too.  Where the served backend binds its
+runtime from ``repro`` in memory, the export writes the source of the
+same objects (:data:`_EMBEDDED`, read with :func:`inspect.getsource`):
+``Token``, ``Node``, the scanner's fast and precise loops, ``RunState``
+and the failure, depth and stack-exhaustion paths.  Its own text is only
+what the export alone needs: ``ParseError``/``ScanError`` and the
+``ParseBudgetExceeded`` the depth paths raise, the grammar's scanner
+tables, ``_scan``, ``parse`` and ``accepts``.  It imports nothing but
+``re``, and its annotations are never evaluated.
 Like the served backends it stops input nested deeper than 200 rule
-activations with a ``ParseError``; unlike them it has no fuel budget or
-deadline.
+activations with a ``ParseBudgetExceeded``; unlike them it has no fuel
+budget or deadline.
 
 Typical use::
 
@@ -27,14 +31,30 @@ Typical use::
 
 from __future__ import annotations
 
+import inspect
 import types
+from functools import cache
+from typing import Any
 
 from ..grammar.grammar import Grammar
-from ..lexer.spec import compile_fast_pattern, compile_master_pattern
-from .closures import _Lowering
-from .first_follow import GrammarAnalysis
-from .parser import DEFAULT_MAX_DEPTH
+from ..lexer.scanner import (
+    IDENTIFIER_RULES,
+    Scanner,
+    _advance,
+    fast_scan,
+    precise_tokens,
+)
+from ..lexer.token import EOF, ERROR, Token, eof_token
+from .closures import _RUNTIME, _Lowering
+from .parser import (
+    _MAXSTEPS,
+    DEADLINE_CHECK_INTERVAL,
+    DEFAULT_MAX_DEPTH,
+    RunState,
+    _stack_exhausted,
+)
 from .program import ParseProgram, compile_program
+from .tree import Node
 
 #: Module-level constant the export embeds: the fingerprint of the
 #: product it was generated for.
@@ -57,60 +77,37 @@ def source_fingerprint(source: str) -> str | None:
     return None
 
 
-_RUNTIME = '''
+#: The served runtime the export defines, by name, in definition order:
+#: the lowering's own runtime (:data:`~repro.parsing.closures._RUNTIME`)
+#: and what it, ``_scan`` and ``parse`` read in turn.  A constant is
+#: written as its value, an alias as its target, anything else as its
+#: source.
+_EMBEDDED: dict[str, Any] = {
+    "EOF": EOF,
+    "ERROR": ERROR,
+    "IDENTIFIER_RULES": IDENTIFIER_RULES,
+    "DEFAULT_MAX_DEPTH": DEFAULT_MAX_DEPTH,
+    "DEADLINE_CHECK_INTERVAL": DEADLINE_CHECK_INTERVAL,
+    "_MAXSTEPS": _MAXSTEPS,
+    "Token": Token,
+    "eof_token": eof_token,
+    "_advance": _advance,
+    "fast_scan": fast_scan,
+    "precise_tokens": precise_tokens,
+    "Node": Node,
+    "RunState": RunState,
+    "_stack_exhausted": _stack_exhausted,
+    **_RUNTIME,
+}
+
+# The export's own definitions, under the names the embedded objects
+# read: its exception types and the Child alias.
+_PRELUDE = '''
 import re
-
-EOF = "EOF"
-
-
-class Token:
-    __slots__ = ("type", "text", "line", "column", "offset")
-
-    def __init__(self, type, text, line, column, offset):
-        self.type = type
-        self.text = text
-        self.line = line
-        self.column = column
-        self.offset = offset
-
-    def __repr__(self):
-        return "%s(%r@%d:%d)" % (self.type, self.text, self.line, self.column)
-
-
-class Node(list):
-    """A rule name over its children; the node is its own child list."""
-
-    __slots__ = ("name",)
-
-    @property
-    def children(self):
-        return self
-
-    def __bool__(self):
-        return True
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Node)
-            and self.name == other.name
-            and list.__eq__(self, other)
-        )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __repr__(self):
-        return "<Node %s with %d children>" % (self.name, len(self))
-
-    def to_sexpr(self):
-        parts = [self.name]
-        for c in self:
-            parts.append(c.to_sexpr() if isinstance(c, Node) else (c.text or c.type))
-        return "(" + " ".join(parts) + ")"
 
 
 class ParseError(SyntaxError):
-    def __init__(self, message, line, column, expected):
+    def __init__(self, message, line=0, column=0, expected=frozenset()):
         super().__init__("%s (line %d, column %d)" % (message, line, column))
         self.line = line
         self.column = column
@@ -121,116 +118,30 @@ class ScanError(ParseError):
     pass
 
 
-class _Fail(Exception):
-    __slots__ = ()
+class ParseBudgetExceeded(ParseError):
+    """Input nested past the depth limit, or past Python's stack."""
+
+    def __init__(self, message, line=0, column=0, steps=0):
+        super().__init__(message, line, column)
+        self.steps = steps
 
 
-class _State:
-    """The registers of one parse call (the ``s`` of every rule function;
-    each rule function takes its depth as an argument)."""
+# _check names it, but the export sets no deadline: never raised
+ParseDeadlineExceeded = ParseBudgetExceeded
+# Node's base is list[Child]
+Child = object
+'''
 
-    __slots__ = ("tokens", "i", "fi", "fexp", "steps", "limit", "max_depth")
-
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-        self.fi = 0
-        self.fexp = set()
-        self.steps = 0
-        self.limit = 1 << 62
-        self.max_depth = _MAX_DEPTH
-
-
-def _fail(s, expected):
-    i = s.i
-    if i > s.fi:
-        s.fi = i
-        s.fexp = set(expected)
-    elif i == s.fi:
-        s.fexp |= expected
-    raise _Fail()
-
-
-def _check(s, st):
-    """Never reached: the export has no fuel budget or deadline."""
-
-
-def _depth_fail(s):
-    t = s.tokens[s.i]
-    raise ParseError(
-        "parser recursion depth limit of %d exceeded "
-        "(input nested too deeply near %s)" % (s.max_depth, t.type),
-        t.line,
-        t.column,
-        frozenset(),
+_ENTRY_POINTS = '''
+def _scan(text):
+    """The served scanner's scan: the fast loop, else the precise one."""
+    return fast_scan(text, _FAST, _KEYWORDS, _IDENT_RULES, _STRAY) or list(
+        precise_tokens(text, _MASTER, _KEYWORDS, _SKIP)
     )
 
 
-def _scan(text):
-    """One fast-pattern match per token, positions taken from offsets."""
-    tokens = []
-    append = tokens.append
-    n = len(text)
-    multiline = "\\n" in text
-    line = 1
-    line_start = 0  # offset of the first character of ``line``
-    counted = 0  # the newlines before this offset are in ``line``
-    start = -1
-    for m in _FAST.finditer(text):
-        name = m.lastgroup
-        start, end = m.span(name)
-        if multiline:
-            newlines = text.count("\\n", counted, start)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\\n", counted, start) + 1
-            counted = start
-        if start == end:  # a sentinel, or a zero-width token
-            break
-        lexeme = text[start:end]
-        if name in _IDENT_RULES:
-            name = _KEYWORDS.get(lexeme.upper(), name)
-        append(Token(name, lexeme, line, start - line_start + 1, start))
-    if start != n:
-        # an unmatchable character or a zero-width token: the precise
-        # loop owns the error
-        return _scan_precise(text)
-    append(Token(EOF, "", line, n - line_start + 1, n))
-    if _STRAY:
-        return [t for t in tokens if t.type not in _STRAY]
-    return tokens
-
-
-def _scan_precise(text):
-    """The master-pattern loop for text ``_scan`` cannot finish: it raises
-    the ScanError at the exact line and column."""
-    tokens = []
-    pos, line, col = 0, 1, 1
-    n = len(text)
-    while pos < n:
-        m = _MASTER.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ScanError("unexpected character %r" % text[pos], line, col, frozenset())
-        name = m.lastgroup
-        lexeme = m.group()
-        if name not in _SKIP:
-            ttype = name
-            if name in _IDENT_RULES:
-                ttype = _KEYWORDS.get(lexeme.upper(), name)
-            tokens.append(Token(ttype, lexeme, line, col, pos))
-        nl = lexeme.count("\\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token(EOF, "", line, col, pos))
-    return tokens
-
-
 def parse(text, start=None):
-    s = _State(_scan(text))
+    s = RunState(_scan(text))
     name = start or _START
     out = []
     try:
@@ -249,20 +160,11 @@ def parse(text, start=None):
         ) from None
     except RecursionError:
         # a deep caller: Python's stack ran out before the depth limit
-        t = s.tokens[min(s.i, len(s.tokens) - 1)]
-        raise ParseError(
-            "parser stack exhausted before the depth limit of %d "
-            "(input nested too deeply near %s)" % (s.max_depth, t.type),
-            t.line,
-            t.column,
-            frozenset(),
-        ) from None
+        raise _stack_exhausted(s) from None
     if out[0].name != name:
         # the root stays the start rule's node even when its activation
         # passed its only child through
-        root = Node(out)
-        root.name = name
-        return root
+        return Node(name, out)
     return out[0]
 
 
@@ -272,33 +174,39 @@ def accepts(text, start=None):
     except ParseError:
         return False
     return True
-
-
-_Node = Node
-_new = list.__new__
 '''
+
+
+@cache
+def _runtime() -> str:
+    """:data:`_EMBEDDED` as module text."""
+    parts = []
+    for name, value in _EMBEDDED.items():
+        if isinstance(value, (int, str, tuple)):
+            parts.append(f"{name} = {value!r}\n")
+        elif value.__name__ != name:
+            parts.append(f"{name} = {value.__qualname__}\n")
+        else:
+            parts.append(f"\n{inspect.getsource(value)}\n")
+    return "".join(parts)
 
 
 def generate_parser_source(
     grammar: Grammar,
-    analysis: GrammarAnalysis | None = None,
     fingerprint: str | None = None,
     program: ParseProgram | None = None,
 ) -> str:
     """The standalone parser module for ``grammar``, as source text.
 
-    ``analysis``/``program`` let a caller that already compiled the
-    product (the registry) skip recomputation; ``fingerprint`` (default:
-    the program's) is embedded as the ``_FINGERPRINT`` line.
+    ``program`` lets a caller that already compiled the product (the
+    registry) skip recompiling it; ``fingerprint`` (default: the
+    program's) is embedded as the ``_FINGERPRINT`` line.
     """
     if program is None:
-        program = compile_program(
-            grammar, analysis=analysis, fingerprint=fingerprint
-        )
+        program = compile_program(grammar, fingerprint=fingerprint)
     if fingerprint is None:
         fingerprint = program.fingerprint
-    tokens = grammar.tokens
-    fast, stray = compile_fast_pattern(tokens)
+    scanner = Scanner(grammar.tokens)
     rule_ids = ", ".join(
         f"{name!r}: {rid}" for rid, name in enumerate(program.rule_names)
     )
@@ -308,22 +216,24 @@ def generate_parser_source(
         "",
         "Generated by repro.parsing.codegen; do not edit.",
         '"""',
+        "",
+        "from __future__ import annotations",
     ]
     if fingerprint is not None:
         head += ["", f'{FINGERPRINT_CONSTANT} = "{fingerprint}"']
     head += [
-        _RUNTIME,
-        f"_FAST = re.compile({fast.pattern!r})",
-        f"_STRAY = frozenset({sorted(stray)!r})",
-        f"_MASTER = re.compile({compile_master_pattern(tokens).pattern!r})",
-        f"_SKIP = frozenset({sorted(d.name for d in tokens if d.skip)!r})",
-        f"_KEYWORDS = {tokens.keywords!r}",
-        # a stray skip match keeps its name, so it is never promoted
-        f"_IDENT_RULES = {tuple(r for r in ('IDENTIFIER',) if r not in stray)!r}",
-        f"_MAX_DEPTH = {DEFAULT_MAX_DEPTH}",
+        _PRELUDE,
+        _runtime(),
+        f"_FAST = re.compile({scanner._fast.pattern!r})",
+        f"_STRAY = frozenset({sorted(scanner._stray_skips)!r})",
+        f"_MASTER = re.compile({scanner._master.pattern!r})",
+        f"_SKIP = frozenset({sorted(scanner._skip_names)!r})",
+        f"_KEYWORDS = {scanner._keywords!r}",
+        f"_IDENT_RULES = {scanner._fast_id_rules!r}",
         f"_START = {program.start_name()!r}",
         f"_RULE_IDS = {{{rule_ids}}}",
         "",
+        _ENTRY_POINTS,
         _Lowering(program).body(),
     ]
     return "\n".join(head)

@@ -271,10 +271,11 @@ class Parser:
             is raised.  ``None`` (default) means unlimited for
             :meth:`parse`/:meth:`parse_tokens`; the diagnostics path
             always applies an input-scaled default.
-        hint_provider: Optional callback ``token -> tuple[str, ...]``
-            consulted when a syntax error is built; returned hints (e.g.
-            "enable feature 'Window'") are attached to the error and its
-            diagnostic.
+        hint_provider: Optional callback ``(token, expected) ->
+            tuple[str, ...]`` consulted when a syntax error is built, with
+            the offending token and the terminals expected there; returned
+            hints (e.g. "enable feature 'Window'") are attached to the
+            error and its diagnostic.
         analysis / program: Let a registry share the immutable
             compiled pieces it already holds; passing them asserts the
             grammar was already validated when they were built.  When
@@ -598,11 +599,6 @@ class Parser:
         if self.hint_provider is not None and not token.is_eof:
             try:
                 hints = tuple(self.hint_provider(token, expected_set))
-            except TypeError:
-                try:  # provider may take the token alone
-                    hints = tuple(self.hint_provider(token))
-                except Exception:
-                    hints = ()
             except Exception:  # a hint must never mask the real error
                 hints = ()
         return ParseError(

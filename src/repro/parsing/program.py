@@ -19,7 +19,7 @@ instead of re-deriving structure from the grammar:
   pattern-matching on the hot path);
 * the closure lowering (:mod:`repro.parsing.closures`) turns the *same*
   program into one Python function per rule — for the served backend
-  and, behind an inline runtime, for the standalone module
+  and, with the served runtime's source, for the standalone module
   :func:`~repro.parsing.codegen.generate_parser_source` exports — so
   generated parsers are correct by construction rather than by
   parallel maintenance;

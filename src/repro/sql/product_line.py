@@ -16,7 +16,6 @@ already-seen selection is served from cache instead of being recomposed.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -93,6 +92,6 @@ def configure_sql(
     if counts.get("SelectSublist", 1) > 1:
         features.add("SelectSublist.Multiple")
     product = sql_parser_registry().get(features, counts=counts).product
-    if product_name is not None and product_name != product.name:
-        product = dataclasses.replace(product, name=product_name)
+    if product_name is not None:
+        product = product.renamed(product_name)
     return product

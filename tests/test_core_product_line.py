@@ -287,6 +287,26 @@ class TestOneProgram:
         assert copy.parser().accepts("SELECT a, b FROM t WHERE x = y")
         assert small.program() is program
 
+    def test_renamed_copy_shares_its_original(self, line, compiles):
+        product = line.configure(["Query", "Where"])
+        copy = product.renamed("other")
+        assert copy.name == "other" != product.name
+        assert copy == dataclasses.replace(product, name="other")
+        assert copy.renamed("third").program() is product.program()
+        assert copy.analysis is product.analysis
+        assert copy.parser().program is product.program()
+        assert product.renamed(product.name) is product
+        assert compiles == [product.grammar]
+
+    def test_every_build_dialect_shares_one_program(self):
+        program = build_dialect("core").program()
+        assert build_dialect("core").program() is program
+        collector = CoverageMap(program).collector()
+        assert build_dialect("core").parser().accepts(
+            "SELECT a FROM t", coverage=collector
+        )
+        assert collector.score() > 0
+
 
 class TestParserBuilder:
     def test_build_returns_metrics(self, line):

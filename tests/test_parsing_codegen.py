@@ -4,11 +4,18 @@ The key property: the generated parser and the interpreting parser accept
 exactly the same language and produce structurally identical trees.
 """
 
+import builtins
+import dis
+import inspect
 import os
+import re
 import subprocess
 import sys
+from types import CodeType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.grammar import read_grammar
@@ -24,6 +31,7 @@ from repro.parsing import (
     generate_parser_source,
     load_generated_parser,
 )
+from repro.parsing.codegen import _EMBEDDED
 
 from repro.errors import ScanError
 from repro.sql import build_dialect, dialect_names
@@ -196,6 +204,85 @@ class TestExportScanner:
         assert (exported.value.line, exported.value.column) == (
             served.value.line,
             served.value.column,
+        )
+
+
+def _export(dialect):
+    product = build_dialect(dialect)
+    source = generate_parser_source(product.grammar, program=product.program())
+    return product, source
+
+
+class TestEmbeddedRuntime:
+    """The export's runtime is the served one: each embedded object's
+    source appears verbatim and is defined once, and every name a
+    function of the export reads is defined there."""
+
+    @pytest.fixture(scope="class", params=dialect_names())
+    def export(self, request):
+        return _export(request.param)[1]
+
+    def test_served_source_is_embedded_verbatim_once(self, export):
+        embedded = [
+            name for name, value in _EMBEDDED.items()
+            if getattr(value, "__name__", None) == name
+        ]
+        assert {"Token", "Node", "RunState", "fast_scan"} <= set(embedded)
+        for name in embedded:
+            assert inspect.getsource(_EMBEDDED[name]) in export, name
+            assert len(re.findall(rf"^(?:class|def) {name}\b", export, re.M)) == 1
+
+    def test_every_global_a_function_reads_is_defined(self, export):
+        module = load_generated_parser(export)
+        code = compile(export, "<export>", "exec")
+        stack, read = [code], set()
+        while stack:
+            current = stack.pop()
+            stack.extend(c for c in current.co_consts if isinstance(c, CodeType))
+            read.update(
+                op.argval for op in dis.get_instructions(current)
+                if op.opname == "LOAD_GLOBAL"
+            )
+        assert {"ScanError", "ParseBudgetExceeded", "Token"} <= read
+        assert read - set(vars(module)) - set(vars(builtins)) == set()
+
+
+#: Text the scanners must agree on: ASCII, line breaks, comment and quote
+#: openers and closers, and a few characters no token matches.
+_SCAN_TEXT = st.lists(
+    st.one_of(
+        st.text(st.characters(max_codepoint=127), max_size=4),
+        st.sampled_from(
+            ["\n", "\r\n", "--", "/*", "*/", "'", "''", '"', "`", "e1",
+             "SELECT", "from", "\u00e9", "\u00a0", "\u4e2d", "\U0001f600"]
+        ),
+    ),
+    max_size=12,
+).map("".join)
+
+
+class TestExportScansAsServed:
+    """Over arbitrary text the export's ``_scan`` returns the served
+    scanner's tokens, or raises its ScanError at the same place."""
+
+    @pytest.fixture(scope="class", params=["core", "full"])
+    def pair(self, request):
+        product, source = _export(request.param)
+        return product.parser().scanner, load_generated_parser(source)
+
+    @staticmethod
+    def outcome(scan, error, text):
+        try:
+            return [(t.type, t.text, t.line, t.column, t.offset) for t in scan(text)]
+        except error as exc:
+            return (str(exc), exc.line, exc.column)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(text=_SCAN_TEXT)
+    def test_same_tokens_or_same_scan_error(self, pair, text):
+        scanner, module = pair
+        assert self.outcome(module._scan, module.ScanError, text) == (
+            self.outcome(scanner.scan, ScanError, text)
         )
 
 

@@ -123,6 +123,29 @@ class TestErrors:
             parser.parse("SELECT FROM t")
         assert exc.value.expected  # non-empty
 
+    def test_hint_provider_raising_type_error_leaves_the_error_hintless(
+        self, parser
+    ):
+        calls = []
+
+        def provider(token, expected):
+            calls.append((token.text, expected))
+            raise TypeError("broken provider")
+
+        hinted = Parser(parser.grammar, hint_provider=provider)
+        with pytest.raises(ParseError) as plain:
+            parser.parse("SELECT a WHERE")
+        with pytest.raises(ParseError) as exc:
+            hinted.parse("SELECT a WHERE")
+        assert str(exc.value) == str(plain.value)
+        assert exc.value.expected == plain.value.expected
+        assert exc.value.hints == ()
+        # asked once, with the token and the terminals expected there
+        assert calls == [("WHERE", plain.value.expected)]
+        outcome = hinted.parse_with_diagnostics("SELECT a WHERE")
+        (diagnostic,) = outcome.diagnostics
+        assert diagnostic.hints == ()
+
 
 class TestStartRuleOverride:
     def test_parse_sub_rule(self, parser):
