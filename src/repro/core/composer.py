@@ -346,7 +346,6 @@ class GrammarComposer:
         grammar.tokens.update(extension.tokens)
         for ext_rule in extension:
             if not grammar.has_rule(ext_rule.name):
-                self._check_order_for_new_rule(ext_rule)
                 grammar.add_rule(ext_rule.copy())
                 trace.added_rules.append(ext_rule.name)
                 trace.record_touch(ext_rule.name, origin)
@@ -465,13 +464,3 @@ class GrammarComposer:
         # paper rule 3: unrelated productions are appended as choices
         trace.appended.append((rule.name, str(new_alt)))
         rule.add_alternative(new_alt)
-
-    def _check_order_for_new_rule(self, rule: Rule) -> None:
-        """A brand-new rule may not *start life* as a pure optional extension.
-
-        The paper's base-first discipline applies across rules too: a unit
-        contributing ``A : B [C]`` into a grammar with no rule ``A`` is
-        fine (it *is* the base then), so nothing to enforce here.  The
-        hook is kept for symmetry and future diagnostics.
-        """
-        return None

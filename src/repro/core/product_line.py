@@ -84,13 +84,29 @@ class ComposedProduct:
 
         return GrammarAnalysis(self.grammar)
 
+    @cached_property
+    def validation(self):
+        """The grammar's :class:`~repro.grammar.validate.ValidationReport`,
+        computed on first use.
+
+        Kept like :attr:`analysis`, so the registry's completeness check
+        and :meth:`program` read one report.
+        """
+        origin = self.__dict__.get("_origin")
+        if origin is not None:
+            return origin.validation
+        from ..grammar.validate import validate
+
+        return validate(self.grammar)
+
     def program(self):
         """This product's parse-program IR, compiled on the first call.
 
         The program is the single compiled semantics source shared by the
         interpreting parser, the code generator, and the service cache;
         the product's fingerprint digest is embedded for cache validation.
-        The grammar is validated first and compiled with :attr:`analysis`.
+        The grammar must pass :attr:`validation`; it is compiled with
+        :attr:`analysis`.
 
         Every call returns the same object, also when threads race on
         the first one, so a :class:`~repro.parsing.coverage.CoverageMap`
@@ -105,10 +121,9 @@ class ComposedProduct:
             origin = self.__dict__.get("_origin")
             if origin is not None:
                 return origin.program()
-            from ..grammar.validate import validate
             from ..parsing.program import compile_program
 
-            validate(self.grammar).raise_if_failed()
+            self.validation.raise_if_failed()
             digest = getattr(self.fingerprint, "digest", None)
             # frozen: store past __setattr__, as cached_property does;
             # racing first calls all return the program stored first
@@ -118,7 +133,8 @@ class ComposedProduct:
         return program
 
     def renamed(self, name: str) -> "ComposedProduct":
-        """This product under ``name``, sharing its analysis and program.
+        """This product under ``name``, sharing its analysis, validation
+        and program.
 
         A :func:`dataclasses.replace` copy would start without them and
         compile the same grammar again; this one asks ``self`` for them,

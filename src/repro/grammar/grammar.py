@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from ..errors import GrammarError
 from ..lexer.spec import TokenSet
-from .expr import Element, Seq, flatten
+from .expr import Element
 
 
 class Rule:
@@ -39,10 +39,6 @@ class Rule:
 
     def copy(self) -> "Rule":
         return Rule(self.name, list(self.alternatives))
-
-    def flattened_alternatives(self) -> list[list[Element]]:
-        """Each alternative as a flat element sequence (for composition)."""
-        return [flatten(a) for a in self.alternatives]
 
 
 class Grammar:
@@ -162,10 +158,3 @@ class Grammar:
 def rule(name: str, *alternatives: Element) -> Rule:
     """Convenience constructor: ``rule("a", seq(...), seq(...))``."""
     return Rule(name, alternatives)
-
-
-def alternative_as_seq(element: Element) -> Seq:
-    """View any alternative as a sequence node (wrapping single elements)."""
-    if isinstance(element, Seq):
-        return element
-    return Seq((element,))

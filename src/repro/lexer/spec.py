@@ -183,6 +183,15 @@ class TokenSet:
         """All terminal names defined in this set."""
         return frozenset(self._defs)
 
+    def origins(self) -> dict[str, str]:
+        """Token name -> the unit (token file) that contributed it.
+
+        A merge keeps the first definition of a name, so in a composed
+        set this is the first unit in the composition sequence to
+        declare the token.
+        """
+        return dict(self._origins)
+
     @property
     def keywords(self) -> dict[str, str]:
         """Mapping of upper-cased keyword text to terminal name."""

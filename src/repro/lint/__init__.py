@@ -24,7 +24,6 @@ from .analyzer import (
     lint_products,
     lint_sql_dialects,
     run_program_passes,
-    token_origins,
 )
 from .baseline import Baseline, BaselineEntry, render_baseline
 from .codes import ALL_CODES, LintCode, code_for, severity_label
@@ -56,5 +55,4 @@ __all__ = [
     "render_baseline",
     "run_program_passes",
     "severity_label",
-    "token_origins",
 ]

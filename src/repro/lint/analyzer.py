@@ -54,25 +54,6 @@ def run_program_passes(
     return findings
 
 
-def token_origins(product: ComposedProduct) -> dict[str, str]:
-    """Token name -> feature whose unit first defined it.
-
-    Mirrors the first-contribution semantics of the rule-origin trace:
-    token merge keeps the first definition, so the first unit in the
-    composition sequence that declares a token owns it.
-    """
-    if product.line is None:
-        return {}
-    origins: dict[str, str] = {}
-    for feature in product.sequence:
-        unit = product.line.unit_for(feature)
-        if unit is None:
-            continue
-        for definition in unit.tokens:
-            origins.setdefault(definition.name, feature)
-    return origins
-
-
 def analyze_product(product: ComposedProduct) -> TargetReport:
     """All program-level passes over one composed product.
 
@@ -85,7 +66,11 @@ def analyze_product(product: ComposedProduct) -> TargetReport:
         product.program(),
         analysis=product.analysis,
         origins=product.rule_origins(),
-        token_origins=token_origins(product),
+        # a unit's token file is named after its feature
+        token_origins=(
+            product.grammar.tokens.origins()
+            if product.line is not None else None
+        ),
     )
     digest = getattr(product.fingerprint, "digest", None)
     return TargetReport(

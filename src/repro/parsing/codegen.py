@@ -14,9 +14,11 @@ runtime from ``repro`` in memory, the export writes the source of the
 same objects (:data:`_EMBEDDED`, read with :func:`inspect.getsource`):
 ``Token``, ``Node``, the scanner's fast and precise loops, ``RunState``
 and the failure, depth and stack-exhaustion paths.  Its own text is only
-what the export alone needs: ``ParseError``/``ScanError`` and the
-``ParseBudgetExceeded`` the depth paths raise, the grammar's scanner
-tables, ``_scan``, ``parse`` and ``accepts``.  It imports nothing but
+what the export alone needs: ``ParseError``/``ScanError``, the
+``ParseBudgetExceeded`` the depth paths raise, the ``GrammarError`` an
+unknown start rule raises (with the served message; ``accepts`` lets it
+out, as the served one does), the grammar's scanner tables, ``_scan``,
+``parse`` and ``accepts``.  It imports nothing but
 ``re``, and its annotations are never evaluated.
 Like the served backends it stops input nested deeper than 200 rule
 activations with a ``ParseBudgetExceeded``; unlike them it has no fuel
@@ -101,7 +103,7 @@ _EMBEDDED: dict[str, Any] = {
 }
 
 # The export's own definitions, under the names the embedded objects
-# read: its exception types and the Child alias.
+# and the entry points read: its exception types and the Child alias.
 _PRELUDE = '''
 import re
 
@@ -126,6 +128,10 @@ class ParseBudgetExceeded(ParseError):
         self.steps = steps
 
 
+class GrammarError(Exception):
+    """A start rule the grammar does not define."""
+
+
 # _check names it, but the export sets no deadline: never raised
 ParseDeadlineExceeded = ParseBudgetExceeded
 # Node's base is list[Child]
@@ -143,6 +149,8 @@ def _scan(text):
 def parse(text, start=None):
     s = RunState(_scan(text))
     name = start or _START
+    if name not in _RULE_IDS:
+        raise GrammarError("grammar %r has no rule %r" % (_GRAMMAR, name))
     out = []
     try:
         RULES[_RULE_IDS[name]](s, out, 0)
@@ -230,6 +238,7 @@ def generate_parser_source(
         f"_SKIP = frozenset({sorted(scanner._skip_names)!r})",
         f"_KEYWORDS = {scanner._keywords!r}",
         f"_IDENT_RULES = {scanner._fast_id_rules!r}",
+        f"_GRAMMAR = {program.grammar_name!r}",
         f"_START = {program.start_name()!r}",
         f"_RULE_IDS = {{{rule_ids}}}",
         "",

@@ -103,13 +103,11 @@ _EOF_SET = frozenset((EOF,))
 
 
 class _Fail(Exception):
-    """Backtracking signal of both backends; never escapes a parse."""
+    """Backtracking signal of both backends; never escapes a parse.
 
-    __slots__ = ("index", "expected")
-
-    def __init__(self, index: int, expected: frozenset[str]) -> None:
-        self.index = index
-        self.expected = expected
+    It carries nothing: the furthest failure point is on the
+    :class:`RunState`, so a raise costs no ``__init__`` call.
+    """
 
 
 class RunState:
@@ -165,7 +163,7 @@ def _fail(s: RunState, expected: frozenset[str]) -> None:
         s.fexp = set(expected)
     elif i == s.fi:
         s.fexp |= expected
-    raise _Fail(i, expected)
+    raise _Fail
 
 
 def _check(s: RunState, st: int) -> None:

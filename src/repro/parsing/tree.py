@@ -87,10 +87,6 @@ class Node(list[Child]):
                 return c
         return None
 
-    def tokens_of(self, type_name: str) -> list[Token]:
-        """All direct child tokens of the given terminal type."""
-        return [c for c in self if isinstance(c, Token) and c.type == type_name]
-
     def has_token(self, type_name: str) -> bool:
         return self.token(type_name) is not None
 

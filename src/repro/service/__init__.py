@@ -12,6 +12,10 @@ The paper's workflow is compose-once, parse-many.  This package is the
     results = service.parse_many(queries, features, timeout=0.5)
     print(service.render_stats())
 
+A service serves the registry it is given
+(``ParseService(registry=ParserRegistry(line))``), and an
+:class:`AsyncParseService` wraps a service its caller built and closes.
+
 Layers:
 
 * :mod:`repro.service.fingerprint` — canonical cache keys: equivalent
@@ -22,15 +26,17 @@ Layers:
   parse program per product, token definitions included) shared by
   registry entries and workers.
 * :mod:`repro.service.service` — :class:`ParseService`:
-  ``parse``/``parse_many`` over a worker pool (thread- or
+  ``parse``/``parse_many``/``translate`` over a worker pool (thread- or
   process-backed via ``executor=``), per-request timeout and fuel
-  budgets, diagnostics instead of exceptions.
+  budgets, diagnostics instead of exceptions; each in-parent parse is
+  one guarded step down the degradation ladder.
 * :mod:`repro.service.workers` — the process-pool protocol: workers
   bootstrap parsers from on-disk artifacts, no recomposition.
 * :mod:`repro.service.async_service` — :class:`AsyncParseService`:
   asyncio front-end with request coalescing and backpressure.
 * :mod:`repro.service.metrics` — hit/miss counters and latency
-  histograms behind ``repro stats``.
+  histograms behind ``repro stats``; a parse and a translate each fold
+  in under one lock acquisition.
 """
 
 from .async_service import AsyncParseService

@@ -13,9 +13,10 @@ is the wrapped service's:
   resolves a selection to its cache key *without composing*, so
   coalescing a cold dialect never composes it twice either.  Awaiters
   are shielded: one caller cancelling does not cancel the shared parse.
-* **bounded-queue backpressure** — at most ``max_pending`` requests may
-  be admitted (pending + executing); excess requests are shed
-  immediately with the same ``E0204`` result the sync service uses.
+* **bounded-queue backpressure** — at most the wrapped service's
+  ``max_queue`` requests may be admitted (pending + executing); excess
+  requests are shed immediately with the same ``E0204`` result the sync
+  service uses.
 * **deadline propagation** — a request's deadline starts at *admission*,
   so time spent queued behind the dispatch pool counts against it; the
   remaining budget (not the original timeout) is what reaches the
@@ -24,7 +25,8 @@ is the wrapped service's:
 
 The dispatch pool is a small thread pool; with the wrapped service on
 ``executor="process"`` the event loop stays responsive while batches
-scale across cores.
+scale across cores.  The front end never closes the service it wraps:
+whoever built the service closes it.
 """
 
 from __future__ import annotations
@@ -42,33 +44,18 @@ class AsyncParseService:
     """Event-loop face of a :class:`ParseService`.
 
     Args:
-        service: The sync service to wrap.  ``None`` builds one from
-            ``**service_kwargs`` (and owns it: :meth:`close` closes it).
-        max_pending: Admission bound across pending + executing requests;
-            defaults to the wrapped service's ``max_queue``.
+        service: The sync service to wrap.  Its ``max_queue`` bounds
+            admission across pending + executing requests; the front
+            end never closes it.
     """
 
-    def __init__(
-        self,
-        service: ParseService | None = None,
-        *,
-        max_pending: int | None = None,
-        **service_kwargs,
-    ) -> None:
-        self._service = (
-            service if service is not None else ParseService(**service_kwargs)
-        )
-        self._owns_service = service is None
-        self.max_pending = (
-            max_pending if max_pending is not None else self._service.max_queue
-        )
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        self.metrics = self._service.metrics
+    def __init__(self, service: ParseService) -> None:
+        self._service = service
+        self.metrics = service.metrics
         self._pending: dict[tuple, asyncio.Task] = {}
         self._admitted = 0
         self._dispatch = ThreadPoolExecutor(
-            max_workers=max(2, self._service.max_workers),
+            max_workers=max(2, service.max_workers),
             thread_name_prefix="repro-async",
         )
         self._closed = False
@@ -114,7 +101,7 @@ class AsyncParseService:
             # shield: cancelling this awaiter must not cancel the
             # parse the other awaiters share
             return await asyncio.shield(shared)
-        if self._admitted >= self.max_pending:
+        if self._admitted >= self._service.max_queue:
             self.metrics.incr("shed")
             return self._service._shed_result(text)
         self._admitted += 1
@@ -163,18 +150,14 @@ class AsyncParseService:
     # -- lifecycle ----------------------------------------------------------
 
     async def close(self) -> None:
-        """Await in-flight work, then shut down (idempotent).
-
-        Closes the wrapped service only when this front-end built it.
-        """
+        """Await in-flight work, then shut down the dispatch pool
+        (idempotent).  The wrapped service stays open."""
         self._closed = True
         if self._pending:
             await asyncio.gather(
                 *list(self._pending.values()), return_exceptions=True
             )
         self._dispatch.shutdown(wait=True, cancel_futures=True)
-        if self._owns_service:
-            self._service.close()
 
     async def __aenter__(self) -> "AsyncParseService":
         return self

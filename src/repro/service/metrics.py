@@ -232,6 +232,18 @@ class ServiceMetrics:
                 self._depths["thread"].observe(depth)
                 histograms["executor_thread"].observe(waited)
 
+    def record_translate(self, seconds: float, *counters: str) -> None:
+        """Fold one translate that ran in, under one lock acquisition:
+        ``translates``, the ``translate`` series, and each of
+        ``counters`` (``renders`` for a translated query;
+        ``translate_errors``, with ``internal_errors`` for an unexpected
+        failure, for one that was not)."""
+        with self._lock:
+            self._counters["translates"] += 1
+            self._histograms["translate"].observe(seconds)
+            for counter in counters:
+                self._counters[counter] += 1
+
     def time(self, histogram: str):
         """Context manager: time a block into one histogram."""
         return _Timer(self, histogram)

@@ -525,9 +525,8 @@ class ParserRegistry:
         refused once, at composition, instead of on every request.
         """
         from ..errors import IncompleteProductError
-        from ..grammar.validate import validate
 
-        report = validate(product.grammar)
+        report = product.validation
         missing = report.undefined_nonterminals + report.undefined_terminals
         if not missing:
             return
@@ -632,11 +631,6 @@ class ParserRegistry:
     def __contains__(self, fp: Fingerprint) -> bool:
         with self._lock:
             return fp.digest in self._entries
-
-    def cached_fingerprints(self) -> list[str]:
-        """Digests currently cached, least recently used first."""
-        with self._lock:
-            return list(self._entries)
 
     def evict(self, fp: Fingerprint) -> bool:
         """Drop one entry (e.g. after editing a unit in a REPL session)."""

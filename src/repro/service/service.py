@@ -2,8 +2,9 @@
 
 :class:`ParseService` is what a long-running process (the CLI shell, a
 web endpoint, a batch job) talks to instead of composing parsers by hand.
-It sits on a :class:`~repro.service.registry.ParserRegistry` — compose
-once per fingerprint — and adds:
+It serves the :class:`~repro.service.registry.ParserRegistry` it is
+given — compose once per fingerprint — or the shared SQL registry, and
+adds:
 
 * :meth:`ParseService.parse`: one text, one selection.  Never raises on
   bad input: the result carries the (possibly partial) tree plus every
@@ -12,8 +13,11 @@ once per fingerprint — and adds:
   it reuses, including its input-scaled fuel budget.
 * :meth:`ParseService.parse_many`: a homogeneous batch, results in
   input order, with an optional per-request wall-clock timeout.
+* :meth:`ParseService.translate`: one query between preset dialects.
 
-Every operation is recorded in the shared
+Every in-parent parse is one step, :meth:`ParseService._parse_entry`:
+the never-crash guard, the degradation ladder and the timing.  Every
+operation is recorded in the registry's
 :class:`~repro.service.metrics.ServiceMetrics`; :meth:`ParseService.stats`
 returns the snapshot that ``repro stats`` renders.
 """
@@ -32,6 +36,7 @@ from concurrent.futures import (
     TimeoutError as _FutureTimeout,
 )
 from dataclasses import dataclass, field, replace
+from operator import methodcaller
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -44,10 +49,9 @@ from ..diagnostics.model import (
 )
 from ..errors import ReproError, ServiceOverloadedError
 from ..resilience.deadline import Deadline
-from ..resilience.faults import FaultPlan
 from .fingerprint import Fingerprint
 from .metrics import ServiceMetrics
-from .registry import DEFAULT_CAPACITY, ParserRegistry, RegistryEntry
+from .registry import ParserRegistry, RegistryEntry
 from .workers import WorkerTask, execute_batch
 
 #: Default worker-pool width for batch APIs.
@@ -185,17 +189,6 @@ def _answered(text, fp, tree, diagnostics, warm, seconds, degraded):
     )
 
 
-def _timed_parse(parser, text, start, max_errors, max_steps, deadline,
-                 coverage=None):
-    """One ``parse_with_diagnostics`` call and its wall-clock seconds."""
-    t0 = time.perf_counter()
-    outcome = parser.parse_with_diagnostics(
-        text, start=start, max_errors=max_errors, max_steps=max_steps,
-        deadline=deadline, coverage=coverage,
-    )
-    return outcome, time.perf_counter() - t0
-
-
 def _error_result(text: str, error) -> ParseServiceResult:
     """Wrap a pre-parse failure (bad selection, composition error)."""
     bag = DiagnosticBag()
@@ -241,6 +234,19 @@ def _internal_error_result(
     )
 
 
+#: The degradation ladder, top rung first: each rung's latency series,
+#: how an entry builds its parser, and the fault site checked first.
+_LADDER: tuple[tuple[str, methodcaller, str | None], ...] = (
+    ("parse_compiled", methodcaller("compiled_parser"), "backend.parse"),
+    ("parse_interpreter", methodcaller("parser"), None),
+    # the clean-room parser shares nothing with the cache
+    ("parse_interpreter", methodcaller("fallback_parser"), None),
+)
+
+#: A coverage-counting parse's one rung: the interpreter.
+_COUNTING = _LADDER[1:2]
+
+
 class ParseService:
     """Serve parse requests from a compose-once registry and a worker pool.
 
@@ -249,15 +255,15 @@ class ParseService:
     to the clean-room interpreter — recording ``degraded_backend``.
 
     Args:
-        line: Product line to serve.  ``None`` (default) serves the
+        registry: The registry to serve.  ``None`` (default) serves the
             shared SQL:2003 registry, so the service, ``configure_sql``,
-            preset dialects, and the CLI all reuse one cache.
-        registry: Explicit registry to serve (overrides ``line``).
-        capacity: LRU capacity when a fresh registry is built.
+            preset dialects, and the CLI all reuse one cache.  The
+            service's own fault sites (``worker.execute``,
+            ``backend.parse``, ``worker.spawn``) consult the registry's
+            ``faults`` plan.
         cache_dir: On-disk artifact cache directory (one parse-program
-            artifact per product, token definitions included); applied
-            to the shared registry too when serving it, until
-            :meth:`close`.
+            artifact per product, token definitions included); the
+            registry uses it until :meth:`close`.
         max_workers: Worker-pool width for the batch APIs.  With 1, a
             :meth:`parse_many` batch parses on the calling thread.
         max_queue: Admission-control bound: maximum requests in flight
@@ -280,10 +286,6 @@ class ParseService:
             (``executor_degraded``); single :meth:`parse` calls,
             one-text or one-worker batches and coverage-collecting
             batches always run in-parent.
-        fault_plan: Optional deterministic
-            :class:`~repro.resilience.faults.FaultPlan` for chaos
-            testing; threaded into a registry constructed here, and
-            consulted at the service's own sites either way.
     """
 
     #: The serving backend (reported by ``stats``/``health``).
@@ -291,37 +293,25 @@ class ParseService:
 
     def __init__(
         self,
-        line=None,
         registry: ParserRegistry | None = None,
-        capacity: int = DEFAULT_CAPACITY,
         cache_dir: str | os.PathLike | None = None,
         max_workers: int = DEFAULT_WORKERS,
         max_queue: int | None = None,
         executor: str = "thread",
-        fault_plan: FaultPlan | None = None,
     ) -> None:
         if executor not in ("thread", "process"):
             raise ValueError(
                 f"unknown executor {executor!r} "
                 "(expected 'thread' or 'process')"
             )
-        if registry is not None:
-            self.registry = registry
-        elif line is not None:
-            self.registry = ParserRegistry(
-                line, capacity=capacity, cache_dir=cache_dir,
-                fault_plan=fault_plan,
-            )
-        else:
+        if registry is None:
             from ..sql.product_line import sql_parser_registry
 
-            self.registry = sql_parser_registry()
-        self.metrics: ServiceMetrics = self.registry.metrics
+            registry = sql_parser_registry()
+        self.registry = registry
+        self.metrics: ServiceMetrics = registry.metrics
         self.max_workers = max(1, max_workers)
         self.metrics.backend = self.backend
-        # never mutate a caller-provided registry's plan; the service's
-        # own sites use whichever plan is in effect
-        self._faults = fault_plan if fault_plan is not None else self.registry.faults
         self.max_queue = (
             max_queue if max_queue is not None
             else max(256, self.max_workers * 32)
@@ -436,13 +426,14 @@ class ParseService:
 
         Wraps :func:`repro.transpile.translate` in the service's result
         discipline: parse/feature-gap/render failures become diagnostics
-        on the returned :class:`TranslateServiceResult`, counters
-        (``translates``/``renders``/``translate_errors``) and the
-        ``translate`` latency histogram are recorded, and unexpected
+        on the returned :class:`TranslateServiceResult`, and unexpected
         failures degrade to an ``E0000`` diagnostic instead of a crash.
-        Admission control is :meth:`parse`'s: with ``max_queue``
-        requests in flight the call is shed with an ``E0204``
-        diagnostic.
+        Each translate that ran folds into the metrics once
+        (:meth:`~repro.service.metrics.ServiceMetrics.record_translate`:
+        ``translates``, the ``translate`` series, and ``renders`` or
+        ``translate_errors``).  Admission control is :meth:`parse`'s:
+        with ``max_queue`` requests in flight the call is shed with an
+        ``E0204`` diagnostic.
         """
         from ..transpile import translate as _translate
 
@@ -454,19 +445,16 @@ class ParseService:
         if not self._admit():
             outcome.diagnostics.add(self._overloaded().to_diagnostic())
             return outcome
-        self.metrics.incr("translates")
-        timer = self.metrics.time("translate")
+        counters: tuple[str, ...]
+        t0 = time.perf_counter()
         try:
-            with timer:
-                result = _translate(sql, source_dialect, target_dialect)
+            result = _translate(sql, source_dialect, target_dialect)
         except ReproError as error:
-            self.metrics.incr("translate_errors")
+            outcome.seconds = time.perf_counter() - t0
             outcome.diagnostics.add(error.to_diagnostic())
-            outcome.seconds = timer.seconds
-            return outcome
+            counters = ("translate_errors",)
         except Exception:
-            self.metrics.incr("translate_errors")
-            self.metrics.incr("internal_errors")
+            outcome.seconds = time.perf_counter() - t0
             outcome.diagnostics.add(
                 Diagnostic(
                     message="internal transpiler error; nothing was translated",
@@ -475,15 +463,16 @@ class ParseService:
                     hints=("check `repro health` and the server logs",),
                 )
             )
-            outcome.seconds = timer.seconds
-            return outcome
+            counters = ("translate_errors", "internal_errors")
+        else:
+            outcome.seconds = time.perf_counter() - t0
+            outcome.sql = result.sql
+            outcome.rewrites = result.rewrites
+            outcome.result = result
+            counters = ("renders",)
         finally:
             self._release_admission()
-        self.metrics.incr("renders")
-        outcome.sql = result.sql
-        outcome.rewrites = result.rewrites
-        outcome.result = result
-        outcome.seconds = timer.seconds
+        self.metrics.record_translate(outcome.seconds, *counters)
         return outcome
 
     # -- batch requests -----------------------------------------------------
@@ -887,88 +876,76 @@ class ParseService:
         deadline: Deadline | None = None,
         queued: tuple[float, int] | None = None,
     ) -> ParseServiceResult:
-        """Never-crash guard around one worker's parse.
+        """One parse: guarded, down the degradation ladder, timed, folded.
+
+        The compiled backend runs first; if it *raises* — as opposed to
+        returning a result with diagnostics — the shared interpreter
+        answers, and if that also raises, the clean-room fallback
+        interpreter does.  Any rung below the first marks the result
+        ``degraded=("backend",)`` and bumps ``degraded_backend``.  A
+        coverage-counting call runs on the interpreter alone: its walk
+        counts coverage for both backends.  ``seconds`` times the
+        answering rung's ``parse_with_diagnostics`` call alone, into
+        that rung's series, so a fleet silently shifting from compiled
+        to interpreter is visible in ``repro stats``.  ``queued`` is a
+        caller-loop text's ``(admitted_at, depth)``, folded in with it.
 
         Whatever goes wrong below — an injected fault, a corrupt shared
-        artifact, a bug in a backend — the caller gets a result, never an
-        exception.  ``queued`` is a caller-loop text's ``(admitted_at,
-        depth)``, folded into the metrics with its parse.
+        artifact, a bug in a backend — the caller gets an E0000 result,
+        never an exception: folded with no series when every rung
+        raised, not folded at all when the ``worker.execute`` site did.
         """
+        faults = self.registry.faults
         try:
-            if self._faults is not None:
-                self._faults.check("worker.execute")
-            return self._run_backend(
-                entry, text, warm, start, max_errors, max_steps,
-                coverage, deadline, queued,
-            )
+            if faults is not None:
+                faults.check("worker.execute")
+            degraded: tuple[str, ...] = ()
+            series: str | None
+            try:
+                private = None
+                if coverage is not None:
+                    # count into a per-call private collector and merge
+                    # it: the caller's collector may be shared across
+                    # workers
+                    private = entry.coverage_collector()
+                rungs = _LADDER if private is None else _COUNTING
+                last = len(rungs) - 1
+                for rung, (series, parser_of, site) in enumerate(rungs):
+                    try:
+                        if site is not None and faults is not None:
+                            faults.check(site)
+                        parser = parser_of(entry)
+                        t0 = time.perf_counter()
+                        outcome = parser.parse_with_diagnostics(
+                            text, start=start, max_errors=max_errors,
+                            max_steps=max_steps, deadline=deadline,
+                            coverage=private,
+                        )
+                        seconds = time.perf_counter() - t0
+                        break
+                    except Exception:
+                        if rung == last:
+                            raise
+                        if not degraded:
+                            degraded = ("backend",)
+                            self.metrics.incr("degraded_backend")
+                    finally:
+                        if private is not None:
+                            coverage.merge(private)
+            except Exception:
+                series = None
+                self.metrics.incr("internal_errors")
+                result = _internal_error_result(text, entry.fingerprint, warm)
+            else:
+                result = _answered(
+                    text, entry.fingerprint, outcome.tree,
+                    outcome.diagnostics, warm, seconds, degraded,
+                )
+            self.metrics.record_parse(result, series, queued)
+            return result
         except Exception:
             self.metrics.incr("internal_errors")
             return _internal_error_result(text, entry.fingerprint, warm)
-
-    def _run_backend(
-        self, entry, text, warm, start, max_errors, max_steps,
-        coverage, deadline, queued=None,
-    ) -> ParseServiceResult:
-        """One parse through the degradation ladder, folded into the metrics.
-
-        A coverage-counting call runs on the interpreter, which counts
-        coverage for both backends.  Otherwise the compiled backend runs
-        first; if it *raises* — as opposed to
-        returning a result with diagnostics — the shared interpreter
-        answers, and if that also raises, the clean-room fallback
-        interpreter does; if that raises too, the answer is E0000.
-        Every rung taken marks the result ``degraded=("backend",)`` and
-        bumps ``degraded_backend``.  The answer is timed into the series
-        of the rung that served it, so a fleet silently shifting from
-        compiled to interpreter is visible in ``repro stats``.
-        """
-        args = (text, start, max_errors, max_steps, deadline)
-        degraded: tuple[str, ...] = ()
-        series: str | None = "parse_interpreter"
-        try:
-            if coverage is not None:
-                # count into a per-call private collector and merge at
-                # the end: the caller's collector may be shared across
-                # workers.  Coverage is counted by the interpreter's walk
-                # on either backend, so a counting call runs on the
-                # interpreter itself
-                private = entry.coverage_collector()
-                try:
-                    outcome, seconds = _timed_parse(
-                        entry.parser(), *args, coverage=private
-                    )
-                finally:
-                    coverage.merge(private)
-            else:
-                try:
-                    if self._faults is not None:
-                        self._faults.check("backend.parse")
-                    outcome, seconds = _timed_parse(
-                        entry.compiled_parser(), *args
-                    )
-                    series = "parse_compiled"
-                except Exception:
-                    degraded = ("backend",)
-                    self.metrics.incr("degraded_backend")
-                    try:
-                        outcome, seconds = _timed_parse(entry.parser(), *args)
-                    except Exception:
-                        # last rung: the clean-room parser shares
-                        # nothing with the cache
-                        outcome, seconds = _timed_parse(
-                            entry.fallback_parser(), *args
-                        )
-        except Exception:
-            series = None
-            self.metrics.incr("internal_errors")
-            result = _internal_error_result(text, entry.fingerprint, warm)
-        else:
-            result = _answered(
-                text, entry.fingerprint, outcome.tree, outcome.diagnostics,
-                warm, seconds, degraded,
-            )
-        self.metrics.record_parse(result, series, queued)
-        return result
 
     def _collect(
         self,
@@ -1013,8 +990,9 @@ class ParseService:
             if self._closed:
                 raise RuntimeError("ParseService is closed")
             if self._proc_pool is None:
-                if self._faults is not None:
-                    self._faults.check("worker.spawn")
+                faults = self.registry.faults
+                if faults is not None:
+                    faults.check("worker.spawn")
                 self._proc_pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
                     mp_context=multiprocessing.get_context("spawn"),

@@ -13,7 +13,6 @@ objects; :func:`build_registry` imports them all in dependency order and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..core.product_line import GrammarProductLine
 from ..core.unit import FeatureUnit
@@ -65,10 +64,6 @@ class SqlRegistry:
         if any(d.name == diagram.name for d in self.diagrams):
             raise FeatureModelError(f"duplicate diagram name {diagram.name!r}")
         self.diagrams.append(diagram)
-
-    def add_all(self, diagrams: Iterable[FeatureDiagram]) -> None:
-        for diagram in diagrams:
-            self.add(diagram)
 
     def set_root_unit(self, unit: FeatureUnit) -> None:
         """The unit composed first: sql_script scaffolding + base tokens."""

@@ -21,13 +21,14 @@ of a failing campaign for replay.
 import contextlib
 import os
 import pathlib
+import threading
 
 import pytest
 
 from repro.core import GrammarProductLine
 from repro.resilience import FaultPlan, FaultRule
 from repro.resilience.faults import SITES
-from repro.service import ParseService
+from repro.service import ParseService, ParserRegistry
 from repro.service.service import ParseServiceResult
 
 from tests.test_core_product_line import mini_model, mini_units
@@ -54,10 +55,16 @@ def make_line():
     return GrammarProductLine(mini_model(), mini_units(), name="mini-sql")
 
 
+def make_service(fault_plan=None, **kwargs):
+    """A service on a fresh mini-sql registry that carries ``fault_plan``."""
+    registry = ParserRegistry(make_line(), fault_plan=fault_plan)
+    return ParseService(registry=registry, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def clean_trees():
     """Expected s-expressions from a fault-free service, keyed by text."""
-    with ParseService(line=make_line()) as service:
+    with make_service() as service:
         results = {text: service.parse(text, FULL) for text in CORPUS}
     return {
         text: result.tree.to_sexpr() if result.ok else None
@@ -122,10 +129,10 @@ class TestPerSiteFaults:
         with transcript_on_failure(plan):
             # warm the artifact cache with a clean service first so the
             # artifact.read.* sites have something to read through
-            with ParseService(line=make_line(), cache_dir=tmp_path) as warm:
+            with make_service(cache_dir=tmp_path) as warm:
                 warm.warm(FULL)
-            with ParseService(
-                line=make_line(), cache_dir=tmp_path, fault_plan=plan,
+            with make_service(
+                plan, cache_dir=tmp_path,
                 executor="process" if site in PROCESS_SITES else "thread",
                 max_workers=2,
             ) as service:
@@ -146,9 +153,7 @@ class TestRandomizedChaosSmoke:
     def test_chaos_sweep_smoke(self, tmp_path, clean_trees):
         plan = FaultPlan.chaos(SEED, max_latency=0.001)
         with transcript_on_failure(plan):
-            with ParseService(
-                line=make_line(), cache_dir=tmp_path, fault_plan=plan
-            ) as service:
+            with make_service(plan, cache_dir=tmp_path) as service:
                 assert_never_crashes_never_lies(service, clean_trees, rounds=3)
                 health = service.health()
                 assert health["status"] in ("ok", "degraded")
@@ -165,9 +170,7 @@ class TestChaosCampaign:
     def test_interpreter_campaign(self, offset, tmp_path, clean_trees):
         plan = FaultPlan.chaos(SEED + offset, max_latency=0.001)
         with transcript_on_failure(plan):
-            with ParseService(
-                line=make_line(), cache_dir=tmp_path, fault_plan=plan
-            ) as service:
+            with make_service(plan, cache_dir=tmp_path) as service:
                 assert_never_crashes_never_lies(service, clean_trees, rounds=4)
 
     def test_worker_spawn_campaign(self, tmp_path, clean_trees):
@@ -178,12 +181,8 @@ class TestChaosCampaign:
             SEED + 2000, sites=("worker.spawn",), max_latency=0.001
         )
         with transcript_on_failure(plan):
-            with ParseService(
-                line=make_line(),
-                cache_dir=tmp_path,
-                fault_plan=plan,
-                executor="process",
-                max_workers=2,
+            with make_service(
+                plan, cache_dir=tmp_path, executor="process", max_workers=2,
             ) as service:
                 for _ in range(4):
                     results = service.parse_many(list(CORPUS), FULL)
@@ -202,18 +201,30 @@ class TestChaosCampaign:
                     assert counters["worker_crashes"] >= 2
                     assert service.health()["status"] == "degraded"
 
-    def test_pooled_campaign(self, tmp_path, clean_trees):
-        """Chaos under concurrency: the pooled path with shared entries."""
+    def test_pooled_campaign(self, tmp_path, clean_trees, monkeypatch):
+        """Chaos under concurrency: the pooled path with shared entries.
+
+        A batch with a timeout fans out one pool future per text, which
+        ``_collect`` awaits; the last round, without one, runs the
+        caller-thread loop.
+        """
         plan = FaultPlan.chaos(SEED + 1000, max_latency=0.001)
+        parsed_on = set()
         with transcript_on_failure(plan):
-            with ParseService(
-                line=make_line(),
-                cache_dir=tmp_path,
-                fault_plan=plan,
-                max_workers=4,
+            with make_service(
+                plan, cache_dir=tmp_path, max_workers=4
             ) as service:
-                for _ in range(4):
-                    results = service.parse_many(list(CORPUS), FULL)
+                original = service._parse_entry
+
+                def recording(*args):
+                    parsed_on.add(threading.get_ident())
+                    return original(*args)
+
+                monkeypatch.setattr(service, "_parse_entry", recording)
+                for timeout in (30.0, 30.0, 30.0, None):
+                    results = service.parse_many(
+                        list(CORPUS), FULL, timeout=timeout
+                    )
                     for i, text in enumerate(CORPUS):
                         result = results[i]
                         assert isinstance(result, ParseServiceResult)
@@ -221,3 +232,5 @@ class TestChaosCampaign:
                             assert (
                                 result.tree.to_sexpr() == clean_trees[text]
                             )
+        # the timed rounds ran on pool threads, not on the caller's
+        assert parsed_on - {threading.get_ident()}

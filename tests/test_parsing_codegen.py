@@ -33,7 +33,7 @@ from repro.parsing import (
 )
 from repro.parsing.codegen import _EMBEDDED
 
-from repro.errors import ScanError
+from repro.errors import GrammarError, ScanError
 from repro.sql import build_dialect, dialect_names
 from repro.workloads import generate_workload
 
@@ -245,6 +245,22 @@ class TestEmbeddedRuntime:
             )
         assert {"ScanError", "ParseBudgetExceeded", "Token"} <= read
         assert read - set(vars(module)) - set(vars(builtins)) == set()
+
+
+class TestExportUnknownStartRule:
+    """An unknown ``start=`` raises the export's own GrammarError with
+    the served message, from ``parse`` and ``accepts`` alike."""
+
+    @pytest.mark.parametrize("dialect", dialect_names())
+    def test_raises_the_served_error(self, dialect):
+        product, source = _export(dialect)
+        module = load_generated_parser(source)
+        with pytest.raises(GrammarError) as served:
+            product.parser().parse("SELECT a FROM t", start="no_such_rule")
+        for call in (module.parse, module.accepts):
+            with pytest.raises(module.GrammarError) as exported:
+                call("SELECT a FROM t", start="no_such_rule")
+            assert str(exported.value) == str(served.value)
 
 
 #: Text the scanners must agree on: ASCII, line breaks, comment and quote

@@ -475,8 +475,10 @@ class TestDeepCallers:
     def test_service_answers_e0202(self, entry, rung, frames):
         plan = FaultPlan([FaultRule("backend.parse", times=None)])
         with ParseService(
-            registry=ParserRegistry(build_sql_product_line(), capacity=2),
-            fault_plan=plan if rung == "degraded" else None,
+            registry=ParserRegistry(
+                build_sql_product_line(), capacity=2,
+                fault_plan=plan if rung == "degraded" else None,
+            ),
         ) as service:
             features = dialect_features("full")
             collector = (

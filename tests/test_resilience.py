@@ -37,8 +37,9 @@ def make_line():
     return GrammarProductLine(mini_model(), mini_units(), name="mini-sql")
 
 
-def make_service(**kwargs):
-    return ParseService(line=make_line(), **kwargs)
+def make_service(fault_plan=None, **kwargs):
+    registry = ParserRegistry(make_line(), fault_plan=fault_plan)
+    return ParseService(registry=registry, **kwargs)
 
 
 # -- FaultPlan ----------------------------------------------------------------
@@ -538,7 +539,7 @@ class TestDegradationLadder:
         plan = FaultPlan([FaultRule("hints.build", times=1)])
         features = dialect_features("scql")
         with ParseService(
-            line=build_sql_product_line(), fault_plan=plan
+            registry=ParserRegistry(build_sql_product_line(), fault_plan=plan)
         ) as service:
             hints = [
                 sum(len(d.hints) for d in service.parse(

@@ -9,12 +9,13 @@ tier-1 suite needs no asyncio plugin.
 """
 
 import asyncio
+import contextlib
 
 import pytest
 
 from repro.core import GrammarProductLine
 from repro.diagnostics.model import PARSE_TIMEOUT, SERVICE_OVERLOADED
-from repro.service import AsyncParseService, ParseService
+from repro.service import AsyncParseService, ParseService, ParserRegistry
 
 from tests.test_core_product_line import mini_model, mini_units
 
@@ -29,10 +30,20 @@ def run(coro):
     return asyncio.run(coro)
 
 
+@contextlib.asynccontextmanager
+async def front_end(**service_kwargs):
+    """A front end over a mini-sql service the test builds and closes
+    itself: the front end never closes the service it wraps."""
+    registry = ParserRegistry(make_line())
+    with ParseService(registry=registry, **service_kwargs) as service:
+        async with AsyncParseService(service) as front:
+            yield front
+
+
 class TestCoalescing:
     def test_identical_requests_share_one_parse(self):
         async def scenario():
-            async with AsyncParseService(line=make_line()) as service:
+            async with front_end() as service:
                 results = await asyncio.gather(
                     *(
                         service.parse("SELECT a FROM t WHERE x = y", FULL)
@@ -51,7 +62,7 @@ class TestCoalescing:
 
     def test_selection_order_coalesces_via_fingerprint(self):
         async def scenario():
-            async with AsyncParseService(line=make_line()) as service:
+            async with front_end() as service:
                 results = await asyncio.gather(
                     service.parse("SELECT a FROM t", ["Query", "Where"]),
                     service.parse("SELECT a FROM t", ["Where", "Query"]),
@@ -64,7 +75,7 @@ class TestCoalescing:
 
     def test_distinct_texts_do_not_coalesce(self):
         async def scenario():
-            async with AsyncParseService(line=make_line()) as service:
+            async with front_end() as service:
                 results = await service.parse_many(
                     ["SELECT a FROM t", "SELECT DISTINCT a FROM t"], FULL
                 )
@@ -76,7 +87,7 @@ class TestCoalescing:
 
     def test_invalid_selection_is_uncoalesced_diagnostic(self):
         async def scenario():
-            async with AsyncParseService(line=make_line()) as service:
+            async with front_end() as service:
                 return await service.parse(
                     "SELECT a FROM t", ["Query", "NoSuchFeature"]
                 )
@@ -89,9 +100,7 @@ class TestCoalescing:
 class TestBackpressure:
     def test_excess_requests_shed_with_e0204(self):
         async def scenario():
-            async with AsyncParseService(
-                line=make_line(), max_pending=1
-            ) as service:
+            async with front_end(max_queue=1) as service:
                 return await asyncio.gather(
                     *(
                         service.parse(f"SELECT a FROM t{i}", FULL)
@@ -109,15 +118,16 @@ class TestBackpressure:
         assert len(served) == 1
         # shed results are results, not exceptions — nothing raised above
 
-    def test_max_pending_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_pending"):
-            AsyncParseService(line=make_line(), max_pending=0)
+    def test_admission_bound_must_be_positive(self):
+        # the front end admits up to the wrapped service's max_queue
+        with pytest.raises(ValueError, match="max_queue"):
+            ParseService(registry=ParserRegistry(make_line()), max_queue=0)
 
 
 class TestDeadlines:
     def test_expired_while_queued_returns_e0203_without_parsing(self):
         async def scenario():
-            async with AsyncParseService(line=make_line()) as service:
+            async with front_end() as service:
                 service.service.warm(FULL)
                 before = service.metrics.counter("parses")
                 result = await service.parse(
@@ -136,7 +146,7 @@ class TestDeadlines:
 
     def test_generous_deadline_parses_normally(self):
         async def scenario():
-            async with AsyncParseService(line=make_line()) as service:
+            async with front_end() as service:
                 return await service.parse(
                     "SELECT a FROM t WHERE x = y", FULL, timeout=30.0
                 )
@@ -157,7 +167,7 @@ class TestOrderingAndLifecycle:
         ]
 
         async def scenario():
-            async with AsyncParseService(line=make_line()) as service:
+            async with front_end() as service:
                 return await service.parse_many(texts, FULL)
 
         results = run(scenario())
@@ -165,8 +175,8 @@ class TestOrderingAndLifecycle:
         assert [r.ok for r in results] == [True, True, True, True, False]
 
     def test_close_rejects_new_requests(self):
-        async def scenario():
-            service = AsyncParseService(line=make_line())
+        async def scenario(sync_service):
+            service = AsyncParseService(sync_service)
             await service.parse("SELECT a FROM t", FULL)
             await service.close()
             await service.close()  # idempotent
@@ -174,7 +184,9 @@ class TestOrderingAndLifecycle:
                 await service.parse("SELECT a FROM t", FULL)
             return service
 
-        service = run(scenario())
+        registry = ParserRegistry(make_line())
+        with ParseService(registry=registry) as sync_service:
+            service = run(scenario(sync_service))
         assert service.pending == 0
 
     def test_wrapped_service_outlives_the_front_end(self):
@@ -183,7 +195,8 @@ class TestOrderingAndLifecycle:
                 result = await front.parse("SELECT a FROM t", FULL)
                 assert result.ok
 
-        with ParseService(line=make_line(), max_workers=2) as sync_service:
+        registry = ParserRegistry(make_line())
+        with ParseService(registry=registry, max_workers=2) as sync_service:
             run(scenario(sync_service))
             # the front-end did not own it: still serving after aexit
             results = sync_service.parse_many(
@@ -193,7 +206,7 @@ class TestOrderingAndLifecycle:
 
     def test_pending_gauge_settles_to_zero(self):
         async def scenario():
-            async with AsyncParseService(line=make_line()) as service:
+            async with front_end() as service:
                 await service.parse_many(
                     ["SELECT a FROM t", "SELECT a, b, c FROM t"], FULL
                 )

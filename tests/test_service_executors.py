@@ -43,6 +43,12 @@ def make_line():
     return GrammarProductLine(mini_model(), mini_units(), name="mini-sql")
 
 
+def make_service(fault_plan=None, **kwargs):
+    """A service on a fresh mini-sql registry that carries ``fault_plan``."""
+    registry = ParserRegistry(make_line(), fault_plan=fault_plan)
+    return ParseService(registry=registry, **kwargs)
+
+
 def published_entry(tmp_path):
     """A composed registry entry with worker artifacts staged on disk."""
     registry = ParserRegistry(make_line(), cache_dir=tmp_path)
@@ -148,8 +154,8 @@ def process_service(tmp_path_factory):
     """One spawned 2-worker pool shared by the parity tests (spawn is
     the expensive part; the protocol is per-batch either way)."""
     cache = tmp_path_factory.mktemp("artifacts")
-    with ParseService(
-        line=make_line(), cache_dir=cache, executor="process", max_workers=2
+    with make_service(
+        cache_dir=cache, executor="process", max_workers=2
     ) as service:
         yield service
 
@@ -157,12 +163,10 @@ def process_service(tmp_path_factory):
 class TestProcessExecutor:
     def test_rejects_unknown_executor(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            ParseService(line=make_line(), executor="fiber")
+            make_service(executor="fiber")
 
     def test_owns_a_cache_dir_when_none_given(self):
-        service = ParseService(
-            line=make_line(), executor="process", max_workers=2
-        )
+        service = make_service(executor="process", max_workers=2)
         registry = service.registry
         try:
             owned = registry.cache_dir
@@ -177,7 +181,7 @@ class TestProcessExecutor:
         assert not os.path.exists(owned)
 
     def test_parity_with_thread_results(self, process_service):
-        with ParseService(line=make_line()) as reference:
+        with make_service() as reference:
             expected = reference.parse_many(list(CORPUS), FULL)
         results = process_service.parse_many(list(CORPUS), FULL)
         # the workers bootstrapped from one published file, no more
@@ -240,9 +244,8 @@ class TestProcessExecutor:
         (result,) = process_service.parse_many(["SELECT a FROM t"], FULL)
         assert result.ok
         assert process_service.metrics.counter("worker_tasks") == before
-        with ParseService(
-            line=make_line(), cache_dir=tmp_path, executor="process",
-            max_workers=1,
+        with make_service(
+            cache_dir=tmp_path, executor="process", max_workers=1
         ) as service:
             results = service.parse_many(list(CORPUS), FULL)
             assert [r.text for r in results] == list(CORPUS)
@@ -258,9 +261,8 @@ class TestWorkerRepublishProtocol:
         """A worker hitting a corrupt ir.json must quarantine it, the
         parent must force-republish and retry, and the batch must still
         come back fully parsed — never a deadlock, never a raise."""
-        service = ParseService(
-            line=make_line(), cache_dir=tmp_path,
-            executor="process", max_workers=2,
+        service = make_service(
+            cache_dir=tmp_path, executor="process", max_workers=2
         )
         try:
             entry = service.registry.get(FULL)
@@ -299,8 +301,8 @@ class TestCrashDegradation:
         plan = FaultPlan(
             [FaultRule("worker.spawn", probability=1.0)], seed=1
         )
-        service = ParseService(
-            line=make_line(), cache_dir=tmp_path, fault_plan=plan,
+        service = make_service(
+            cache_dir=tmp_path, fault_plan=plan,
             executor="process", max_workers=2,
         )
         try:
@@ -324,9 +326,8 @@ class TestCrashDegradation:
 
 class TestLifecycle:
     def test_close_is_idempotent_and_fails_batches(self, tmp_path):
-        service = ParseService(
-            line=make_line(), cache_dir=tmp_path,
-            executor="process", max_workers=2,
+        service = make_service(
+            cache_dir=tmp_path, executor="process", max_workers=2
         )
         service.parse_many(["SELECT a FROM t", "SELECT a, b, c FROM t"], FULL)
         service.close()
@@ -335,7 +336,7 @@ class TestLifecycle:
             service.parse_many(["SELECT a FROM t", "x"], FULL)
 
     def test_context_manager_closes_thread_pool(self):
-        with ParseService(line=make_line(), max_workers=2) as service:
+        with make_service(max_workers=2) as service:
             results = service.parse_many(
                 ["SELECT a FROM t", "SELECT DISTINCT a FROM t"], FULL
             )
@@ -344,7 +345,7 @@ class TestLifecycle:
             service.parse_many(["SELECT a FROM t", "x"], FULL)
 
     def test_shed_results_code(self, tmp_path):
-        service = ParseService(line=make_line(), max_queue=1, max_workers=4)
+        service = make_service(max_queue=1, max_workers=4)
         try:
             results = service.parse_many(list(CORPUS), FULL)
             shed = [

@@ -4,7 +4,8 @@ The pin drives one fresh service through every way a request can be
 answered and asserts the whole counters dict and the number of
 observations in every latency and queue-depth series (never their
 times).  The lock test counts ``ServiceMetrics._lock`` acquisitions: one
-answered parse folds into the metrics under one acquisition.
+answered parse, and one translate, folds into the metrics under one
+acquisition.
 """
 
 import asyncio
@@ -14,13 +15,21 @@ import threading
 from repro.core import GrammarProductLine
 from repro.diagnostics.model import (
     GENERIC_ERROR,
+    PARSE_ERROR,
     PARSE_TIMEOUT,
     SERVICE_OVERLOADED,
+    UNTRANSLATABLE,
 )
 from repro.parsing.closures import ClosureParser
 from repro.parsing.parser import Parser
 from repro.resilience.faults import FaultPlan, FaultRule
-from repro.service import AsyncParseService, ParseService, ServiceMetrics
+import repro.transpile
+from repro.service import (
+    AsyncParseService,
+    ParserRegistry,
+    ParseService,
+    ServiceMetrics,
+)
 from repro.service.service import ParseServiceResult
 
 from tests.test_core_product_line import mini_model, mini_units
@@ -35,7 +44,7 @@ BATCH = [f"SELECT c{i} FROM t{i} WHERE a = b" for i in range(3)]
 
 def make_service(**kwargs):
     line = GrammarProductLine(mini_model(), mini_units(), name="mini-sql")
-    return ParseService(line=line, **kwargs)
+    return ParseService(registry=ParserRegistry(line), **kwargs)
 
 
 def series_counts(service) -> dict:
@@ -119,7 +128,7 @@ def run_script(service, monkeypatch) -> list:
     out.append(service.parse(GOOD, FULL, coverage=collector))
     with monkeypatch.context() as patch:
         patch.setattr(
-            service, "_faults",
+            service.registry, "faults",
             FaultPlan([FaultRule("worker.execute", times=1)]),
         )
         out.append(service.parse(GOOD, FULL))
@@ -202,6 +211,74 @@ class TestAccountingPin:
         assert latency["parse_compiled"] == 0
 
 
+def run_translates(service, monkeypatch) -> list:
+    """Each way a translate can end: translated, refused (E0401), a
+    source syntax error, an internal error, and shed."""
+    out = [
+        service.translate(
+            "SELECT a FROM t INNER JOIN u ON a = b", "full", "core"
+        ),
+        service.translate("SELECT t.a FROM t", "core", "scql"),
+        service.translate("SELECT FROM WHERE", "core", "core"),
+    ]
+    with monkeypatch.context() as patch:
+        def broken(sql, source, target):
+            raise RuntimeError("the transpiler fails")
+
+        patch.setattr(repro.transpile, "translate", broken)
+        out.append(service.translate(GOOD, "core", "core"))
+    with monkeypatch.context() as patch:
+        patch.setattr(service, "max_queue", 0)
+        out.append(service.translate(GOOD, "core", "core"))
+    return out
+
+
+class TestTranslatePin:
+    """What each way a translate ends returns and records."""
+
+    def test_fixed_script(self, monkeypatch):
+        with make_service() as service:
+            out = run_translates(service, monkeypatch)
+            counts = series_counts(service)
+            in_flight = service.in_flight
+        assert [r.ok for r in out] == [True, False, False, False, False]
+        assert [r.sql for r in out] == [
+            "SELECT a FROM t JOIN u ON a = b", None, None, None, None,
+        ]
+        assert [r.rewrites for r in out] == [()] * 5
+        assert [[d.code for d in r.diagnostics] for r in out] == [
+            [], [UNTRANSLATABLE], [PARSE_ERROR], [GENERIC_ERROR],
+            [SERVICE_OVERLOADED],
+        ]
+        assert [type(r.result).__name__ for r in out] == [
+            "TranslationResult", "NoneType", "NoneType", "NoneType",
+            "NoneType",
+        ]
+        assert out[0].result.sql == out[0].sql
+        messages = [[d.message for d in r.diagnostics] for r in out]
+        assert "missing feature units QualifiedNames" in messages[1][0]
+        assert messages[3] == [
+            "internal transpiler error; nothing was translated"
+        ]
+        # every translate that ran is timed; a shed one never ran
+        assert all(r.seconds > 0.0 for r in out[:4])
+        assert out[4].seconds == 0.0
+        assert [(r.source_dialect, r.target_dialect) for r in out] == [
+            ("full", "core"), ("core", "scql"), ("core", "core"),
+            ("core", "core"), ("core", "core"),
+        ]
+        assert counts["counters"] == {
+            **{name: 0 for name in service.metrics.COUNTERS},
+            "translates": 4, "renders": 1, "translate_errors": 3,
+            "internal_errors": 1, "shed": 1,
+        }
+        assert counts["latency"] == {
+            **{name: 0 for name in counts["latency"]}, "translate": 4,
+        }
+        assert counts["queue_depth"] == {"thread": 0, "process": 0, "async": 0}
+        assert in_flight == 0
+
+
 class CountingLock:
     """A lock proxy that counts its acquisitions."""
 
@@ -236,6 +313,15 @@ class TestOneLockPerParse:
             assert acquisitions(
                 lambda: service.parse_many(texts, FULL)
             ) == lookup + len(texts)
+
+    def test_one_acquisition_per_translate(self, monkeypatch):
+        with make_service() as service:
+            service.translate(GOOD, "core", "core")  # warm the dialect
+            lock = CountingLock(service.metrics._lock)
+            monkeypatch.setattr(service.metrics, "_lock", lock)
+            result = service.translate(GOOD, "core", "core")
+        assert result.ok
+        assert lock.acquired == 1
 
 
 class TestConcurrentFolds:

@@ -1,6 +1,7 @@
 """ParseService: resilient results, batch concurrency, timeouts, stats."""
 
 import shutil
+import sys
 import threading
 import time
 
@@ -13,8 +14,12 @@ from repro.diagnostics.model import (
     PARSE_TIMEOUT,
     SERVICE_OVERLOADED,
 )
+import repro.service.service as service_module
+from repro.parsing.closures import ClosureParser
 from repro.parsing.parser import Parser
+from repro.resilience.faults import FaultPlan, FaultRule
 from repro.service import ParseService, ParserRegistry
+from repro.service.registry import RegistryEntry
 from repro.sql import sql_parser_registry
 
 from tests.test_core_product_line import mini_model, mini_units
@@ -24,7 +29,7 @@ FULL = ["Query", "SetQuantifier", "MultiColumn", "Where", "GroupBy"]
 
 def make_service(**kwargs):
     line = GrammarProductLine(mini_model(), mini_units(), name="mini-sql")
-    return ParseService(line=line, **kwargs)
+    return ParseService(registry=ParserRegistry(line), **kwargs)
 
 
 @pytest.fixture
@@ -94,6 +99,87 @@ class TestParse:
         result = service.parse("SELECT a FROM t", ["Query", "Where"])
         assert result.warm
         assert result.fingerprint == fp
+
+
+def service_frames_below(outer: str) -> list[str]:
+    """The service-module frames between the caller's caller and the
+    nearest service-module ``outer`` frame, innermost first."""
+    names = []
+    frame = sys._getframe(2)
+    while not (
+        frame.f_code.co_filename == service_module.__file__
+        and frame.f_code.co_name == outer
+    ):
+        if frame.f_code.co_filename == service_module.__file__:
+            names.append(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
+class TestOneStep:
+    """One guarded step: the answering rung's ``parse_with_diagnostics``
+    runs one service frame below the request."""
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    @pytest.mark.parametrize("outer", ["parse", "_parse_many_caller"])
+    def test_one_service_frame_to_the_answering_rung(
+        self, monkeypatch, outer, degraded
+    ):
+        stacks = []
+        original = Parser.parse_with_diagnostics
+
+        def recording(self, text, **kwargs):
+            stacks.append(service_frames_below(outer))
+            return original(self, text, **kwargs)
+
+        def broken(self, text, **kwargs):
+            raise RuntimeError("the compiled rung fails")
+
+        texts = ["SELECT a FROM t", "SELECT a FROM t WHERE x = y"]
+        with make_service(max_workers=2) as service:
+            service.warm(FULL)
+            monkeypatch.setattr(Parser, "parse_with_diagnostics", recording)
+            if degraded:
+                monkeypatch.setattr(
+                    ClosureParser, "parse_with_diagnostics", broken
+                )
+            if outer == "parse":
+                results = [service.parse(text, FULL) for text in texts]
+            else:
+                results = service.parse_many(texts, FULL)
+        assert all(r.ok for r in results)
+        assert [r.degraded for r in results] == (
+            [("backend",)] * 2 if degraded else [()] * 2
+        )
+        assert stacks == [["_parse_entry"]] * 2
+
+    def test_seconds_time_the_answering_parse_alone(self, monkeypatch):
+        """Fault-site latency and building the parser are not parse time."""
+        plan = FaultPlan([
+            FaultRule("worker.execute", error=None, latency=0.1),
+            FaultRule("backend.parse", error=None, latency=0.1),
+        ])
+        line = GrammarProductLine(mini_model(), mini_units(), name="mini-sql")
+        original = RegistryEntry.compiled_parser
+
+        def slow_build(self):
+            time.sleep(0.1)
+            return original(self)
+
+        monkeypatch.setattr(RegistryEntry, "compiled_parser", slow_build)
+        registry = ParserRegistry(line, fault_plan=plan)
+        with ParseService(registry=registry) as service:
+            service.warm(FULL)
+            t0 = time.perf_counter()
+            result = service.parse("SELECT a FROM t", FULL)
+            elapsed = time.perf_counter() - t0
+        assert result.ok and result.degraded == ()
+        assert elapsed >= 0.3
+        assert result.seconds < 0.1
+
+    def test_the_step_has_no_helpers(self):
+        assert not hasattr(ParseService, "_run_backend")
+        assert not hasattr(service_module, "_timed_parse")
 
 
 class TestSerialParseManyAdmission:

@@ -397,6 +397,38 @@ class TestConcurrency:
         assert len(fingerprints) == 4
 
 
+class TestOneValidation:
+    def test_a_cold_compose_validates_once(self, tmp_path, monkeypatch):
+        """The registry's completeness check and the program compile read
+        one validation report; the clean-room parser is not built."""
+        from repro.parsing import parser as parser_module
+        from repro.parsing import program as program_module
+
+        # the package re-exports the function under the module's name
+        validate_module = sys.modules["repro.grammar.validate"]
+
+        calls = []
+        original = validate_module.validate
+
+        def counting(grammar):
+            calls.append(grammar.name)
+            return original(grammar)
+
+        for module in (validate_module, parser_module, program_module):
+            monkeypatch.setattr(module, "validate", counting)
+        registry = ParserRegistry(build_sql_product_line(), cache_dir=tmp_path)
+        entry = registry.get(dialect_features("core"))
+        outcome = entry.compiled_parser().parse_with_diagnostics(
+            "SELECT a FROM t"
+        )
+        assert outcome.tree is not None
+        assert len(calls) == 1
+        # a renamed copy reads its original's report
+        assert entry.product.renamed("other").validation is (
+            entry.product.validation
+        )
+
+
 class TestProgramDiskCache:
     """ParseProgram artifacts (`<digest>.ir.json`) round-trip across processes."""
 
