@@ -137,11 +137,12 @@ class ConformanceRunner:
         collect_coverage: Run the interpreter instrumented and keep the
             per-dialect collectors on :attr:`collectors`.
         cache_dir: On-disk artifact cache directory.  When set, dialects
-            resolve through a fingerprint-keyed registry so the parse
-            program is *loaded* from its ``<digest>.ir.json`` artifact
-            when fresh instead of being recompiled — this is
-            what lets repeated runs (CI's conformance and coverage
-            steps) share one composition per dialect.  The generated module
+            resolve through the runner's own registry over it (otherwise
+            through the shared one), so the parse program is *loaded*
+            from its ``<digest>.ir.json`` artifact when fresh instead of
+            being recompiled — this is what lets repeated runs (CI's
+            conformance and coverage steps) share one composition per
+            dialect.  It never changes a report.  The generated module
             is always printed fresh from the program (an offline export,
             not a served artifact).
     """
@@ -154,7 +155,8 @@ class ConformanceRunner:
         collect_coverage: bool = False,
         cache_dir: str | None = None,
     ) -> None:
-        from ..sql import dialect_names
+        from ..service.registry import ParserRegistry
+        from ..sql import build_sql_product_line, dialect_names, sql_parser_registry
 
         self.corpus = corpus if corpus is not None else load_corpus()
         presets = dialect_names()
@@ -183,14 +185,10 @@ class ConformanceRunner:
         self.backends = tuple(backends)
         self.collect_coverage = collect_coverage
         self.cache_dir = cache_dir
-        self._registry = None
-        if cache_dir is not None:
-            from ..service.registry import ParserRegistry
-            from ..sql.product_line import build_sql_product_line
-
-            self._registry = ParserRegistry(
-                build_sql_product_line(), cache_dir=cache_dir
-            )
+        self._registry = (
+            sql_parser_registry() if cache_dir is None
+            else ParserRegistry(build_sql_product_line(), cache_dir=cache_dir)
+        )
         #: dialect -> ComposedProduct, populated by :meth:`run`.
         self.products: dict[str, object] = {}
         #: dialect -> compiled ParseProgram (coverage collectors are
@@ -210,38 +208,22 @@ class ConformanceRunner:
     # -- per-dialect machinery ---------------------------------------------
 
     def _run_dialect(self, dialect: str, report: ConformanceReport) -> None:
-        from ..sql import build_dialect
+        from ..sql import dialect_selection
 
-        entry = None
-        if self._registry is not None:
-            # artifact-cached path: an unchanged fingerprint loads the
-            # parse program from disk instead of recompiling it, and the
-            # compiled parser below is lowered from that program
-            from ..sql import dialect_features
-
-            entry = self._registry.get(dialect_features(dialect))
-            product = entry.product
-            program = entry.program()
-        else:
-            product = build_dialect(dialect)
-            program = product.program()
+        # with a cache directory, an unchanged fingerprint loads the
+        # parse program from disk instead of recompiling it, and the
+        # compiled parser below is lowered from that program
+        entry = self._registry.get(dialect_selection(dialect))
+        product = entry.product.renamed(f"sql-{dialect}")
+        program = entry.program()
         self.products[dialect] = product
         self.programs[dialect] = program
-        parser = None
-        if INTERPRETER in self.backends:
-            parser = get_backend(INTERPRETER).build(product, program=program)
+        parser = entry.parser() if INTERPRETER in self.backends else None
         coverage = None
         if self.collect_coverage:
             coverage = CoverageMap(program).collector()
             self.collectors[dialect] = coverage
-        compiled = None
-        if COMPILED in self.backends:
-            if entry is not None:
-                compiled = entry.compiled_parser()
-            else:
-                compiled = get_backend(COMPILED).build(
-                    product, program=program
-                )
+        compiled = entry.compiled_parser() if COMPILED in self.backends else None
         generated = None
         if GENERATED in self.backends:
             generated = get_backend(GENERATED).build(product, program=program)
@@ -317,16 +299,15 @@ class ConformanceRunner:
             failures=tuple(failures),
         )
 
-    @staticmethod
-    def _check_translation(case: ConformanceCase, dialect: str) -> CaseResult:
+    def _check_translation(self, case: ConformanceCase, dialect: str) -> CaseResult:
         from ..errors import ReproError
-        from ..transpile import translate
+        from ..transpile import translate_on
 
         failures: list[str] = []
         error: ReproError | None = None
         result = None
         try:
-            result = translate(case.sql, dialect, case.to)
+            result = translate_on(self._registry, case.sql, dialect, case.to)
         except ReproError as exc:
             error = exc
         if case.expect == "translates-to":

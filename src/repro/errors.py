@@ -236,6 +236,12 @@ class UnknownFeatureError(FeatureModelError):
     """A configuration or constraint references a feature that is not in the model."""
 
 
+class UnknownDialectError(FeatureModelError, ValueError):
+    """A dialect name that is no preset: a caller's selection error."""
+
+    code = CONFIG_INVALID
+
+
 class InvalidConfigurationError(FeatureModelError):
     """A feature selection violates the feature model.
 

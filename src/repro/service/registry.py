@@ -19,9 +19,10 @@ Four cache layers, cheapest first:
    per-fingerprint build locks so N concurrent requests for the same
    selection trigger exactly one composition.
 3. **Per-entry lazy compilation**: the scanner, the parse program, the
-   closure-compiled code (whose rules compile on their own first call)
-   and the entry's three parsers (interpreting, compiled, clean-room
-   fallback) are built on first use.  A parse
+   closure-compiled code (whose rules compile on their own first call),
+   the entry's three parsers (interpreting, compiled, clean-room
+   fallback) and the state a translate reads (render options, rule
+   origins) are built on first use.  A parse
    keeps its state in a per-call object, so every thread shares each
    of them.
 4. **On-disk artifact cache** (optional): one
@@ -107,6 +108,8 @@ class RegistryEntry:
         self._parser = None
         self._compiled_parser = None
         self._fallback_parser = None
+        self._render_options = None
+        self._rule_origins = None
 
     # -- shared immutable artifacts ---------------------------------------
 
@@ -260,6 +263,22 @@ class RegistryEntry:
         return self._once(
             "_fallback_parser", lambda: Parser(self.product.grammar)
         )
+
+    # -- what a translate reads: one of each, shared by every translate -----
+
+    def render_options(self):
+        """The product's render options as a translation target."""
+
+        def build():
+            from ..transpile.render import RenderOptions
+
+            return RenderOptions.for_product(self.product)
+
+        return self._once("_render_options", build)
+
+    def rule_origins(self) -> Mapping[str, str]:
+        """The product's rule origins, for it as a translation source."""
+        return self._once("_rule_origins", self.product.rule_origins)
 
     # the per-thread accessors' old names, kept because perfbench calls them
     thread_parser = parser

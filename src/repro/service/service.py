@@ -215,19 +215,19 @@ def _check_collector(entry: RegistryEntry, coverage) -> None:
         )
 
 
+def _internal_error(message: str) -> Diagnostic:
+    """The never-crash guard's last answer: an E0000 diagnostic, not a raise."""
+    return Diagnostic(
+        message=message, severity=Severity.ERROR, code=GENERIC_ERROR,
+        hints=("check `repro health` and the server logs",),
+    )
+
+
 def _internal_error_result(
     text: str, fp: Fingerprint | None = None, warm: bool = False
 ) -> ParseServiceResult:
-    """The never-crash guard's last answer: an E0000 result, not a raise."""
     bag = DiagnosticBag()
-    bag.add(
-        Diagnostic(
-            message="internal service error; the request was not parsed",
-            severity=Severity.ERROR,
-            code=GENERIC_ERROR,
-            hints=("check `repro health` and the server logs",),
-        )
-    )
+    bag.add(_internal_error("internal service error; the request was not parsed"))
     return ParseServiceResult(
         text=text, fingerprint=fp, diagnostics=bag, warm=warm,
         degraded=("internal-error",),
@@ -424,18 +424,21 @@ class ParseService:
     ) -> TranslateServiceResult:
         """Translate one query between preset dialects — never raises.
 
-        Wraps :func:`repro.transpile.translate` in the service's result
-        discipline: parse/feature-gap/render failures become diagnostics
-        on the returned :class:`TranslateServiceResult`, and unexpected
-        failures degrade to an ``E0000`` diagnostic instead of a crash.
-        Each translate that ran folds into the metrics once
+        Runs :func:`repro.transpile.translate_on` on :attr:`registry`
+        (which must serve the SQL:2003 line), so both dialect lookups are
+        the registry's, as :meth:`parse`'s is.  Parse, feature-gap,
+        render and dialect-name failures become diagnostics on the
+        returned :class:`TranslateServiceResult`; unexpected failures (a
+        compile fault too: there is no fallback rung) degrade to an
+        ``E0000`` diagnostic instead of a crash.  Each translate that
+        ran folds into the metrics once
         (:meth:`~repro.service.metrics.ServiceMetrics.record_translate`:
         ``translates``, the ``translate`` series, and ``renders`` or
         ``translate_errors``).  Admission control is :meth:`parse`'s:
         with ``max_queue`` requests in flight the call is shed with an
         ``E0204`` diagnostic.
         """
-        from ..transpile import translate as _translate
+        from ..transpile import translate_on
 
         outcome = TranslateServiceResult(
             source_sql=sql,
@@ -448,29 +451,24 @@ class ParseService:
         counters: tuple[str, ...]
         t0 = time.perf_counter()
         try:
-            result = _translate(sql, source_dialect, target_dialect)
+            result = translate_on(
+                self.registry, sql, source_dialect, target_dialect
+            )
         except ReproError as error:
-            outcome.seconds = time.perf_counter() - t0
             outcome.diagnostics.add(error.to_diagnostic())
             counters = ("translate_errors",)
         except Exception:
-            outcome.seconds = time.perf_counter() - t0
-            outcome.diagnostics.add(
-                Diagnostic(
-                    message="internal transpiler error; nothing was translated",
-                    severity=Severity.ERROR,
-                    code=GENERIC_ERROR,
-                    hints=("check `repro health` and the server logs",),
-                )
-            )
+            outcome.diagnostics.add(_internal_error(
+                "internal transpiler error; nothing was translated"
+            ))
             counters = ("translate_errors", "internal_errors")
         else:
-            outcome.seconds = time.perf_counter() - t0
             outcome.sql = result.sql
             outcome.rewrites = result.rewrites
             outcome.result = result
             counters = ("renders",)
         finally:
+            outcome.seconds = time.perf_counter() - t0
             self._release_admission()
         self.metrics.record_translate(outcome.seconds, *counters)
         return outcome

@@ -4,7 +4,7 @@ Public API::
 
     from repro.sql import (
         sql_registry, build_sql_product_line, configure_sql,
-        dialect_names, dialect_features, build_dialect,
+        dialect_names, dialect_features, dialect_selection, build_dialect,
         build_ast, ast,
     )
 """
@@ -16,6 +16,7 @@ from .dialects import (
     build_dialect,
     dialect_features,
     dialect_names,
+    dialect_selection,
 )
 from .product_line import (
     build_sql_product_line,
@@ -37,6 +38,7 @@ __all__ = [
     "configure_sql",
     "dialect_features",
     "dialect_names",
+    "dialect_selection",
     "sql_parser_registry",
     "sql_registry",
 ]

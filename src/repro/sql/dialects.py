@@ -14,13 +14,16 @@ Each dialect is a named feature selection over the SQL:2003 product line:
 * **ANALYTICS** — a warehouse-flavoured dialect: OLAP grouping, window
   functions, CASE, aggregates; no DML/DDL.
 
-``dialect_features(name)`` returns the selection, ``build_dialect(name)``
-the composed product.
+``dialect_features(name)`` returns the selection (``dialect_selection``:
+cached as a frozenset), ``build_dialect(name)`` the composed product.
 """
 
 from __future__ import annotations
 
-from .product_line import build_sql_product_line, configure_sql
+from functools import lru_cache
+
+from ..errors import UnknownDialectError
+from .product_line import build_sql_product_line, sql_parser_registry
 from .registry import SqlRegistry
 
 #: All six comparison operators.
@@ -299,27 +302,28 @@ def dialect_features(name: str) -> list[str]:
     """The feature selection behind a preset dialect."""
     key = name.lower()
     if key == "full":
-        return _full_foundation_features()
+        # every feature that has a unit, foundation and extension alike
+        line = build_sql_product_line()
+        return [
+            f for f in line.features_with_units() if f != SqlRegistry.ROOT_FEATURE
+        ]
     try:
         return list(_DIALECTS[key])
     except KeyError:
-        raise ValueError(
+        raise UnknownDialectError(
             f"unknown dialect {name!r}; choose from {dialect_names()}"
         ) from None
 
 
-def _full_foundation_features() -> list[str]:
-    """Every feature that has a unit, foundation and extension alike."""
-    line = build_sql_product_line()
-    return [
-        name
-        for name in line.features_with_units()
-        if name != SqlRegistry.ROOT_FEATURE
-    ]
+@lru_cache(maxsize=None)
+def dialect_selection(name: str) -> frozenset[str]:
+    """:func:`dialect_features` as one frozenset per preset name and
+    process (names and feature sets only, never an entry or a product):
+    a registry's selection memo finds the same object every lookup."""
+    return frozenset(dialect_features(name))
 
 
 def build_dialect(name: str, product_name: str | None = None):
-    """Compose a preset dialect into a ComposedProduct."""
-    return configure_sql(
-        dialect_features(name), product_name=product_name or f"sql-{name.lower()}"
-    )
+    """Compose a preset dialect into a ComposedProduct (shared registry)."""
+    product = sql_parser_registry().get(dialect_selection(name)).product
+    return product.renamed(product_name or f"sql-{name.lower()}")

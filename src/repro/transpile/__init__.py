@@ -5,7 +5,7 @@ Public API::
     from repro.transpile import (
         RenderOptions, SqlRenderer, render_sql, UnrenderableNodeError,
         Requirement, CapabilityReport, analyze,
-        TranspileError, TranslationResult, translate,
+        TranspileError, TranslationResult, translate, translate_on,
     )
 """
 
@@ -24,6 +24,7 @@ from .translate import (
     TranslationResult,
     TranspileError,
     translate,
+    translate_on,
 )
 
 __all__ = [
@@ -39,4 +40,5 @@ __all__ = [
     "analyze",
     "render_sql",
     "translate",
+    "translate_on",
 ]

@@ -6,11 +6,11 @@ direction too: a query written for one dialect can be re-emitted in
 another dialect's concrete syntax, or rejected with a structured
 explanation of exactly which feature units the target is missing.
 
-The pipeline of :func:`translate`:
+The pipeline of :func:`translate_on` (:func:`translate` runs it on the
+process-wide parser registry, ``ParseService.translate`` on its own):
 
-1. **parse** the input with the source dialect's cached compiled
-   parser, the backend that serves ``parse`` (through the process-wide
-   parser registry — no recomposition per call);
+1. **parse** the input with the compiled parser (the backend that serves
+   ``parse``) of the registry's entry for the source dialect;
 2. **build** the AST (:func:`repro.sql.build_ast`);
 3. **render** with the target's :class:`~repro.transpile.render.RenderOptions`
    in one walk that records every construct's feature requirement and
@@ -31,18 +31,18 @@ The result carries a versioned JSON report (kind
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from ..conformance.report import report_envelope
 from ..diagnostics.model import UNTRANSLATABLE
 from ..errors import ReproError
-from .render import CapabilityReport, RenderOptions, Requirement, SqlRenderer
+from ..sql import build_ast, dialect_selection, sql_parser_registry
+from .render import CapabilityReport, Requirement, SqlRenderer
 
 if TYPE_CHECKING:
-    from ..service.registry import RegistryEntry
+    from ..service.registry import ParserRegistry
 
-__all__ = ["TranspileError", "TranslationResult", "translate"]
+__all__ = ["TranspileError", "TranslationResult", "translate", "translate_on"]
 
 #: Report envelope identity for transpile reports.
 REPORT_KIND = "repro-transpile-report"
@@ -103,47 +103,13 @@ class TranslationResult:
         )
 
 
-@dataclass(frozen=True)
-class _DialectState:
-    """Everything :func:`translate` needs of one preset dialect."""
-
-    #: Registry entry: its shared compiled parser runs the source parse
-    #: and the verify reparse.
-    entry: RegistryEntry
-    #: Render options when the dialect is the target; their resolved
-    #: selection is what gaps are checked against.
-    options: RenderOptions
-    #: Rule name -> contributing unit when the dialect is the source.
-    rule_origins: Mapping[str, str]
-
-
-@lru_cache(maxsize=None)
-def _dialect_state(name: str) -> _DialectState:
-    """Per-dialect translation state for a preset, built once per process.
-
-    The registry answers a warm ``build_dialect`` from its selection
-    memo, but the render options (two sets of up to ~500 names) and the
-    composition trace's rule origins would still be rebuilt on every
-    call, about a fifth of a warm translate.  They depend only on the
-    dialect, so all of it is built here once per preset name (presets
-    are a small, fixed set).  The parser is the entry's shared compiled
-    one (:meth:`~repro.service.registry.RegistryEntry.compiled_parser`),
-    whose rules compile on their first call.
-    """
-    from ..sql import build_dialect, sql_parser_registry
-
-    product = build_dialect(name)
-    return _DialectState(
-        entry=sql_parser_registry().get(product.configuration.selected),
-        options=RenderOptions.for_product(product),
-        rule_origins=product.rule_origins(),
-    )
-
-
 def translate(sql: str, source_dialect: str, target_dialect: str) -> TranslationResult:
     """Translate ``sql`` from one preset dialect's syntax to another's.
 
+    Runs :func:`translate_on` on the process-wide parser registry.
+
     Raises:
+        UnknownDialectError: a dialect name is no preset (a ``ValueError``).
         ScanError / ParseError: the input is not valid in the *source*
             dialect (standard parse diagnostics, feature hints included).
         TranspileError: the query parses but uses features the *target*
@@ -154,15 +120,30 @@ def translate(sql: str, source_dialect: str, target_dialect: str) -> Translation
             non-finite numeric literal, a node type without a renderer;
             still structured, never malformed output.
     """
-    from ..sql import build_ast
+    return translate_on(
+        sql_parser_registry(), sql, source_dialect, target_dialect
+    )
 
-    source = _dialect_state(source_dialect)
-    target = _dialect_state(target_dialect)
 
-    tree = source.entry.compiled_parser().parse(sql)
+def translate_on(
+    registry: ParserRegistry, sql: str, source_dialect: str,
+    target_dialect: str,
+) -> TranslationResult:
+    """:func:`translate` with both dialects looked up in ``registry``,
+    which must serve the SQL:2003 line (its lookups' errors propagate).
+
+    The entries keep what a translate reads of their products (render
+    options, rule origins), so a warm translate builds none of it.
+    """
+    source = registry.get(dialect_selection(source_dialect))
+    target = registry.get(dialect_selection(target_dialect))
+
+    tree = source.compiled_parser().parse(sql)
     script = build_ast(tree)
 
-    renderer = SqlRenderer(target.options, rule_origins=source.rule_origins)
+    renderer = SqlRenderer(
+        target.render_options(), rule_origins=source.rule_origins()
+    )
     rendered = renderer.draft(script)
     if renderer.gaps:
         missing = ", ".join(sorted({gap.primary for gap in renderer.gaps}))
@@ -178,7 +159,7 @@ def translate(sql: str, source_dialect: str, target_dialect: str) -> Translation
     # output; a rejection here is a gate the renderer is missing and
     # surfaces as a structured error, not as bad SQL handed to the caller
     try:
-        target.entry.compiled_parser().parse(rendered)
+        target.compiled_parser().parse(rendered)
     except ReproError as exc:
         raise TranspileError(
             f"translation to dialect '{target_dialect}' produced SQL its own "

@@ -21,15 +21,19 @@ of a failing campaign for replay.
 import contextlib
 import os
 import pathlib
+import shutil
 import threading
 
 import pytest
 
 from repro.core import GrammarProductLine
+from repro.errors import ReproError
 from repro.resilience import FaultPlan, FaultRule
 from repro.resilience.faults import SITES
 from repro.service import ParseService, ParserRegistry
-from repro.service.service import ParseServiceResult
+from repro.service.service import ParseServiceResult, TranslateServiceResult
+from repro.sql import build_sql_product_line, dialect_selection
+from repro.transpile import translate
 
 from tests.test_core_product_line import mini_model, mini_units
 
@@ -145,6 +149,72 @@ class TestPerSiteFaults:
                 assert late.tree.to_sexpr() == clean_trees["SELECT a FROM t"]
             # a site the scenario never reaches would pass vacuously
             assert plan.checked(site) > 0
+
+
+#: The sites a translate reaches: its two registry lookups and the
+#: entries they return.  ``backend.parse`` and ``worker.*`` guard the
+#: service's parse step and its workers, which a translate never enters.
+TRANSLATE_SITES = (
+    "compose", "program.compile", "closure.compile", "hints.build",
+    "artifact.read.ir", "artifact.write.ir",
+)
+
+#: ``(sql, source, target)``: translated; translated to scql, whose
+#: program compiles; refused by scql; and a source syntax error, whose
+#: diagnostics build the hint provider.
+TRANSLATES = (
+    ("SELECT a FROM t WHERE a = 1", "core", "core"),
+    ("SELECT a FROM t", "core", "scql"),
+    ("SELECT t.a FROM t", "core", "scql"),
+    ("SELECT FROM WHERE", "core", "core"),
+)
+
+
+def fault_free(sql, source, target):
+    """The SQL a fault-free translate answers (``None``: it fails)."""
+    try:
+        return translate(sql, source, target).sql
+    except ReproError:
+        return None
+
+
+class TestTranslateSiteFaults:
+    """One always-firing fault per site a translate reaches, on a SQL
+    registry that carries the plan.  Its artifact directory already holds
+    core's program, so core reads it and scql compiles and publishes."""
+
+    @pytest.fixture(scope="class")
+    def warm_dir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("translate-artifacts")
+        registry = ParserRegistry(build_sql_product_line(), cache_dir=directory)
+        registry.get(dialect_selection("core")).program()
+        return directory
+
+    @pytest.mark.parametrize("site", TRANSLATE_SITES)
+    def test_single_site_fault_is_absorbed(self, site, warm_dir, tmp_path):
+        clean = [fault_free(*call) for call in TRANSLATES]
+        cache = tmp_path / "artifacts"
+        shutil.copytree(warm_dir, cache)
+        plan = FaultPlan(
+            [FaultRule(site, probability=1.0, times=3)], seed=SEED
+        )
+        registry = ParserRegistry(
+            build_sql_product_line(), cache_dir=cache, fault_plan=plan
+        )
+        with transcript_on_failure(plan), ParseService(registry) as service:
+            for _ in range(2):
+                for call, expected in zip(TRANSLATES, clean):
+                    result = service.translate(*call)
+                    assert isinstance(result, TranslateServiceResult)
+                    if result.ok:
+                        assert result.sql == expected, (call, site)
+                    else:
+                        assert result.diagnostics, (call, site)
+            # the registry healed: a later translate is served normally
+            late = service.translate(*TRANSLATES[0])
+            assert late.ok and late.sql == clean[0]
+        # a site the scenario never reaches would pass vacuously
+        assert plan.checked(site) > 0
 
 
 class TestRandomizedChaosSmoke:

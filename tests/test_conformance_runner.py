@@ -119,6 +119,27 @@ class TestRunnerMechanics:
             "no diagnostic hint contains" in f for f in failures["wrong-hint"]
         )
 
+    def test_a_cache_dir_changes_no_product_name(self, tmp_path):
+        corpus = Corpus(cases=[case(dialects=("scql", "core"))])
+        names = []
+        for cache_dir in (None, str(tmp_path)):
+            runner = ConformanceRunner(corpus=corpus, cache_dir=cache_dir)
+            assert runner.run().ok
+            names.append({d: p.name for d, p in runner.products.items()})
+        assert names[0] == names[1] == {"scql": "sql-scql", "core": "sql-core"}
+
+    def test_translation_cases_run_on_the_runners_registry(self, tmp_path):
+        corpus = Corpus(cases=[case(
+            dialects=("core",), expect="translates-to", to="scql",
+            output="SELECT a FROM t",
+        )])
+        runner = ConformanceRunner(
+            corpus=corpus, backends=(INTERPRETER,), cache_dir=str(tmp_path)
+        )
+        assert runner.run().ok
+        # the verify reparse published the target's program there too
+        assert len(list(tmp_path.glob("*.ir.json"))) == 2
+
     def test_interpreter_only_backend_selection(self):
         report = ConformanceRunner(
             corpus=Corpus(cases=[case()]), backends=(INTERPRETER,)

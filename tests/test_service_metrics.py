@@ -31,6 +31,7 @@ from repro.service import (
     ServiceMetrics,
 )
 from repro.service.service import ParseServiceResult
+from repro.sql import build_sql_product_line, dialect_selection
 
 from tests.test_core_product_line import mini_model, mini_units
 from tests.test_resilience import backtracking_grammar
@@ -45,6 +46,14 @@ BATCH = [f"SELECT c{i} FROM t{i} WHERE a = b" for i in range(3)]
 def make_service(**kwargs):
     line = GrammarProductLine(mini_model(), mini_units(), name="mini-sql")
     return ParseService(registry=ParserRegistry(line), **kwargs)
+
+
+def make_sql_service(**kwargs):
+    """A service on a fresh SQL:2003 registry: a translate resolves its
+    preset dialects there, and the mini-sql line has none."""
+    return ParseService(
+        registry=ParserRegistry(build_sql_product_line()), **kwargs
+    )
 
 
 def series_counts(service) -> dict:
@@ -222,10 +231,10 @@ def run_translates(service, monkeypatch) -> list:
         service.translate("SELECT FROM WHERE", "core", "core"),
     ]
     with monkeypatch.context() as patch:
-        def broken(sql, source, target):
+        def broken(registry, sql, source, target):
             raise RuntimeError("the transpiler fails")
 
-        patch.setattr(repro.transpile, "translate", broken)
+        patch.setattr(repro.transpile, "translate_on", broken)
         out.append(service.translate(GOOD, "core", "core"))
     with monkeypatch.context() as patch:
         patch.setattr(service, "max_queue", 0)
@@ -237,7 +246,7 @@ class TestTranslatePin:
     """What each way a translate ends returns and records."""
 
     def test_fixed_script(self, monkeypatch):
-        with make_service() as service:
+        with make_sql_service() as service:
             out = run_translates(service, monkeypatch)
             counts = series_counts(service)
             in_flight = service.in_flight
@@ -267,13 +276,18 @@ class TestTranslatePin:
             ("full", "core"), ("core", "scql"), ("core", "core"),
             ("core", "core"), ("core", "core"),
         ]
+        # the registry served both dialects of every translate that ran
+        # to a lookup: full, core and scql composed once each, and the
+        # refusal and the syntax error never compiled their target
         assert counts["counters"] == {
             **{name: 0 for name in service.metrics.COUNTERS},
+            "hits": 3, "misses": 3, "composes": 3, "artifact.ir.build": 2,
             "translates": 4, "renders": 1, "translate_errors": 3,
             "internal_errors": 1, "shed": 1,
         }
         assert counts["latency"] == {
-            **{name: 0 for name in counts["latency"]}, "translate": 4,
+            **{name: 0 for name in counts["latency"]}, "compose": 3,
+            "ir_compile": 2, "closure_compile": 2, "translate": 4,
         }
         assert counts["queue_depth"] == {"thread": 0, "process": 0, "async": 0}
         assert in_flight == 0
@@ -315,13 +329,17 @@ class TestOneLockPerParse:
             ) == lookup + len(texts)
 
     def test_one_acquisition_per_translate(self, monkeypatch):
-        with make_service() as service:
+        with make_sql_service() as service:
             service.translate(GOOD, "core", "core")  # warm the dialect
             lock = CountingLock(service.metrics._lock)
             monkeypatch.setattr(service.metrics, "_lock", lock)
+            service.registry.acquire(dialect_selection("core"))
+            lookup = lock.acquired
+            assert lookup == 1
             result = service.translate(GOOD, "core", "core")
         assert result.ok
-        assert lock.acquired == 1
+        # one registry lookup per dialect, as a parse has one, and one fold
+        assert lock.acquired - lookup == 2 * lookup + 1
 
 
 class TestConcurrentFolds:

@@ -10,6 +10,7 @@ import pytest
 from repro.core import GrammarProductLine
 from repro.core.composer import GrammarComposer
 from repro.diagnostics.model import (
+    CONFIG_INVALID,
     PARSE_BUDGET_EXCEEDED,
     PARSE_TIMEOUT,
     SERVICE_OVERLOADED,
@@ -20,7 +21,12 @@ from repro.parsing.parser import Parser
 from repro.resilience.faults import FaultPlan, FaultRule
 from repro.service import ParseService, ParserRegistry
 from repro.service.registry import RegistryEntry
-from repro.sql import sql_parser_registry
+from repro.sql import (
+    build_sql_product_line,
+    dialect_names,
+    dialect_selection,
+    sql_parser_registry,
+)
 
 from tests.test_core_product_line import mini_model, mini_units
 
@@ -248,8 +254,11 @@ class TestSerialParseManyAdmission:
     def test_translate_sheds_while_another_caller_holds_the_only_slot(
         self, monkeypatch
     ):
-        with make_service(max_workers=1, max_queue=1) as service:
-            service.warm(FULL)
+        # a translate resolves its presets on the service's registry
+        core = dialect_selection("core")
+        registry = ParserRegistry(build_sql_product_line())
+        with ParseService(registry, max_workers=1, max_queue=1) as service:
+            service.warm(core)
             entered, release = threading.Event(), threading.Event()
             original = service._parse_entry
 
@@ -262,7 +271,7 @@ class TestSerialParseManyAdmission:
             held = []
             caller = threading.Thread(
                 target=lambda: held.append(
-                    service.parse("SELECT blocker FROM t", FULL)
+                    service.parse("SELECT blocker FROM t", core)
                 )
             )
             caller.start()
@@ -282,6 +291,62 @@ class TestSerialParseManyAdmission:
             # with the slot free again, translate runs and releases it
             assert service.translate("SELECT a FROM t", "core", "full").ok
             assert service.in_flight == 0
+
+
+def make_sql_service(**registry_kwargs):
+    """A service on a fresh SQL:2003 registry, where a translate
+    resolves its preset dialects."""
+    registry = ParserRegistry(build_sql_product_line(), **registry_kwargs)
+    return ParseService(registry)
+
+
+class TestTranslateOnTheServiceRegistry:
+    """A translate resolves both dialects on the service's registry, as a
+    parse resolves its selection, and never on the shared one."""
+
+    def test_a_cold_translate_composes_on_the_service_registry(self):
+        shared = len(sql_parser_registry())
+        with make_sql_service() as service:
+            assert service.translate("SELECT a FROM t", "core", "scql").ok
+            counters = service.metrics.snapshot()["counters"]
+            assert len(service.registry) == 2
+        assert counters["misses"] == counters["composes"] == 2
+        assert len(sql_parser_registry()) == shared
+
+    def test_the_lint_gate_checks_a_cold_translate(self):
+        with make_sql_service(lint_gate=True) as service:
+            assert service.translate("SELECT a FROM t", "core", "core").ok
+            assert service.metrics.snapshot()["counters"]["lint_checks"] >= 1
+
+    def test_a_cleared_registry_composes_again(self):
+        with make_sql_service() as service:
+            assert service.translate("SELECT a FROM t", "core", "core").ok
+            service.registry.clear()
+            misses = service.metrics.snapshot()["counters"]["misses"]
+            assert service.translate("SELECT a FROM t", "core", "core").ok
+            assert service.metrics.snapshot()["counters"]["misses"] > misses
+
+    def test_a_compose_fault_answers_one_diagnostic(self):
+        plan = FaultPlan([FaultRule("compose", times=1)])
+        with make_sql_service(fault_plan=plan) as service:
+            first = service.translate("SELECT a FROM t", "core", "core")
+            second = service.translate("SELECT a FROM t", "core", "core")
+        assert not first.ok and first.diagnostics.has_errors
+        assert plan.checked("compose") > 0
+        assert second.ok and second.sql == "SELECT a FROM t"
+
+    @pytest.mark.parametrize("source, target", [("nope", "core"), ("core", "nope")])
+    def test_an_unknown_dialect_is_the_callers_error(self, source, target):
+        with make_sql_service() as service:
+            result = service.translate("SELECT a FROM t", source, target)
+            counters = service.metrics.snapshot()["counters"]
+            status = service.health()["status"]
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.code == CONFIG_INVALID
+        assert str(dialect_names()) in diagnostic.message
+        assert counters["translate_errors"] == 1
+        assert counters["internal_errors"] == 0
+        assert status == "ok"
 
 
 class TestParseMany:

@@ -4,7 +4,15 @@ workload and rejects constructs of larger dialects.
 
 import pytest
 
-from repro.sql import build_dialect, dialect_features, dialect_names
+from repro.diagnostics.model import CONFIG_INVALID
+from repro.errors import ReproError
+from repro.sql import (
+    build_dialect,
+    dialect_features,
+    dialect_names,
+    dialect_selection,
+)
+from repro.transpile import translate
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +27,24 @@ class TestPresets:
     def test_unknown_dialect_rejected(self):
         with pytest.raises(ValueError):
             dialect_features("nope")
+
+    def test_an_unknown_name_is_a_selection_error_too(self):
+        for call in (
+            lambda: dialect_selection("nope"),
+            lambda: translate("SELECT a FROM t", "core", "nope"),
+        ):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert isinstance(caught.value, ReproError)
+            assert caught.value.code == CONFIG_INVALID
+
+    def test_a_selection_resolves_once_per_name(self):
+        for name in dialect_names():
+            selection = dialect_selection(name)
+            assert selection == frozenset(dialect_features(name))
+            assert dialect_selection(name) is selection
+        assert build_dialect("core").name == "sql-core"
+        assert build_dialect("core", "mine").name == "mine"
 
     def test_grammar_sizes_increase(self):
         sizes = [
