@@ -174,9 +174,11 @@ class DiagnosticBag:
             self.add(diagnostic)
 
     def full(self) -> bool:
-        """Has the error cap been reached?"""
+        """Has the error cap been reached?  Errors are counted only once
+        there are as many items as the cap: never more errors than items."""
         return (
             self.max_errors is not None
+            and len(self.items) >= self.max_errors
             and self.error_count() >= self.max_errors
         )
 
@@ -185,6 +187,8 @@ class DiagnosticBag:
 
     @property
     def has_errors(self) -> bool:
+        if not self.items:
+            return False
         return any(d.is_error for d in self.items)
 
     def sorted(self) -> list[Diagnostic]:

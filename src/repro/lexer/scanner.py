@@ -44,7 +44,9 @@ class Scanner:
         self._master = compile_master_pattern(token_set)
         self._keywords = token_set.keywords
         self._skip_names = frozenset(d.name for d in token_set if d.skip)
-        self._fast, self._stray_skips = compile_fast_pattern(token_set)
+        self._fast, self._fast_kinds, self._stray_skips = compile_fast_pattern(
+            token_set
+        )
         # a stray skip match keeps its name, so dropping by type is exact
         self._fast_id_rules = tuple(
             r for r in IDENTIFIER_RULES if r not in self._stray_skips
@@ -100,14 +102,15 @@ class Scanner:
     def _fast_scan(self, text: str) -> list[Token] | None:
         """The fast loop (:func:`fast_scan`) over this scanner's tables."""
         return fast_scan(
-            text, self._fast, self._keywords, self._fast_id_rules,
-            self._stray_skips,
+            text, self._fast, self._fast_kinds, self._keywords,
+            self._fast_id_rules, self._stray_skips,
         )
 
 
 def fast_scan(
     text: str,
     pattern: re.Pattern[str],
+    kinds: tuple[str | None, ...],
     keywords: Mapping[str, str],
     id_rules: tuple[str, ...],
     stray: frozenset[str],
@@ -115,13 +118,16 @@ def fast_scan(
     """The precise loop's tokens for clean input, or ``None`` on any gap.
 
     One match of the fast ``pattern`` per token: the skip run before a
-    token is the match's prefix, and the sentinels make each match
+    token is the match's group 1, so the token starts at ``m.end(1)``,
+    and ``kinds[m.lastindex]`` names it.  The sentinels make each match
     start where the previous one ended.  A text without ``"\\n"`` puts
     every token on line 1 at column ``offset + 1``; otherwise the
     newlines since the previous token's start are counted with one
     ``str.count``.  An ``id_rules`` match is promoted to its keyword,
     and a match of a ``stray`` skip token is dropped.  An unmatchable
-    character or a zero-width token returns ``None``.
+    character (the any-character sentinel, whose kind is ``None``) or a
+    zero-width token returns ``None``; the end sentinel is zero-width
+    too, and ends the scan.
     """
     kw_get = keywords.get
     n = len(text)
@@ -133,16 +139,19 @@ def fast_scan(
     out: list[Token] = []
     append = out.append
     for m in pattern.finditer(text):
-        name = m.lastgroup or ""
-        start, end = m.span(name)
+        start = m.end(1)
+        end = m.end()
         if multiline:
             newlines = text.count("\n", counted, start)
             if newlines:
                 line += newlines
                 line_start = text.rfind("\n", counted, start) + 1
             counted = start
-        if start == end:  # a sentinel, or a zero-width token
+        if start == end:  # the end sentinel, or a zero-width token
             break
+        name = kinds[m.lastindex or 0]
+        if name is None:  # the any-character sentinel
+            return None
         lexeme = text[start:end]
         if name in id_rules:
             name = kw_get(lexeme.upper(), name)

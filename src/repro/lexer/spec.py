@@ -258,28 +258,37 @@ def compile_master_pattern(token_set: TokenSet) -> "re.Pattern[str]":
 
 def compile_fast_pattern(
     token_set: TokenSet,
-) -> "tuple[re.Pattern[str], frozenset[str]]":
+) -> "tuple[re.Pattern[str], tuple[str | None, ...], frozenset[str]]":
     """Compile the scanner's fast pattern, where one match is one token.
 
     The alternatives are :func:`compile_master_pattern`'s, in its order,
-    with two changes (DESIGN §4.8, "One scanner"):
+    with three changes (DESIGN §4.8, "One scanner"):
 
+    * Each alternative is its token's own pattern followed by an empty
+      marker group named after the token, ``(?:pat)(?P<NAME>)``, so the
+      alternation sees the pattern's first character and skips an
+      alternative that cannot start there without entering it.  The
+      marker closes last, so ``match.lastindex`` is its index whatever
+      groups the pattern itself holds.
     * The leading run of skip tokens becomes a possessive prefix
-      ``(?:…|…)*+`` of every match, so each token absorbs the whitespace
-      and comments before it.  Possessive, so the prefix never gives
-      characters back: a greedy one would retry every way to split the
-      run whenever what follows failed, exponential in its length.  A
-      skip pattern that can match the empty string, or one that ranks
-      after a non-skip pattern, ends the run and stays an ordinary
-      alternative: absorbing it would change what scans.
-    * Two sentinels come last: end of text, and any one character, whose
-      group is empty.  Some alternative matches at every position, so
-      ``finditer`` never retries the positions of a skip run that ends
-      the text or precedes an unmatchable character (quadratic), and
-      each match starts where the previous one ended.  Every way out of
-      the scan is a zero-width group: a sentinel or a zero-width token.
+      ``((?:…|…)*+)``, group 1 of every match (``()`` when there is
+      none), so each token absorbs the whitespace and comments before
+      it and starts at ``match.end(1)``.  Possessive, so the prefix
+      never gives characters back: a greedy one would retry every way
+      to split the run whenever what follows failed, exponential in its
+      length.  A skip pattern that can match the empty string, or one
+      that ranks after a non-skip pattern, ends the run and stays an
+      ordinary alternative: absorbing it would change what scans.
+    * Two sentinels come last: end of text, ``\\Z(?P<_END>)``, and any
+      one character, ``[\\s\\S](?P<_ANY>)``.  Some alternative matches
+      at every position, so ``finditer`` never retries the positions of
+      a skip run that ends the text or precedes an unmatchable
+      character (quadratic), and each match starts where the previous
+      one ended.
 
-    Returns the pattern and the names of the skip tokens left as
+    Returns the pattern, its kinds table (``kinds[match.lastindex]`` is
+    the token a match found; ``None`` for the sentinels and for groups
+    inside a token's pattern) and the names of the skip tokens left as
     ordinary alternatives, whose matches the scanner drops.
     """
     patterns = token_set.patterns
@@ -290,16 +299,25 @@ def compile_fast_pattern(
         and not _can_match_empty(patterns[run].pattern)
     ):
         run += 1
-    parts = [f"(?P<{d.name}>{d.pattern})" for d in patterns[run:]]
-    parts += [f"(?P<{d.name}>{re.escape(d.pattern)})" for d in token_set.literals]
+    tokens = [(d.name, f"(?:{d.pattern})") for d in patterns[run:]]
+    tokens += [(d.name, re.escape(d.pattern)) for d in token_set.literals]
     taken = token_set.names()
-    parts.append(rf"(?P<{_fresh_name('_END', taken)}>\Z)")
-    parts.append(rf"(?P<{_fresh_name('_ANY', taken)}>)[\s\S]")
+    sentinels = [
+        (_fresh_name("_END", taken), r"\Z"),
+        (_fresh_name("_ANY", taken), r"[\s\S]"),
+    ]
     prefix = ""
     if run:
         prefix = "(?:" + "|".join(d.pattern for d in patterns[:run]) + ")*+"
+    alternatives = "|".join(
+        f"{body}(?P<{name}>)" for name, body in tokens + sentinels
+    )
+    fast = re.compile(f"({prefix})(?:{alternatives})")
+    kinds: list[str | None] = [None] * (fast.groups + 1)
+    for name, _body in tokens:
+        kinds[fast.groupindex[name]] = name
     stray = frozenset(d.name for d in patterns[run:] if d.skip)
-    return re.compile(f"{prefix}(?:{'|'.join(parts)})"), stray
+    return fast, tuple(kinds), stray
 
 
 def _can_match_empty(regex: str) -> bool:

@@ -141,9 +141,9 @@ Child = object
 _ENTRY_POINTS = '''
 def _scan(text):
     """The served scanner's scan: the fast loop, else the precise one."""
-    return fast_scan(text, _FAST, _KEYWORDS, _IDENT_RULES, _STRAY) or list(
-        precise_tokens(text, _MASTER, _KEYWORDS, _SKIP)
-    )
+    return fast_scan(
+        text, _FAST, _KINDS, _KEYWORDS, _IDENT_RULES, _STRAY
+    ) or list(precise_tokens(text, _MASTER, _KEYWORDS, _SKIP))
 
 
 def parse(text, start=None):
@@ -233,6 +233,7 @@ def generate_parser_source(
         _PRELUDE,
         _runtime(),
         f"_FAST = re.compile({scanner._fast.pattern!r})",
+        f"_KINDS = {scanner._fast_kinds!r}",
         f"_STRAY = frozenset({sorted(scanner._stray_skips)!r})",
         f"_MASTER = re.compile({scanner._master.pattern!r})",
         f"_SKIP = frozenset({sorted(scanner._skip_names)!r})",

@@ -119,7 +119,13 @@ class DepthGauge:
 
 
 class ServiceMetrics:
-    """Thread-safe counters + histograms for one registry/service pair."""
+    """Thread-safe counters + histograms for one registry/service pair.
+
+    Answered parses fold in through one fold body, under one lock
+    acquisition per call: :meth:`record_parse` folds one request, and
+    :meth:`record_batch` a caller-loop batch after its last text, so a
+    concurrent :meth:`snapshot` sees that batch's parses when it ends.
+    """
 
     #: Counter names, all starting at zero.
     COUNTERS = (
@@ -200,35 +206,48 @@ class ServiceMetrics:
         with self._lock:
             self._histograms[histogram].observe(seconds)
 
-    def record_parse(self, result, series: str | None, queued=None) -> None:
+    def record_parse(self, result, series: str | None) -> None:
         """Fold one answered parse request in, under one lock acquisition.
 
         ``series`` is the rung that parsed ``result`` (``parse_compiled``
         or ``parse_interpreter``), or ``None`` when none did: a timeout
         answered without a parse moves only ``timeouts``, and a parse
         every rung raised on only ``parses`` and ``parse``.  A negative
-        duration counts as 0.  ``queued`` is a caller-loop text's
-        ``(admitted_at, depth)``, for ``executor_thread`` and the
-        ``thread`` depth gauge.
+        duration counts as 0.
         """
-        seconds = max(0.0, result.seconds)
-        errors = series is not None and result.diagnostics.has_errors
-        if queued is not None:
-            admitted_at, depth = queued
-            waited = time.perf_counter() - admitted_at
         with self._lock:
-            counters, histograms = self._counters, self._histograms
+            self._fold(((result, series, None, 0.0),))
+
+    def record_batch(self, folds) -> None:
+        """Fold a caller-loop batch in, under one lock acquisition.
+
+        ``folds`` holds one ``(result, series, depth, waited)`` per
+        answered text: ``result`` and ``series`` as for
+        :meth:`record_parse`, the in-flight ``depth`` its admission made
+        (the ``thread`` gauge), and the seconds from admission until it
+        was answered (``executor_thread``).
+        """
+        with self._lock:
+            self._fold(folds)
+
+    def _fold(self, folds) -> None:
+        """The one fold body of :meth:`record_parse` and
+        :meth:`record_batch`; the caller holds the lock.  A fold whose
+        ``depth`` is ``None`` observes neither caller-loop series."""
+        counters, histograms = self._counters, self._histograms
+        for result, series, depth, waited in folds:
+            seconds = max(0.0, result.seconds)
             if series is not None or not result.timed_out:
                 counters["parses"] += 1
                 histograms["parse"].observe(seconds)
             if series is not None:
                 histograms[series].observe(seconds)
-            if errors:
-                counters["parse_errors"] += 1
+                if result.diagnostics.has_errors:
+                    counters["parse_errors"] += 1
             if result.timed_out:
                 counters["timeouts"] += 1
                 histograms["timeouts"].observe(seconds)
-            if queued is not None:
+            if depth is not None:
                 self._depths["thread"].observe(depth)
                 histograms["executor_thread"].observe(waited)
 

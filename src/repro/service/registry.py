@@ -220,6 +220,8 @@ class RegistryEntry:
 
     def parser(self) -> "Parser":
         """The interpreting parser over this entry's compiled tables."""
+        if self._parser is not None:  # skip defining build() per call
+            return self._parser
 
         def build():
             from ..parsing.parser import Parser
@@ -235,6 +237,8 @@ class RegistryEntry:
 
     def compiled_parser(self) -> "ClosureParser":
         """The closure-backend parser over this entry's shared closure program."""
+        if self._compiled_parser is not None:  # skip defining build() per call
+            return self._compiled_parser
 
         def build():
             from ..parsing.closures import ClosureParser

@@ -180,11 +180,14 @@ def _timeout_result(text: str, fp: Fingerprint | None, timeout: float,
 
 def _answered(text, fp, tree, diagnostics, warm, seconds, degraded):
     """The result of a parse a rung answered: timed out when its
-    deadline tripped inside the parse."""
+    deadline tripped inside the parse (a clean bag has no diagnostic to
+    look through)."""
     return ParseServiceResult(
         text=text, fingerprint=fp, tree=tree, diagnostics=diagnostics,
         warm=warm, seconds=seconds,
-        timed_out=any(d.code == PARSE_TIMEOUT for d in diagnostics),
+        timed_out=bool(diagnostics.items) and any(
+            d.code == PARSE_TIMEOUT for d in diagnostics.items
+        ),
         degraded=degraded,
     )
 
@@ -385,7 +388,7 @@ class ParseService:
         into the parse driver: expiry surfaces as a ``timed_out`` result
         with an E0203 diagnostic.
         """
-        if not self._admit():
+        if not self._admit(1):
             return self._shed_result(text)
         try:
             deadline = Deadline.after(timeout) if timeout is not None else None
@@ -445,7 +448,7 @@ class ParseService:
             source_dialect=source_dialect,
             target_dialect=target_dialect,
         )
-        if not self._admit():
+        if not self._admit(1):
             outcome.diagnostics.add(self._overloaded().to_diagnostic())
             return outcome
         counters: tuple[str, ...]
@@ -560,39 +563,40 @@ class ParseService:
     ) -> list[ParseServiceResult]:
         """Parse a batch on the calling thread, in input order.
 
-        Every text is admitted up front, as the pooled path admits at
-        submission, so a batch larger than ``max_queue`` sheds its
-        excess; each text's slot is released as soon as it finishes.
-        With a ``timeout``, each text's deadline starts when its parse
-        starts.  Each text's queue depth and executor time fold into
-        the metrics with its parse.  The GIL runs one thread's Python
-        at a time and neither the scanner nor the parser releases it,
-        so pool futures would buy no parallelism here, only a handoff
-        per text.
+        The batch is admitted up front by one :meth:`_admit` call, as
+        the pooled path admits at submission, so a batch larger than
+        ``max_queue`` sheds its excess; each text's slot is released as
+        soon as it finishes.  With a ``timeout``, each text's deadline
+        starts when its parse starts.  Each answered text's fold, its
+        executor time stamped when it is answered, joins the batch's
+        list, which folds into the metrics under one lock acquisition
+        after the last text, interrupted or not.  The GIL runs one
+        thread's Python at a time and neither the scanner nor the
+        parser releases it, so pool futures would buy no parallelism
+        here, only a handoff per text.
         """
         results: list[ParseServiceResult | None] = [None] * len(texts)
-        admitted = []
-        for i, text in enumerate(texts):
-            depth = self._admit()
-            if depth:
-                admitted.append((i, (time.perf_counter(), depth)))
-            else:
-                results[i] = self._shed_result(text)
-        unreleased = len(admitted)
+        depths = self._admit(len(texts))
+        admitted_at = time.perf_counter()
+        for i in range(len(depths), len(texts)):
+            results[i] = self._shed_result(texts[i])
+        folds: list[tuple] = []
+        unreleased = len(depths)
         try:
-            for i, queued in admitted:
+            for i, depth in enumerate(depths):
                 results[i] = self._parse_entry(
                     entry, texts[i], True, start, max_errors, max_steps,
                     coverage,
                     Deadline.after(timeout) if timeout is not None else None,
-                    queued,
+                    (admitted_at, depth, folds),
                 )
                 unreleased -= 1
                 self._release_admission()
         finally:
             # only an interrupt escapes _parse_entry's guard: free the
-            # slots of the texts it left unparsed
+            # slots of the texts it left unparsed, and fold the answered
             self._release_many(unreleased)
+            self.metrics.record_batch(folds)
         return results
 
     def _parse_many_pooled(
@@ -607,11 +611,11 @@ class ParseService:
         results: list[ParseServiceResult | None] = [None] * len(texts)
         submitted = []
         for i, text in enumerate(texts):
-            depth = self._admit()
-            if not depth:
+            depths = self._admit(1)
+            if not depths:
                 results[i] = self._shed_result(text)
                 continue
-            self.metrics.observe_depth("thread", depth)
+            self.metrics.observe_depth("thread", depths[0])
             # the deadline starts at submission: queueing time counts
             deadline = Deadline.after(timeout)
             future = pool.submit(
@@ -830,17 +834,23 @@ class ParseService:
                 )
             return self._pool
 
-    def _admit(self) -> int:
-        """Admission control: reserve one in-flight slot or shed.
+    def _admit(self, n: int) -> range:
+        """Admission control: reserve in-flight slots for ``n`` requests.
 
-        Returns the in-flight count this request makes, 0 when shed.
+        Admits as many as ``max_queue`` leaves room for, in order, and
+        sheds the rest (counted in ``shed``), under one admission-lock
+        acquisition.  Returns the in-flight counts the admitted requests
+        make, first to last: empty when all were shed.
         """
         with self._admission_lock:
-            if self._in_flight >= self.max_queue:
-                self.metrics.incr("shed")
-                return 0
-            self._in_flight += 1
-            return self._in_flight
+            before = self._in_flight
+            after = before + n
+            if after > self.max_queue:
+                after = max(before, self.max_queue)
+            self._in_flight = after
+        if after - before < n:
+            self.metrics.incr("shed", n - (after - before))
+        return range(before + 1, after + 1)
 
     def _release_admission(self) -> None:
         with self._admission_lock:
@@ -872,7 +882,7 @@ class ParseService:
         max_steps: int | None = None,
         coverage=None,
         deadline: Deadline | None = None,
-        queued: tuple[float, int] | None = None,
+        queued: tuple[float, int, list] | None = None,
     ) -> ParseServiceResult:
         """One parse: guarded, down the degradation ladder, timed, folded.
 
@@ -886,7 +896,9 @@ class ParseService:
         answering rung's ``parse_with_diagnostics`` call alone, into
         that rung's series, so a fleet silently shifting from compiled
         to interpreter is visible in ``repro stats``.  ``queued`` is a
-        caller-loop text's ``(admitted_at, depth)``, folded in with it.
+        caller-loop text's ``(admitted_at, depth, folds)``: its fold,
+        with its depth and its executor time stamped now, is appended to
+        the batch's ``folds`` instead of folding on its own.
 
         Whatever goes wrong below — an injected fault, a corrupt shared
         artifact, a bug in a backend — the caller gets an E0000 result,
@@ -939,7 +951,13 @@ class ParseService:
                     text, entry.fingerprint, outcome.tree,
                     outcome.diagnostics, warm, seconds, degraded,
                 )
-            self.metrics.record_parse(result, series, queued)
+            if queued is None:
+                self.metrics.record_parse(result, series)
+            else:
+                admitted_at, depth, folds = queued
+                folds.append((
+                    result, series, depth, time.perf_counter() - admitted_at
+                ))
             return result
         except Exception:
             self.metrics.incr("internal_errors")
@@ -1050,7 +1068,7 @@ class ParseService:
             indices: list[int] = []
             chunk_texts: list[str] = []
             for i in range(lo, min(lo + chunk_size, len(texts))):
-                if not self._admit():
+                if not self._admit(1):
                     results[i] = self._shed_result(texts[i])
                     continue
                 indices.append(i)

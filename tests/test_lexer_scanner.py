@@ -215,8 +215,9 @@ class TestFastLoopParity:
         "sElEcT DiStInCt a FrOm t wHeRe a iS nOt NuLl oRdEr By a",
     ]
 
-    #: Token sets whose skip tokens must not all join the fast pattern's
-    #: prefix, each with texts whose scan would change if they did.
+    #: Token sets the fast pattern must not get wrong, each with texts
+    #: whose scan would change if it did: skip tokens that must not all
+    #: join its prefix, and token texts its alternatives must keep apart.
     UNUSUAL = {
         # LINE_COMMENT ranks below DASHES: ``--`` scans as a token
         "skip after a non-skip pattern": (
@@ -238,6 +239,32 @@ class TestFastLoopParity:
                 pattern("WORD", r"[a-z]+", priority=3),
             ]),
             ["", "   ", "a", " a", "a b", "\n", " \n "],
+        ),
+        # token patterns with their own capturing groups (the match's
+        # lastindex must still name the token) and a top-level ``|``;
+        # literals made of regex metacharacters; and VARIABLE's first
+        # character starting the later literal SUBST, which matches
+        # where VARIABLE fails
+        "capturing groups and metacharacters": (
+            TokenSet("grouped", [
+                pattern("SPACE", r"[ \n]+", priority=9, skip=True),
+                pattern("PAIR", r"(a)(b)?", priority=5),
+                pattern("EXES", r"x|xy", priority=4),
+                pattern("VARIABLE", r"\$(\w+)", priority=3),
+                pattern("NUMBER", r"(\d+)(\.\d*)?", priority=2),
+                pattern("IDENTIFIER", r"[c-zC-Z][a-zA-Z]*", priority=1),
+                keyword("select"),
+                literal("CONCAT", "||"),
+                literal("PIPE", "|"),
+                literal("STAR_DOT", ".*"),
+                literal("DOT", "."),
+                literal("SUBST", "$("),
+                literal("RPAREN", ")"),
+            ]),
+            ["", "a", "ab abab aab", "x xy xyz", "$v $( v )", "$(x)$y",
+             "1.5 1. 12.", "1.5.5", "a||ab | |||", "a.*ab . .* ..*",
+             "select x SELECT", "ab\n  $(x)\n", "a\n ab", "b", "a @ ab",
+             "$"],
         ),
     }
 

@@ -4,13 +4,15 @@ The pin drives one fresh service through every way a request can be
 answered and asserts the whole counters dict and the number of
 observations in every latency and queue-depth series (never their
 times).  The lock test counts ``ServiceMetrics._lock`` acquisitions: one
-answered parse, and one translate, folds into the metrics under one
-acquisition.
+answered parse, one caller-loop batch and one translate each fold into
+the metrics under one acquisition.
 """
 
 import asyncio
 import sys
 import threading
+
+import pytest
 
 from repro.core import GrammarProductLine
 from repro.diagnostics.model import (
@@ -19,6 +21,9 @@ from repro.diagnostics.model import (
     PARSE_TIMEOUT,
     SERVICE_OVERLOADED,
     UNTRANSLATABLE,
+    Diagnostic,
+    DiagnosticBag,
+    Severity,
 )
 from repro.parsing.closures import ClosureParser
 from repro.parsing.parser import Parser
@@ -308,7 +313,7 @@ class CountingLock:
 
 
 class TestOneLockPerParse:
-    def test_one_acquisition_per_text_and_per_parse(self, monkeypatch):
+    def test_one_acquisition_per_batch_and_per_parse(self, monkeypatch):
         texts = [f"SELECT c{i} FROM t WHERE a = b" for i in range(8)]
         with make_service(max_workers=2) as service:
             service.parse_many(texts, FULL)  # compose and compile
@@ -324,9 +329,10 @@ class TestOneLockPerParse:
             lookup = acquisitions(lambda: service.registry.acquire(FULL))
             assert lookup == 1
             assert acquisitions(lambda: service.parse(GOOD, FULL)) == lookup + 1
+            # a caller-loop batch folds once, after its last text
             assert acquisitions(
                 lambda: service.parse_many(texts, FULL)
-            ) == lookup + len(texts)
+            ) == lookup + 1
 
     def test_one_acquisition_per_translate(self, monkeypatch):
         with make_sql_service() as service:
@@ -342,6 +348,34 @@ class TestOneLockPerParse:
         assert lock.acquired - lookup == 2 * lookup + 1
 
 
+def fold_from_threads(fold, threads=8):
+    """Run ``fold`` on ``threads`` threads at once, with a short switch
+    interval."""
+    barrier = threading.Barrier(threads)
+
+    def run():
+        barrier.wait(timeout=10)
+        fold()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+
+
+def bag_of(code):
+    bag = DiagnosticBag()
+    bag.add(Diagnostic("failed", severity=Severity.ERROR, code=code))
+    return bag
+
+
 class TestConcurrentFolds:
     def test_no_fold_is_lost_between_threads(self):
         """Eight threads fold parses into one metrics object at once, with
@@ -349,28 +383,93 @@ class TestConcurrentFolds:
         metrics = ServiceMetrics()
         result = ParseServiceResult(text=GOOD, seconds=0.001)
         per_thread, threads = 500, 8
-        barrier = threading.Barrier(threads)
 
         def fold():
-            barrier.wait(timeout=10)
             for _ in range(per_thread):
-                metrics.record_parse(result, "parse_compiled", (0.0, 1))
+                metrics.record_parse(result, "parse_compiled")
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=fold) for _ in range(threads)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
+        fold_from_threads(fold, threads)
         snap = metrics.snapshot()
         n = per_thread * threads
         assert snap["counters"]["parses"] == n
         assert snap["latency"]["parse"]["count"] == n
         assert snap["latency"]["parse_compiled"]["count"] == n
-        assert snap["latency"]["executor_thread"]["count"] == n
-        assert snap["queue_depth"]["thread"]["count"] == n
+
+    def test_no_batch_fold_is_lost_between_threads(self):
+        """Eight threads fold caller-loop batches into one metrics object
+        at once, with a short switch interval: every counter, series and
+        gauge count is what the same batches folded one by one give."""
+        batch = [
+            (ParseServiceResult(text=GOOD, seconds=0.001),
+             "parse_compiled", 1, 0.002),
+            (ParseServiceResult(text=BAD, seconds=0.003,
+                                diagnostics=bag_of(PARSE_ERROR)),
+             "parse_interpreter", 2, 0.004),
+            (ParseServiceResult(text=GOOD, seconds=0.05, timed_out=True,
+                                diagnostics=bag_of(PARSE_TIMEOUT)),
+             "parse_compiled", 3, 0.06),
+            (ParseServiceResult(text=GOOD, seconds=0.05, timed_out=True,
+                                diagnostics=bag_of(PARSE_TIMEOUT)),
+             None, 4, 0.07),
+        ]
+        per_thread, threads = 250, 8
+        metrics, reference = ServiceMetrics(), ServiceMetrics()
+        fold_from_threads(
+            lambda: [metrics.record_batch(batch) for _ in range(per_thread)],
+            threads,
+        )
+        for _ in range(per_thread * threads):
+            reference.record_batch(batch)
+
+        def counts(snap):
+            return {
+                "counters": snap["counters"],
+                "latency": {n: h["count"] for n, h in snap["latency"].items()},
+                "queue_depth": {
+                    n: (g["count"], g.get("max"))
+                    for n, g in snap["queue_depth"].items()
+                },
+            }
+
+        n = per_thread * threads
+        got = counts(metrics.snapshot())
+        assert got == counts(reference.snapshot())
+        assert (got["counters"]["parses"], got["counters"]["parse_errors"],
+                got["counters"]["timeouts"]) == (3 * n, 2 * n, 2 * n)
+        assert got["latency"]["executor_thread"] == 4 * n
+        assert got["queue_depth"]["thread"] == (4 * n, 4)
+
+
+class TestInterruptedBatch:
+    def test_the_texts_answered_before_an_interrupt_are_folded(
+        self, monkeypatch
+    ):
+        """An interrupt escapes the never-crash guard at a caller batch's
+        third text: the two texts answered before it are folded, and
+        every slot is freed."""
+        texts = [f"SELECT c{i} FROM t WHERE a = b" for i in range(5)]
+        original = ClosureParser.parse_with_diagnostics
+        calls = []
+
+        def interrupted(self, text, **kwargs):
+            calls.append(text)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return original(self, text, **kwargs)
+
+        with make_service(max_workers=2) as service:
+            service.warm(FULL)
+            monkeypatch.setattr(
+                ClosureParser, "parse_with_diagnostics", interrupted
+            )
+            with pytest.raises(KeyboardInterrupt):
+                service.parse_many(texts, FULL)
+            counts = series_counts(service)
+            in_flight = service.in_flight
+        assert calls == texts[:3]
+        assert counts["counters"]["parses"] == 2
+        latency = counts["latency"]
+        assert latency["parse"] == latency["parse_compiled"] == 2
+        assert latency["executor_thread"] == 2
+        assert counts["queue_depth"]["thread"] == 2
+        assert in_flight == 0
